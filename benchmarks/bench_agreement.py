@@ -1,81 +1,53 @@
-"""Benchmark the agreement kernels: numba @njit vs the pure-numpy fallback.
+"""Time the AC1 agreement bootstrap on a large synthetic rating matrix.
 
-The bootstrap loop is the pipeline's hot path at corpus scale (resamples x
-items x categories); this script times both backends on the same inputs and
-checks they agree numerically.
+Each resample is drawn as multinomial counts over the matrix's distinct rows,
+so time and memory grow with resamples x distinct rows, not with the items.
+The default, 10^6 items x 1,000 resamples, checks that memory stays bounded
+at corpus scale. Peak RSS is the process's high-water mark, printed before
+the bootstrap (input generation and the rating matrix) and after it.
 
-    python3 benchmarks/bench_agreement.py [--items 200000] [--resamples 300]
+    python3 benchmarks/bench_agreement.py [--items 1000000] [--resamples 1000]
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
 import numpy as np
 
-from topicensemble import _kernels
+from topicensemble.agreement import bootstrap_ci, build_rating_matrix
 
 
-def timed(fn, *args, repeat=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return result, best
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--items", type=int, default=200_000)
+    parser.add_argument("--items", type=int, default=1_000_000)
     parser.add_argument("--raters", type=int, default=4)
     parser.add_argument("--categories", type=int, default=10)
-    parser.add_argument("--resamples", type=int, default=300)
+    parser.add_argument("--resamples", type=int, default=1000)
     args = parser.parse_args()
 
     rng = np.random.default_rng(1)
-    counts = np.zeros((args.items, args.categories))
-    picks = rng.integers(0, args.categories, size=(args.items, args.raters))
-    for i in range(args.items):
-        counts[i] = np.bincount(picks[i], minlength=args.categories)
-    idx = rng.integers(0, args.items, size=(args.resamples, args.items))
-
-    print(f"items={args.items} raters={args.raters} "
-          f"categories={args.categories} resamples={args.resamples}")
-    if not _kernels.NUMBA_ACTIVE:
-        print("numba backend inactive (TOPICENSEMBLE_NUMBA=0 or import failure); "
-              "timing the numpy path only")
-
-    rows = []
-    coef_np, t = timed(_kernels.coefficient_np, counts, args.raters, _kernels.AC1)
-    rows.append(("coefficient", "numpy", t, coef_np[0]))
-    if _kernels.NUMBA_ACTIVE:
-        _kernels.coefficient_nb(counts[:10], args.raters, _kernels.AC1)  # jit warmup
-        coef_nb, t = timed(_kernels.coefficient_nb, counts, args.raters, _kernels.AC1)
-        rows.append(("coefficient", "numba", t, coef_nb[0]))
-        assert abs(coef_nb[0] - coef_np[0]) < 1e-9
-
-    boot_np, t = timed(
-        _kernels.bootstrap_np, counts, args.raters, idx, _kernels.AC1, repeat=1
+    picks = rng.integers(0, args.categories, size=(args.raters, args.items))
+    m = build_rating_matrix(
+        {f"r{j}": picks[j] for j in range(args.raters)}, k=args.categories
     )
-    rows.append(("bootstrap", "numpy", t, float(np.nanmean(boot_np))))
-    if _kernels.NUMBA_ACTIVE:
-        _kernels.bootstrap_nb(counts[:10], args.raters, idx[:2, :10], _kernels.AC1)
-        boot_nb, t = timed(
-            _kernels.bootstrap_nb, counts, args.raters, idx, _kernels.AC1, repeat=1
-        )
-        rows.append(("bootstrap", "numba", t, float(np.nanmean(boot_nb))))
-        assert np.nanmax(np.abs(boot_nb - boot_np)) < 1e-9
+    del picks
+    input_mb = peak_rss_mb()
 
-    print(f"\n{'kernel':<12} {'backend':<8} {'seconds':>10} {'result':>12}")
-    for kernel, backend, seconds, value in rows:
-        print(f"{kernel:<12} {backend:<8} {seconds:>10.4f} {value:>12.6f}")
-    by_key = {(k, b): s for k, b, s, _ in rows}
-    for kernel in ("coefficient", "bootstrap"):
-        if (kernel, "numba") in by_key:
-            speedup = by_key[(kernel, "numpy")] / by_key[(kernel, "numba")]
-            print(f"{kernel}: numba speedup {speedup:.1f}x")
+    start = time.perf_counter()
+    lo, hi = bootstrap_ci("AC1", m, resamples=args.resamples, seed=0)
+    seconds = time.perf_counter() - start
+    peak_mb = peak_rss_mb()
+
+    print(f"items={args.items} raters={args.raters} categories={args.categories} "
+          f"resamples={args.resamples}")
+    print(f"bootstrap_ci {seconds:.3f} s  ci=({lo:.6f}, {hi:.6f})  "
+          f"peak_rss {peak_mb:.0f} MB (before the bootstrap: {input_mb:.0f} MB)")
     return 0
 
 

@@ -41,6 +41,24 @@ class RunConfig:
     subset_ensembles: bool = False
 
 
+def _bootstrap_int(section: dict, key: str, default: int, minimum: int,
+                   problems: list[str]) -> int | None:
+    """bootstrap.<key> as an int >= minimum, or None with a recorded problem."""
+    value = section.get(key, default)
+    number = None
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            number = int(value)
+        except (TypeError, ValueError):
+            pass
+    if number is None:
+        problems.append(f"bootstrap.{key} must be an integer, got {value!r}")
+    elif number < minimum:
+        problems.append(f"bootstrap.{key} must be >= {minimum}")
+    return number
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -114,9 +132,11 @@ def load_config(path: str | Path) -> RunConfig:
     if outlier_threshold <= 0:
         problems.append("outlier_threshold must be > 0")
     bootstrap = doc.get("bootstrap") or {}
-    resamples = int(bootstrap.get("resamples", 1000))
-    if resamples < 100:
-        problems.append("bootstrap.resamples must be >= 100")
+    if not isinstance(bootstrap, dict):
+        problems.append("bootstrap must be a mapping of resamples and seed")
+        bootstrap = {}
+    resamples = _bootstrap_int(bootstrap, "resamples", 1000, 100, problems)
+    seed = _bootstrap_int(bootstrap, "seed", 0, 0, problems)
     failure_budget = float(doc.get("failure_budget", 0.01))
 
     if problems:
@@ -133,7 +153,7 @@ def load_config(path: str | Path) -> RunConfig:
         output_dir=resolve(doc.get("output_dir", "runs")),
         outlier_threshold=outlier_threshold,
         bootstrap_resamples=resamples,
-        bootstrap_seed=int(bootstrap.get("seed", 0)),
+        bootstrap_seed=seed,
         failure_budget=failure_budget,
         retries=int(doc.get("retries", 3)),
         timeout=float(doc.get("timeout", 30.0)),

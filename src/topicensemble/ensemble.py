@@ -240,15 +240,35 @@ def ensemble_topic(
         raise ValueError("labels and scores must cover the same cells")
 
     score_ens = pca_first_component(score_mat)
+    return _decide(label_mat, score_ens.pc1), score_ens
+
+
+def degenerate_ensemble(
+    labels: Mapping[str, Sequence[bool]],
+    excluded: Set[str] = frozenset(),
+) -> tuple[EnsembleDecision, ScoreEnsemble]:
+    """Fallback for ensemble_topic when it raises ZeroVariance: the scores
+    carry no signal, so pc1 is flat, the weights are uniform and the sentinel
+    threshold rule decides alone."""
+    models = [name for name in labels if name not in excluded]
+    label_mat = np.stack([np.asarray(labels[m], dtype=bool) for m in models], axis=1)
+    pc1 = np.zeros(label_mat.shape[0])
+    ens = ScoreEnsemble(
+        weights=np.full(len(models), 1.0 / np.sqrt(len(models))), pc1=pc1, orientation_sign=1
+    )
+    return _decide(label_mat, pc1), ens
+
+
+def _decide(label_mat: np.ndarray, pc1: np.ndarray) -> EnsembleDecision:
+    """Union and majority labels, the F1-optimal threshold and the fusion."""
     union = label_mat.any(axis=1)
     inter = label_mat.sum(axis=1) > label_mat.shape[1] / 2.0
-    tau, sweep = optimal_threshold(score_ens.pc1, inter)
-    final = fuse_labels(union, score_ens.pc1, tau, inter)
-    decision = EnsembleDecision(
+    tau, sweep = optimal_threshold(pc1, inter)
+    final = fuse_labels(union, pc1, tau, inter)
+    return EnsembleDecision(
         union_label=union,
         intersection_label=inter,
         tau=tau,
         final_label=final,
         sweep=sweep,
     )
-    return decision, score_ens

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensemble import ensemble_topic
-from .errors import LengthMismatch, NoPositives
+from .ensemble import degenerate_ensemble, ensemble_topic
+from .errors import LengthMismatch, NoPositives, ZeroVariance
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,18 @@ def subset_ensemble_candidates(
     """Re-run the ensemble for every model subset of size >= min_size.
 
     Candidate names are "ensemble[a+b+...]" with members in input order.
-    Used by report-time subset evaluation; off by default for large corpora.
+    A subset whose score columns are all constant gets the same flat
+    fallback as the ensemble stage. Used by report-time subset evaluation;
+    off by default for large corpora.
     """
     models = list(labels)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for size in range(min_size, len(models) + 1):
         for combo in combinations(models, size):
-            decision, ens = ensemble_topic(
-                {m: labels[m] for m in combo},
-                {m: scores[m] for m in combo},
-            )
+            sub_labels = {m: labels[m] for m in combo}
+            try:
+                decision, ens = ensemble_topic(sub_labels, {m: scores[m] for m in combo})
+            except ZeroVariance:
+                decision, ens = degenerate_ensemble(sub_labels)
             out["ensemble[" + "+".join(combo) + "]"] = (decision.final_label, ens.pc1)
     return out

@@ -28,7 +28,8 @@ from . import agreement as agr
 from .annotator import TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
 from .corpus import TextItem, TopicSet, load_corpus, load_topics
-from .ensemble import EnsembleDecision, ScoreEnsemble, ensemble_topic, fuse_labels, optimal_threshold
+# optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
+from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (
     DegenerateChance,
     MissingUpstreamArtifact,
@@ -278,12 +279,8 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
     table = []
     for topic in topics.top_level_names():
         # category 0 = positive; fixed k=2 for labels, k=10 for binned scores
-        label_ratings = {
-            m: [0 if lab else 1 for lab in vec] for m, vec in labels[topic].items()
-        }
-        score_ratings = {
-            m: agr.bin_scores(vec).tolist() for m, vec in scores[topic].items()
-        }
+        label_ratings = {m: np.where(vec, 0, 1) for m, vec in labels[topic].items()}
+        score_ratings = {m: agr.bin_scores(vec) for m, vec in scores[topic].items()}
         for target, ratings, k in (
             ("labels", label_ratings, 2),
             ("scores", score_ratings, 10),
@@ -342,27 +339,6 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
                 len(table), outliers["excluded"])
 
 
-def _degenerate_ensemble(
-    models: list[str], labels: dict, n_texts: int
-) -> tuple[EnsembleDecision, ScoreEnsemble]:
-    """Fallback when every score column is constant: scores carry no signal,
-    so pc1 is flat and the sentinel threshold rule decides alone."""
-    label_mat = np.stack([np.asarray(labels[m], dtype=bool) for m in models], axis=1)
-    union = label_mat.any(axis=1)
-    inter = label_mat.sum(axis=1) > label_mat.shape[1] / 2.0
-    pc1 = np.zeros(n_texts)
-    tau, sweep = optimal_threshold(pc1, inter)
-    final = fuse_labels(union, pc1, tau, inter)
-    ens = ScoreEnsemble(
-        weights=np.full(len(models), 1.0 / math.sqrt(len(models))),
-        pc1=pc1, orientation_sign=1,
-    )
-    return EnsembleDecision(
-        union_label=union, intersection_label=inter,
-        tau=tau, final_label=final, sweep=sweep,
-    ), ens
-
-
 def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
     rows = _read_aggregated(run_dir)
@@ -383,9 +359,7 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
             )
         except ZeroVariance:
             zero_variance = True
-            decision, ens = _degenerate_ensemble(
-                models, labels[topic], len(corpus)
-            )
+            decision, ens = degenerate_ensemble(labels[topic], excluded=excluded)
         dec_rows = []
         for i, item in enumerate(corpus):
             dec_rows.append(

@@ -197,7 +197,10 @@ def serve(fixture: Fixture, port: int = 0) -> StubServer:
         if exc.errno == errno.EADDRINUSE:
             raise PortInUse(f"port {port} already in use") from exc
         raise
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps stop() (shutdown waits for the next poll) fast
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     server._thread = thread
     thread.start()
     return server

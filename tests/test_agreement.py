@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from topicensemble import _kernels
 from topicensemble.agreement import (
     RatingMatrix,
+    _patterns,
+    _patterns_by_key,
+    _resample_coefficients,
     bin_scores,
     bootstrap_ci,
     build_rating_matrix,
@@ -56,6 +58,31 @@ def test_build_rating_matrix_incomplete():
         build_rating_matrix({"a": [0, 1], "b": [0]})
     with pytest.raises(IncompleteRatings):
         build_rating_matrix({"a": [0, None], "b": [0, 1]})
+
+
+def test_build_rating_matrix_rejects_bad_categories():
+    with pytest.raises(ValueError):
+        build_rating_matrix({"a": [0, -1], "b": [0, 1]})
+    with pytest.raises(ValueError):
+        build_rating_matrix({"a": [0, 2], "b": [0, 1]}, k=2)
+
+
+def test_build_rating_matrix_matches_row_loop():
+    # the per-item bincount loop the tally replaced, kept as the reference
+    rng = np.random.default_rng(2)
+    for k in (2, 10):
+        ratings = {f"r{j}": rng.integers(0, k, size=50) for j in range(4)}
+        assigned = np.stack(list(ratings.values()), axis=1)
+        expected = np.array([np.bincount(row, minlength=k) for row in assigned])
+        m = build_rating_matrix(ratings, k=k)
+        assert np.array_equal(m.counts, expected)
+        assert m.counts.dtype == np.float64
+
+
+def test_rating_matrix_rejects_fractional_counts():
+    # rows are keyed as integers when resampled, so counts must be whole
+    with pytest.raises(ValueError):
+        RatingMatrix(counts=np.array([[1.5, 0.5], [2.0, 0.0]]), n=2)
 
 
 def test_percent_agreement_unanimous():
@@ -292,16 +319,83 @@ def test_balanced_marginals_ac1_equals_kappa():
         assert ac1.coefficient == pytest.approx(kappa.coefficient, abs=1e-12)
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ACTIVE, reason="numba backend inactive")
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        m = rand_matrix(rng, N=30, k=4, n=5)
-        idx = rng.integers(0, 30, size=(50, 30))
-        for kind in (_kernels.AC1, _kernels.FLEISS):
-            got_nb = _kernels.coefficient_nb(m.counts, m.n, kind)
-            got_np = _kernels.coefficient_np(m.counts, m.n, kind)
-            assert got_nb[0] == pytest.approx(got_np[0], abs=1e-12)
-            boot_nb = _kernels.bootstrap_nb(m.counts, m.n, idx, kind)
-            boot_np = _kernels.bootstrap_np(m.counts, m.n, idx, kind)
-            np.testing.assert_allclose(boot_nb, boot_np, atol=1e-12)
+def gathered_coefficients(counts, n, idx, kind):
+    """Literal item bootstrap: gather counts[idx] and apply the formulas."""
+    sub = counts[idx]  # (resamples, N, k)
+    N, k = idx.shape[1], counts.shape[1]
+    po = (sub * (sub - 1.0)).sum(axis=(1, 2)) / (N * n * (n - 1.0))
+    p = sub.sum(axis=1) / (N * n)
+    if kind == "AC1":
+        pe = (p * (1.0 - p)).sum(axis=1) / (k - 1.0)
+    else:
+        pe = (p * p).sum(axis=1)
+    out = np.full(idx.shape[0], np.nan)
+    ok = pe < 1.0
+    out[ok] = (po[ok] - pe[ok]) / (1.0 - pe[ok])
+    return out
+
+
+def pattern_weights(counts, patterns, idx):
+    """Per resample, how often each pattern was drawn through the items in idx."""
+    position = {tuple(row): p for p, row in enumerate(patterns.tolist())}
+    item_pattern = np.array([position[tuple(row)] for row in counts.tolist()])
+    return np.stack([np.bincount(item_pattern[row], minlength=len(patterns))
+                     for row in idx])
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("kind", ["AC1", "Fleiss"])
+def test_resample_kernel_matches_gather(k, kind):
+    rng = np.random.default_rng(21 + k)
+    for _ in range(10):
+        m = rand_matrix(rng, N=40, k=k, n=4)
+        idx = rng.integers(0, m.num_items, size=(60, m.num_items))
+        patterns, _ = _patterns(m.counts, m.n)
+        weights = pattern_weights(m.counts, patterns, idx)
+        got = _resample_coefficients(patterns, weights, m.n, kind)
+        np.testing.assert_allclose(
+            got, gathered_coefficients(m.counts, m.n, idx, kind), rtol=0, atol=1e-12
+        )
+
+
+def test_resample_kernel_degenerate_resamples():
+    # three unanimous items and one split one: every resample that misses
+    # the split item has P_e = 1 under Fleiss
+    counts = np.array([[3.0, 0.0]] * 3 + [[2.0, 1.0]])
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, 4, size=(200, 4))
+    patterns, _ = _patterns(counts, 3)
+    weights = pattern_weights(counts, patterns, idx)
+    for kind in ("AC1", "Fleiss"):
+        expected = gathered_coefficients(counts, 3, idx, kind)
+        got = _resample_coefficients(patterns, weights, 3, kind)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.isnan(expected).sum() > 20
+
+
+def test_pattern_paths_agree():
+    rng = np.random.default_rng(30)
+    for k, n in ((2, 2), (2, 9), (10, 4), (10, 77)):
+        m = rand_matrix(rng, N=300, k=k, n=n)
+        by_key = _patterns_by_key(m.counts, m.n)
+        by_row = np.unique(m.counts, axis=0, return_counts=True)
+        for got, want in zip(by_key, by_row):
+            assert np.array_equal(got, want)
+        assert by_key[1].sum() == m.num_items
+        assert len({tuple(row) for row in m.counts.tolist()}) == len(by_key[0])
+
+
+@pytest.mark.parametrize("n", [77, 78])
+def test_patterns_at_the_int64_key_limit(n):
+    # 78 ** 10 <= 2 ** 63 < 79 ** 10: n = 77 raters is the last key-path size
+    # for k = 10, and n = 78 must take the row path
+    counts = np.zeros((5, 10))
+    counts[[0, 1], 0] = n
+    counts[2, 9] = n
+    counts[3, [0, 9]] = [n - n // 2, n // 2]
+    counts[4, [0, 1]] = [1, n - 1]
+    want_patterns, want_freq = np.unique(counts, axis=0, return_counts=True)
+    patterns, freq = _patterns(counts, n)
+    assert np.array_equal(patterns, want_patterns)
+    assert np.array_equal(freq, want_freq)

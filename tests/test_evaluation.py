@@ -146,3 +146,14 @@ def test_subset_ensembles_cardinality():
     gold = labels["A"]
     rows = compare_raters(candidates, gold)
     assert len(rows) == 15
+
+
+def test_subset_ensembles_zero_variance_fallback():
+    # two models that never fire: constant score columns fall back to the
+    # flat ensemble instead of raising ZeroVariance
+    labels = {"a": [False] * 3, "b": [False] * 3}
+    scores = {"a": [0.0] * 3, "b": [0.0] * 3}
+    subsets = subset_ensemble_candidates(labels, scores)
+    final, pc1 = subsets["ensemble[a+b]"]
+    assert final.tolist() == [False] * 3
+    assert pc1.tolist() == [0.0] * 3

@@ -199,6 +199,30 @@ def test_config_invalid_details(tmp_path):
     assert "outlier_threshold" in text
 
 
+@pytest.mark.parametrize("bootstrap, problem", [
+    ("{resamples: 200, seed: -1}", "bootstrap.seed must be >= 0"),
+    ("{resamples: many, seed: 7}", "bootstrap.resamples must be an integer"),
+    ("{resamples: 200, seed: 1.5}", "bootstrap.seed must be an integer"),
+    ("{resamples: 200, seed: abc}", "bootstrap.seed must be an integer"),
+    ("5", "bootstrap must be a mapping"),
+])
+def test_cli_bad_bootstrap_config(tmp_path, capsys, bootstrap, problem):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    config_path = workdir / "config.yaml"
+    config_path.write_text(
+        config_path.read_text().replace(
+            "bootstrap:\n  resamples: 200\n  seed: 7", f"bootstrap: {bootstrap}"
+        )
+    )
+    assert f"bootstrap: {bootstrap}" in config_path.read_text()
+    assert main(["validate-config", "--config", str(config_path)]) == 2
+    assert main(["run", "--config", str(config_path), "--run-id", "bad"]) == 2
+    err = capsys.readouterr().err
+    assert problem in err
+    assert "Traceback" not in err
+
+
 def test_config_digest_ignores_output_paths(e2e, tmp_path):
     workdir, server = e2e
     cfg_a = load_config(workdir / "config.yaml")
