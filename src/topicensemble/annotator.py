@@ -19,9 +19,10 @@ import json
 import logging
 import os
 import re
+import sqlite3
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -33,6 +34,7 @@ from .corpus import TextItem, TopicSet
 from .errors import (
     BackendUnavailable,
     BadStatus,
+    CacheError,
     FailureBudgetExceeded,
     Unparseable,
 )
@@ -106,11 +108,6 @@ class AnnotationMatrix:
     def __eq__(self, other):
         return isinstance(other, AnnotationMatrix) and self.entries == other.entries
 
-    def label_vector(
-        self, model: str, topic: str, text_ids: Sequence[str]
-    ) -> list[bool]:
-        return [self.entries[(model, tid, topic)].label for tid in text_ids]
-
     def check_complete(
         self, models: Sequence[str], text_ids: Sequence[str], topics: Sequence[str]
     ) -> None:
@@ -148,16 +145,54 @@ def build_prompt(topics: TopicSet, item: TextItem) -> str:
 
 
 class ResponseCache:
-    """Content-addressed response store under {cache_dir}/{backend}/.
+    """The one on-disk store of backend responses: {cache_dir}/cache.sqlite.
 
-    The key is the SHA-256 of (backend name, prompt, decoding params); each
-    entry is a JSON file {prompt_digest, content, retrieved_at} holding the
-    verbatim model output. Concurrent readers are fine; writes go through a
-    per-process temp file and an atomic rename.
+    One table maps keys to bytes. Chat keys are the SHA-256 of (backend name,
+    prompt, decoding params) and hold the JSON document {prompt_digest,
+    content, retrieved_at}; embedding keys are "emb/{backend}/" plus the
+    input's SHA-256 and hold little-endian float32 vectors. WAL mode and a
+    busy timeout let processes share a cache dir on a local filesystem; one
+    connection serves every thread, one statement at a time. close() folds
+    the WAL back into the file.
     """
 
     def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
+        self.path = Path(cache_dir) / "cache.sqlite"
+        self._lock = threading.Lock()
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path, timeout=60.0, check_same_thread=False)
+        except (OSError, sqlite3.Error) as exc:
+            raise CacheError(f"cache {self.path}: {exc}") from exc
+        try:
+            for sql in ("PRAGMA journal_mode=WAL", "PRAGMA synchronous=NORMAL",
+                        "CREATE TABLE IF NOT EXISTS entries"
+                        " (key TEXT PRIMARY KEY, value BLOB NOT NULL)"):
+                self._execute(sql)
+        except CacheError:
+            self._db.close()
+            raise
+
+    def _execute(self, sql: str, args=(), many: bool = False) -> list:
+        with self._lock:
+            try:
+                with self._db:  # commits a write, rolls it back on error
+                    run = self._db.executemany if many else self._db.execute
+                    return run(sql, args).fetchall()
+            except sqlite3.Error as exc:
+                raise CacheError(f"cache {self.path}: {exc}") from exc
+
+    def read(self, key: str) -> bytes | None:
+        rows = self._execute("SELECT value FROM entries WHERE key = ?", (key,))
+        return rows[0][0] if rows else None
+
+    def write(self, items: Iterable[tuple[str, bytes]]) -> None:
+        """Store (key, bytes) pairs in one transaction."""
+        self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
+
+    def close(self) -> None:
+        with self._lock:
+            self._db.close()
 
     def key(self, backend: ModelBackend, prompt: str) -> str:
         payload = json.dumps(
@@ -172,15 +207,9 @@ class ResponseCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _path(self, backend: ModelBackend, key: str) -> Path:
-        return self.cache_dir / backend.name / f"{key}.json"
-
     def get(self, backend: ModelBackend, prompt: str) -> dict | None:
-        path = self._path(backend, self.key(backend, prompt))
-        if not path.exists():
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        blob = self.read(self.key(backend, prompt))
+        return None if blob is None else json.loads(blob)
 
     def put(self, backend: ModelBackend, prompt: str, content: str) -> dict:
         entry = {
@@ -188,15 +217,62 @@ class ResponseCache:
             "content": content,
             "retrieved_at": datetime.now(timezone.utc).isoformat(),
         }
-        path = self._path(backend, self.key(backend, prompt))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            path.name + f".tmp{os.getpid()}-{threading.get_ident()}"
-        )
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        blob = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        self.write([(self.key(backend, prompt), blob)])
         return entry
+
+
+def post_json(session: requests.Session, url: str, payload: dict,
+              auth_env: str | None = None, retries: int = 3,
+              timeout: float = 30.0, backoff: float = 0.5):
+    """POST payload as JSON and return the decoded body of the 200 reply.
+
+    Connection errors, 429 and 5xx are retried up to `retries` times with
+    exponential backoff, then raise BackendUnavailable; any other status
+    raises BadStatus at once. `auth_env` names the environment variable
+    holding a bearer token.
+    """
+    headers = {}
+    if auth_env:
+        headers["Authorization"] = f"Bearer {os.environ.get(auth_env, '')}"
+    last_error: Exception | None = None
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(backoff * 2 ** (attempt - 1))
+        try:
+            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = exc
+            continue
+        if resp.status_code == 429 or resp.status_code >= 500:
+            last_error = BadStatus(resp.status_code, resp.text)
+            continue
+        if resp.status_code != 200:
+            raise BadStatus(resp.status_code, resp.text)
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise BadStatus(resp.status_code, f"malformed JSON body: {exc}")
+    raise BackendUnavailable(
+        f"backend {payload.get('model')!r} at {url} unreachable after "
+        f"{retries} retries: {last_error}"
+    )
+
+
+def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(x) for x in items] on up to `workers` threads, in input order.
+
+    The first exception cancels every call not yet started and is re-raised
+    once the running ones return, so a dead backend costs the calls in
+    flight rather than the whole queue.
+    """
+    if len(items) <= 1:
+        return [fn(x) for x in items]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def query_backend(
@@ -211,62 +287,33 @@ def query_backend(
 ) -> RawResponse:
     """Answer from cache when possible, otherwise POST a chat completion.
 
-    Transient failures (connection errors, 429, 5xx) retry up to `retries`
-    times with exponential backoff; other HTTP errors raise BadStatus
-    immediately. Fresh responses are stored before returning.
+    Retries and errors are those of post_json. Fresh responses are stored
+    before returning.
     """
-    cached = cache.get(backend, prompt)
-    if cached is not None:
-        return RawResponse(
-            model=backend.name,
-            text_id=text_id,
-            content=cached["content"],
-            retrieved_at=cached["retrieved_at"],
-            from_cache=True,
+    entry = cache.get(backend, prompt)
+    from_cache = entry is not None
+    if not from_cache:
+        payload = {
+            "model": backend.name,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": backend.decoding.temperature,
+            "max_tokens": backend.decoding.max_tokens,
+        }
+        body = post_json(
+            session or requests.Session(), backend.endpoint, payload,
+            backend.auth_env, retries, timeout, backoff,
         )
-    session = session or requests.Session()
-    headers = {}
-    if backend.auth_env:
-        token = os.environ.get(backend.auth_env, "")
-        headers["Authorization"] = f"Bearer {token}"
-    payload = {
-        "model": backend.name,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": backend.decoding.temperature,
-        "max_tokens": backend.decoding.max_tokens,
-    }
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
         try:
-            resp = session.post(
-                backend.endpoint, json=payload, headers=headers, timeout=timeout
-            )
-        except requests.RequestException as exc:
-            last_error = exc
-            if attempt < retries:
-                time.sleep(backoff * 2**attempt)
-            continue
-        if resp.status_code in (429,) or resp.status_code >= 500:
-            last_error = BadStatus(resp.status_code, resp.text)
-            if attempt < retries:
-                time.sleep(backoff * 2**attempt)
-            continue
-        if resp.status_code != 200:
-            raise BadStatus(resp.status_code, resp.text)
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise BadStatus(resp.status_code, f"malformed completion payload: {exc}")
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BadStatus(200, f"malformed completion payload: {exc}")
         entry = cache.put(backend, prompt, content)
-        return RawResponse(
-            model=backend.name,
-            text_id=text_id,
-            content=content,
-            retrieved_at=entry["retrieved_at"],
-            from_cache=False,
-        )
-    raise BackendUnavailable(
-        f"backend {backend.name!r} unreachable after {retries} retries: {last_error}"
+    return RawResponse(
+        model=backend.name,
+        text_id=text_id,
+        content=entry["content"],
+        retrieved_at=entry["retrieved_at"],
+        from_cache=from_cache,
     )
 
 
@@ -399,67 +446,49 @@ def annotate_corpus(
     semaphores = {b.name: threading.BoundedSemaphore(max(1, b.parallelism))
                   for b in backends}
 
-    def annotate_cell(backend: ModelBackend, item: TextItem):
+    def annotate_cell(pair: tuple[ModelBackend, TextItem]):
+        backend, item = pair
         prompt = build_prompt(topics, item)
         with semaphores[backend.name]:
-            response = query_backend(
-                backend, prompt, cache, session=session,
-                retries=retries, timeout=timeout, backoff=backoff,
-                text_id=item.id,
-            )
-            try:
-                return parse_response(
-                    response.content, topics, model=backend.name, text_id=item.id
-                ), 0
-            except Unparseable:
-                retry_prompt = prompt + "\n" + FORMAT_REMINDER
+            for asked in (prompt, prompt + "\n" + FORMAT_REMINDER):
                 response = query_backend(
-                    backend, retry_prompt, cache, session=session,
+                    backend, asked, cache, session=session,
                     retries=retries, timeout=timeout, backoff=backoff,
                     text_id=item.id,
                 )
-            try:
-                return parse_response(
-                    response.content, topics, model=backend.name, text_id=item.id
-                ), 0
-            except Unparseable:
-                logger.warning(
-                    "unparseable response from %s for text %s; marking cells failed",
-                    backend.name, item.id,
-                )
-                failed = [
-                    TopicAnnotation(
-                        model=backend.name, text_id=item.id, topic=leaf.short_name,
-                        label=False, phrases=(), parse_warning=True,
-                    )
-                    for leaf in leaves
-                ]
-                return failed, len(failed)
+                try:
+                    return parse_response(
+                        response.content, topics, model=backend.name, text_id=item.id
+                    ), 0
+                except Unparseable:
+                    pass
+        logger.warning(
+            "unparseable response from %s for text %s; marking cells failed",
+            backend.name, item.id,
+        )
+        failed = [
+            TopicAnnotation(
+                model=backend.name, text_id=item.id, topic=leaf.short_name,
+                label=False, phrases=(), parse_warning=True,
+            )
+            for leaf in leaves
+        ]
+        return failed, len(failed)
 
     pairs = [(backend, item) for backend in backends for item in corpus]
-    results: dict[tuple[str, str], list[TopicAnnotation]] = {}
-    failed_cells = 0
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {
-            pool.submit(annotate_cell, backend, item): (backend.name, item.id)
-            for backend, item in pairs
-        }
-        for future, key in futures.items():
-            annotations, failures = future.result()
-            results[key] = annotations
-            failed_cells += failures
-
+    results = run_parallel(annotate_cell, pairs, max_workers)
+    failed_cells = sum(failures for _, failures in results)
     total_cells = len(backends) * len(corpus) * len(leaves)
     if total_cells and failed_cells / total_cells > failure_budget:
         raise FailureBudgetExceeded(
             f"{failed_cells}/{total_cells} cells unparseable "
             f"(budget {failure_budget:.2%})"
         )
-    entries = {}
-    for backend in backends:
-        for item in corpus:
-            for annotation in results[(backend.name, item.id)]:
-                entries[(backend.name, item.id, annotation.topic)] = annotation
+    entries = {
+        (ann.model, ann.text_id, ann.topic): ann
+        for annotations, _ in results
+        for ann in annotations
+    }
     matrix = AnnotationMatrix(entries)
     matrix.check_complete(
         [b.name for b in backends],

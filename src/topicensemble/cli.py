@@ -58,25 +58,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigInvalid as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "validate-config":
         problems = validate_config(cfg)
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        if problems:
-            return EXIT_CONFIG
+    except ConfigInvalid as exc:
+        problems = exc.problems
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    if problems:
+        return EXIT_CONFIG
+    if args.command == "validate-config":
         print("config OK")
         return EXIT_OK
-
-    problems = validate_config(cfg)
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
 
     try:
         if args.command == "run":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,21 +42,29 @@ class RunConfig:
     subset_ensembles: bool = False
 
 
-def _bootstrap_int(section: dict, key: str, default: int, minimum: int,
-                   problems: list[str]) -> int | None:
-    """bootstrap.<key> as an int >= minimum, or None with a recorded problem."""
+def _number(section: dict, key: str, default, problems: list[str], *,
+            where: str = "", integer: bool = False, minimum: float = 0,
+            maximum: float | None = None, exclusive: bool = False):
+    """section[key] as a finite number in range, or None with a recorded problem.
+
+    `where` prefixes the key in messages; `exclusive` makes the minimum strict.
+    """
     value = section.get(key, default)
-    number = None
-    fractional = isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fractional):
-        try:
-            number = int(value)
-        except (TypeError, ValueError):
-            pass
-    if number is None:
-        problems.append(f"bootstrap.{key} must be an integer, got {value!r}")
-    elif number < minimum:
-        problems.append(f"bootstrap.{key} must be >= {minimum}")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        number = int(value) if integer else float(value)
+        if not math.isfinite(float(value)) or number != float(value):
+            raise ValueError  # infinite, NaN, or fractional for an integer
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integer else "a number"
+        problems.append(f"{where}{key} must be {kind}, got {value!r}")
+        return None
+    if number < minimum or (exclusive and number == minimum) or (
+            maximum is not None and number > maximum):
+        upper = f" and <= {maximum}" if maximum is not None else ""
+        problems.append(f"{where}{key} must be {'>' if exclusive else '>='} {minimum}{upper}")
+        return None
     return number
 
 
@@ -72,95 +81,101 @@ def load_config(path: str | Path) -> RunConfig:
 
     problems: list[str] = []
 
-    def resolve(p) -> Path:
+    def resolve(name: str, p) -> Path | None:
+        if not isinstance(p, str) or not p or "\0" in p:
+            problems.append(f"{name} must be a path, got {p!r}")
+            return None
         return (base / p).resolve() if not Path(p).is_absolute() else Path(p)
 
-    corpus = doc.get("corpus") or {}
-    corpus_path = corpus.get("path")
+    def mapping(name: str, value) -> dict:
+        if isinstance(value, dict):
+            return value
+        problems.append(f"{name} must be a mapping, got {value!r}")
+        return {}
+
+    def strings(*values) -> bool:
+        return all(isinstance(v, str) and v for v in values)
+
+    corpus = mapping("corpus", doc.get("corpus") or {})
     corpus_format = corpus.get("format", "jsonl")
-    if not corpus_path:
-        problems.append("corpus.path is required")
     if corpus_format not in ("jsonl", "csv"):
         problems.append(f"corpus.format must be jsonl or csv, got {corpus_format!r}")
 
-    topics_path = doc.get("topics")
-    if not topics_path:
-        problems.append("topics path is required")
-
     backends = []
     names = set()
-    for i, entry in enumerate(doc.get("backends") or []):
-        name = entry.get("name")
-        endpoint = entry.get("endpoint")
-        if not name or not endpoint:
-            problems.append(f"backends[{i}] needs name and endpoint")
+    entries = doc.get("backends") or []
+    if not isinstance(entries, list):
+        problems.append("backends must be a list of mappings")
+        entries = []
+    for i, entry in enumerate(entries):
+        where = f"backends[{i}]."
+        entry = mapping(f"backends[{i}]", entry)
+        name, endpoint = entry.get("name"), entry.get("endpoint")
+        if not strings(name, endpoint):
+            problems.append(f"backends[{i}] needs name and endpoint strings")
             continue
         if name in names:
             problems.append(f"duplicate backend name {name!r}")
         names.add(name)
-        temperature = float(entry.get("temperature", 0.0))
-        if temperature < 0:
-            problems.append(f"backends[{i}].temperature must be >= 0")
-            temperature = 0.0
+        temperature = _number(entry, "temperature", 0.0, problems, where=where)
+        max_tokens = _number(entry, "max_tokens", 512, problems, where=where,
+                             integer=True, minimum=1)
+        parallelism = _number(entry, "parallelism", 4, problems, where=where,
+                              integer=True, minimum=1)
+        if None in (temperature, max_tokens, parallelism):
+            continue
         backends.append(
             ModelBackend(
                 name=name,
                 endpoint=endpoint,
                 auth_env=entry.get("auth_env"),
-                decoding=Decoding(
-                    temperature=temperature,
-                    max_tokens=int(entry.get("max_tokens", 512)),
-                ),
-                parallelism=int(entry.get("parallelism", 4)),
+                decoding=Decoding(temperature=temperature, max_tokens=max_tokens),
+                parallelism=parallelism,
             )
         )
     if len(backends) < 2:
         problems.append("at least 2 backends are required for ensembling")
 
-    emb = doc.get("embedding") or {}
-    if not emb.get("endpoint"):
-        problems.append("embedding.endpoint is required")
-    embedding = EmbeddingBackend(
-        name=emb.get("name", "all-mpnet-base-v2"),
-        endpoint=emb.get("endpoint", ""),
-        auth_env=emb.get("auth_env"),
-        batch_size=int(emb.get("batch_size", 32)),
-        parallelism=int(emb.get("parallelism", 4)),
-    )
-
-    outlier_threshold = float(doc.get("outlier_threshold", 0.10))
-    if outlier_threshold <= 0:
-        problems.append("outlier_threshold must be > 0")
-    bootstrap = doc.get("bootstrap") or {}
-    if not isinstance(bootstrap, dict):
-        problems.append("bootstrap must be a mapping of resamples and seed")
-        bootstrap = {}
-    resamples = _bootstrap_int(bootstrap, "resamples", 1000, 100, problems)
-    seed = _bootstrap_int(bootstrap, "seed", 0, 0, problems)
-    failure_budget = float(doc.get("failure_budget", 0.01))
-
-    if problems:
-        raise ConfigInvalid(problems)
-
+    emb = mapping("embedding", doc.get("embedding") or {})
+    emb_name, emb_endpoint = emb.get("name", "all-mpnet-base-v2"), emb.get("endpoint")
+    if not strings(emb_name, emb_endpoint):
+        problems.append("embedding needs name and endpoint strings")
+    bootstrap = mapping("bootstrap", doc.get("bootstrap") or {})
+    subset_ensembles = doc.get("subset_ensembles", False)
+    if not isinstance(subset_ensembles, bool):
+        problems.append(f"subset_ensembles must be true or false, got {subset_ensembles!r}")
     gold = doc.get("gold_labels")
     cfg = RunConfig(
-        corpus_path=resolve(corpus_path),
+        corpus_path=resolve("corpus.path", corpus.get("path")),
         corpus_format=corpus_format,
-        topics_path=resolve(topics_path),
+        topics_path=resolve("topics", doc.get("topics")),
         backends=backends,
-        embedding=embedding,
-        cache_dir=resolve(doc.get("cache_dir", ".topicensemble-cache")),
-        output_dir=resolve(doc.get("output_dir", "runs")),
-        outlier_threshold=outlier_threshold,
-        bootstrap_resamples=resamples,
-        bootstrap_seed=seed,
-        failure_budget=failure_budget,
-        retries=int(doc.get("retries", 3)),
-        timeout=float(doc.get("timeout", 30.0)),
-        backoff=float(doc.get("backoff", 0.5)),
-        gold_labels=resolve(gold) if gold else None,
-        subset_ensembles=bool(doc.get("subset_ensembles", False)),
+        embedding=EmbeddingBackend(
+            name=emb_name,
+            endpoint=emb_endpoint,
+            auth_env=emb.get("auth_env"),
+            batch_size=_number(emb, "batch_size", 32, problems, where="embedding.",
+                               integer=True, minimum=1),
+            parallelism=_number(emb, "parallelism", 4, problems, where="embedding.",
+                                integer=True, minimum=1),
+        ),
+        cache_dir=resolve("cache_dir", doc.get("cache_dir", ".topicensemble-cache")),
+        output_dir=resolve("output_dir", doc.get("output_dir", "runs")),
+        outlier_threshold=_number(doc, "outlier_threshold", 0.10, problems,
+                                  exclusive=True),
+        bootstrap_resamples=_number(bootstrap, "resamples", 1000, problems,
+                                    where="bootstrap.", integer=True, minimum=100),
+        bootstrap_seed=_number(bootstrap, "seed", 0, problems, where="bootstrap.",
+                               integer=True),
+        failure_budget=_number(doc, "failure_budget", 0.01, problems, maximum=1),
+        retries=_number(doc, "retries", 3, problems, integer=True),
+        timeout=_number(doc, "timeout", 30.0, problems, exclusive=True),
+        backoff=_number(doc, "backoff", 0.5, problems),
+        gold_labels=resolve("gold_labels", gold) if gold is not None else None,
+        subset_ensembles=subset_ensembles,
     )
+    if problems:
+        raise ConfigInvalid(problems)
     return cfg
 
 

@@ -53,6 +53,10 @@ class Unparseable(TopicEnsembleError):
     pass
 
 
+class CacheError(TopicEnsembleError):
+    pass
+
+
 class FailureBudgetExceeded(TopicEnsembleError):
     pass
 

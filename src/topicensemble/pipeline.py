@@ -20,6 +20,7 @@ import math
 import os
 import time
 from collections.abc import Iterable
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .evaluation import (
     group_summary,
     subset_ensemble_candidates,
 )
-from .relevancy import Embedder, RelevancyRecord, aggregate_subtopics, relevancy_score
+from .relevancy import Embedder, aggregate_subtopics, relevancy_score
 
 logger = logging.getLogger(__name__)
 
@@ -133,12 +134,8 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
     return corpus, topics
 
 
-def _annotations_path(run_dir: Path) -> Path:
-    return run_dir / "annotate" / "annotations.jsonl"
-
-
 def _read_annotations(run_dir: Path) -> list[TopicAnnotation]:
-    _, rows = _read_jsonl(_annotations_path(run_dir))
+    _, rows = _read_jsonl(run_dir / "annotate" / "annotations.jsonl")
     return [
         TopicAnnotation(
             model=r["model"], text_id=r["text_id"], topic=r["topic"],
@@ -158,64 +155,66 @@ def _read_aggregated(run_dir: Path) -> list[dict]:
 
 def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    cache = ResponseCache(cfg.cache_dir)
-    matrix = annotate_corpus(
-        corpus, topics, cfg.backends, cache,
-        failure_budget=cfg.failure_budget, retries=cfg.retries,
-        timeout=cfg.timeout, backoff=cfg.backoff,
-    )
+    with closing(ResponseCache(cfg.cache_dir)) as cache:
+        matrix = annotate_corpus(
+            corpus, topics, cfg.backends, cache,
+            failure_budget=cfg.failure_budget, retries=cfg.retries,
+            timeout=cfg.timeout, backoff=cfg.backoff,
+        )
     leaves = [leaf.short_name for leaf in topics.leaves()]
-    rows = []
-    for backend in cfg.backends:
-        for item in corpus:
-            for leaf in leaves:
-                ann = matrix.get(backend.name, item.id, leaf)
-                rows.append(
-                    {
+
+    def rows():  # made while written, so they never all exist at once
+        for backend in cfg.backends:
+            for item in corpus:
+                for leaf in leaves:
+                    ann = matrix.get(backend.name, item.id, leaf)
+                    yield {
                         "model": ann.model, "text_id": ann.text_id,
                         "topic": ann.topic, "label": ann.label,
                         "phrases": list(ann.phrases),
                         "parse_warning": ann.parse_warning,
                     }
-                )
+
     stage_dir = run_dir / "annotate"
-    _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows)
+    _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows())
     _write_manifest(stage_dir, "annotate", run_id, digest)
-    logger.info("annotate: %d cells", len(rows))
+    logger.info("annotate: %d cells", len(matrix))
 
 
 def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
     annotations = _read_annotations(run_dir)
     leaves = {leaf.short_name: leaf for leaf in topics.leaves()}
-    embedder = Embedder(
-        cfg.embedding, cfg.cache_dir,
-        retries=cfg.retries, timeout=cfg.timeout, backoff=cfg.backoff,
-    )
-    # one batched pass warms the cache for everything scoring will touch
-    to_embed = [""] + [leaf.description for leaf in leaves.values()]
-    for ann in annotations:
-        if ann.label and ann.phrases:
-            to_embed.extend(ann.phrases)
-    embedder.embed_many(to_embed)
-
-    records: dict[tuple[str, str, str], RelevancyRecord] = {}
-    rows = []
-    for ann in annotations:
-        record = relevancy_score(ann, leaves[ann.topic], embedder)
-        records[(ann.model, ann.text_id, ann.topic)] = record
-        rows.append(
-            {
-                "model": record.model, "text_id": record.text_id,
-                "topic": record.topic, "score": record.score,
-                "baseline": record.baseline,
-                "per_phrase_sims": [
-                    {"phrase": s.phrase, "raw_sim": s.raw_sim}
-                    for s in record.per_phrase_sims
-                ],
-                "potential_false_positive": record.potential_false_positive,
-            }
+    with closing(ResponseCache(cfg.cache_dir)) as cache:
+        embedder = Embedder(
+            cfg.embedding, cache,
+            retries=cfg.retries, timeout=cfg.timeout, backoff=cfg.backoff,
         )
+        # one batched pass warms the cache for everything scoring will touch
+        to_embed = [""] + [leaf.description for leaf in leaves.values()]
+        for ann in annotations:
+            if ann.label and ann.phrases:
+                to_embed.extend(ann.phrases)
+        embedder.embed_many(to_embed)
+        records = {
+            (ann.model, ann.text_id, ann.topic): relevancy_score(
+                ann, leaves[ann.topic], embedder)
+            for ann in annotations
+        }
+
+    rows = (
+        {
+            "model": record.model, "text_id": record.text_id,
+            "topic": record.topic, "score": record.score,
+            "baseline": record.baseline,
+            "per_phrase_sims": [
+                {"phrase": s.phrase, "raw_sim": s.raw_sim}
+                for s in record.per_phrase_sims
+            ],
+            "potential_false_positive": record.potential_false_positive,
+        }
+        for record in records.values()
+    )
     stage_dir = run_dir / "score"
     _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, rows)
 
@@ -243,7 +242,7 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
                 )
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows)
     _write_manifest(stage_dir, "score", run_id, digest)
-    logger.info("score: %d leaf records, %d aggregated", len(rows), len(agg_rows))
+    logger.info("score: %d leaf records, %d aggregated", len(records), len(agg_rows))
 
 
 def _vectors_by_model_topic(

@@ -8,27 +8,30 @@ score is the maximum over phrases. Negative labels and positives without
 phrases score 0; the latter are flagged as potential false positives.
 
 Embedding inputs are truncated to their first 384 whitespace-delimited words
-(whitespace collapsed, so truncation is idempotent) and cached on disk as
-little-endian float32 vectors keyed by the truncated text's digest. Cached
-and fresh vectors round-trip through float32 so warm reruns are bit-stable.
+(whitespace collapsed, so truncation is idempotent). Vectors live in the
+run's one response store (annotator.ResponseCache) as little-endian float32
+bytes under "emb/{backend}/" plus the truncated text's SHA-256, and requests
+go through the same retrying POST as chat (annotator.post_json). Cached and
+fresh vectors round-trip through float32 so warm reruns are bit-stable.
 """
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import requests
 
-from .annotator import TopicAnnotation, make_session
+from .annotator import (
+    ResponseCache,
+    TopicAnnotation,
+    make_session,
+    post_json,
+    run_parallel,
+)
 from .corpus import Topic
-from .errors import BackendUnavailable, BadStatus, ZeroNormVector
+from .errors import BadStatus, ZeroNormVector
 
 TRUNCATE_WORDS = 384
 
@@ -79,20 +82,20 @@ class Embedder:
     """Caching client for the embedding wire protocol.
 
     POSTs {model, input: [texts]} and expects {data: [{embedding: [...]}]}
-    in input order. Vectors are cached under {cache_dir}/emb/{backend}/.
+    in input order. Vectors are read from and written to `cache`.
     """
 
     def __init__(
         self,
         backend: EmbeddingBackend,
-        cache_dir: str | Path,
+        cache: ResponseCache,
         session: requests.Session | None = None,
         retries: int = 3,
         timeout: float = 30.0,
         backoff: float = 0.5,
     ):
         self.backend = backend
-        self.cache_dir = Path(cache_dir) / "emb" / backend.name
+        self.cache = cache
         self.session = session or make_session(max(1, backend.parallelism))
         self.retries = retries
         self.timeout = timeout
@@ -100,22 +103,9 @@ class Embedder:
         self.parallelism = max(1, backend.parallelism)
         self._dimension: int | None = None
 
-    def _cache_path(self, truncated: str) -> Path:
+    def _key(self, truncated: str) -> str:
         digest = hashlib.sha256(truncated.encode("utf-8")).hexdigest()
-        return self.cache_dir / f"{digest}.bin"
-
-    def _read_cache(self, path: Path) -> np.ndarray | None:
-        if not path.exists():
-            return None
-        return np.fromfile(path, dtype="<f4").astype(np.float64)
-
-    def _write_cache(self, path: Path, vector: np.ndarray) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            path.name + f".tmp{os.getpid()}-{threading.get_ident()}"
-        )
-        vector.astype("<f4").tofile(tmp)
-        os.replace(tmp, path)
+        return f"emb/{self.backend.name}/{digest}"
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -129,33 +119,23 @@ class Embedder:
         truncated = [truncate_words(t) for t in texts]
         vectors: dict[str, np.ndarray] = {}
         misses: list[str] = []
-        pending: set[str] = set()
-        for t in truncated:
-            if t in vectors or t in pending:
-                continue
-            cached = self._read_cache(self._cache_path(t))
-            if cached is not None:
-                vectors[t] = cached
-            else:
+        for t in dict.fromkeys(truncated):
+            blob = self.cache.read(self._key(t))
+            if blob is None:
                 misses.append(t)
-                pending.add(t)
-        batches = [
-            misses[start : start + self.backend.batch_size]
-            for start in range(0, len(misses), self.backend.batch_size)
-        ]
+            else:
+                vectors[t] = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+        size = self.backend.batch_size
+        batches = [misses[start : start + size] for start in range(0, len(misses), size)]
 
-        def fetch(batch: list[str]) -> list[tuple[str, np.ndarray]]:
-            return list(zip(batch, self._request(batch)))
+        def fetch(batch: list[str]) -> list[bytes]:
+            blobs = [vec.astype("<f4").tobytes() for vec in self._request(batch)]
+            self.cache.write(zip(map(self._key, batch), blobs))
+            return blobs
 
-        if len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                fetched = pool.map(fetch, batches)
-        else:
-            fetched = map(fetch, batches)
-        for pairs in fetched:
-            for t, vec in pairs:
-                self._write_cache(self._cache_path(t), vec)
-                vectors[t] = vec.astype("<f4").astype(np.float64)
+        for batch, blobs in zip(batches, run_parallel(fetch, batches, self.parallelism)):
+            for t, blob in zip(batch, blobs):
+                vectors[t] = np.frombuffer(blob, dtype="<f4").astype(np.float64)
         out = [vectors[t] for t in truncated]
         for vec in out:
             if self._dimension is None:
@@ -169,38 +149,18 @@ class Embedder:
         return out
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
-        headers = {}
-        if self.backend.auth_env:
-            token = os.environ.get(self.backend.auth_env, "")
-            headers["Authorization"] = f"Bearer {token}"
-        payload = {"model": self.backend.name, "input": list(batch)}
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = self.session.post(
-                    self.backend.endpoint, json=payload,
-                    headers=headers, timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff * 2**attempt)
-                continue
-            if resp.status_code in (429,) or resp.status_code >= 500:
-                last_error = BadStatus(resp.status_code, resp.text)
-                if attempt < self.retries:
-                    time.sleep(self.backoff * 2**attempt)
-                continue
-            if resp.status_code != 200:
-                raise BadStatus(resp.status_code, resp.text)
-            try:
-                data = resp.json()["data"]
-                return [np.asarray(row["embedding"], dtype=np.float64) for row in data]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadStatus(resp.status_code, f"malformed embedding payload: {exc}")
-        raise BackendUnavailable(
-            f"embedding backend {self.backend.name!r} unreachable: {last_error}"
+        body = post_json(
+            self.session, self.backend.endpoint,
+            {"model": self.backend.name, "input": list(batch)},
+            self.backend.auth_env, self.retries, self.timeout, self.backoff,
         )
+        try:
+            vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in body["data"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadStatus(200, f"malformed embedding payload: {exc}")
+        if len(vectors) != len(batch):
+            raise BadStatus(200, f"{len(vectors)} embeddings for {len(batch)} inputs")
+        return vectors
 
 
 def topic_baseline(topic: Topic, embedder: Embedder) -> float:

@@ -23,7 +23,7 @@ from topicensemble.agreement import (
     gwet_ac1,
     percent_agreement,
 )
-from topicensemble.annotator import TopicAnnotation
+from topicensemble.annotator import ResponseCache, TopicAnnotation
 from topicensemble.config import load_config
 from topicensemble.corpus import Topic
 from topicensemble.ensemble import (
@@ -299,7 +299,7 @@ def test_c06_relevancy_contract(tmp_path):
     try:
         embedder = Embedder(
             EmbeddingBackend(name="syn", endpoint=server.embeddings_url),
-            tmp_path, backoff=0.01,
+            ResponseCache(tmp_path), backoff=0.01,
         )
         for topic, phrases, sims, b in planned:
             for count in (1, 3, 7):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -231,11 +234,44 @@ def test_query_backend_cache_round_trip(tmp_path, stub_server):
 def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server):
     server = stub_server(chat_doc([{"model": "m1", "prompt": "hello", "response": "ok"}]))
     cache = ResponseCache(tmp_path)
-    query_backend(backend_for(server, temperature=0.0), "hello", cache)
-    query_backend(backend_for(server, temperature=0.5), "hello", cache)
-    stored = list((tmp_path / "m1").glob("*.json"))
-    assert len(stored) == 2
+    greedy, sampled = backend_for(server, temperature=0.0), backend_for(server, temperature=0.5)
+    query_backend(greedy, "hello", cache)
+    query_backend(sampled, "hello", cache)
+    assert cache.key(greedy, "hello") != cache.key(sampled, "hello")
+    assert cache.get(greedy, "hello")["content"] == cache.get(sampled, "hello")["content"] == "ok"
     assert server.call_count == 2
+
+
+def test_store_shared_by_threads(tmp_path):
+    store = ResponseCache(tmp_path)
+    errors = []
+
+    def work(t):
+        try:
+            for i in range(400):
+                store.write([(f"{t}/{i}", f"{t}:{i}".encode())])
+                if store.read(f"{t}/{i // 2}") != f"{t}:{i // 2}".encode():
+                    errors.append(f"{t}/{i // 2} unreadable")
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    store.close()
+    fresh = ResponseCache(tmp_path)
+    assert all(fresh.read(f"{t}/{i}") == f"{t}:{i}".encode()
+               for t in range(8) for i in range(400))
+    fresh.close()
 
 
 def test_query_backend_unreachable(tmp_path):

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
+import socket
 from pathlib import Path
 
 import pytest
+import requests
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicensemble.cli import main
 from topicensemble.config import config_digest, load_config
@@ -199,28 +206,83 @@ def test_config_invalid_details(tmp_path):
     assert "outlier_threshold" in text
 
 
-@pytest.mark.parametrize("bootstrap, problem", [
-    ("{resamples: 200, seed: -1}", "bootstrap.seed must be >= 0"),
-    ("{resamples: many, seed: 7}", "bootstrap.resamples must be an integer"),
-    ("{resamples: 200, seed: 1.5}", "bootstrap.seed must be an integer"),
-    ("{resamples: 200, seed: abc}", "bootstrap.seed must be an integer"),
-    ("5", "bootstrap must be a mapping"),
-])
-def test_cli_bad_bootstrap_config(tmp_path, capsys, bootstrap, problem):
+def _set(doc, dotted: str, value) -> None:
+    """Set a config field named by its dotted path (digits index lists)."""
+    *parents, leaf = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = value
+
+
+def _scalar_fields(node, prefix: str = ""):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_fields(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def _write_mutated(config_path: Path, changes: dict) -> None:
+    doc = yaml.safe_load((E2E / "config.yaml").read_text())
+    for dotted, value in changes.items():
+        _set(doc, dotted, value)
+    config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+
+
+# bootstrap cases keep their ids from when the test covered bootstrap alone
+@pytest.mark.parametrize("setting, problem", [
+    ("bootstrap: {resamples: 200, seed: -1}", "bootstrap.seed must be >= 0"),
+    ("bootstrap: {resamples: many, seed: 7}", "bootstrap.resamples must be an integer"),
+    ("bootstrap: {resamples: 200, seed: 1.5}", "bootstrap.seed must be an integer"),
+    ("bootstrap: {resamples: 200, seed: abc}", "bootstrap.seed must be an integer"),
+    ("bootstrap: 5", "bootstrap must be a mapping"),
+    ("retries: -1", "retries must be >= 0"),
+    ("embedding.batch_size: 0", "embedding.batch_size must be >= 1"),
+    ("backends.0.parallelism: many", "backends[0].parallelism must be an integer"),
+    ("failure_budget: 7", "failure_budget must be >= 0 and <= 1"),
+    ("timeout: 0", "timeout must be > 0"),
+    ("backoff: -0.5", "backoff must be >= 0"),
+    ("backends.1: 7", "backends[1] must be a mapping"),
+    ("embedding: [a, b]", "embedding must be a mapping"),
+], ids=lambda value: value.removeprefix("bootstrap: "))
+def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     workdir = tmp_path / "demo"
     shutil.copytree(E2E, workdir)
     config_path = workdir / "config.yaml"
-    config_path.write_text(
-        config_path.read_text().replace(
-            "bootstrap:\n  resamples: 200\n  seed: 7", f"bootstrap: {bootstrap}"
-        )
-    )
-    assert f"bootstrap: {bootstrap}" in config_path.read_text()
+    _write_mutated(config_path, yaml.safe_load(setting))
     assert main(["validate-config", "--config", str(config_path)]) == 2
     assert main(["run", "--config", str(config_path), "--run-id", "bad"]) == 2
     err = capsys.readouterr().err
     assert problem in err
     assert "Traceback" not in err
+
+
+E2E_FIELDS = sorted(_scalar_fields(yaml.safe_load((E2E / "config.yaml").read_text())))
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+    st.sampled_from([10**400, 1e308, -1e308]), st.floats(), st.text(max_size=12),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def e2e_inputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(E2E, workdir, dirs_exist_ok=True)
+    return workdir
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(E2E_FIELDS), WRONG_VALUES, min_size=1, max_size=3))
+def test_validate_config_never_crashes(e2e_inputs, changes):
+    config_path = e2e_inputs / "config.yaml"
+    _write_mutated(config_path, changes)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate-config", "--config", str(config_path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_digest_ignores_output_paths(e2e, tmp_path):
@@ -303,3 +365,53 @@ def test_subset_ensembles_in_metrics(e2e):
     # two non-excluded members -> exactly one subset ensemble of size >= 2
     assert "ensemble[m_alpha+m_beta]" in names
     assert len([r for r in rows if r[1] == "sleep"]) == 5
+
+
+def test_cache_dir_holds_only_the_store_after_a_run(e2e):
+    workdir, server = e2e
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--stage", "all"]) == 0
+    assert [p.name for p in (workdir / "cache").iterdir()] == ["cache.sqlite"]
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_cli_cache_not_a_database(e2e, capsys, kind):
+    workdir, server = e2e
+    store = workdir / "cache" / "cache.sqlite"
+    store.parent.mkdir(exist_ok=True)
+    if kind == "file":
+        store.write_text("not a database\n" * 20)
+    else:
+        store.mkdir()
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "x"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cache {store.resolve()}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("texts", [50, 500])
+def test_dead_backend_fails_fast(tmp_path, monkeypatch, texts):
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    (workdir / "corpus.jsonl").write_text("".join(
+        json.dumps({"id": f"t{i}", "text": f"Text number {i}."}) + "\n"
+        for i in range(texts)
+    ))
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace("8731", str(port)))
+    posts = []
+    real_post = requests.Session.post
+
+    def counting_post(self, *args, **kwargs):
+        posts.append(args)
+        return real_post(self, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", counting_post)
+    assert main(["run", "--config", str(config_path), "--run-id", "dead"]) == 4
+    cfg = load_config(config_path)
+    workers = sum(b.parallelism for b in cfg.backends)
+    assert 0 < len(posts) <= 2 * workers * (cfg.retries + 1)
+    # the failed stage closed its store
+    assert [p.name for p in cfg.cache_dir.iterdir()] == ["cache.sqlite"]

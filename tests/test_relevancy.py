@@ -1,9 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from topicensemble.annotator import TopicAnnotation
+from topicensemble.annotator import (
+    ModelBackend,
+    ResponseCache,
+    TopicAnnotation,
+    query_backend,
+)
 from topicensemble.corpus import Topic
 from topicensemble.errors import BackendUnavailable, BadStatus, ZeroNormVector
 from topicensemble.relevancy import (
@@ -40,7 +46,7 @@ BASE_DOC = {
 
 def embedder_for(server, cache_dir, **kwargs) -> Embedder:
     backend = EmbeddingBackend(name="emb-test", endpoint=server.embeddings_url, **kwargs)
-    return Embedder(backend, cache_dir, backoff=0.01)
+    return Embedder(backend, ResponseCache(cache_dir), backoff=0.01)
 
 
 # -------------------------------------------------------------- truncation
@@ -74,7 +80,28 @@ def test_embed_cache_hit_identical(stub_server, tmp_path):
     second = embedder.embed("lying awake")
     assert server.call_count == calls
     np.testing.assert_array_equal(first, second)
-    assert (tmp_path / "emb" / "emb-test").exists()
+    # stored under the backend's prefix as little-endian float32
+    key = "emb/emb-test/" + hashlib.sha256(b"lying awake").hexdigest()
+    assert embedder.cache.read(key) == first.astype("<f4").tobytes()
+
+
+def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path):
+    chat = {"model": "m1", "prompt": "hello", "response": "(1) sleep: no"}
+    server = stub_server(dict(BASE_DOC, chat=[chat]))
+    backend = ModelBackend(name="m1", endpoint=server.chat_url)
+    emb = EmbeddingBackend(name="emb-test", endpoint=server.embeddings_url)
+    first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+    answer = query_backend(backend, "hello", first)
+    vector = Embedder(emb, first).embed("lying awake")
+    calls = server.call_count
+    again = query_backend(backend, "hello", second)
+    assert again.from_cache
+    assert (again.content, again.retrieved_at) == (answer.content, answer.retrieved_at)
+    np.testing.assert_array_equal(Embedder(emb, second).embed("lying awake"), vector)
+    assert server.call_count == calls
+    first.close()
+    second.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
 
 
 def test_embed_empty_string_valid(stub_server, tmp_path):
@@ -96,7 +123,7 @@ def test_embed_many_batches(stub_server, tmp_path):
 
 def test_embed_unavailable(tmp_path):
     backend = EmbeddingBackend(name="e", endpoint="http://127.0.0.1:9/v1/embeddings")
-    embedder = Embedder(backend, tmp_path, retries=1, backoff=0.01)
+    embedder = Embedder(backend, ResponseCache(tmp_path), retries=1, backoff=0.01)
     with pytest.raises(BackendUnavailable):
         embedder.embed("anything")
 
@@ -148,9 +175,11 @@ def test_topic_baseline_stable_and_recomputable(stub_server, tmp_path):
     first = topic_baseline(SLEEP, embedder)
     assert first == topic_baseline(SLEEP, embedder)
     # recompute from scratch against the live backend after a cache clear
-    for path in (tmp_path / "emb" / "emb-test").glob("*.bin"):
-        path.unlink()
-    again = topic_baseline(SLEEP, embedder)
+    embedder.cache.close()
+    (tmp_path / "cache.sqlite").unlink()
+    calls = server.call_count
+    again = topic_baseline(SLEEP, embedder_for(server, tmp_path))
+    assert server.call_count > calls
     assert again == pytest.approx(first, abs=1e-6)
 
 
