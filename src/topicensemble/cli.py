@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 missing upstream artifact,
+Exit codes: 0 success, 2 config error, 3 missing or stale upstream artifact,
 4 backend failure (unreachable backend or failure budget exceeded),
 1 anything else.
 """
@@ -27,6 +27,13 @@ EXIT_UPSTREAM = 3
 EXIT_BACKEND = 4
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topicensemble",
@@ -48,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="write the ranked human-review file for a run")
     tri_p.add_argument("--config", required=True)
     tri_p.add_argument("--run-id", required=True)
-    tri_p.add_argument("--top", type=int, default=20,
+    tri_p.add_argument("--top", type=_positive_int, default=20,
                        help="entries per topic and direction")
     return parser
 
@@ -77,7 +84,7 @@ def main(argv=None) -> int:
             path = export_triage(cfg, run_id=args.run_id, top_n=args.top)
             print(f"triage written: {path}")
     except MissingUpstreamArtifact as exc:
-        print(f"missing upstream artifact: {exc}", file=sys.stderr)
+        print(f"missing or stale upstream artifact: {exc}", file=sys.stderr)
         return EXIT_UPSTREAM
     except (BackendUnavailable, BadStatus, FailureBudgetExceeded) as exc:
         print(f"backend failure: {exc}", file=sys.stderr)

@@ -128,12 +128,15 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[TextItem]:
     (no lowercasing or unicode folding - models see the raw text).
     """
     path = Path(path)
-    if format == "jsonl":
-        items = _load_jsonl(path)
-    elif format == "csv":
-        items = _load_csv(path)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
+    try:
+        if format == "jsonl":
+            items = _load_jsonl(path)
+        elif format == "csv":
+            items = _load_csv(path)
+        else:
+            raise ValueError(f"unknown corpus format {format!r}")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(0, f"corpus {path} is not UTF-8: {exc}") from exc
     seen: set[str] = set()
     for item in items:
         if item.id in seen:
@@ -210,8 +213,14 @@ def load_topics(path: str | Path) -> TopicSet:
     Accepts either a top-level list of topic entries or a mapping with a
     `topics` key; each entry is {short_name, description, subtopics?}.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise MalformedRecord(
+            mark.line + 1 if mark else 0, f"topics file {path} is not valid YAML: "
+            f"{getattr(exc, 'problem', None) or exc}") from exc
     if isinstance(doc, dict):
         entries = doc.get("topics")
     else:

@@ -1,26 +1,26 @@
 """Staged pipeline: annotate -> score -> agree -> ensemble -> evaluate.
 
-Each stage writes its artifacts atomically (temp file + rename) under
+Each stage streams its artifacts to temp files renamed into place under
 {output_dir}/{run_id}/{stage}/ and reads its inputs back from the previous
-stage's files, so `run all` is the same as running the stages one at a
-time. Artifact payloads carry the schema version and the config digest;
-the per-stage manifest.json additionally records the run id.
+stage's files, so `run all` is the same as running the stages one at a time.
 
-Data files are JSONL (first line is a {"_meta": ...} record) or CSV (first
-line is a "# key=value ..." comment). Undefined numeric cells (degenerate
-coefficients, undefined precision) are written as empty strings.
+Data files are JSONL (first line is a {"_meta": ...} record with the schema,
+its version and the config digest) or CSV (first line is a "# key=value ..."
+comment). outliers.json, ensemble.json and the per-stage manifest.json carry
+the config digest too. `_read` refuses an upstream file whose header does not
+match the run. Undefined numeric cells (degenerate coefficients, undefined
+precision) are written as empty strings.
 """
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 import os
 import time
 from collections.abc import Iterable
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .corpus import TextItem, TopicSet, load_corpus, load_topics
 from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (
     DegenerateChance,
+    MalformedRecord,
     MissingUpstreamArtifact,
     TooFewModels,
     ZeroVariance,
@@ -50,40 +51,30 @@ SCHEMA_VERSION = 1
 STAGES = ("annotate", "score", "agree", "ensemble", "evaluate")
 
 
-# ----------------------------------------------------------- artifact helpers
+# ---------------------------------------------------------------- artifact I/O
 
-def _atomic_write(path: Path, data: str) -> None:
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temp file that replaces `path` when the block ends
+    cleanly; on any error the temp file is removed and `path` is untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl(path: Path, schema: str, digest: str, rows: Iterable[dict]) -> None:
-    buf = [json.dumps(
-        {"_meta": {"schema": schema, "schema_version": SCHEMA_VERSION,
-                   "config_digest": digest}},
-        sort_keys=True, ensure_ascii=False,
-    )]
-    buf.extend(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows)
-    _atomic_write(path, "\n".join(buf) + "\n")
-
-
-def _read_jsonl(path: Path) -> tuple[dict, list[dict]]:
-    if not path.exists():
-        raise MissingUpstreamArtifact(str(path))
-    rows = []
-    meta = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if i == 0 and "_meta" in record:
-                meta = record["_meta"]
-            else:
-                rows.append(record)
-    return meta, rows
+    with _replacing(path) as fh:
+        meta = {"schema": schema, "schema_version": SCHEMA_VERSION,
+                "config_digest": digest}
+        fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _fmt(value) -> str:
@@ -97,33 +88,55 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, schema: str, digest: str,
                header: list[str], rows: Iterable[list]) -> None:
-    out = io.StringIO()
-    out.write(f"# schema={schema}/{SCHEMA_VERSION} config_digest={digest}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, out.getvalue())
+    with _replacing(path) as fh:
+        fh.write(f"# schema={schema}/{SCHEMA_VERSION} config_digest={digest}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[dict]]:
-    if not path.exists():
-        raise MissingUpstreamArtifact(str(path))
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader.fieldnames or []), list(reader)
+def _write_json(path: Path, digest: str, doc: dict) -> None:
+    with _replacing(path) as fh:
+        json.dump({**doc, "config_digest": digest}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
-def _write_manifest(stage_dir: Path, stage: str, run_id: str, digest: str) -> None:
-    _atomic_write(
-        stage_dir / "manifest.json",
-        json.dumps(
-            {"schema_version": SCHEMA_VERSION, "stage": stage,
-             "run_id": run_id, "config_digest": digest},
-            sort_keys=True, indent=2,
-        ) + "\n",
-    )
+def _read(path: Path, digest: str, schema: str | None = None):
+    """An upstream artifact of this config: the rows of a JSONL file whose
+    `_meta` header names `schema`, or, with no schema, a JSON document.
+
+    A missing, unparseable or truncated file, or one whose header fields
+    differ from this run's, raises MissingUpstreamArtifact naming the file
+    and the field."""
+    want = {"config_digest": digest}
+    if schema is not None:
+        want.update(schema=schema, schema_version=SCHEMA_VERSION)
+    lineno, line = 0, "\n"  # last line read, for the error message
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if schema is None:
+                head = body = json.load(fh)
+            else:
+                body = []
+                for lineno, line in enumerate(fh, 1):
+                    body.append(json.loads(line))
+                head = body.pop(0) if body else None
+                head = head.get("_meta") if isinstance(head, dict) else None
+    except FileNotFoundError:
+        raise MissingUpstreamArtifact(f"{path}: not found") from None
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        where = f" line {lineno}" if schema else ""
+        raise MissingUpstreamArtifact(f"{path}:{where} unreadable: {exc}") from exc
+    if not line.endswith("\n"):
+        raise MissingUpstreamArtifact(f"{path}: line {lineno} truncated")
+    if not isinstance(head, dict):
+        raise MissingUpstreamArtifact(f"{path}: no header")
+    prefix = "_meta." if schema else ""
+    for key, value in want.items():
+        if head.get(key) != value:
+            raise MissingUpstreamArtifact(
+                f"{path}: {prefix}{key} is {head.get(key)!r}, expected {value!r}")
+    return body
 
 
 # ------------------------------------------------------------------- loading
@@ -132,23 +145,6 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
     topics = load_topics(cfg.topics_path)
     return corpus, topics
-
-
-def _read_annotations(run_dir: Path) -> list[TopicAnnotation]:
-    _, rows = _read_jsonl(run_dir / "annotate" / "annotations.jsonl")
-    return [
-        TopicAnnotation(
-            model=r["model"], text_id=r["text_id"], topic=r["topic"],
-            label=bool(r["label"]), phrases=tuple(r["phrases"]),
-            parse_warning=bool(r.get("parse_warning", False)),
-        )
-        for r in rows
-    ]
-
-
-def _read_aggregated(run_dir: Path) -> list[dict]:
-    _, rows = _read_jsonl(run_dir / "score" / "aggregated.jsonl")
-    return rows
 
 
 # -------------------------------------------------------------------- stages
@@ -177,13 +173,21 @@ def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
 
     stage_dir = run_dir / "annotate"
     _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows())
-    _write_manifest(stage_dir, "annotate", run_id, digest)
+    _write_json(stage_dir / "manifest.json", digest,
+                {"schema_version": SCHEMA_VERSION, "stage": "annotate", "run_id": run_id})
     logger.info("annotate: %d cells", len(matrix))
 
 
 def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    annotations = _read_annotations(run_dir)
+    annotations = [
+        TopicAnnotation(
+            model=r["model"], text_id=r["text_id"], topic=r["topic"],
+            label=bool(r["label"]), phrases=tuple(r["phrases"]),
+            parse_warning=bool(r.get("parse_warning", False)),
+        )
+        for r in _read(run_dir / "annotate" / "annotations.jsonl", digest, "annotations")
+    ]
     leaves = {leaf.short_name: leaf for leaf in topics.leaves()}
     with closing(ResponseCache(cfg.cache_dir)) as cache:
         embedder = Embedder(
@@ -221,28 +225,30 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
     labels = {
         (ann.model, ann.text_id, ann.topic): ann.label for ann in annotations
     }
-    agg_rows = []
-    for backend in cfg.backends:
-        for item in corpus:
-            for topic in topics:
-                children = topic.subtopics if topic.subtopics else [topic]
-                pairs = [
-                    (
-                        labels[(backend.name, item.id, c.short_name)],
-                        records[(backend.name, item.id, c.short_name)].score,
-                    )
-                    for c in children
-                ]
-                label, score = aggregate_subtopics(pairs)
-                agg_rows.append(
-                    {
+
+    def agg_rows():
+        for backend in cfg.backends:
+            for item in corpus:
+                for topic in topics:
+                    children = topic.subtopics if topic.subtopics else [topic]
+                    pairs = [
+                        (
+                            labels[(backend.name, item.id, c.short_name)],
+                            records[(backend.name, item.id, c.short_name)].score,
+                        )
+                        for c in children
+                    ]
+                    label, score = aggregate_subtopics(pairs)
+                    yield {
                         "model": backend.name, "text_id": item.id,
                         "topic": topic.short_name, "label": label, "score": score,
                     }
-                )
-    _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows)
-    _write_manifest(stage_dir, "score", run_id, digest)
-    logger.info("score: %d leaf records, %d aggregated", len(records), len(agg_rows))
+
+    _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
+    _write_json(stage_dir / "manifest.json", digest,
+                {"schema_version": SCHEMA_VERSION, "stage": "score", "run_id": run_id})
+    logger.info("score: %d leaf records, %d aggregated", len(records),
+                len(cfg.backends) * len(corpus) * len(topics))
 
 
 def _vectors_by_model_topic(
@@ -272,7 +278,7 @@ def _vectors_by_model_topic(
 
 def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    rows = _read_aggregated(run_dir)
+    rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
     labels, scores = _vectors_by_model_topic(cfg, corpus, topics, rows)
 
     table = []
@@ -328,23 +334,17 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
             "threshold_fraction": cfg.outlier_threshold,
             "note": "outlier detection needs >=3 models",
         }
-    outliers["config_digest"] = digest
-    _atomic_write(
-        stage_dir / "outliers.json",
-        json.dumps(outliers, sort_keys=True, indent=2) + "\n",
-    )
-    _write_manifest(stage_dir, "agree", run_id, digest)
+    _write_json(stage_dir / "outliers.json", digest, outliers)
+    _write_json(stage_dir / "manifest.json", digest,
+                {"schema_version": SCHEMA_VERSION, "stage": "agree", "run_id": run_id})
     logger.info("agree: %d coefficient rows, excluded=%s",
                 len(table), outliers["excluded"])
 
 
 def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    rows = _read_aggregated(run_dir)
-    outlier_path = run_dir / "agree" / "outliers.json"
-    if not outlier_path.exists():
-        raise MissingUpstreamArtifact(str(outlier_path))
-    excluded = set(json.loads(outlier_path.read_text())["excluded"])
+    rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
+    excluded = set(_read(run_dir / "agree" / "outliers.json", digest)["excluded"])
     labels, scores = _vectors_by_model_topic(cfg, corpus, topics, rows)
 
     stage_dir = run_dir / "ensemble"
@@ -359,20 +359,19 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
         except ZeroVariance:
             zero_variance = True
             decision, ens = degenerate_ensemble(labels[topic], excluded=excluded)
-        dec_rows = []
-        for i, item in enumerate(corpus):
-            dec_rows.append(
-                {
-                    "text_id": item.id,
-                    "per_model_labels": {m: bool(labels[topic][m][i]) for m in models},
-                    "per_model_scores": {m: float(scores[topic][m][i]) for m in models},
-                    "pc1": float(ens.pc1[i]),
-                    "union": bool(decision.union_label[i]),
-                    "intersection": bool(decision.intersection_label[i]),
-                    "final": bool(decision.final_label[i]),
-                    "tau": float(decision.tau),
-                }
-            )
+        dec_rows = (
+            {
+                "text_id": item.id,
+                "per_model_labels": {m: bool(labels[topic][m][i]) for m in models},
+                "per_model_scores": {m: float(scores[topic][m][i]) for m in models},
+                "pc1": float(ens.pc1[i]),
+                "union": bool(decision.union_label[i]),
+                "intersection": bool(decision.intersection_label[i]),
+                "final": bool(decision.final_label[i]),
+                "tau": float(decision.tau),
+            }
+            for i, item in enumerate(corpus)
+        )
         _write_jsonl(
             stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows
         )
@@ -388,13 +387,9 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
             "tau": float(decision.tau),
             "zero_variance_fallback": zero_variance,
         }
-    _atomic_write(
-        stage_dir / "ensemble.json",
-        json.dumps(
-            {"config_digest": digest, "topics": summary}, sort_keys=True, indent=2
-        ) + "\n",
-    )
-    _write_manifest(stage_dir, "ensemble", run_id, digest)
+    _write_json(stage_dir / "ensemble.json", digest, {"topics": summary})
+    _write_json(stage_dir / "manifest.json", digest,
+                {"schema_version": SCHEMA_VERSION, "stage": "ensemble", "run_id": run_id})
     logger.info("ensemble: %d topics, excluded=%s", len(summary), sorted(excluded))
 
 
@@ -402,35 +397,35 @@ def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
     """CSV text_id,topic,label -> {topic: {text_id: bool}}."""
     truthy = {"1", "true", "yes", "y"}
     falsy = {"0", "false", "no", "n"}
-    _, rows = _read_csv(path)
     gold: dict[str, dict[str, bool]] = {}
-    for row in rows:
-        value = row["label"].strip().lower()
-        if value in truthy:
-            label = True
-        elif value in falsy:
-            label = False
-        else:
-            raise ValueError(f"gold label {row['label']!r} not boolean")
-        gold.setdefault(row["topic"], {})[row["text_id"]] = label
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = {"text_id", "topic", "label"} - set(reader.fieldnames or ())
+            if missing:
+                raise MalformedRecord(1, f"{path}: missing columns {sorted(missing)}")
+            for row in reader:
+                value = (row["label"] or "").strip().lower()
+                if value not in truthy and value not in falsy:
+                    raise MalformedRecord(
+                        reader.line_num, f"{path}: gold label {row['label']!r} not boolean")
+                gold.setdefault(row["topic"], {})[row["text_id"]] = value in truthy
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(0, f"{path} is not UTF-8: {exc}") from exc
     return gold
-
-
-def _read_decisions(run_dir: Path, topic: str) -> list[dict]:
-    _, rows = _read_jsonl(run_dir / "ensemble" / f"{topic}.decisions.jsonl")
-    return rows
 
 
 def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    agg_rows = _read_aggregated(run_dir)
+    agg_rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
     labels, scores = _vectors_by_model_topic(cfg, corpus, topics, agg_rows)
     stage_dir = run_dir / "evaluate"
 
     group_rows = []
     decisions_by_topic = {}
     for topic in topics.top_level_names():
-        decisions = _read_decisions(run_dir, topic)
+        decisions = _read(
+            run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest, "decisions")
         decisions_by_topic[topic] = decisions
         final = [d["final"] for d in decisions]
         pc1 = [d["pc1"] for d in decisions]
@@ -489,7 +484,8 @@ def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
             ["candidate", "topic", "precision", "sensitivity", "f1", "auprc"],
             metric_rows,
         )
-    _write_manifest(stage_dir, "evaluate", run_id, digest)
+    _write_json(stage_dir / "manifest.json", digest,
+                {"schema_version": SCHEMA_VERSION, "stage": "evaluate", "run_id": run_id})
     logger.info("evaluate: %d group rows", len(group_rows))
 
 
@@ -533,7 +529,8 @@ def export_triage(
     run_dir = Path(cfg.output_dir) / run_id
     rows = []
     for topic in topics.top_level_names():
-        decisions = _read_decisions(run_dir, topic)
+        decisions = _read(
+            run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest, "decisions")
         positives = sorted(
             (d for d in decisions if d["final"]),
             key=lambda d: (d["pc1"], d["text_id"]),

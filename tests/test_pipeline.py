@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from topicensemble.cli import main
 from topicensemble.config import config_digest, load_config
 from topicensemble.errors import ConfigInvalid, MissingUpstreamArtifact
+from topicensemble import pipeline
 from topicensemble.pipeline import run
 from topicensemble.stubserver import Fixture, serve
 
@@ -328,13 +329,15 @@ def test_ensemble_stage_zero_variance_fallback(tmp_path):
     (run_dir / "score").mkdir(parents=True)
     (run_dir / "score" / "aggregated.jsonl").write_text(
         "\n".join(
-            [json.dumps({"_meta": {"schema": "aggregated", "config_digest": digest}})]
+            [json.dumps({"_meta": {"schema": "aggregated", "schema_version": 1,
+                                   "config_digest": digest}})]
             + [json.dumps(r) for r in agg_rows]
         )
         + "\n"
     )
     (run_dir / "agree").mkdir()
-    (run_dir / "agree" / "outliers.json").write_text(json.dumps({"excluded": []}))
+    (run_dir / "agree" / "outliers.json").write_text(
+        json.dumps({"excluded": [], "config_digest": digest}))
 
     from topicensemble.pipeline import stage_ensemble
 
@@ -415,3 +418,166 @@ def test_dead_backend_fails_fast(tmp_path, monkeypatch, texts):
     assert 0 < len(posts) <= 2 * workers * (cfg.retries + 1)
     # the failed stage closed its store
     assert [p.name for p in cfg.cache_dir.iterdir()] == ["cache.sqlite"]
+
+
+# ------------------------------------------- artifact integrity and bad inputs
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A demo workdir holding a complete run "done"; its stub is stopped, so
+    anything that reaches a backend afterwards fails."""
+    workdir = tmp_path_factory.mktemp("finished") / "demo"
+    shutil.copytree(E2E, workdir)
+    server = serve(Fixture.from_file(workdir / "fixture.json"))
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace("8731", str(server.port)))
+    try:
+        assert main(["run", "--config", str(config_path), "--run-id", "done"]) == 0
+    finally:
+        server.stop()
+    return workdir
+
+
+_WRONG = {"config_digest": "0" * 64, "schema_version": 2}
+
+
+def _tamper_jsonl(path: Path, case: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    if case == "header":
+        del lines[0]
+    elif case == "truncated":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    else:
+        meta = json.loads(lines[0])
+        meta["_meta"][case] = _WRONG[case]
+        lines[0] = json.dumps(meta) + "\n"
+    path.write_text("".join(lines))
+
+
+def _tamper_json(path: Path, case: str) -> None:
+    text = path.read_text()
+    if case == "truncated":
+        path.write_text(text[: len(text) // 2])
+        return
+    doc = json.loads(text)
+    if case == "header":  # the document no longer says which config wrote it
+        del doc["config_digest"]
+    else:
+        doc[case] = _WRONG[case]
+    path.write_text(json.dumps(doc))
+
+
+# artifact, the stage that reads it; outliers.json has no schema_version
+_UPSTREAM = [
+    ("annotate/annotations.jsonl", "score"),
+    ("score/aggregated.jsonl", "agree"),
+    ("agree/outliers.json", "ensemble"),
+    ("ensemble/sleep.decisions.jsonl", "evaluate"),
+]
+
+
+@pytest.mark.parametrize("rel,stage,case", [
+    (rel, stage, case)
+    for rel, stage in _UPSTREAM
+    for case in ("config_digest", "schema_version", "header", "truncated")
+    if not (rel.endswith(".json") and case == "schema_version")
+])
+def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
+                                           rel, stage, case):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / "runs" / "done" / rel
+    (_tamper_json if rel.endswith(".json") else _tamper_jsonl)(path, case)
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    assert f"upstream artifact: {path}" in err
+    assert "Traceback" not in err
+
+
+def test_resume_after_config_edit_exits_3(finished_run, tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace(
+        "outlier_threshold: 0.10", "outlier_threshold: 0.30"))
+    before = (workdir / "runs" / "done" / "ensemble" / "ensemble.json").read_bytes()
+    assert main(["run", "--config", str(config_path), "--stage", "ensemble",
+                 "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    assert "score/aggregated.jsonl: _meta.config_digest is" in err
+    assert (workdir / "runs" / "done" / "ensemble" / "ensemble.json").read_bytes() == before
+
+
+def test_export_triage_after_config_edit_exits_3(finished_run, tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace("seed: 7", "seed: 8"))
+    assert main(["export-triage", "--config", str(config_path), "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    assert "ensemble/sleep.decisions.jsonl: _meta.config_digest is" in err
+    assert not (workdir / "runs" / "done" / "triage.csv").exists()
+
+
+def _rows_then_fail():
+    yield {"a": 1}
+    yield {"a": 2}
+    raise RuntimeError("row source failed")
+
+
+def _rows_then_unencodable():
+    yield {"a": 1}
+    yield {"a": "\ud800"}  # a lone surrogate has no UTF-8 encoding
+    yield {"a": 3}
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: pipeline._write_jsonl(path, "x", "d", _rows_then_fail()),
+    lambda path: pipeline._write_jsonl(path, "x", "d", _rows_then_unencodable()),
+    lambda path: pipeline._write_csv(path, "x", "d", ["a"],
+                                     ([r["a"]] for r in _rows_then_fail())),
+    lambda path: pipeline._write_json(path, "d", {"bad": object()}),
+], ids=["jsonl", "jsonl-unencodable", "csv", "json"])
+def test_failed_write_keeps_the_old_artifact(tmp_path, write):
+    path = tmp_path / "stage" / "artifact"
+    path.parent.mkdir()
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises((RuntimeError, TypeError, UnicodeEncodeError)):
+        write(path)
+    assert path.read_bytes() == b"previous contents\n"
+    assert [p.name for p in path.parent.iterdir()] == ["artifact"]
+
+
+@pytest.mark.parametrize("name,content", [
+    ("gold.csv", "text_id,topic,label\nt1,sleep,maybe\n"),
+    ("gold.csv", "text_id,topic,verdict\nt1,sleep,1\n"),
+    ("topics.yaml", "topics:\n  - short_name: sleep: x\n"),
+    ("corpus.jsonl", b'{"id": "t1", "text": "caf\xe9 au lait"}\n'),
+], ids=["gold-label-maybe", "gold-no-label-column", "topics-not-yaml",
+        "corpus-not-utf8"])
+def test_bad_input_file_is_an_error_line(e2e, capsys, name, content):
+    workdir, server = e2e
+    path = workdir / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "bad"]) == 1
+    err = capsys.readouterr().err
+    assert "error: line" in err and name in err
+    assert "Traceback" not in err
+
+
+def test_gold_text_id_starting_with_hash_is_kept(tmp_path):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("text_id,topic,label\n#t1,sleep,1\nt2,sleep,no\n")
+    assert pipeline._load_gold(gold) == {"sleep": {"#t1": True, "t2": False}}
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_export_triage_top_below_one_is_a_usage_error(capsys, top):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-triage", "--config", "unused.yaml", "--run-id", "x", "--top", top])
+    assert exc.value.code == 2
+    assert "--top" in capsys.readouterr().err
