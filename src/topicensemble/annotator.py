@@ -15,6 +15,7 @@ fall back to splitting the post-colon tail on commas/semicolons.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -24,11 +25,11 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import TextItem, TopicSet
 from .errors import (
@@ -42,17 +43,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 FORMAT_REMINDER = "Answer strictly in the required format."
-
-
-def make_session(pool_size: int = 10) -> requests.Session:
-    """Session with its connection pool sized to the planned fan-out."""
-    session = requests.Session()
-    adapter = requests.adapters.HTTPAdapter(
-        pool_connections=pool_size, pool_maxsize=pool_size
-    )
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
 
 
 @dataclass(frozen=True)
@@ -222,37 +212,105 @@ class ResponseCache:
         return entry
 
 
-def post_json(session: requests.Session, url: str, payload: dict,
+class ConnectionPool:
+    """Keep-alive HTTP(S) connections to backends, shared by threads.
+
+    A call takes an idle connection to its (scheme, host, port), or opens
+    one, and hands it back once the whole reply is read, so the pool holds
+    as many connections per endpoint as calls were ever in flight at once:
+    one per worker thread. close() closes every idle connection; a call
+    that fails closes the connection it holds. Proxy environment variables
+    are not honoured.
+    """
+
+    def __init__(self):
+        self._idle: dict[tuple[str, str, int | None], list] = {}
+        self._lock = threading.Lock()
+
+    def post(self, url: str, body: bytes, headers: dict,
+             timeout: float) -> tuple[int, bytes]:
+        """POST body to url and return (status, reply body).
+
+        A reused connection that the server closed while it was idle is
+        replaced once at no cost; any other failure propagates."""
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
+        key = (parts.scheme, parts.hostname, parts.port)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, key, target, body, headers, timeout)
+            except ConnectionError:  # includes RemoteDisconnected
+                pass
+        cls = http.client.HTTPSConnection if key[0] == "https" else http.client.HTTPConnection
+        conn = cls(key[1], key[2], timeout=timeout)
+        return self._exchange(conn, key, target, body, headers, timeout)
+
+    def _exchange(self, conn: http.client.HTTPConnection, key: tuple, target: str,
+                  body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
+        try:
+            if conn.sock is not None:  # a reused connection
+                conn.sock.settimeout(timeout)
+            conn.request("POST", target, body, headers)
+            reply = conn.getresponse()
+            data = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        if conn.sock is not None:  # None: the server closed it with this reply
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return reply.status, data
+
+    def close(self) -> None:
+        with self._lock:
+            conns = [conn for idle in self._idle.values() for conn in idle]
+            self._idle.clear()
+        for conn in conns:
+            conn.close()
+
+
+def post_json(pool: ConnectionPool | None, url: str, payload: dict,
               auth_env: str | None = None, retries: int = 3,
               timeout: float = 30.0, backoff: float = 0.5):
     """POST payload as JSON and return the decoded body of the 200 reply.
 
-    Connection errors, 429 and 5xx are retried up to `retries` times with
-    exponential backoff, then raise BackendUnavailable; any other status
-    raises BadStatus at once. `auth_env` names the environment variable
-    holding a bearer token.
+    Connection errors, timeouts, HTTP protocol errors, 429 and 5xx are
+    retried up to `retries` times with exponential backoff, then raise
+    BackendUnavailable; any other status raises BadStatus at once, and so
+    does a malformed JSON body. `auth_env` names the environment variable
+    holding a bearer token. With no pool the call opens its own connection
+    and closes it before returning.
     """
-    headers = {}
+    if pool is None:
+        with closing(ConnectionPool()) as own:
+            return post_json(own, url, payload, auth_env, retries, timeout, backoff)
+    headers = {"Content-Type": "application/json"}
     if auth_env:
         headers["Authorization"] = f"Bearer {os.environ.get(auth_env, '')}"
+    body = json.dumps(payload).encode("utf-8")
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            status, data = pool.post(url, body, headers, timeout)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = BadStatus(resp.status_code, resp.text)
+        if status == 429 or status >= 500:
+            last_error = BadStatus(status, data.decode("utf-8", "replace"))
             continue
-        if resp.status_code != 200:
-            raise BadStatus(resp.status_code, resp.text)
+        if status != 200:
+            raise BadStatus(status, data.decode("utf-8", "replace"))
         try:
-            return resp.json()
-        except ValueError as exc:
-            raise BadStatus(resp.status_code, f"malformed JSON body: {exc}")
+            return json.loads(data)
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise BadStatus(status, f"malformed JSON body: {exc}")
     raise BackendUnavailable(
         f"backend {payload.get('model')!r} at {url} unreachable after "
         f"{retries} retries: {last_error}"
@@ -279,7 +337,7 @@ def query_backend(
     backend: ModelBackend,
     prompt: str,
     cache: ResponseCache,
-    session: requests.Session | None = None,
+    pool: ConnectionPool | None = None,
     retries: int = 3,
     timeout: float = 30.0,
     backoff: float = 0.5,
@@ -300,7 +358,7 @@ def query_backend(
             "max_tokens": backend.decoding.max_tokens,
         }
         body = post_json(
-            session or requests.Session(), backend.endpoint, payload,
+            pool, backend.endpoint, payload,
             backend.auth_env, retries, timeout, backoff,
         )
         try:
@@ -423,6 +481,7 @@ def annotate_corpus(
     topics: TopicSet,
     backends: Sequence[ModelBackend],
     cache: ResponseCache,
+    pool: ConnectionPool | None = None,
     failure_budget: float = 0.01,
     retries: int = 3,
     timeout: float = 30.0,
@@ -430,9 +489,10 @@ def annotate_corpus(
 ) -> AnnotationMatrix:
     """Annotate every (backend, text) pair; complete over leaf topics.
 
-    Requests fan out across backends with per-backend parallelism bounds;
-    assembly is keyed by cell, so the matrix is deterministic given cached
-    responses. Cells that stay unparseable after the reminder re-query fail
+    Requests fan out across backends with per-backend parallelism bounds
+    and go out over `pool` (see post_json for no pool); assembly is keyed
+    by cell, so the matrix is deterministic given cached responses. Cells
+    that stay unparseable after the reminder re-query fail
     conservatively (label false, parse_warning); if more than failure_budget
     of all cells fail, the run aborts.
     """
@@ -442,7 +502,6 @@ def annotate_corpus(
         raise ValueError("backend names must be unique within a run")
     leaves = topics.leaves()
     max_workers = max(1, sum(max(1, b.parallelism) for b in backends))
-    session = make_session(pool_size=max_workers)
     semaphores = {b.name: threading.BoundedSemaphore(max(1, b.parallelism))
                   for b in backends}
 
@@ -452,7 +511,7 @@ def annotate_corpus(
         with semaphores[backend.name]:
             for asked in (prompt, prompt + "\n" + FORMAT_REMINDER):
                 response = query_backend(
-                    backend, asked, cache, session=session,
+                    backend, asked, cache, pool=pool,
                     retries=retries, timeout=timeout, backoff=backoff,
                     text_id=item.id,
                 )

@@ -136,13 +136,32 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[TextItem]:
         else:
             raise ValueError(f"unknown corpus format {format!r}")
     except UnicodeDecodeError as exc:
-        raise MalformedRecord(0, f"corpus {path} is not UTF-8: {exc}") from exc
+        raise _not_utf8(path, exc) from exc
     seen: set[str] = set()
     for item in items:
         if item.id in seen:
             raise DuplicateId(item.id)
         seen.add(item.id)
     return items
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRecord:
+    """Locate the first byte that is not UTF-8 by line and file offset.
+
+    A text file decodes in chunks, so `exc` knows neither; this reads the
+    file again line by line as bytes (no UTF-8 sequence contains a newline).
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return MalformedRecord(
+                    lineno, f"corpus {path} is not UTF-8: byte {offset + bad.start} "
+                    f"(0x{raw[bad.start]:02x}): {bad.reason}")
+            offset += len(raw)
+    return MalformedRecord(0, f"corpus {path} is not UTF-8: {exc}")
 
 
 def _load_jsonl(path: Path) -> list[TextItem]:

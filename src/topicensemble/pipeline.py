@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agreement as agr
-from .annotator import TopicAnnotation, ResponseCache, annotate_corpus
+from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
 from .corpus import TextItem, TopicSet, load_corpus, load_topics
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
@@ -151,9 +151,10 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
 
 def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    with closing(ResponseCache(cfg.cache_dir)) as cache:
+    with (closing(ResponseCache(cfg.cache_dir)) as cache,
+          closing(ConnectionPool()) as pool):
         matrix = annotate_corpus(
-            corpus, topics, cfg.backends, cache,
+            corpus, topics, cfg.backends, cache, pool,
             failure_budget=cfg.failure_budget, retries=cfg.retries,
             timeout=cfg.timeout, backoff=cfg.backoff,
         )
@@ -189,9 +190,10 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
         for r in _read(run_dir / "annotate" / "annotations.jsonl", digest, "annotations")
     ]
     leaves = {leaf.short_name: leaf for leaf in topics.leaves()}
-    with closing(ResponseCache(cfg.cache_dir)) as cache:
+    with (closing(ResponseCache(cfg.cache_dir)) as cache,
+          closing(ConnectionPool()) as pool):
         embedder = Embedder(
-            cfg.embedding, cache,
+            cfg.embedding, cache, pool,
             retries=cfg.retries, timeout=cfg.timeout, backoff=cfg.backoff,
         )
         # one batched pass warms the cache for everything scoring will touch
@@ -251,11 +253,25 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
                 len(cfg.backends) * len(corpus) * len(topics))
 
 
-def _vectors_by_model_topic(
-    cfg: RunConfig, corpus: list[TextItem], topics: TopicSet, rows: list[dict]
-) -> tuple[dict, dict]:
-    """(labels, scores): {topic: {model: per-text vector in corpus order}}."""
-    cell = {(r["model"], r["text_id"], r["topic"]): r for r in rows}
+def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
+                corpus: list[TextItem], topics: TopicSet) -> tuple[dict, dict]:
+    """(labels, scores) from score/aggregated.jsonl: {topic: {model: per-text
+    vector in corpus order}}. Each row's fields are checked as it is indexed;
+    a bad row or a missing cell raises MissingUpstreamArtifact."""
+    path = run_dir / "score" / "aggregated.jsonl"
+    cell = {}
+    for lineno, row in enumerate(_read(path, digest, "aggregated"), 2):
+        try:
+            model, text_id, topic, label, score = (
+                row["model"], row["text_id"], row["topic"], row["label"], row["score"])
+        except (KeyError, TypeError):  # a field is missing, or the row is no object
+            model = text_id = topic = label = score = None
+        if not (type(model) is str and type(text_id) is str and type(topic) is str
+                and type(label) is bool and type(score) in (float, int)):
+            raise MissingUpstreamArtifact(
+                f"{path}: line {lineno}: not a row of string model, text_id and "
+                "topic, boolean label and numeric score")
+        cell[(model, text_id, topic)] = (label, float(score))
     labels: dict[str, dict[str, list[bool]]] = {}
     scores: dict[str, dict[str, list[float]]] = {}
     for topic in topics.top_level_names():
@@ -264,13 +280,12 @@ def _vectors_by_model_topic(
         for backend in cfg.backends:
             lab, sco = [], []
             for item in corpus:
-                row = cell.get((backend.name, item.id, topic))
-                if row is None:
+                value = cell.get((backend.name, item.id, topic))
+                if value is None:
                     raise MissingUpstreamArtifact(
-                        f"aggregated cell missing: {(backend.name, item.id, topic)}"
-                    )
-                lab.append(bool(row["label"]))
-                sco.append(float(row["score"]))
+                        f"{path}: no row for {(backend.name, item.id, topic)}")
+                lab.append(value[0])
+                sco.append(value[1])
             labels[topic][backend.name] = lab
             scores[topic][backend.name] = sco
     return labels, scores
@@ -278,8 +293,7 @@ def _vectors_by_model_topic(
 
 def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
-    labels, scores = _vectors_by_model_topic(cfg, corpus, topics, rows)
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
 
     table = []
     for topic in topics.top_level_names():
@@ -343,9 +357,8 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
 
 def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
     excluded = set(_read(run_dir / "agree" / "outliers.json", digest)["excluded"])
-    labels, scores = _vectors_by_model_topic(cfg, corpus, topics, rows)
 
     stage_dir = run_dir / "ensemble"
     summary = {}
@@ -417,8 +430,7 @@ def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
 
 def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    agg_rows = _read(run_dir / "score" / "aggregated.jsonl", digest, "aggregated")
-    labels, scores = _vectors_by_model_topic(cfg, corpus, topics, agg_rows)
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
     stage_dir = run_dir / "evaluate"
 
     group_rows = []

@@ -21,12 +21,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .annotator import (
+    ConnectionPool,
     ResponseCache,
     TopicAnnotation,
-    make_session,
     post_json,
     run_parallel,
 )
@@ -82,21 +81,22 @@ class Embedder:
     """Caching client for the embedding wire protocol.
 
     POSTs {model, input: [texts]} and expects {data: [{embedding: [...]}]}
-    in input order. Vectors are read from and written to `cache`.
+    in input order. Vectors are read from and written to `cache`; requests
+    go out over `pool` (see post_json for no pool).
     """
 
     def __init__(
         self,
         backend: EmbeddingBackend,
         cache: ResponseCache,
-        session: requests.Session | None = None,
+        pool: ConnectionPool | None = None,
         retries: int = 3,
         timeout: float = 30.0,
         backoff: float = 0.5,
     ):
         self.backend = backend
         self.cache = cache
-        self.session = session or make_session(max(1, backend.parallelism))
+        self.pool = pool
         self.retries = retries
         self.timeout = timeout
         self.backoff = backoff
@@ -150,7 +150,7 @@ class Embedder:
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
         body = post_json(
-            self.session, self.backend.endpoint,
+            self.pool, self.backend.endpoint,
             {"model": self.backend.name, "input": list(batch)},
             self.backend.auth_env, self.retries, self.timeout, self.backoff,
         )

@@ -91,6 +91,11 @@ class Fixture:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # keep-alive, as real backends serve; with Nagle on, each reply would
+    # wait for the client's delayed ACK (about 40 ms)
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output quiet
         pass
 
@@ -162,6 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 class StubServer(ThreadingHTTPServer):
     daemon_threads = True
+    block_on_close = False  # stop() must not wait on a client's idle connection
 
     def __init__(self, fixture: Fixture, port: int = 0):
         super().__init__(("127.0.0.1", port), _Handler)

@@ -1,16 +1,21 @@
+import contextlib
+import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from topicensemble.annotator import (
+    ConnectionPool,
     Decoding,
     ModelBackend,
     ResponseCache,
     annotate_corpus,
     build_prompt,
     parse_response,
+    post_json,
     query_backend,
 )
 from topicensemble.corpus import TextItem, Topic, TopicSet
@@ -299,6 +304,109 @@ def test_query_backend_auth_header(tmp_path, stub_server, monkeypatch):
     )
     response = query_backend(backend, "p", ResponseCache(tmp_path))
     assert response.content == "ok"
+
+
+# --------------------------------------------------------------- transport
+
+_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          b"Content-Length: 12\r\n\r\n{\"ok\": true}")
+
+
+def _read_request(rfile) -> bool:
+    """Consume one request; False at end of stream."""
+    length, line = 0, rfile.readline()
+    if not line:
+        return False
+    while line not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+        line = rfile.readline()
+    rfile.read(length)
+    return True
+
+
+@contextlib.contextmanager
+def raw_server(mode: str):
+    """An HTTP/1.1 server on 127.0.0.1 that answers each POST with
+    {"ok": true} and never sends Connection: close. Modes: "keep-alive"
+    serves any number of requests per connection, "close-after-reply"
+    closes each connection after one reply, "close-before-reply" closes it
+    after reading the request. Yields (url, counts of connections and
+    requests)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    counts = {"connections": 0, "requests": 0}
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            counts["connections"] += 1
+            conn.settimeout(10)
+            with conn, conn.makefile("rb") as rfile:
+                while _read_request(rfile):
+                    counts["requests"] += 1
+                    if mode == "close-before-reply":
+                        break
+                    conn.sendall(_REPLY)
+                    if mode == "close-after-reply":
+                        break
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1/x", counts
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps post_json asks for, none of them taken."""
+    asked = []
+    monkeypatch.setattr(time, "sleep", asked.append)
+    return asked
+
+
+def test_post_json_reuses_a_keep_alive_connection(sleeps):
+    with raw_server("keep-alive") as (url, counts):
+        with contextlib.closing(ConnectionPool()) as pool:
+            for _ in range(5):
+                assert post_json(pool, url, {"model": "m"}, retries=0) == {"ok": True}
+    assert counts == {"connections": 1, "requests": 5}
+    assert sleeps == []
+
+
+def test_post_json_reopens_a_dropped_keep_alive(sleeps):
+    # each reused connection is found closed: reopened at once, not retried
+    with raw_server("close-after-reply") as (url, counts):
+        with contextlib.closing(ConnectionPool()) as pool:
+            for _ in range(5):
+                assert post_json(pool, url, {"model": "m"}, retries=0) == {"ok": True}
+    assert counts == {"connections": 5, "requests": 5}
+    assert sleeps == []
+
+
+def test_post_json_failure_on_a_fresh_connection_is_a_retry(sleeps):
+    with raw_server("close-before-reply") as (url, counts):
+        with contextlib.closing(ConnectionPool()) as pool:
+            with pytest.raises(BackendUnavailable):
+                post_json(pool, url, {"model": "m"}, retries=2, backoff=0.5)
+    assert counts == {"connections": 3, "requests": 3}
+    assert sleeps == [0.5, 1.0]
+
+
+def test_post_json_rejects_a_url_that_is_not_http(sleeps):
+    with contextlib.closing(ConnectionPool()) as pool:
+        with pytest.raises(BackendUnavailable, match="not an http"):
+            post_json(pool, "ftp://127.0.0.1/v1/x", {"model": "m"}, retries=0)
 
 
 # --------------------------------------------------------- annotate_corpus

@@ -82,6 +82,24 @@ def test_load_csv_missing_column(tmp_path):
 
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_non_utf8_corpus_names_line_and_byte(tmp_path, format):
+    # long lines put the bad byte past the first 8 KiB the text layer decodes
+    lines = {
+        "jsonl": [b'{"id": "a", "text": "%s"}\n' % (b"x" * 5000),
+                  b'{"id": "b", "text": "%s"}\n' % (b"y" * 5000),
+                  b'{"id": "c", "text": "caf\xe9"}\n'],
+        "csv": [b"id,text\n", b"a,%s\n" % (b"x" * 9000), b"c,caf\xe9\n"],
+    }[format]
+    path = tmp_path / f"corpus.{format}"
+    data = b"".join(lines)
+    path.write_bytes(data)
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path, format)
+    assert excinfo.value.line == 3
+    assert f"is not UTF-8: byte {data.index(0xE9)} (0xe9)" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
 def test_corpus_round_trip(tmp_path, format):
     items = [
         TextItem("a", "first, with comma", "g1"),

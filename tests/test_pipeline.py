@@ -1,12 +1,15 @@
 import contextlib
+import http.client
 import io
 import json
+import os
 import shutil
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-import requests
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,19 +408,31 @@ def test_dead_backend_fails_fast(tmp_path, monkeypatch, texts):
     config_path = workdir / "config.yaml"
     config_path.write_text(config_path.read_text().replace("8731", str(port)))
     posts = []
-    real_post = requests.Session.post
+    real_request = http.client.HTTPConnection.request
 
-    def counting_post(self, *args, **kwargs):
+    def counting_request(self, *args, **kwargs):
         posts.append(args)
-        return real_post(self, *args, **kwargs)
+        return real_request(self, *args, **kwargs)
 
-    monkeypatch.setattr(requests.Session, "post", counting_post)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
     assert main(["run", "--config", str(config_path), "--run-id", "dead"]) == 4
     cfg = load_config(config_path)
     workers = sum(b.parallelism for b in cfg.backends)
     assert 0 < len(posts) <= 2 * workers * (cfg.retries + 1)
     # the failed stage closed its store
     assert [p.name for p in cfg.cache_dir.iterdir()] == ["cache.sqlite"]
+
+
+def test_cli_does_not_import_requests():
+    # the backend transport is the stdlib's; runtime dependencies are numpy and pyyaml
+    src = Path(pipeline.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, topicensemble.cli\n"
+            "assert 'requests' not in sys.modules, 'requests imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------- artifact integrity and bad inputs
@@ -439,6 +454,10 @@ def finished_run(tmp_path_factory):
 
 
 _WRONG = {"config_digest": "0" * 64, "schema_version": 2}
+# a mistyped value for each field of an aggregated row
+_BAD_FIELD = {"model": 5, "text_id": None, "topic": ["sleep"], "label": "yes",
+              "score": "0.5"}
+_ROW_CASES = [f"{how} {name}" for name in _BAD_FIELD for how in ("no", "bad")]
 
 
 def _tamper_jsonl(path: Path, case: str) -> None:
@@ -447,6 +466,16 @@ def _tamper_jsonl(path: Path, case: str) -> None:
         del lines[0]
     elif case == "truncated":
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    elif case == "array row":
+        lines[2] = json.dumps(list(json.loads(lines[2]).values())) + "\n"
+    elif case in _ROW_CASES:  # damage the row on line 3
+        how, name = case.split()
+        row = json.loads(lines[2])
+        if how == "no":
+            del row[name]
+        else:
+            row[name] = _BAD_FIELD[name]
+        lines[2] = json.dumps(row) + "\n"
     else:
         meta = json.loads(lines[0])
         meta["_meta"][case] = _WRONG[case]
@@ -481,6 +510,10 @@ _UPSTREAM = [
     for rel, stage in _UPSTREAM
     for case in ("config_digest", "schema_version", "header", "truncated")
     if not (rel.endswith(".json") and case == "schema_version")
+] + [
+    ("score/aggregated.jsonl", stage, case)
+    for stage in ("agree", "ensemble", "evaluate")
+    for case in ["array row"] + _ROW_CASES
 ])
 def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
                                            rel, stage, case):
@@ -493,6 +526,8 @@ def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"upstream artifact: {path}" in err
     assert "Traceback" not in err
+    if case == "array row" or case in _ROW_CASES:
+        assert f"{path}: line 3: " in err
 
 
 def test_resume_after_config_edit_exits_3(finished_run, tmp_path, capsys):

@@ -1,6 +1,6 @@
+import http.client
 import json
-
-import requests
+from urllib.parse import urlsplit
 
 from topicensemble.stubserver import Fixture, chat_digest
 
@@ -12,6 +12,19 @@ DOC = {
 }
 
 
+def post(url: str, body: dict) -> tuple[int, bytes]:
+    """(status, reply body) of one JSON POST on a connection of its own."""
+    parts = urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.request("POST", parts.path, json.dumps(body).encode("utf-8"),
+                     {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, reply.read()
+    finally:
+        conn.close()
+
+
 def test_chat_hit(stub_server):
     server = stub_server(DOC)
     body = {
@@ -20,53 +33,64 @@ def test_chat_hit(stub_server):
         "temperature": 0.0,
         "max_tokens": 16,
     }
-    resp = requests.post(server.chat_url, json=body)
-    assert resp.status_code == 200
-    assert resp.json()["choices"][0]["message"]["content"] == "(1) x: no"
+    status, data = post(server.chat_url, body)
+    assert status == 200
+    assert json.loads(data)["choices"][0]["message"]["content"] == "(1) x: no"
 
 
 def test_chat_unknown_prompt_echoes_digest(stub_server):
     server = stub_server(DOC)
     body = {"model": "m1", "messages": [{"role": "user", "content": "nope"}]}
-    resp = requests.post(server.chat_url, json=body)
-    assert resp.status_code == 404
-    assert resp.json()["digest"] == chat_digest("m1", "nope")
+    status, data = post(server.chat_url, body)
+    assert status == 404
+    assert json.loads(data)["digest"] == chat_digest("m1", "nope")
 
 
 def test_embeddings_hit_in_order(stub_server):
     server = stub_server(DOC)
-    resp = requests.post(
-        server.embeddings_url, json={"model": "emb", "input": ["", "hello"]}
-    )
-    assert resp.status_code == 200
-    data = resp.json()["data"]
+    status, body = post(server.embeddings_url, {"model": "emb", "input": ["", "hello"]})
+    assert status == 200
+    data = json.loads(body)["data"]
     assert data[0]["embedding"] == [0.0, 1.0, 0.0]
     assert data[1]["embedding"] == [1.0, 0.0, 0.0]
 
 
 def test_embeddings_unknown_text(stub_server):
     server = stub_server(DOC)
-    resp = requests.post(
-        server.embeddings_url, json={"model": "emb", "input": ["mystery"]}
-    )
-    assert resp.status_code == 404
-    assert "digest" in resp.json()
+    status, data = post(server.embeddings_url, {"model": "emb", "input": ["mystery"]})
+    assert status == 404
+    assert "digest" in json.loads(data)
 
 
 def test_unknown_path(stub_server):
     server = stub_server(DOC)
-    resp = requests.post(
-        f"http://127.0.0.1:{server.port}/v1/other", json={}
-    )
-    assert resp.status_code == 404
+    status, _ = post(f"http://127.0.0.1:{server.port}/v1/other", {})
+    assert status == 404
 
 
 def test_responses_byte_identical(stub_server):
     server = stub_server(DOC)
     body = {"model": "m1", "messages": [{"role": "user", "content": "hello"}]}
-    first = requests.post(server.chat_url, json=body).content
-    second = requests.post(server.chat_url, json=body).content
+    first = post(server.chat_url, body)[1]
+    second = post(server.chat_url, body)[1]
     assert first == second
+
+
+def test_keep_alive(stub_server):
+    server = stub_server(DOC)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    socks = []
+    try:
+        for _ in range(3):
+            conn.request("POST", "/v1/embeddings", json.dumps({"input": [""]}))
+            reply = conn.getresponse()
+            assert reply.status == 200 and reply.version == 11
+            assert json.loads(reply.read())["data"][0]["embedding"] == [0.0, 1.0, 0.0]
+            socks.append(conn.sock)  # None once the server has closed it
+    finally:
+        conn.close()
+    assert socks[0] is not None and socks == [socks[0]] * 3
+    assert server.call_count == 3
 
 
 def test_fixture_from_file(tmp_path):
@@ -90,8 +114,8 @@ def test_fixture_dimension_mismatch(tmp_path):
 def test_call_counter(stub_server):
     server = stub_server(DOC)
     assert server.call_count == 0
-    requests.post(server.embeddings_url, json={"model": "e", "input": [""]})
-    requests.post(server.embeddings_url, json={"model": "e", "input": [""]})
+    post(server.embeddings_url, {"model": "e", "input": [""]})
+    post(server.embeddings_url, {"model": "e", "input": [""]})
     assert server.call_count == 2
 
 
