@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -68,6 +69,17 @@ def _number(section: dict, key: str, default, problems: list[str], *,
     return number
 
 
+def _http_url(value: str) -> bool:
+    """Whether `value` is an http(s) URL with a host and a valid port, the
+    only kind of endpoint the backend transport can reach."""
+    try:
+        parts = urlsplit(value)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -116,6 +128,8 @@ def load_config(path: str | Path) -> RunConfig:
             continue
         if name in names:
             problems.append(f"duplicate backend name {name!r}")
+        if not _http_url(endpoint):
+            problems.append(f"{where}endpoint must be an http(s) URL, got {endpoint!r}")
         names.add(name)
         temperature = _number(entry, "temperature", 0.0, problems, where=where)
         max_tokens = _number(entry, "max_tokens", 512, problems, where=where,
@@ -140,6 +154,8 @@ def load_config(path: str | Path) -> RunConfig:
     emb_name, emb_endpoint = emb.get("name", "all-mpnet-base-v2"), emb.get("endpoint")
     if not strings(emb_name, emb_endpoint):
         problems.append("embedding needs name and endpoint strings")
+    elif not _http_url(emb_endpoint):
+        problems.append(f"embedding.endpoint must be an http(s) URL, got {emb_endpoint!r}")
     bootstrap = mapping("bootstrap", doc.get("bootstrap") or {})
     subset_ensembles = doc.get("subset_ensembles", False)
     if not isinstance(subset_ensembles, bool):

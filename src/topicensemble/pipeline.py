@@ -6,22 +6,26 @@ stage's files, so `run all` is the same as running the stages one at a time.
 
 Data files are JSONL (first line is a {"_meta": ...} record with the schema,
 its version and the config digest) or CSV (first line is a "# key=value ..."
-comment). outliers.json, ensemble.json and the per-stage manifest.json carry
-the config digest too. `_read` refuses an upstream file whose header does not
-match the run. Undefined numeric cells (degenerate coefficients, undefined
-precision) are written as empty strings.
+comment). outliers.json, ensemble.json and the per-stage manifest.json, which
+`run` writes once a stage has finished, carry the config digest too. Upstream
+JSONL is streamed through `_rows`, which checks the header and every row;
+`_read` checks a JSON document's digest. Undefined numeric cells (degenerate
+coefficients, undefined precision) are written as empty strings.
 """
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import logging
 import math
 import os
 import time
+from array import array
 from collections.abc import Iterable
 from contextlib import closing, contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,18 +35,9 @@ from .config import RunConfig, config_digest
 from .corpus import TextItem, TopicSet, load_corpus, load_topics
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
-from .errors import (
-    DegenerateChance,
-    MalformedRecord,
-    MissingUpstreamArtifact,
-    TooFewModels,
-    ZeroVariance,
-)
-from .evaluation import (
-    compare_raters,
-    group_summary,
-    subset_ensemble_candidates,
-)
+from .errors import (DegenerateChance, MalformedRecord, MissingUpstreamArtifact,
+                     TooFewModels, ZeroVariance)
+from .evaluation import compare_raters, group_summary, subset_ensemble_candidates
 from .relevancy import Embedder, aggregate_subtopics, relevancy_score
 
 logger = logging.getLogger(__name__)
@@ -101,55 +96,94 @@ def _write_json(path: Path, digest: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read(path: Path, digest: str, schema: str | None = None):
-    """An upstream artifact of this config: the rows of a JSONL file whose
-    `_meta` header names `schema`, or, with no schema, a JSON document.
+# JSONL row fields by schema, each with the kind of JSON value it must hold
+_ROW_FIELDS = {
+    "annotations": {"model": "a string", "text_id": "a string", "topic": "a string",
+                    "label": "a boolean", "phrases": "a list of strings",
+                    "parse_warning": "a boolean"},
+    "aggregated": {"model": "a string", "text_id": "a string", "topic": "a string",
+                   "label": "a boolean", "score": "a number"},
+    "decisions": {"text_id": "a string", "final": "a boolean", "union": "a boolean",
+                  "intersection": "a boolean", "pc1": "a number", "tau": "a number",
+                  "per_model_labels": "an object"},
+}
+_KINDS = {"a string": (str,), "a boolean": (bool,), "a number": (int, float),
+          "an object": (dict,), "a list of strings": (list,)}  # items checked too
+_decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
 
-    A missing, unparseable or truncated file, or one whose header fields
-    differ from this run's, raises MissingUpstreamArtifact naming the file
-    and the field."""
-    want = {"config_digest": digest}
-    if schema is not None:
-        want.update(schema=schema, schema_version=SCHEMA_VERSION)
-    lineno, line = 0, "\n"  # last line read, for the error message
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if schema is None:
-                head = body = json.load(fh)
-            else:
-                body = []
-                for lineno, line in enumerate(fh, 1):
-                    body.append(json.loads(line))
-                head = body.pop(0) if body else None
-                head = head.get("_meta") if isinstance(head, dict) else None
-    except FileNotFoundError:
-        raise MissingUpstreamArtifact(f"{path}: not found") from None
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        where = f" line {lineno}" if schema else ""
-        raise MissingUpstreamArtifact(f"{path}:{where} unreadable: {exc}") from exc
-    if not line.endswith("\n"):
-        raise MissingUpstreamArtifact(f"{path}: line {lineno} truncated")
+
+def _check_header(path: Path, head, want: dict, prefix: str = "") -> None:
     if not isinstance(head, dict):
         raise MissingUpstreamArtifact(f"{path}: no header")
-    prefix = "_meta." if schema else ""
     for key, value in want.items():
         if head.get(key) != value:
             raise MissingUpstreamArtifact(
                 f"{path}: {prefix}{key} is {head.get(key)!r}, expected {value!r}")
-    return body
+
+
+def _read(path: Path, digest: str) -> dict:
+    """An upstream JSON document of this config. A missing, unparseable or
+    truncated file, or one of another config, raises MissingUpstreamArtifact."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise MissingUpstreamArtifact(f"{path}: not found") from None
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise MissingUpstreamArtifact(f"{path}: unreadable: {exc}") from exc
+    _check_header(path, doc, {"config_digest": digest})
+    return doc
+
+
+def _rows(path: Path, digest: str, schema: str):
+    """Stream the rows of an upstream JSONL artifact of this config as
+    (line number, row). Line 1 must be the `_meta` header of `schema`, and
+    each row an object whose fields have the kinds _ROW_FIELDS names.
+
+    A missing or unreadable file, a header of another config, a bad row or a
+    truncated last line raises MissingUpstreamArtifact naming the file and
+    the line or field. Consumers close the generator (`contextlib.closing`)
+    so that one which stops early leaves no file open."""
+    want = {"config_digest": digest, "schema": schema, "schema_version": SCHEMA_VERSION}
+    checks = [(name, kind, _KINDS[kind]) for name, kind in _ROW_FIELDS[schema].items()]
+    lineno, line = 0, "\n"  # last line read, for the error message
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                row = _decode(line)
+                if lineno == 1:
+                    head = row.get("_meta") if isinstance(row, dict) else None
+                    _check_header(path, head, want, "_meta.")
+                    continue
+                if type(row) is not dict:
+                    raise MissingUpstreamArtifact(f"{path}: line {lineno}: not an object")
+                for name, kind, types in checks:
+                    value = row.get(name)
+                    if type(value) not in types or (
+                            type(value) is list and not all(type(v) is str for v in value)):
+                        got = repr(value) if name in row else "no value"
+                        raise MissingUpstreamArtifact(
+                            f"{path}: line {lineno}: {name} must be {kind}, got {got}")
+                yield lineno, row
+    except FileNotFoundError:
+        raise MissingUpstreamArtifact(f"{path}: not found") from None
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise MissingUpstreamArtifact(f"{path}: line {lineno} unreadable: {exc}") from exc
+    if lineno == 0:
+        raise MissingUpstreamArtifact(f"{path}: no header")
+    if not line.endswith("\n"):
+        raise MissingUpstreamArtifact(f"{path}: line {lineno} truncated")
 
 
 # ------------------------------------------------------------------- loading
 
 def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
-    corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
-    topics = load_topics(cfg.topics_path)
-    return corpus, topics
+    return load_corpus(cfg.corpus_path, cfg.corpus_format), load_topics(cfg.topics_path)
 
 
 # -------------------------------------------------------------------- stages
 
-def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
+def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool()) as pool):
@@ -174,21 +208,21 @@ def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
 
     stage_dir = run_dir / "annotate"
     _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows())
-    _write_json(stage_dir / "manifest.json", digest,
-                {"schema_version": SCHEMA_VERSION, "stage": "annotate", "run_id": run_id})
     logger.info("annotate: %d cells", len(matrix))
 
 
-def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
+def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    annotations = [
-        TopicAnnotation(
-            model=r["model"], text_id=r["text_id"], topic=r["topic"],
-            label=bool(r["label"]), phrases=tuple(r["phrases"]),
-            parse_warning=bool(r.get("parse_warning", False)),
-        )
-        for r in _read(run_dir / "annotate" / "annotations.jsonl", digest, "annotations")
-    ]
+    with closing(_rows(run_dir / "annotate" / "annotations.jsonl", digest,
+                       "annotations")) as rows:
+        annotations = [
+            TopicAnnotation(
+                model=r["model"], text_id=r["text_id"], topic=r["topic"],
+                label=r["label"], phrases=tuple(r["phrases"]),
+                parse_warning=r["parse_warning"],
+            )
+            for _, r in rows
+        ]
     leaves = {leaf.short_name: leaf for leaf in topics.leaves()}
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool()) as pool):
@@ -247,8 +281,6 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
                     }
 
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
-    _write_json(stage_dir / "manifest.json", digest,
-                {"schema_version": SCHEMA_VERSION, "stage": "score", "run_id": run_id})
     logger.info("score: %d leaf records, %d aggregated", len(records),
                 len(cfg.backends) * len(corpus) * len(topics))
 
@@ -256,42 +288,30 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
 def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
                 corpus: list[TextItem], topics: TopicSet) -> tuple[dict, dict]:
     """(labels, scores) from score/aggregated.jsonl: {topic: {model: per-text
-    vector in corpus order}}. Each row's fields are checked as it is indexed;
-    a bad row or a missing cell raises MissingUpstreamArtifact."""
+    vector in corpus order}}, views of (topics, models, texts) arrays filled
+    as the rows stream in. Rows outside the config are ignored; a missing
+    cell raises MissingUpstreamArtifact naming it."""
     path = run_dir / "score" / "aggregated.jsonl"
-    cell = {}
-    for lineno, row in enumerate(_read(path, digest, "aggregated"), 2):
-        try:
-            model, text_id, topic, label, score = (
-                row["model"], row["text_id"], row["topic"], row["label"], row["score"])
-        except (KeyError, TypeError):  # a field is missing, or the row is no object
-            model = text_id = topic = label = score = None
-        if not (type(model) is str and type(text_id) is str and type(topic) is str
-                and type(label) is bool and type(score) in (float, int)):
-            raise MissingUpstreamArtifact(
-                f"{path}: line {lineno}: not a row of string model, text_id and "
-                "topic, boolean label and numeric score")
-        cell[(model, text_id, topic)] = (label, float(score))
-    labels: dict[str, dict[str, list[bool]]] = {}
-    scores: dict[str, dict[str, list[float]]] = {}
-    for topic in topics.top_level_names():
-        labels[topic] = {}
-        scores[topic] = {}
-        for backend in cfg.backends:
-            lab, sco = [], []
-            for item in corpus:
-                value = cell.get((backend.name, item.id, topic))
-                if value is None:
-                    raise MissingUpstreamArtifact(
-                        f"{path}: no row for {(backend.name, item.id, topic)}")
-                lab.append(value[0])
-                sco.append(value[1])
-            labels[topic][backend.name] = lab
-            scores[topic][backend.name] = sco
-    return labels, scores
+    names = topics.top_level_names()
+    models = [backend.name for backend in cfg.backends]
+    at_topic, at_model, at_text = ({key: i for i, key in enumerate(keys)}.get
+                                   for keys in (names, models, [item.id for item in corpus]))
+    shape = (len(names), len(models), len(corpus))
+    labels, scores, seen = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape, bool)
+    with closing(_rows(path, digest, "aggregated")) as rows:
+        for _, row in rows:
+            cell = at_topic(row["topic"]), at_model(row["model"]), at_text(row["text_id"])
+            if None not in cell:
+                labels[cell], scores[cell], seen[cell] = row["label"], row["score"], True
+    if not seen.all():
+        k, j, i = np.unravel_index(np.argmin(seen), shape)
+        raise MissingUpstreamArtifact(
+            f"{path}: no row for {(models[j], corpus[i].id, names[k])}")
+    return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
+            {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})
 
 
-def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
+def stage_agree(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
 
@@ -327,11 +347,8 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
     )
 
     pooled = {
-        backend.name: [
-            lab
-            for topic in topics.top_level_names()
-            for lab in labels[topic][backend.name]
-        ]
+        backend.name: np.concatenate(
+            [labels[topic][backend.name] for topic in topics.top_level_names()])
         for backend in cfg.backends
     }
     try:
@@ -349,13 +366,11 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None
             "note": "outlier detection needs >=3 models",
         }
     _write_json(stage_dir / "outliers.json", digest, outliers)
-    _write_json(stage_dir / "manifest.json", digest,
-                {"schema_version": SCHEMA_VERSION, "stage": "agree", "run_id": run_id})
     logger.info("agree: %d coefficient rows, excluded=%s",
                 len(table), outliers["excluded"])
 
 
-def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
+def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
     excluded = set(_read(run_dir / "agree" / "outliers.json", digest)["excluded"])
@@ -385,14 +400,10 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
             }
             for i, item in enumerate(corpus)
         )
-        _write_jsonl(
-            stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows
-        )
-        _write_csv(
-            stage_dir / f"{topic}.sweep.csv", "sweep", digest,
-            ["threshold", "precision", "sensitivity", "f1"],
-            [[p.threshold, p.precision, p.sensitivity, p.f1] for p in decision.sweep],
-        )
+        _write_jsonl(stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows)
+        _write_csv(stage_dir / f"{topic}.sweep.csv", "sweep", digest,
+                   ["threshold", "precision", "sensitivity", "f1"],
+                   [[p.threshold, p.precision, p.sensitivity, p.f1] for p in decision.sweep])
         summary[topic] = {
             "models": models,
             "weights": [float(w) for w in ens.weights],
@@ -401,8 +412,6 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> N
             "zero_variance_fallback": zero_variance,
         }
     _write_json(stage_dir / "ensemble.json", digest, {"topics": summary})
-    _write_json(stage_dir / "manifest.json", digest,
-                {"schema_version": SCHEMA_VERSION, "stage": "ensemble", "run_id": run_id})
     logger.info("ensemble: %d topics, excluded=%s", len(summary), sorted(excluded))
 
 
@@ -428,86 +437,86 @@ def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
     return gold
 
 
-def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str, run_id: str) -> None:
+class _Decisions(NamedTuple):
+    text_id: list[str]
+    final: np.ndarray
+    pc1: np.ndarray
+    tau: np.ndarray
+    members: list[str]  # the models of the first row's per_model_labels
+
+
+def _decisions(path: Path, digest: str) -> _Decisions:
+    """The columns of a {topic}.decisions.jsonl that evaluate and triage use."""
+    text_id, members = [], []
+    final, pc1, tau = array("b"), array("d"), array("d")
+    with closing(_rows(path, digest, "decisions")) as rows:
+        for _, row in rows:
+            if not text_id:
+                members = list(row["per_model_labels"])
+            text_id.append(row["text_id"])
+            final.append(row["final"])
+            pc1.append(row["pc1"])
+            tau.append(row["tau"])
+    return _Decisions(text_id, np.asarray(final, dtype=bool), np.asarray(pc1),
+                      np.asarray(tau), members)
+
+
+def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
     stage_dir = run_dir / "evaluate"
+    ids = [item.id for item in corpus]
 
     group_rows = []
     decisions_by_topic = {}
     for topic in topics.top_level_names():
-        decisions = _read(
-            run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest, "decisions")
-        decisions_by_topic[topic] = decisions
-        final = [d["final"] for d in decisions]
-        pc1 = [d["pc1"] for d in decisions]
-        for summary in group_summary(
-            final, pc1, [item.group for item in corpus], topic=topic
-        ):
-            group_rows.append(
-                [summary.group, summary.topic, summary.occurrence_rate,
-                 summary.mean_score, summary.count]
-            )
-    _write_csv(
-        stage_dir / "groups.csv", "groups", digest,
-        ["group", "topic", "occurrence_rate", "mean_score", "count"], group_rows,
-    )
+        path = run_dir / "ensemble" / f"{topic}.decisions.jsonl"
+        decisions = decisions_by_topic[topic] = _decisions(path, digest)
+        if decisions.text_id != ids:
+            raise MissingUpstreamArtifact(f"{path}: rows do not follow the corpus")
+        group_rows.extend(
+            [s.group, s.topic, s.occurrence_rate, s.mean_score, s.count]
+            for s in group_summary(decisions.final, decisions.pc1,
+                                   [item.group for item in corpus], topic=topic))
+    _write_csv(stage_dir / "groups.csv", "groups", digest,
+               ["group", "topic", "occurrence_rate", "mean_score", "count"], group_rows)
 
     if cfg.gold_labels is not None:
         gold = _load_gold(cfg.gold_labels)
-        index = {item.id: i for i, item in enumerate(corpus)}
         metric_rows = []
         for topic in topics.top_level_names():
             topic_gold = gold.get(topic)
             if not topic_gold:
                 continue
-            ids = [item.id for item in corpus if item.id in topic_gold]
-            sel = [index[tid] for tid in ids]
-            gold_vec = [topic_gold[tid] for tid in ids]
-            candidates: dict[str, tuple[list, list]] = {}
-            for backend in cfg.backends:
-                candidates[backend.name] = (
-                    [labels[topic][backend.name][i] for i in sel],
-                    [scores[topic][backend.name][i] for i in sel],
-                )
+            sel = np.array([i for i, tid in enumerate(ids) if tid in topic_gold],
+                           dtype=np.intp)
+            gold_vec = [topic_gold[ids[i]] for i in sel]
+            candidates = {
+                backend.name: (labels[topic][backend.name][sel],
+                               scores[topic][backend.name][sel])
+                for backend in cfg.backends
+            }
             decisions = decisions_by_topic[topic]
-            candidates["ensemble"] = (
-                [decisions[i]["final"] for i in sel],
-                [decisions[i]["pc1"] for i in sel],
-            )
+            candidates["ensemble"] = (decisions.final[sel], decisions.pc1[sel])
             if cfg.subset_ensembles:
-                members = list(decisions[0]["per_model_labels"]) if decisions else []
                 subsets = subset_ensemble_candidates(
-                    {m: labels[topic][m] for m in members},
-                    {m: scores[topic][m] for m in members},
+                    {m: labels[topic][m] for m in decisions.members},
+                    {m: scores[topic][m] for m in decisions.members},
                 )
                 for name, (sub_labels, sub_scores) in subsets.items():
-                    candidates[name] = (
-                        [bool(sub_labels[i]) for i in sel],
-                        [float(sub_scores[i]) for i in sel],
-                    )
-            for row in compare_raters(candidates, gold_vec):
-                metric_rows.append(
-                    [row.candidate, topic, row.metrics.precision,
-                     row.metrics.sensitivity, row.metrics.f1, row.auprc]
-                )
-        _write_csv(
-            stage_dir / "metrics.csv", "metrics", digest,
-            ["candidate", "topic", "precision", "sensitivity", "f1", "auprc"],
-            metric_rows,
-        )
-    _write_json(stage_dir / "manifest.json", digest,
-                {"schema_version": SCHEMA_VERSION, "stage": "evaluate", "run_id": run_id})
+                    candidates[name] = (sub_labels[sel], sub_scores[sel])
+            metric_rows.extend(
+                [row.candidate, topic, row.metrics.precision,
+                 row.metrics.sensitivity, row.metrics.f1, row.auprc]
+                for row in compare_raters(candidates, gold_vec))
+        _write_csv(stage_dir / "metrics.csv", "metrics", digest,
+                   ["candidate", "topic", "precision", "sensitivity", "f1", "auprc"],
+                   metric_rows)
     logger.info("evaluate: %d group rows", len(group_rows))
 
 
-_STAGE_FN = {
-    "annotate": stage_annotate,
-    "score": stage_score,
-    "agree": stage_agree,
-    "ensemble": stage_ensemble,
-    "evaluate": stage_evaluate,
-}
+_STAGE_FN = dict(zip(STAGES, (stage_annotate, stage_score, stage_agree, stage_ensemble,
+                              stage_evaluate)))
 
 
 def make_run_id(digest: str) -> str:
@@ -526,38 +535,27 @@ def run(cfg: RunConfig, stage: str = "all", run_id: str | None = None) -> Path:
     todo = STAGES if stage == "all" else (stage,)
     for name in todo:
         logger.info("stage %s -> %s", name, run_dir / name)
-        _STAGE_FN[name](cfg, run_dir, digest, run_id)
+        _STAGE_FN[name](cfg, run_dir, digest)
+        _write_json(run_dir / name / "manifest.json", digest,
+                    {"schema_version": SCHEMA_VERSION, "stage": name, "run_id": run_id})
     return run_dir
 
 
-def export_triage(
-    cfg: RunConfig, run_id: str, top_n: int = 20
-) -> Path:
+def export_triage(cfg: RunConfig, run_id: str, top_n: int = 20) -> Path:
     """Ranked human-review file: the final positives with the lowest ensemble
     scores (likeliest false positives) and the final negatives with the
     highest (likeliest false negatives)."""
-    _, topics = _load_inputs(cfg)
     digest = config_digest(cfg)
     run_dir = Path(cfg.output_dir) / run_id
     rows = []
-    for topic in topics.top_level_names():
-        decisions = _read(
-            run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest, "decisions")
-        positives = sorted(
-            (d for d in decisions if d["final"]),
-            key=lambda d: (d["pc1"], d["text_id"]),
-        )
-        negatives = sorted(
-            (d for d in decisions if not d["final"]),
-            key=lambda d: (-d["pc1"], d["text_id"]),
-        )
-        for d in positives[:top_n]:
-            rows.append([topic, d["text_id"], "review_positive", d["pc1"], d["tau"]])
-        for d in negatives[:top_n]:
-            rows.append([topic, d["text_id"], "review_negative", d["pc1"], d["tau"]])
+    for topic in load_topics(cfg.topics_path).top_level_names():
+        d = _decisions(run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest)
+        pc1, tau = d.pc1.tolist(), d.tau.tolist()
+        for kind, picks, sign in (("review_positive", d.final, 1),
+                                  ("review_negative", ~d.final, -1)):
+            for i in heapq.nsmallest(top_n, np.flatnonzero(picks).tolist(),
+                                     key=lambda i: (sign * pc1[i], d.text_id[i])):
+                rows.append([topic, d.text_id[i], kind, pc1[i], tau[i]])
     path = run_dir / "triage.csv"
-    _write_csv(
-        path, "triage", digest,
-        ["topic", "text_id", "kind", "pc1", "tau"], rows,
-    )
+    _write_csv(path, "triage", digest, ["topic", "text_id", "kind", "pc1", "tau"], rows)
     return path

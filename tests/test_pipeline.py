@@ -7,15 +7,19 @@ import shutil
 import socket
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topicensemble.annotator import ModelBackend
 from topicensemble.cli import main
 from topicensemble.config import config_digest, load_config
+from topicensemble.corpus import TextItem, Topic, TopicSet
 from topicensemble.errors import ConfigInvalid, MissingUpstreamArtifact
 from topicensemble import pipeline
 from topicensemble.pipeline import run
@@ -249,6 +253,10 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("backoff: -0.5", "backoff must be >= 0"),
     ("backends.1: 7", "backends[1] must be a mapping"),
     ("embedding: [a, b]", "embedding must be a mapping"),
+    ("backends.0.endpoint: 127.0.0.1:8731/v1/chat/completions",
+     "backends[0].endpoint must be an http(s) URL"),
+    ("embedding.endpoint: ftp://127.0.0.1:8731/v1/embeddings",
+     "embedding.endpoint must be an http(s) URL"),
 ], ids=lambda value: value.removeprefix("bootstrap: "))
 def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     workdir = tmp_path / "demo"
@@ -344,7 +352,7 @@ def test_ensemble_stage_zero_variance_fallback(tmp_path):
 
     from topicensemble.pipeline import stage_ensemble
 
-    stage_ensemble(cfg, run_dir, digest, "zv-run")
+    stage_ensemble(cfg, run_dir, digest)
     summary = json.loads((run_dir / "ensemble" / "ensemble.json").read_text())
     assert summary["topics"]["ghost"]["zero_variance_fallback"] is True
     assert summary["topics"]["ghost"]["weights"] == pytest.approx([2 ** -0.5] * 2)
@@ -454,13 +462,29 @@ def finished_run(tmp_path_factory):
 
 
 _WRONG = {"config_digest": "0" * 64, "schema_version": 2}
-# a mistyped value for each field of an aggregated row
-_BAD_FIELD = {"model": 5, "text_id": None, "topic": ["sleep"], "label": "yes",
-              "score": "0.5"}
-_ROW_CASES = [f"{how} {name}" for name in _BAD_FIELD for how in ("no", "bad")]
+# a mistyped value for each field of a row, by the artifact that holds the row
+_BAD_FIELD = {
+    "annotate/annotations.jsonl": {"model": 5, "text_id": None, "topic": ["sleep"],
+                                   "label": "yes", "phrases": ["awake", 7],
+                                   "parse_warning": 0},
+    "score/aggregated.jsonl": {"model": 5, "text_id": None, "topic": ["sleep"],
+                               "label": "yes", "score": "0.5"},
+    "ensemble/sleep.decisions.jsonl": {"text_id": 5, "final": 1, "union": None,
+                                       "intersection": "no", "pc1": "0.5", "tau": [0.5],
+                                       "per_model_labels": ["m_alpha"]},
+}
+# the commands that read each of them: a stage, or export-triage
+_ROW_READERS = {"annotate/annotations.jsonl": ["score"],
+                "score/aggregated.jsonl": ["agree", "ensemble", "evaluate"],
+                "ensemble/sleep.decisions.jsonl": ["evaluate", "export-triage"]}
 
 
-def _tamper_jsonl(path: Path, case: str) -> None:
+def _row_cases(rel: str) -> list[str]:
+    return ["array row"] + [f"{how} {name}" for name in _BAD_FIELD[rel]
+                            for how in ("no", "bad")]
+
+
+def _tamper_jsonl(path: Path, case: str, bad: dict) -> None:
     lines = path.read_text().splitlines(keepends=True)
     if case == "header":
         del lines[0]
@@ -468,13 +492,13 @@ def _tamper_jsonl(path: Path, case: str) -> None:
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
     elif case == "array row":
         lines[2] = json.dumps(list(json.loads(lines[2]).values())) + "\n"
-    elif case in _ROW_CASES:  # damage the row on line 3
+    elif case.startswith(("no ", "bad ")):  # damage the row on line 3
         how, name = case.split()
         row = json.loads(lines[2])
         if how == "no":
             del row[name]
         else:
-            row[name] = _BAD_FIELD[name]
+            row[name] = bad[name]
         lines[2] = json.dumps(row) + "\n"
     else:
         meta = json.loads(lines[0])
@@ -483,7 +507,7 @@ def _tamper_jsonl(path: Path, case: str) -> None:
     path.write_text("".join(lines))
 
 
-def _tamper_json(path: Path, case: str) -> None:
+def _tamper_json(path: Path, case: str, bad: dict) -> None:
     text = path.read_text()
     if case == "truncated":
         path.write_text(text[: len(text) // 2])
@@ -511,22 +535,26 @@ _UPSTREAM = [
     for case in ("config_digest", "schema_version", "header", "truncated")
     if not (rel.endswith(".json") and case == "schema_version")
 ] + [
-    ("score/aggregated.jsonl", stage, case)
-    for stage in ("agree", "ensemble", "evaluate")
-    for case in ["array row"] + _ROW_CASES
+    (rel, stage, case)
+    for rel, stages in _ROW_READERS.items()
+    for stage in stages
+    for case in _row_cases(rel)
 ])
 def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
                                            rel, stage, case):
     workdir = tmp_path / "demo"
     shutil.copytree(finished_run, workdir)
     path = workdir / "runs" / "done" / rel
-    (_tamper_json if rel.endswith(".json") else _tamper_jsonl)(path, case)
+    tamper = _tamper_json if rel.endswith(".json") else _tamper_jsonl
+    tamper(path, case, _BAD_FIELD.get(rel, {}))
     config = str(workdir / "config.yaml")
-    assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+    command = (["export-triage"] if stage == "export-triage"
+               else ["run", "--stage", stage])
+    assert main(command + ["--config", config, "--run-id", "done"]) == 3
     err = capsys.readouterr().err
     assert f"upstream artifact: {path}" in err
     assert "Traceback" not in err
-    if case == "array row" or case in _ROW_CASES:
+    if case == "array row" or case.startswith(("no ", "bad ")):
         assert f"{path}: line 3: " in err
 
 
@@ -553,6 +581,85 @@ def test_export_triage_after_config_edit_exits_3(finished_run, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "ensemble/sleep.decisions.jsonl: _meta.config_digest is" in err
     assert not (workdir / "runs" / "done" / "triage.csv").exists()
+
+
+def test_evaluate_decisions_out_of_corpus_order_exits_3(finished_run, tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / "runs" / "done" / "ensemble" / "sleep.decisions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("".join(lines))
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--stage", "evaluate", "--run-id", "done"]) == 3
+    assert f"{path}: rows do not follow the corpus" in capsys.readouterr().err
+
+
+def _analysis_outputs(run_dir: Path) -> dict:
+    return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*")
+            if p.is_file() and p.parts[-2] in ("agree", "ensemble", "evaluate")}
+
+
+def test_aggregated_rows_outside_the_config_are_ignored(finished_run, tmp_path):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    run_dir = workdir / "runs" / "done"
+    before = _analysis_outputs(run_dir)
+    path = run_dir / "score" / "aggregated.jsonl"
+    row = json.loads(path.read_text().splitlines()[1])
+    with open(path, "a", encoding="utf-8") as fh:  # a model, text and topic of no config
+        for field in ("model", "text_id", "topic"):
+            fh.write(json.dumps(dict(row, **{field: "stranger"})) + "\n")
+    config = str(workdir / "config.yaml")
+    for stage in ("agree", "ensemble", "evaluate"):
+        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 0
+    assert _analysis_outputs(run_dir) == before
+
+
+def test_aggregated_missing_cell_exits_3_naming_it(finished_run, tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / "runs" / "done" / "score" / "aggregated.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    cfg = load_config(workdir / "config.yaml")
+    models = [b.name for b in cfg.backends]
+    topics = ["sleep", "appetite"]
+    texts = [json.loads(line)["id"] for line in cfg.corpus_path.read_text().splitlines()]
+    gone = [json.loads(lines[k]) for k in (len(lines) - 2, 6)]
+    path.write_text("".join(line for k, line in enumerate(lines)
+                            if k not in (len(lines) - 2, 6)))
+    # of two missing cells, the one first in (topic, model, text) order is named
+    first = min(gone, key=lambda r: (topics.index(r["topic"]), models.index(r["model"]),
+                                     texts.index(r["text_id"])))
+    config = str(workdir / "config.yaml")
+    for stage in ("agree", "ensemble", "evaluate"):
+        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: no row for {(first['model'], first['text_id'], first['topic'])}" in err
+        assert "Traceback" not in err
+
+
+def test_aggregated_memory_is_arrays(tmp_path):
+    # 2 topics x 4 models x 2,500 texts; rows of dicts cost about 800 B a row
+    topics = TopicSet((Topic("sleep", "Sleep."), Topic("appetite", "Appetite.")))
+    models = ["m1", "m2", "m3", "m4"]
+    corpus = [TextItem(f"text-{i:05d}", "Some text.") for i in range(2500)]
+    cfg = SimpleNamespace(backends=[ModelBackend(m, "http://127.0.0.1:1/v1") for m in models])
+    pipeline._write_jsonl(
+        tmp_path / "score" / "aggregated.jsonl", "aggregated", "d",
+        ({"model": m, "text_id": item.id, "topic": t, "label": i % 3 == 0, "score": i / 2500}
+         for m in models for i, item in enumerate(corpus) for t in ("sleep", "appetite")))
+    rows = len(models) * len(corpus) * 2
+    tracemalloc.start()
+    try:
+        labels, scores = pipeline._aggregated(cfg, tmp_path, "d", corpus, topics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows >= 20_000
+    assert peak / rows <= 64, f"{peak / rows:.0f} B per row"
+    assert labels["appetite"]["m3"][:4].tolist() == [True, False, False, True]
+    assert scores["sleep"]["m4"][2499] == 2499 / 2500
 
 
 def _rows_then_fail():
