@@ -13,7 +13,6 @@ from .agreement import (
     percent_agreement,
 )
 from .annotator import (
-    AnnotationMatrix,
     Decoding,
     ModelBackend,
     RawResponse,
@@ -51,6 +50,7 @@ from .relevancy import (
     aggregate_subtopics,
     cosine_similarity,
     relevancy_score,
+    score_annotations,
     topic_baseline,
     truncate_words,
 )

@@ -23,11 +23,12 @@ import re
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -43,6 +44,12 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 FORMAT_REMINDER = "Answer strictly in the required format."
+# (backend, text) pairs annotate works on at once: their prompts, answers
+# and parsed rows. A window's requests end together, so the workers wait for
+# its last ones; at a backend parallelism of 4, a window of 256 pairs takes
+# 64 request times and that wait is at most one of them. The window's store
+# read and its one write transaction of fresh answers are per window too.
+WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -81,31 +88,6 @@ class TopicAnnotation:
     label: bool
     phrases: tuple[str, ...] = ()
     parse_warning: bool = False
-
-
-class AnnotationMatrix:
-    """Annotations keyed by (model, text_id, leaf topic), complete after a run."""
-
-    def __init__(self, entries: dict[tuple[str, str, str], TopicAnnotation]):
-        self.entries = dict(entries)
-
-    def get(self, model: str, text_id: str, topic: str) -> TopicAnnotation:
-        return self.entries[(model, text_id, topic)]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, AnnotationMatrix) and self.entries == other.entries
-
-    def check_complete(
-        self, models: Sequence[str], text_ids: Sequence[str], topics: Sequence[str]
-    ) -> None:
-        expected = len(models) * len(text_ids) * len(topics)
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"matrix has {len(self.entries)} cells, expected {expected}"
-            )
 
 
 def build_prompt(topics: TopicSet, item: TextItem) -> str:
@@ -176,6 +158,16 @@ class ResponseCache:
         rows = self._execute("SELECT value FROM entries WHERE key = ?", (key,))
         return rows[0][0] if rows else None
 
+    def read_many(self, keys: Sequence[str]) -> list[bytes | None]:
+        """The bytes stored under each key, None where absent: one query per
+        500 keys, within SQLite's smallest bound on query parameters (999)."""
+        found = {}
+        for start in range(0, len(keys), 500):
+            chunk = keys[start : start + 500]
+            found.update(self._execute("SELECT key, value FROM entries WHERE key IN "
+                                       f"({','.join('?' * len(chunk))})", chunk))
+        return [found.get(key) for key in keys]
+
     def write(self, items: Iterable[tuple[str, bytes]]) -> None:
         """Store (key, bytes) pairs in one transaction."""
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
@@ -201,15 +193,19 @@ class ResponseCache:
         blob = self.read(self.key(backend, prompt))
         return None if blob is None else json.loads(blob)
 
-    def put(self, backend: ModelBackend, prompt: str, content: str) -> dict:
-        entry = {
+    @staticmethod
+    def entry(prompt: str, content: str) -> bytes:
+        """The stored document of a chat response retrieved now."""
+        return json.dumps({
             "prompt_digest": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "content": content,
             "retrieved_at": datetime.now(timezone.utc).isoformat(),
-        }
-        blob = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        }, ensure_ascii=False).encode("utf-8")
+
+    def put(self, backend: ModelBackend, prompt: str, content: str) -> dict:
+        blob = self.entry(prompt, content)
         self.write([(self.key(backend, prompt), blob)])
-        return entry
+        return json.loads(blob)
 
 
 class ConnectionPool:
@@ -333,6 +329,29 @@ def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool | None = None,
+         retries: int = 3, timeout: float = 30.0, backoff: float = 0.5) -> str:
+    """POST one chat completion and return its content. Retries and errors
+    are those of post_json; a reply with no string content is BadStatus."""
+    payload = {
+        "model": backend.name,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": backend.decoding.temperature,
+        "max_tokens": backend.decoding.max_tokens,
+    }
+    body = post_json(
+        pool, backend.endpoint, payload,
+        backend.auth_env, retries, timeout, backoff,
+    )
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise BadStatus(200, f"malformed completion payload: {exc}")
+    if not isinstance(content, str):
+        raise BadStatus(200, f"malformed completion payload: content {content!r}")
+    return content
+
+
 def query_backend(
     backend: ModelBackend,
     prompt: str,
@@ -345,26 +364,13 @@ def query_backend(
 ) -> RawResponse:
     """Answer from cache when possible, otherwise POST a chat completion.
 
-    Retries and errors are those of post_json. Fresh responses are stored
+    Retries and errors are those of chat. Fresh responses are stored
     before returning.
     """
     entry = cache.get(backend, prompt)
     from_cache = entry is not None
     if not from_cache:
-        payload = {
-            "model": backend.name,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": backend.decoding.temperature,
-            "max_tokens": backend.decoding.max_tokens,
-        }
-        body = post_json(
-            pool, backend.endpoint, payload,
-            backend.auth_env, retries, timeout, backoff,
-        )
-        try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BadStatus(200, f"malformed completion payload: {exc}")
+        content = chat(backend, prompt, pool, retries, timeout, backoff)
         entry = cache.put(backend, prompt, content)
     return RawResponse(
         model=backend.name,
@@ -486,72 +492,80 @@ def annotate_corpus(
     retries: int = 3,
     timeout: float = 30.0,
     backoff: float = 0.5,
-) -> AnnotationMatrix:
-    """Annotate every (backend, text) pair; complete over leaf topics.
+) -> Iterator[TopicAnnotation]:
+    """Annotate every (backend, text) pair: a stream of one annotation per
+    (backend, text, leaf topic) cell, in that order.
 
-    Requests fan out across backends with per-backend parallelism bounds
-    and go out over `pool` (see post_json for no pool); assembly is keyed
-    by cell, so the matrix is deterministic given cached responses. Cells
-    that stay unparseable after the reminder re-query fail
-    conservatively (label false, parse_warning); if more than failure_budget
-    of all cells fail, the run aborts.
+    Pairs are worked WINDOW at a time. One store read answers the window's
+    stored prompts on the calling thread; only the rest go to the worker
+    pool, within each backend's parallelism and over `pool` (see post_json
+    for no pool), and their responses are stored in one transaction, also
+    when a request fails (before the error propagates). The calling thread
+    parses each response in order. One that no topic line is recognized in
+    is asked again, the same way, with FORMAT_REMINDER; cells still
+    unparseable then fail conservatively (label false, parse_warning), and
+    once more than failure_budget of all cells have failed the stream raises
+    FailureBudgetExceeded.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
     if len({b.name for b in backends}) != len(backends):
         raise ValueError("backend names must be unique within a run")
     leaves = topics.leaves()
-    max_workers = max(1, sum(max(1, b.parallelism) for b in backends))
+    total_cells = len(backends) * len(corpus) * len(leaves)
+    workers = max(1, sum(max(1, b.parallelism) for b in backends))
     semaphores = {b.name: threading.BoundedSemaphore(max(1, b.parallelism))
                   for b in backends}
 
-    def annotate_cell(pair: tuple[ModelBackend, TextItem]):
-        backend, item = pair
-        prompt = build_prompt(topics, item)
-        with semaphores[backend.name]:
-            for asked in (prompt, prompt + "\n" + FORMAT_REMINDER):
-                response = query_backend(
-                    backend, asked, cache, pool=pool,
-                    retries=retries, timeout=timeout, backoff=backoff,
-                    text_id=item.id,
-                )
-                try:
-                    return parse_response(
-                        response.content, topics, model=backend.name, text_id=item.id
-                    ), 0
-                except Unparseable:
-                    pass
-        logger.warning(
-            "unparseable response from %s for text %s; marking cells failed",
-            backend.name, item.id,
-        )
-        failed = [
-            TopicAnnotation(
-                model=backend.name, text_id=item.id, topic=leaf.short_name,
-                label=False, phrases=(), parse_warning=True,
-            )
-            for leaf in leaves
-        ]
-        return failed, len(failed)
+    def answers(asked: list[tuple[ModelBackend, str]]) -> list[str]:
+        keys = [cache.key(backend, prompt) for backend, prompt in asked]
+        blobs = cache.read_many(keys)
+        contents = [None if blob is None else json.loads(blob)["content"] for blob in blobs]
+        fresh: list[tuple[str, bytes]] = []  # appended by the workers
 
-    pairs = [(backend, item) for backend in backends for item in corpus]
-    results = run_parallel(annotate_cell, pairs, max_workers)
-    failed_cells = sum(failures for _, failures in results)
-    total_cells = len(backends) * len(corpus) * len(leaves)
-    if total_cells and failed_cells / total_cells > failure_budget:
-        raise FailureBudgetExceeded(
-            f"{failed_cells}/{total_cells} cells unparseable "
-            f"(budget {failure_budget:.2%})"
-        )
-    entries = {
-        (ann.model, ann.text_id, ann.topic): ann
-        for annotations, _ in results
-        for ann in annotations
-    }
-    matrix = AnnotationMatrix(entries)
-    matrix.check_complete(
-        [b.name for b in backends],
-        [i.id for i in corpus],
-        [leaf.short_name for leaf in leaves],
-    )
-    return matrix
+        def fetch(i: int) -> None:
+            backend, prompt = asked[i]
+            with semaphores[backend.name]:
+                contents[i] = chat(backend, prompt, pool, retries, timeout, backoff)
+            fresh.append((keys[i], cache.entry(prompt, contents[i])))
+
+        try:
+            run_parallel(fetch, [i for i, blob in enumerate(blobs) if blob is None], workers)
+        finally:
+            if fresh:
+                cache.write(fresh)
+        return contents
+
+    def stream() -> Iterator[TopicAnnotation]:
+        failed_cells = 0
+        pairs = ((backend, item) for backend in backends for item in corpus)
+        while window := list(islice(pairs, WINDOW)):
+            prompts = [build_prompt(topics, item) for _, item in window]
+            parsed: list[list[TopicAnnotation] | None] = [None] * len(window)
+            todo = list(range(len(window)))
+            for suffix in ("", "\n" + FORMAT_REMINDER):
+                contents = answers([(window[i][0], prompts[i] + suffix) for i in todo])
+                for i, content in zip(todo, contents):
+                    backend, item = window[i]
+                    try:
+                        parsed[i] = parse_response(content, topics, backend.name, item.id)
+                    except Unparseable:
+                        pass
+                todo = [i for i in todo if parsed[i] is None]
+            for i in todo:
+                backend, item = window[i]
+                logger.warning("unparseable response from %s for text %s; "
+                               "marking cells failed", backend.name, item.id)
+                parsed[i] = [TopicAnnotation(model=backend.name, text_id=item.id,
+                                             topic=leaf.short_name, label=False,
+                                             phrases=(), parse_warning=True)
+                             for leaf in leaves]
+                failed_cells += len(leaves)
+                if failed_cells / total_cells > failure_budget:
+                    raise FailureBudgetExceeded(
+                        f"{failed_cells}/{total_cells} cells unparseable "
+                        f"(budget {failure_budget:.2%})")
+            for annotations in parsed:
+                yield from annotations
+
+    return stream()

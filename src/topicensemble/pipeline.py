@@ -38,7 +38,9 @@ from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # 
 from .errors import (DegenerateChance, MalformedRecord, MissingUpstreamArtifact,
                      TooFewModels, ZeroVariance)
 from .evaluation import compare_raters, group_summary, subset_ensemble_candidates
-from .relevancy import Embedder, aggregate_subtopics, relevancy_score
+# relevancy_score is imported for pipebench/tracer.py, which wraps the name here
+from .relevancy import (Embedder, aggregate_subtopics, relevancy_score,  # noqa: F401
+                        score_annotations)
 
 logger = logging.getLogger(__name__)
 
@@ -181,108 +183,123 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
     return load_corpus(cfg.corpus_path, cfg.corpus_format), load_topics(cfg.topics_path)
 
 
+class _Cells:
+    """Bool label, float score and `seen` arrays over a config's (model,
+    text_id, topic) cells, one axis per field in the order of `axes`
+    ({field: keys}), for filling as an artifact's rows stream in. `at`
+    holds each axis's key -> index lookup (None for a key outside the
+    config), in axis order."""
+
+    def __init__(self, path: Path, axes: dict[str, list[str]]):
+        self.path, self.axes = path, axes
+        self.at = tuple({key: i for i, key in enumerate(keys)}.get for keys in axes.values())
+        shape = tuple(map(len, axes.values()))
+        self.labels, self.scores = np.zeros(shape, bool), np.zeros(shape)
+        self.seen = np.zeros(shape, bool)
+
+    def check(self) -> None:
+        """Raise MissingUpstreamArtifact naming the first cell not seen."""
+        if not self.seen.all():
+            first = np.unravel_index(np.argmin(self.seen), self.seen.shape)
+            named = {field: keys[i] for (field, keys), i in zip(self.axes.items(), first)}
+            raise MissingUpstreamArtifact(
+                f"{self.path}: no row for "
+                f"{(named['model'], named['text_id'], named['topic'])}")
+
+
 # -------------------------------------------------------------------- stages
 
 def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool()) as pool):
-        matrix = annotate_corpus(
+        annotations = annotate_corpus(
             corpus, topics, cfg.backends, cache, pool,
             failure_budget=cfg.failure_budget, retries=cfg.retries,
             timeout=cfg.timeout, backoff=cfg.backoff,
         )
-    leaves = [leaf.short_name for leaf in topics.leaves()]
-
-    def rows():  # made while written, so they never all exist at once
-        for backend in cfg.backends:
-            for item in corpus:
-                for leaf in leaves:
-                    ann = matrix.get(backend.name, item.id, leaf)
-                    yield {
-                        "model": ann.model, "text_id": ann.text_id,
-                        "topic": ann.topic, "label": ann.label,
-                        "phrases": list(ann.phrases),
-                        "parse_warning": ann.parse_warning,
-                    }
-
-    stage_dir = run_dir / "annotate"
-    _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows())
-    logger.info("annotate: %d cells", len(matrix))
+        rows = (
+            {
+                "model": ann.model, "text_id": ann.text_id,
+                "topic": ann.topic, "label": ann.label,
+                "phrases": list(ann.phrases),
+                "parse_warning": ann.parse_warning,
+            }
+            for ann in annotations
+        )
+        stage_dir = run_dir / "annotate"
+        _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows)
+    logger.info("annotate: %d cells", len(cfg.backends) * len(corpus) * len(topics.leaves()))
 
 
 def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    with closing(_rows(run_dir / "annotate" / "annotations.jsonl", digest,
-                       "annotations")) as rows:
-        annotations = [
-            TopicAnnotation(
-                model=r["model"], text_id=r["text_id"], topic=r["topic"],
-                label=r["label"], phrases=tuple(r["phrases"]),
-                parse_warning=r["parse_warning"],
-            )
-            for _, r in rows
-        ]
-    leaves = {leaf.short_name: leaf for leaf in topics.leaves()}
+    path = run_dir / "annotate" / "annotations.jsonl"
+    leaves = topics.leaves()
+    models = [backend.name for backend in cfg.backends]
+    text_ids, leaf_names = [item.id for item in corpus], [leaf.short_name for leaf in leaves]
+    cells = _Cells(path, {"model": models, "text_id": text_ids, "topic": leaf_names})
+    at_model, at_text, at_leaf = cells.at
+    labels, scores, seen = cells.labels, cells.scores, cells.seen
+
+    def annotations():  # each cell checked and its label kept as rows stream to scoring
+        with closing(_rows(path, digest, "annotations")) as rows:
+            for lineno, r in rows:
+                cell = at_model(r["model"]), at_text(r["text_id"]), at_leaf(r["topic"])
+                if None in cell or seen[cell]:
+                    problem = "is not a cell of this config" if None in cell else "has two rows"
+                    raise MissingUpstreamArtifact(
+                        f"{path}: line {lineno}: cell {r['model'], r['text_id'], r['topic']} "
+                        f"{problem}")
+                labels[cell], seen[cell] = r["label"], True
+                j, i, k = cell  # the config's strings, shared by every row that waits
+                yield TopicAnnotation(
+                    model=models[j], text_id=text_ids[i], topic=leaf_names[k],
+                    label=r["label"], phrases=tuple(r["phrases"]),
+                    parse_warning=r["parse_warning"])
+        cells.check()
+
+    stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool()) as pool):
         embedder = Embedder(
             cfg.embedding, cache, pool,
             retries=cfg.retries, timeout=cfg.timeout, backoff=cfg.backoff,
         )
-        # one batched pass warms the cache for everything scoring will touch
-        to_embed = [""] + [leaf.description for leaf in leaves.values()]
-        for ann in annotations:
-            if ann.label and ann.phrases:
-                to_embed.extend(ann.phrases)
-        embedder.embed_many(to_embed)
-        records = {
-            (ann.model, ann.text_id, ann.topic): relevancy_score(
-                ann, leaves[ann.topic], embedder)
-            for ann in annotations
-        }
 
-    rows = (
-        {
-            "model": record.model, "text_id": record.text_id,
-            "topic": record.topic, "score": record.score,
-            "baseline": record.baseline,
-            "per_phrase_sims": [
-                {"phrase": s.phrase, "raw_sim": s.raw_sim}
-                for s in record.per_phrase_sims
-            ],
-            "potential_false_positive": record.potential_false_positive,
-        }
-        for record in records.values()
-    )
-    stage_dir = run_dir / "score"
-    _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, rows)
+        def relevancy_rows():
+            for record in score_annotations(annotations(), leaves, embedder):
+                cell = at_model(record.model), at_text(record.text_id), at_leaf(record.topic)
+                scores[cell] = record.score
+                yield {
+                    "model": record.model, "text_id": record.text_id,
+                    "topic": record.topic, "score": record.score,
+                    "baseline": record.baseline,
+                    "per_phrase_sims": [
+                        {"phrase": s.phrase, "raw_sim": s.raw_sim}
+                        for s in record.per_phrase_sims
+                    ],
+                    "potential_false_positive": record.potential_false_positive,
+                }
 
-    labels = {
-        (ann.model, ann.text_id, ann.topic): ann.label for ann in annotations
-    }
+        _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_rows())
+
+    children = [[at_leaf(c.short_name) for c in (topic.subtopics or [topic])]
+                for topic in topics]
 
     def agg_rows():
-        for backend in cfg.backends:
-            for item in corpus:
-                for topic in topics:
-                    children = topic.subtopics if topic.subtopics else [topic]
-                    pairs = [
-                        (
-                            labels[(backend.name, item.id, c.short_name)],
-                            records[(backend.name, item.id, c.short_name)].score,
-                        )
-                        for c in children
-                    ]
-                    label, score = aggregate_subtopics(pairs)
-                    yield {
-                        "model": backend.name, "text_id": item.id,
-                        "topic": topic.short_name, "label": label, "score": score,
-                    }
+        for j, model in enumerate(models):
+            for i, item in enumerate(corpus):
+                cell_labels, cell_scores = labels[j, i].tolist(), scores[j, i].tolist()
+                for topic, kids in zip(topics, children):
+                    label, score = aggregate_subtopics(
+                        [(cell_labels[k], cell_scores[k]) for k in kids])
+                    yield {"model": model, "text_id": item.id,
+                           "topic": topic.short_name, "label": label, "score": score}
 
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
-    logger.info("score: %d leaf records, %d aggregated", len(records),
-                len(cfg.backends) * len(corpus) * len(topics))
+    logger.info("score: %d leaf records, %d aggregated", labels.size,
+                len(models) * len(corpus) * len(topics))
 
 
 def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
@@ -294,19 +311,16 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
     path = run_dir / "score" / "aggregated.jsonl"
     names = topics.top_level_names()
     models = [backend.name for backend in cfg.backends]
-    at_topic, at_model, at_text = ({key: i for i, key in enumerate(keys)}.get
-                                   for keys in (names, models, [item.id for item in corpus]))
-    shape = (len(names), len(models), len(corpus))
-    labels, scores, seen = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape, bool)
+    cells = _Cells(path, {"topic": names, "model": models,
+                          "text_id": [item.id for item in corpus]})
+    at_topic, at_model, at_text = cells.at
+    labels, scores, seen = cells.labels, cells.scores, cells.seen
     with closing(_rows(path, digest, "aggregated")) as rows:
         for _, row in rows:
             cell = at_topic(row["topic"]), at_model(row["model"]), at_text(row["text_id"])
             if None not in cell:
                 labels[cell], scores[cell], seen[cell] = row["label"], row["score"], True
-    if not seen.all():
-        k, j, i = np.unravel_index(np.argmin(seen), shape)
-        raise MissingUpstreamArtifact(
-            f"{path}: no row for {(models[j], corpus[i].id, names[k])}")
+    cells.check()
     return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
             {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})
 
@@ -373,7 +387,13 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
-    excluded = set(_read(run_dir / "agree" / "outliers.json", digest)["excluded"])
+    path = run_dir / "agree" / "outliers.json"
+    outliers = _read(path, digest)
+    excluded = outliers.get("excluded")
+    if type(excluded) is not list or not all(type(m) is str for m in excluded):
+        got = repr(excluded) if "excluded" in outliers else "no value"
+        raise MissingUpstreamArtifact(f"{path}: excluded must be a list of strings, got {got}")
+    excluded = set(excluded)
 
     stage_dir = run_dir / "ensemble"
     summary = {}

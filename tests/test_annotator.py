@@ -3,6 +3,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server):
     assert server.call_count == 2
 
 
+def test_store_read_many_keeps_key_order_across_queries(tmp_path):
+    store = ResponseCache(tmp_path)
+    store.write((f"k{i}", f"v{i}".encode()) for i in range(0, 1200, 2))
+    keys = [f"k{i}" for i in reversed(range(1201))]  # three queries' worth
+    assert store.read_many(keys) == [f"v{i}".encode() if i % 2 == 0 and i < 1200 else None
+                                     for i in reversed(range(1201))]
+    assert store.read_many([]) == []
+    store.close()
+
+
 def test_store_shared_by_threads(tmp_path):
     store = ResponseCache(tmp_path)
     errors = []
@@ -433,6 +444,11 @@ def fixture_for(topics, corpus, models, answer_fn):
     return entries
 
 
+def annotated(*args, **kwargs) -> dict:
+    """annotate_corpus's stream as {(model, text_id, topic): annotation}."""
+    return {(a.model, a.text_id, a.topic): a for a in annotate_corpus(*args, **kwargs)}
+
+
 def test_annotate_corpus_cardinality(tmp_path, stub_server, two_topics):
     corpus = corpus_two()
     models = ["m1", "m2", "m3"]
@@ -443,13 +459,13 @@ def test_annotate_corpus_cardinality(tmp_path, stub_server, two_topics):
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
     cache = ResponseCache(tmp_path)
-    matrix = annotate_corpus(corpus, two_topics, backends, cache)
+    matrix = annotated(corpus, two_topics, backends, cache)
     assert len(matrix) == 12
-    assert matrix.get("m1", "t1", "sleep").label is True
-    assert matrix.get("m2", "t2", "appetite").label is False
+    assert matrix["m1", "t1", "sleep"].label is True
+    assert matrix["m2", "t2", "appetite"].label is False
 
     calls_before = server.call_count
-    warm = annotate_corpus(corpus, two_topics, backends, cache)
+    warm = annotated(corpus, two_topics, backends, cache)
     assert warm == matrix
     assert server.call_count == calls_before
 
@@ -477,9 +493,9 @@ def test_annotate_corpus_subtopic_leaves(tmp_path, stub_server, nested_topics):
     )
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
-    matrix = annotate_corpus(corpus, nested_topics, backends, ResponseCache(tmp_path))
+    matrix = annotated(corpus, nested_topics, backends, ResponseCache(tmp_path))
     assert len(matrix) == 2 * 1 * 3  # leaves: friction_blame, friction_dismiss, sleep
-    assert matrix.get("m1", "t1", "friction_blame").label is False
+    assert matrix["m1", "t1", "friction_blame"].label is False
 
 
 def test_annotate_corpus_retry_with_reminder(tmp_path, stub_server, two_topics):
@@ -501,9 +517,9 @@ def test_annotate_corpus_retry_with_reminder(tmp_path, stub_server, two_topics):
     )
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
-    matrix = annotate_corpus(corpus, two_topics, backends, ResponseCache(tmp_path))
-    assert matrix.get("m1", "t1", "sleep").label is True
-    assert not matrix.get("m1", "t1", "sleep").parse_warning
+    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    assert matrix["m1", "t1", "sleep"].label is True
+    assert not matrix["m1", "t1", "sleep"].parse_warning
 
 
 def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics):
@@ -526,11 +542,75 @@ def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics):
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
     with pytest.raises(FailureBudgetExceeded):
-        annotate_corpus(corpus, two_topics, backends, ResponseCache(tmp_path))
+        annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
     # a generous budget instead fails the cells conservatively
-    matrix = annotate_corpus(
+    matrix = annotated(
         corpus, two_topics, backends, ResponseCache(tmp_path), failure_budget=0.5
     )
-    failed = matrix.get("m1", "t1", "sleep")
+    failed = matrix["m1", "t1", "sleep"]
     assert failed.label is False
     assert failed.parse_warning
+
+
+def test_annotate_corpus_stores_a_window_in_one_transaction(tmp_path, stub_server,
+                                                            two_topics, monkeypatch):
+    corpus = corpus_two()
+    models = ["m1", "m2", "m3"]
+    server = stub_server(chat_doc(fixture_for(
+        two_topics, corpus, models, lambda model, tid, topic: (False, []))))
+    backends = [backend_for(server, name) for name in models]
+    writes = []
+    real_write = ResponseCache.write
+
+    def counting_write(self, items):
+        items = list(items)
+        writes.append(len(items))
+        return real_write(self, items)
+
+    monkeypatch.setattr(ResponseCache, "write", counting_write)
+    cache = ResponseCache(tmp_path)
+    annotated(corpus, two_topics, backends, cache)
+    assert writes == [6]  # the six (backend, text) responses, one transaction
+    annotated(corpus, two_topics, backends, cache)
+    assert writes == [6] and server.call_count == 6  # a warm run writes nothing
+
+
+def test_annotate_corpus_stores_what_arrived_before_a_failure(tmp_path, stub_server,
+                                                              two_topics):
+    corpus = corpus_two()
+    entries = fixture_for(two_topics, corpus, ["m1", "m2"],
+                          lambda model, tid, topic: (False, []))
+    last = build_prompt(two_topics, corpus[1])
+    partial = [e for e in entries if (e["model"], e["prompt"]) != ("m2", last)]
+    server = stub_server(chat_doc(partial))
+    # one worker per backend: the failing (m2, t2) request is the last to start
+    backends = [replace(backend_for(server, name), parallelism=1) for name in ("m1", "m2")]
+    with pytest.raises(BadStatus):
+        annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    assert server.call_count == 4
+    full = stub_server(chat_doc(entries))
+    backends = [replace(b, endpoint=full.chat_url) for b in backends]
+    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    assert len(matrix) == 8
+    assert full.call_count == 1  # the three answers that arrived were stored
+
+
+def test_annotate_corpus_many_workers_lose_nothing(tmp_path, stub_server, two_topics):
+    # 16 workers fill shared per-window lists over two windows, switching
+    # threads every microsecond
+    corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(150)]
+    server = stub_server(chat_doc(fixture_for(
+        two_topics, corpus, ["m1", "m2"],
+        lambda model, tid, topic: (topic == "sleep", [f"{model} {tid}"]))))
+    backends = [replace(backend_for(server, name), parallelism=8) for name in ("m1", "m2")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    finally:
+        sys.setswitchinterval(interval)
+    assert server.call_count == 300
+    assert all(matrix[m, item.id, "sleep"].phrases == (f"{m} {item.id}",)
+               for m in ("m1", "m2") for item in corpus)
+    warm = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    assert warm == matrix and server.call_count == 300  # every response was stored

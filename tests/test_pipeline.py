@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import http.client
 import io
 import json
@@ -16,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topicensemble import annotator, relevancy
 from topicensemble.annotator import ModelBackend
 from topicensemble.cli import main
 from topicensemble.config import config_digest, load_config
@@ -23,6 +25,7 @@ from topicensemble.corpus import TextItem, Topic, TopicSet
 from topicensemble.errors import ConfigInvalid, MissingUpstreamArtifact
 from topicensemble import pipeline
 from topicensemble.pipeline import run
+from topicensemble.relevancy import EmbeddingBackend
 from topicensemble.stubserver import Fixture, serve
 
 E2E = Path(__file__).parent / "fixtures" / "e2e"
@@ -78,6 +81,99 @@ def test_run_all_produces_artifact_tree(e2e):
     manifest = json.loads((run_dir / "ensemble" / "manifest.json").read_text())
     assert manifest["run_id"] == "test-run"
     assert manifest["config_digest"] == digest
+
+
+# SHA-256 of each e2e artifact with the config digest replaced by "<digest>",
+# since the digest covers the endpoints and so the stub's port
+E2E_ARTIFACT_SHA256 = {
+    "agree/agreement.csv": "1a6597cb9ac896d05f94a1e589dbeb2da816f357b6bdaf973294e0fac08c03ca",
+    "agree/manifest.json": "1b0bcbc37c554ee13890f02cdeec8c3fc65d5546faaef11ba2a631d3df60a93f",
+    "agree/outliers.json": "2cd375114abb4b329b647a1188d4d2b1bfe30dd34955608e35716ab73ad591fa",
+    "annotate/annotations.jsonl":
+        "b40b77a35da6d406738af3fb63fe0cba18da7c11987dfc411186e29b81792803",
+    "annotate/manifest.json": "c0f76221594222c91c19491e23445a1391aae645bced5b476a7827a6757b5c9c",
+    "ensemble/appetite.decisions.jsonl":
+        "e8bfef4b3ac72c8f31dde30b94a8ab6745d384d43a56b97bd883b41d898b3107",
+    "ensemble/appetite.sweep.csv":
+        "d384a5cbaf9fd133e9625af92dd7471be9f9b61e00e4dc2c57b3177903cf4fa1",
+    "ensemble/ensemble.json": "23b1ab6a7fe43f2ede7605edd5612ae09112753f663e56d545013b422d825346",
+    "ensemble/manifest.json": "b5a2905fcd2a219e8e6e78577158ad2194bb64b20a2caafd1808f7cd8e839d91",
+    "ensemble/sleep.decisions.jsonl":
+        "55597f4953a38b4f34428b242b2deb943c38ec7a9e496a57faea97d977d4299f",
+    "ensemble/sleep.sweep.csv": "89aa0f2edde6323f5355992deb28d9cd5d8582a490081fef9caedae5b8a3328e",
+    "evaluate/groups.csv": "a9ecb5ae5f1dde7b66a3e140e67785395b138e9adbfc54288c0d5ce6462f1232",
+    "evaluate/manifest.json": "6e1e9c8d4660b0dcec8b62b82836aa8e7a1b0023cad6b49d8afa15bbde0fbb16",
+    "evaluate/metrics.csv": "48506fc3769a7f5c5aaf195f2c59261f8be84fec4b6ece9450fb96b5295b9a52",
+    "score/aggregated.jsonl": "11d1155677e9b47fac9bd4bdeb639b5ee2cbe1121edb9114daaca5303ba609b2",
+    "score/manifest.json": "9bccb436e5b4d4ffb5fec2cd0a86722e56a789516512ab2c8594abb7cfd03236",
+    "score/relevancy.jsonl": "ee5a2f8c112992f2c7aaa7dbbf2f855bad71b4b1f4568c731f3af1aa3c632d1a",
+}
+
+
+def test_e2e_artifact_bytes_are_pinned(tmp_path):
+    servers = [serve(Fixture.from_file(E2E / "fixture.json")) for _ in range(2)]
+    try:
+        assert servers[0].port != servers[1].port
+        for k, server in enumerate(servers):
+            workdir = tmp_path / f"demo{k}"
+            shutil.copytree(E2E, workdir)
+            config_path = workdir / "config.yaml"
+            config_path.write_text(config_path.read_text().replace("8731", str(server.port)))
+            cfg = load_config(config_path)
+            run_dir = run(cfg, stage="all", run_id="pinned")
+            digest = config_digest(cfg).encode()
+            got = {p.relative_to(run_dir).as_posix():
+                   hashlib.sha256(p.read_bytes().replace(digest, b"<digest>")).hexdigest()
+                   for p in run_dir.rglob("*") if p.is_file()}
+            assert got == E2E_ARTIFACT_SHA256, f"port {server.port}"
+    finally:
+        for server in servers:
+            server.stop()
+
+
+def test_warm_annotate_posts_nothing_and_uses_no_worker(e2e, monkeypatch):
+    workdir, server = e2e
+    cfg = load_config(workdir / "config.yaml")
+    cold = run(cfg, stage="annotate", run_id="cold")
+    submitted, posts = [], []
+    real_run_parallel, real_request = annotator.run_parallel, http.client.HTTPConnection.request
+
+    def spying_run_parallel(fn, items, workers):
+        submitted.extend(items)
+        return real_run_parallel(fn, items, workers)
+
+    def counting_request(self, *args, **kwargs):
+        posts.append(args)
+        return real_request(self, *args, **kwargs)
+
+    monkeypatch.setattr(annotator, "run_parallel", spying_run_parallel)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
+    warm = run(cfg, stage="annotate", run_id="warm")
+    assert submitted == [] and posts == []
+    rel = Path("annotate") / "annotations.jsonl"
+    assert (warm / rel).read_bytes() == (cold / rel).read_bytes()
+
+
+def test_score_computes_each_cosine_once(e2e, monkeypatch):
+    workdir, server = e2e
+    cfg = load_config(workdir / "config.yaml")
+    run_dir = run(cfg, stage="annotate", run_id="cos")
+    calls = []
+    real_cosine = relevancy.cosine_similarity
+
+    def counting_cosine(u, v):
+        calls.append(1)
+        return real_cosine(u, v)
+
+    monkeypatch.setattr(relevancy, "cosine_similarity", counting_cosine)
+    run(cfg, stage="score", run_id="cos")
+    rows = [json.loads(line) for line in
+            (run_dir / "annotate" / "annotations.jsonl").read_text().splitlines()[1:]]
+    positive = [row for row in rows if row["label"] and row["phrases"]]
+    pairs = {(row["topic"], phrase) for row in positive for phrase in row["phrases"]}
+    assert len(pairs) < sum(len(row["phrases"]) for row in positive)  # pairs repeat
+    # one cosine per distinct (topic, phrase), plus each topic's baseline
+    assert len(calls) == len(pairs) + len({row["topic"] for row in positive})
 
 
 def test_run_stages_individually_equals_run_all(e2e):
@@ -558,6 +654,58 @@ def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
         assert f"{path}: line 3: " in err
 
 
+@pytest.mark.parametrize("case", ["missing", "unknown leaf", "unknown model", "twice"])
+def test_score_checks_annotation_cells(finished_run, tmp_path, capsys, case):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    run_dir = workdir / "runs" / "done"
+    path = run_dir / "annotate" / "annotations.jsonl"
+    before = {p.name: p.read_bytes() for p in (run_dir / "score").iterdir()}
+    lines = path.read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines[1:], 1)
+             if json.loads(line)["text_id"] == "t2" and json.loads(line)["model"] == "m_alpha"
+             and json.loads(line)["topic"] == "sleep")
+    row = json.loads(lines[k])
+    if case == "missing":
+        del lines[k]
+        want = f"{path}: no row for ('m_alpha', 't2', 'sleep')"
+    elif case == "twice":
+        lines.insert(k, lines[k])
+        want = f"{path}: line {k + 2}: cell ('m_alpha', 't2', 'sleep') has two rows"
+    else:
+        field, value = ("topic", "nap") if case == "unknown leaf" else ("model", "m_delta")
+        lines[k] = json.dumps(dict(row, **{field: value})) + "\n"
+        cell = tuple(dict(row, **{field: value})[f] for f in ("model", "text_id", "topic"))
+        want = f"{path}: line {k + 1}: cell {cell} is not a cell of this config"
+    path.write_text("".join(lines))
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--stage", "score", "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    assert want in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in (run_dir / "score").iterdir()} == before
+
+
+@pytest.mark.parametrize("excluded", [None, "m_gamma", ["m_gamma", 5]],
+                         ids=["no value", "a string", "a number in the list"])
+def test_ensemble_checks_outliers_excluded(finished_run, tmp_path, capsys, excluded):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / "runs" / "done" / "agree" / "outliers.json"
+    doc = json.loads(path.read_text())
+    if excluded is None:
+        del doc["excluded"]
+    else:
+        doc["excluded"] = excluded
+    path.write_text(json.dumps(doc))
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--stage", "ensemble", "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    got = "no value" if excluded is None else repr(excluded)
+    assert f"upstream artifact: {path}: excluded must be a list of strings, got {got}" in err
+    assert "Traceback" not in err
+
+
 def test_resume_after_config_edit_exits_3(finished_run, tmp_path, capsys):
     workdir = tmp_path / "demo"
     shutil.copytree(finished_run, workdir)
@@ -660,6 +808,43 @@ def test_aggregated_memory_is_arrays(tmp_path):
     assert peak / rows <= 64, f"{peak / rows:.0f} B per row"
     assert labels["appetite"]["m3"][:4].tolist() == [True, False, False, True]
     assert scores["sleep"]["m4"][2499] == 2499 / 2500
+
+
+def test_score_memory_is_arrays(tmp_path, stub_server, monkeypatch):
+    # 4 models x 2,500 texts x 3 leaves; a list of annotations and a dict of
+    # records cost about 730 B a row
+    topics = TopicSet((Topic("work", "Work.", subtopics=(
+        Topic("blame", "Blamed."), Topic("dismiss", "Dismissed."))), Topic("sleep", "Sleep.")))
+    leaves = [leaf.short_name for leaf in topics.leaves()]
+    models = ["m1", "m2", "m3", "m4"]
+    corpus = [TextItem(f"text-{i:05d}", "Some text.") for i in range(2500)]
+    phrases = [f"phrase {k}" for k in range(8)]
+    texts = ["", "Blamed.", "Dismissed.", "Sleep.", *phrases]
+    server = stub_server({"dimension": 4, "embeddings": {
+        text: [1.0, j, j % 3, 1.0 / (j + 1)] for j, text in enumerate(texts)}})
+    cfg = SimpleNamespace(
+        backends=[ModelBackend(m, server.chat_url) for m in models],
+        embedding=EmbeddingBackend("emb", server.embeddings_url),
+        cache_dir=tmp_path / "cache", retries=0, timeout=10.0, backoff=0.01)
+    monkeypatch.setattr(pipeline, "_load_inputs", lambda cfg: (corpus, topics))
+    pipeline._write_jsonl(
+        tmp_path / "annotate" / "annotations.jsonl", "annotations", "d",
+        ({"model": m, "text_id": item.id, "topic": leaf, "label": i % 4 == 0,
+          "phrases": [phrases[i % 8]] if i % 4 == 0 else [], "parse_warning": False}
+         for m in models for i, item in enumerate(corpus) for leaf in leaves))
+    rows = len(models) * len(corpus) * len(leaves)
+    pipeline.stage_score(cfg, tmp_path, "d")  # fills the store
+    tracemalloc.start()
+    try:
+        pipeline.stage_score(cfg, tmp_path, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows >= 30_000
+    assert peak / rows <= 64, f"{peak / rows:.0f} B per row"
+    aggregated = (tmp_path / "score" / "aggregated.jsonl").read_text().splitlines()
+    assert len(aggregated) == 1 + len(models) * len(corpus) * 2
+    assert json.loads(aggregated[1])["label"] is True
 
 
 def _rows_then_fail():

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import sys
+import threading
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,12 +16,14 @@ from topicensemble.annotator import (
 )
 from topicensemble.corpus import Topic
 from topicensemble.errors import BackendUnavailable, BadStatus, ZeroNormVector
+from topicensemble import relevancy
 from topicensemble.relevancy import (
     Embedder,
     EmbeddingBackend,
     aggregate_subtopics,
     cosine_similarity,
     relevancy_score,
+    score_annotations,
     topic_baseline,
     truncate_words,
 )
@@ -287,6 +293,118 @@ def test_max_then_clamp_equals_clamp_then_max():
         max_then_clamp = max(max(sims) - b, 0.0)
         clamp_then_max = max(max(s - b, 0.0) for s in sims)
         assert max_then_clamp == pytest.approx(clamp_then_max, abs=1e-12)
+
+
+class SlowEmbeddings:
+    """Stands in for Embedder._request: a vector per text after `delay`
+    seconds, recording each batch, the most requests at once, and the
+    annotations read from `source` before each record came out."""
+
+    def __init__(self, delay: float, fail_on: str | None = None):
+        self.delay, self.fail_on = delay, fail_on
+        self.batches: list[list[str]] = []
+        self.now = self.most = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, batch):
+        with self.lock:
+            self.batches.append(list(batch))
+            self.now += 1
+            self.most = max(self.most, self.now)
+        time.sleep(self.delay)
+        with self.lock:
+            self.now -= 1
+        if self.fail_on in batch:
+            raise BackendUnavailable("embedding backend down")
+        return [np.array([1.0, len(t) % 7 + 1.0, t.count("1") + 1.0]) for t in batch]
+
+
+def phrase_rows(rows: int, every: int):
+    """Annotations of SLEEP, every `every`-th one positive with a phrase of its own."""
+    return [TopicAnnotation("m", f"t{i}", "sleep", label=i % every == 0,
+                            phrases=(f"phrase {i}",) if i % every == 0 else ())
+            for i in range(rows)]
+
+
+@pytest.mark.parametrize("rows, every, batch_size", [(1000, 1, 32), (2000, 20, 8)])
+def test_score_posts_full_batches_on_every_worker(tmp_path, monkeypatch, rows, every,
+                                                  batch_size):
+    # a cold store and distinct phrases, dense or sparse: every batch but the
+    # last is full and the embedding workers are all busy at once
+    slow = SlowEmbeddings(0.05)
+    monkeypatch.setattr(Embedder, "_request", slow)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=batch_size, parallelism=4)
+    annotations = phrase_rows(rows, every)
+    with closing(ResponseCache(tmp_path)) as cache:
+        records = list(score_annotations(annotations, [SLEEP], Embedder(backend, cache)))
+    assert [r.text_id for r in records] == [a.text_id for a in annotations]
+    texts = 2 + len(range(0, rows, every))  # the phrases, "" and the description
+    full, rest = divmod(texts, batch_size)
+    assert sorted(map(len, slow.batches), reverse=True) == [batch_size] * full + [rest]
+    assert slow.most == 4
+
+
+def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch):
+    # too few new phrases to fill a batch within READ_AHEAD rows: the oldest
+    # waiting annotation is fetched for in a part batch, and no more than
+    # READ_AHEAD annotations are read ahead of the records
+    monkeypatch.setattr(relevancy, "READ_AHEAD", 50)
+    monkeypatch.setattr(Embedder, "_request", SlowEmbeddings(0.0))
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings", batch_size=8)
+    annotations = phrase_rows(1000, 100)
+    read = 0
+
+    def source():
+        nonlocal read
+        for ann in annotations:
+            read += 1
+            yield ann
+
+    with closing(ResponseCache(tmp_path)) as cache:
+        records = []
+        for record in score_annotations(source(), [SLEEP], Embedder(backend, cache)):
+            assert read - len(records) <= 51
+            records.append(record)
+    assert [r.text_id for r in records] == [a.text_id for a in annotations]
+    assert [r.score > 0 for r in records] == [a.label for a in annotations]
+
+
+def test_score_raises_a_failed_batch_and_stops_asking(tmp_path, monkeypatch):
+    slow = SlowEmbeddings(0.01, fail_on="phrase 0")
+    monkeypatch.setattr(Embedder, "_request", slow)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=4, parallelism=2)
+    with closing(ResponseCache(tmp_path)) as cache:
+        with pytest.raises(BackendUnavailable):
+            list(score_annotations(phrase_rows(2000, 1), [SLEEP], Embedder(backend, cache)))
+    asked = len(slow.batches)
+    time.sleep(0.05)
+    assert len(slow.batches) == asked < 20  # of 501: the queued ones were cancelled
+
+
+def test_score_with_many_workers_loses_no_vector(tmp_path, monkeypatch):
+    # 16 workers of one-text batches, switching threads every microsecond:
+    # every record matches a serial scoring and every vector is stored
+    slow = SlowEmbeddings(0.0)
+    monkeypatch.setattr(Embedder, "_request", slow)
+    annotations = phrase_rows(600, 1)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=1, parallelism=16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with closing(ResponseCache(tmp_path / "many")) as cache:
+            embedder = Embedder(backend, cache)
+            records = list(score_annotations(annotations, [SLEEP], embedder))
+            keys = [embedder._key(a.phrases[0]) for a in annotations]
+            assert None not in cache.read_many(keys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(slow.batches) == 602  # each phrase, "" and the description once
+    with closing(ResponseCache(tmp_path / "one")) as cache:
+        serial = [relevancy_score(a, SLEEP, Embedder(backend, cache)) for a in annotations]
+    assert records == serial
 
 
 # --------------------------------------------------------------- aggregate
