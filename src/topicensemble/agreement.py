@@ -78,7 +78,6 @@ class AgreementResult:
     kind: str  # "AC1" | "Fleiss"
     p_o: float
     p_e: float
-    ci_95: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,8 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -44,9 +42,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 FORMAT_REMINDER = "Answer strictly in the required format."
-# (backend, text) pairs annotate works on at once: their prompts, answers
+# One backend's texts that annotate works on at once: their prompts, answers
 # and parsed rows. A window's requests end together, so the workers wait for
-# its last ones; at a backend parallelism of 4, a window of 256 pairs takes
+# its last ones; at a backend parallelism of 4, a window of 256 texts takes
 # 64 request times and that wait is at most one of them. The window's store
 # read and its one write transaction of fresh answers are per window too.
 WINDOW = 256
@@ -209,22 +207,23 @@ class ResponseCache:
 
 
 class ConnectionPool:
-    """Keep-alive HTTP(S) connections to backends, shared by threads.
+    """Keep-alive HTTP(S) connections to backends, shared by threads, and
+    the retry policy of the calls made over them (see post_json).
 
     A call takes an idle connection to its (scheme, host, port), or opens
     one, and hands it back once the whole reply is read, so the pool holds
     as many connections per endpoint as calls were ever in flight at once:
-    one per worker thread. close() closes every idle connection; a call
-    that fails closes the connection it holds. Proxy environment variables
-    are not honoured.
+    one per worker thread. Each socket operation waits at most `timeout`
+    seconds. close() closes every idle connection; a call that fails closes
+    the connection it holds. Proxy environment variables are not honoured.
     """
 
-    def __init__(self):
+    def __init__(self, retries: int, timeout: float, backoff: float):
+        self.retries, self.timeout, self.backoff = retries, timeout, backoff
         self._idle: dict[tuple[str, str, int | None], list] = {}
         self._lock = threading.Lock()
 
-    def post(self, url: str, body: bytes, headers: dict,
-             timeout: float) -> tuple[int, bytes]:
+    def post(self, url: str, body: bytes, headers: dict) -> tuple[int, bytes]:
         """POST body to url and return (status, reply body).
 
         A reused connection that the server closed while it was idle is
@@ -239,18 +238,18 @@ class ConnectionPool:
             conn = idle.pop() if idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, key, target, body, headers, timeout)
+                return self._exchange(conn, key, target, body, headers)
             except ConnectionError:  # includes RemoteDisconnected
                 pass
         cls = http.client.HTTPSConnection if key[0] == "https" else http.client.HTTPConnection
-        conn = cls(key[1], key[2], timeout=timeout)
-        return self._exchange(conn, key, target, body, headers, timeout)
+        conn = cls(key[1], key[2], timeout=self.timeout)
+        return self._exchange(conn, key, target, body, headers)
 
     def _exchange(self, conn: http.client.HTTPConnection, key: tuple, target: str,
-                  body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
+                  body: bytes, headers: dict) -> tuple[int, bytes]:
         try:
             if conn.sock is not None:  # a reused connection
-                conn.sock.settimeout(timeout)
+                conn.sock.settimeout(self.timeout)
             conn.request("POST", target, body, headers)
             reply = conn.getresponse()
             data = reply.read()
@@ -270,31 +269,25 @@ class ConnectionPool:
             conn.close()
 
 
-def post_json(pool: ConnectionPool | None, url: str, payload: dict,
-              auth_env: str | None = None, retries: int = 3,
-              timeout: float = 30.0, backoff: float = 0.5):
+def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | None = None):
     """POST payload as JSON and return the decoded body of the 200 reply.
 
     Connection errors, timeouts, HTTP protocol errors, 429 and 5xx are
-    retried up to `retries` times with exponential backoff, then raise
-    BackendUnavailable; any other status raises BadStatus at once, and so
-    does a malformed JSON body. `auth_env` names the environment variable
-    holding a bearer token. With no pool the call opens its own connection
-    and closes it before returning.
+    retried up to the pool's `retries` times, after `backoff`, 2·`backoff`,
+    ... seconds, then raise BackendUnavailable; any other status raises
+    BadStatus at once, and so does a malformed JSON body. `auth_env` names
+    the environment variable holding a bearer token.
     """
-    if pool is None:
-        with closing(ConnectionPool()) as own:
-            return post_json(own, url, payload, auth_env, retries, timeout, backoff)
     headers = {"Content-Type": "application/json"}
     if auth_env:
         headers["Authorization"] = f"Bearer {os.environ.get(auth_env, '')}"
     body = json.dumps(payload).encode("utf-8")
     last_error: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(pool.retries + 1):
         if attempt:
-            time.sleep(backoff * 2 ** (attempt - 1))
+            time.sleep(pool.backoff * 2 ** (attempt - 1))
         try:
-            status, data = pool.post(url, body, headers, timeout)
+            status, data = pool.post(url, body, headers)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
@@ -309,7 +302,7 @@ def post_json(pool: ConnectionPool | None, url: str, payload: dict,
             raise BadStatus(status, f"malformed JSON body: {exc}")
     raise BackendUnavailable(
         f"backend {payload.get('model')!r} at {url} unreachable after "
-        f"{retries} retries: {last_error}"
+        f"{pool.retries} retries: {last_error}"
     )
 
 
@@ -329,20 +322,17 @@ def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool | None = None,
-         retries: int = 3, timeout: float = 30.0, backoff: float = 0.5) -> str:
-    """POST one chat completion and return its content. Retries and errors
-    are those of post_json; a reply with no string content is BadStatus."""
+def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
+    """POST one chat completion over `pool` and return its content. Retries
+    and errors are those of post_json; a reply with no string content is
+    BadStatus."""
     payload = {
         "model": backend.name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": backend.decoding.temperature,
         "max_tokens": backend.decoding.max_tokens,
     }
-    body = post_json(
-        pool, backend.endpoint, payload,
-        backend.auth_env, retries, timeout, backoff,
-    )
+    body = post_json(pool, backend.endpoint, payload, backend.auth_env)
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -356,10 +346,7 @@ def query_backend(
     backend: ModelBackend,
     prompt: str,
     cache: ResponseCache,
-    pool: ConnectionPool | None = None,
-    retries: int = 3,
-    timeout: float = 30.0,
-    backoff: float = 0.5,
+    pool: ConnectionPool,
     text_id: str = "",
 ) -> RawResponse:
     """Answer from cache when possible, otherwise POST a chat completion.
@@ -370,7 +357,7 @@ def query_backend(
     entry = cache.get(backend, prompt)
     from_cache = entry is not None
     if not from_cache:
-        content = chat(backend, prompt, pool, retries, timeout, backoff)
+        content = chat(backend, prompt, pool)
         entry = cache.put(backend, prompt, content)
     return RawResponse(
         model=backend.name,
@@ -487,25 +474,21 @@ def annotate_corpus(
     topics: TopicSet,
     backends: Sequence[ModelBackend],
     cache: ResponseCache,
-    pool: ConnectionPool | None = None,
+    pool: ConnectionPool,
     failure_budget: float = 0.01,
-    retries: int = 3,
-    timeout: float = 30.0,
-    backoff: float = 0.5,
 ) -> Iterator[TopicAnnotation]:
     """Annotate every (backend, text) pair: a stream of one annotation per
     (backend, text, leaf topic) cell, in that order.
 
-    Pairs are worked WINDOW at a time. One store read answers the window's
-    stored prompts on the calling thread; only the rest go to the worker
-    pool, within each backend's parallelism and over `pool` (see post_json
-    for no pool), and their responses are stored in one transaction, also
-    when a request fails (before the error propagates). The calling thread
-    parses each response in order. One that no topic line is recognized in
-    is asked again, the same way, with FORMAT_REMINDER; cells still
-    unparseable then fail conservatively (label false, parse_warning), and
-    once more than failure_budget of all cells have failed the stream raises
-    FailureBudgetExceeded.
+    Each backend's texts are worked WINDOW at a time. One store read answers
+    the window's stored prompts on the calling thread; only the rest go to
+    the backend's `parallelism` workers over `pool`, and their responses are
+    stored in one transaction, also when a request fails (before the error
+    propagates). The calling thread parses each response in order. One that
+    no topic line is recognized in is asked again, the same way, with
+    FORMAT_REMINDER; cells still unparseable then fail conservatively (label
+    false, parse_warning), and once more than failure_budget of all cells
+    have failed the stream raises FailureBudgetExceeded.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -513,24 +496,20 @@ def annotate_corpus(
         raise ValueError("backend names must be unique within a run")
     leaves = topics.leaves()
     total_cells = len(backends) * len(corpus) * len(leaves)
-    workers = max(1, sum(max(1, b.parallelism) for b in backends))
-    semaphores = {b.name: threading.BoundedSemaphore(max(1, b.parallelism))
-                  for b in backends}
 
-    def answers(asked: list[tuple[ModelBackend, str]]) -> list[str]:
-        keys = [cache.key(backend, prompt) for backend, prompt in asked]
+    def answers(backend: ModelBackend, prompts: list[str]) -> list[str]:
+        keys = [cache.key(backend, prompt) for prompt in prompts]
         blobs = cache.read_many(keys)
         contents = [None if blob is None else json.loads(blob)["content"] for blob in blobs]
         fresh: list[tuple[str, bytes]] = []  # appended by the workers
 
         def fetch(i: int) -> None:
-            backend, prompt = asked[i]
-            with semaphores[backend.name]:
-                contents[i] = chat(backend, prompt, pool, retries, timeout, backoff)
-            fresh.append((keys[i], cache.entry(prompt, contents[i])))
+            contents[i] = chat(backend, prompts[i], pool)
+            fresh.append((keys[i], cache.entry(prompts[i], contents[i])))
 
         try:
-            run_parallel(fetch, [i for i, blob in enumerate(blobs) if blob is None], workers)
+            run_parallel(fetch, [i for i, blob in enumerate(blobs) if blob is None],
+                         max(1, backend.parallelism))
         finally:
             if fresh:
                 cache.write(fresh)
@@ -538,25 +517,24 @@ def annotate_corpus(
 
     def stream() -> Iterator[TopicAnnotation]:
         failed_cells = 0
-        pairs = ((backend, item) for backend in backends for item in corpus)
-        while window := list(islice(pairs, WINDOW)):
-            prompts = [build_prompt(topics, item) for _, item in window]
+        windows = ((backend, corpus[start : start + WINDOW]) for backend in backends
+                   for start in range(0, len(corpus), WINDOW))
+        for backend, window in windows:
+            prompts = [build_prompt(topics, item) for item in window]
             parsed: list[list[TopicAnnotation] | None] = [None] * len(window)
             todo = list(range(len(window)))
             for suffix in ("", "\n" + FORMAT_REMINDER):
-                contents = answers([(window[i][0], prompts[i] + suffix) for i in todo])
+                contents = answers(backend, [prompts[i] + suffix for i in todo])
                 for i, content in zip(todo, contents):
-                    backend, item = window[i]
                     try:
-                        parsed[i] = parse_response(content, topics, backend.name, item.id)
+                        parsed[i] = parse_response(content, topics, backend.name, window[i].id)
                     except Unparseable:
                         pass
                 todo = [i for i in todo if parsed[i] is None]
             for i in todo:
-                backend, item = window[i]
                 logger.warning("unparseable response from %s for text %s; "
-                               "marking cells failed", backend.name, item.id)
-                parsed[i] = [TopicAnnotation(model=backend.name, text_id=item.id,
+                               "marking cells failed", backend.name, window[i].id)
+                parsed[i] = [TopicAnnotation(model=backend.name, text_id=window[i].id,
                                              topic=leaf.short_name, label=False,
                                              phrases=(), parse_warning=True)
                              for leaf in leaves]

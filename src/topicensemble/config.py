@@ -108,7 +108,22 @@ def load_config(path: str | Path) -> RunConfig:
     def strings(*values) -> bool:
         return all(isinstance(v, str) and v for v in values)
 
+    def known(where: str, section: dict, *fields: str) -> None:
+        problems.extend(f"{where}{key} is not a known field"
+                        for key in section if key not in fields)
+
+    def auth_env(where: str, section: dict) -> str | None:
+        value = section.get("auth_env")
+        if value is not None and not isinstance(value, str):
+            problems.append(f"{where}auth_env must be a string, got {value!r}")
+            return None
+        return value
+
+    known("", doc, "corpus", "topics", "backends", "embedding", "cache_dir", "output_dir",
+          "outlier_threshold", "bootstrap", "failure_budget", "retries", "timeout",
+          "backoff", "gold_labels", "subset_ensembles")
     corpus = mapping("corpus", doc.get("corpus") or {})
+    known("corpus.", corpus, "path", "format")
     corpus_format = corpus.get("format", "jsonl")
     if corpus_format not in ("jsonl", "csv"):
         problems.append(f"corpus.format must be jsonl or csv, got {corpus_format!r}")
@@ -122,6 +137,8 @@ def load_config(path: str | Path) -> RunConfig:
     for i, entry in enumerate(entries):
         where = f"backends[{i}]."
         entry = mapping(f"backends[{i}]", entry)
+        known(where, entry, "name", "endpoint", "auth_env", "temperature", "max_tokens",
+              "parallelism")
         name, endpoint = entry.get("name"), entry.get("endpoint")
         if not strings(name, endpoint):
             problems.append(f"backends[{i}] needs name and endpoint strings")
@@ -142,7 +159,7 @@ def load_config(path: str | Path) -> RunConfig:
             ModelBackend(
                 name=name,
                 endpoint=endpoint,
-                auth_env=entry.get("auth_env"),
+                auth_env=auth_env(where, entry),
                 decoding=Decoding(temperature=temperature, max_tokens=max_tokens),
                 parallelism=parallelism,
             )
@@ -151,12 +168,14 @@ def load_config(path: str | Path) -> RunConfig:
         problems.append("at least 2 backends are required for ensembling")
 
     emb = mapping("embedding", doc.get("embedding") or {})
+    known("embedding.", emb, "name", "endpoint", "auth_env", "batch_size", "parallelism")
     emb_name, emb_endpoint = emb.get("name", "all-mpnet-base-v2"), emb.get("endpoint")
     if not strings(emb_name, emb_endpoint):
         problems.append("embedding needs name and endpoint strings")
     elif not _http_url(emb_endpoint):
         problems.append(f"embedding.endpoint must be an http(s) URL, got {emb_endpoint!r}")
     bootstrap = mapping("bootstrap", doc.get("bootstrap") or {})
+    known("bootstrap.", bootstrap, "resamples", "seed")
     subset_ensembles = doc.get("subset_ensembles", False)
     if not isinstance(subset_ensembles, bool):
         problems.append(f"subset_ensembles must be true or false, got {subset_ensembles!r}")
@@ -169,7 +188,7 @@ def load_config(path: str | Path) -> RunConfig:
         embedding=EmbeddingBackend(
             name=emb_name,
             endpoint=emb_endpoint,
-            auth_env=emb.get("auth_env"),
+            auth_env=auth_env("embedding.", emb),
             batch_size=_number(emb, "batch_size", 32, problems, where="embedding.",
                                integer=True, minimum=1),
             parallelism=_number(emb, "parallelism", 4, problems, where="embedding.",

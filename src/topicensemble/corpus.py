@@ -72,10 +72,6 @@ class Topic:
                         f"{self.short_name} -> {sub.short_name}: subtopics cannot nest"
                     )
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.subtopics
-
 
 @dataclass(frozen=True)
 class TopicSet:

@@ -47,14 +47,6 @@ class ScoreMatrix:
         if (values < 0.0).any() or (values > 1.0).any():
             raise ValueError("scores must lie in [0, 1]")
 
-    @property
-    def num_texts(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_models(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ScoreEnsemble:

@@ -36,7 +36,7 @@ from .corpus import TextItem, TopicSet, load_corpus, load_topics
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (DegenerateChance, MalformedRecord, MissingUpstreamArtifact,
-                     TooFewModels, ZeroVariance)
+                     TooFewModels, TopicEnsembleError, ZeroVariance)
 from .evaluation import compare_raters, group_summary, subset_ensemble_candidates
 # relevancy_score is imported for pipebench/tracer.py, which wraps the name here
 from .relevancy import (Embedder, aggregate_subtopics, relevancy_score,  # noqa: F401
@@ -180,7 +180,10 @@ def _rows(path: Path, digest: str, schema: str):
 # ------------------------------------------------------------------- loading
 
 def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
-    return load_corpus(cfg.corpus_path, cfg.corpus_format), load_topics(cfg.topics_path)
+    corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
+    if not corpus:
+        raise TopicEnsembleError(f"corpus {cfg.corpus_path} holds no texts")
+    return corpus, load_topics(cfg.topics_path)
 
 
 class _Cells:
@@ -212,12 +215,9 @@ class _Cells:
 def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
-          closing(ConnectionPool()) as pool):
-        annotations = annotate_corpus(
-            corpus, topics, cfg.backends, cache, pool,
-            failure_budget=cfg.failure_budget, retries=cfg.retries,
-            timeout=cfg.timeout, backoff=cfg.backoff,
-        )
+          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
+        annotations = annotate_corpus(corpus, topics, cfg.backends, cache, pool,
+                                      failure_budget=cfg.failure_budget)
         rows = (
             {
                 "model": ann.model, "text_id": ann.text_id,
@@ -261,11 +261,8 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
     stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
-          closing(ConnectionPool()) as pool):
-        embedder = Embedder(
-            cfg.embedding, cache, pool,
-            retries=cfg.retries, timeout=cfg.timeout, backoff=cfg.backoff,
-        )
+          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
+        embedder = Embedder(cfg.embedding, cache, pool)
 
         def relevancy_rows():
             for record in score_annotations(annotations(), leaves, embedder):

@@ -93,24 +93,13 @@ class Embedder:
 
     POSTs {model, input: [texts]} and expects {data: [{embedding: [...]}]}
     in input order. Vectors are read from and written to `cache`; requests
-    go out over `pool` (see post_json for no pool).
+    go out over `pool`, with its retry policy.
     """
 
-    def __init__(
-        self,
-        backend: EmbeddingBackend,
-        cache: ResponseCache,
-        pool: ConnectionPool | None = None,
-        retries: int = 3,
-        timeout: float = 30.0,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, backend: EmbeddingBackend, cache: ResponseCache, pool: ConnectionPool):
         self.backend = backend
         self.cache = cache
         self.pool = pool
-        self.retries = retries
-        self.timeout = timeout
-        self.backoff = backoff
         self.parallelism = max(1, backend.parallelism)
         self._dimension: int | None = None
         self._dimension_lock = threading.Lock()  # fetches decode on worker threads
@@ -171,11 +160,9 @@ class Embedder:
         return vec
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
-        body = post_json(
-            self.pool, self.backend.endpoint,
-            {"model": self.backend.name, "input": list(batch)},
-            self.backend.auth_env, self.retries, self.timeout, self.backoff,
-        )
+        body = post_json(self.pool, self.backend.endpoint,
+                         {"model": self.backend.name, "input": list(batch)},
+                         self.backend.auth_env)
         try:
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in body["data"]]
         except (KeyError, TypeError, ValueError) as exc:

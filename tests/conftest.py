@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
+from topicensemble.annotator import ConnectionPool
 from topicensemble.corpus import Topic, TopicSet
 from topicensemble.stubserver import Fixture, serve
 
@@ -46,3 +49,11 @@ def stub_server():
     yield start
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def pool():
+    """A connection pool retrying 3 times after a 10 ms backoff, closed on
+    teardown so that no keep-alive socket outlives the test."""
+    with closing(ConnectionPool(retries=3, timeout=30.0, backoff=0.01)) as pool:
+        yield pool

@@ -264,7 +264,7 @@ def test_c05_fusion_invariants():
 
 # -------------------------------------------------------------- criterion 6
 
-def test_c06_relevancy_contract(tmp_path):
+def test_c06_relevancy_contract(tmp_path, pool):
     # fixture geometry: desc_j = b_j*e0 + sqrt(1-b_j^2)*e_j gives the topic
     # baseline b_j against the empty string e0; a phrase at similarity s to
     # desc_j is s*desc_j + sqrt(1-s^2)*u_j with u_j the in-plane orthogonal.
@@ -299,7 +299,7 @@ def test_c06_relevancy_contract(tmp_path):
     try:
         embedder = Embedder(
             EmbeddingBackend(name="syn", endpoint=server.embeddings_url),
-            ResponseCache(tmp_path), backoff=0.01,
+            ResponseCache(tmp_path), pool,
         )
         for topic, phrases, sims, b in planned:
             for count in (1, 3, 7):

@@ -3,11 +3,13 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from topicensemble import annotator
 from topicensemble.annotator import (
     ConnectionPool,
     Decoding,
@@ -223,26 +225,26 @@ def backend_for(server, name="m1", temperature=0.0):
     )
 
 
-def test_query_backend_cache_round_trip(tmp_path, stub_server):
+def test_query_backend_cache_round_trip(tmp_path, stub_server, pool):
     server = stub_server(chat_doc([{"model": "m1", "prompt": "hello", "response": "(1) x: no"}]))
     cache = ResponseCache(tmp_path)
     backend = backend_for(server)
-    first = query_backend(backend, "hello", cache)
+    first = query_backend(backend, "hello", cache, pool)
     assert first.content == "(1) x: no"
     assert first.from_cache is False
-    second = query_backend(backend, "hello", cache)
+    second = query_backend(backend, "hello", cache, pool)
     assert second.from_cache is True
     assert second.content == first.content
     assert second.retrieved_at == first.retrieved_at
     assert server.call_count == 1
 
 
-def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server):
+def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server, pool):
     server = stub_server(chat_doc([{"model": "m1", "prompt": "hello", "response": "ok"}]))
     cache = ResponseCache(tmp_path)
     greedy, sampled = backend_for(server, temperature=0.0), backend_for(server, temperature=0.5)
-    query_backend(greedy, "hello", cache)
-    query_backend(sampled, "hello", cache)
+    query_backend(greedy, "hello", cache, pool)
+    query_backend(sampled, "hello", cache, pool)
     assert cache.key(greedy, "hello") != cache.key(sampled, "hello")
     assert cache.get(greedy, "hello")["content"] == cache.get(sampled, "hello")["content"] == "ok"
     assert server.call_count == 2
@@ -293,27 +295,26 @@ def test_store_shared_by_threads(tmp_path):
 def test_query_backend_unreachable(tmp_path):
     backend = ModelBackend(name="m1", endpoint="http://127.0.0.1:9/v1/chat/completions")
     with pytest.raises(BackendUnavailable):
-        query_backend(
-            backend, "hello", ResponseCache(tmp_path), retries=2, backoff=0.01
-        )
+        with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.01)) as pool:
+            query_backend(backend, "hello", ResponseCache(tmp_path), pool)
 
 
-def test_query_backend_bad_status_not_retried(tmp_path, stub_server):
+def test_query_backend_bad_status_not_retried(tmp_path, stub_server, pool):
     server = stub_server(chat_doc([]))
     backend = backend_for(server)
     with pytest.raises(BadStatus) as excinfo:
-        query_backend(backend, "unknown prompt", ResponseCache(tmp_path), backoff=0.01)
+        query_backend(backend, "unknown prompt", ResponseCache(tmp_path), pool)
     assert excinfo.value.status == 404
     assert server.call_count == 1
 
 
-def test_query_backend_auth_header(tmp_path, stub_server, monkeypatch):
+def test_query_backend_auth_header(tmp_path, stub_server, monkeypatch, pool):
     server = stub_server(chat_doc([{"model": "m1", "prompt": "p", "response": "ok"}]))
     monkeypatch.setenv("STUB_TOKEN", "secret")
     backend = ModelBackend(
         name="m1", endpoint=server.chat_url, auth_env="STUB_TOKEN"
     )
-    response = query_backend(backend, "p", ResponseCache(tmp_path))
+    response = query_backend(backend, "p", ResponseCache(tmp_path), pool)
     assert response.content == "ok"
 
 
@@ -388,9 +389,9 @@ def sleeps(monkeypatch):
 
 def test_post_json_reuses_a_keep_alive_connection(sleeps):
     with raw_server("keep-alive") as (url, counts):
-        with contextlib.closing(ConnectionPool()) as pool:
+        with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
             for _ in range(5):
-                assert post_json(pool, url, {"model": "m"}, retries=0) == {"ok": True}
+                assert post_json(pool, url, {"model": "m"}) == {"ok": True}
     assert counts == {"connections": 1, "requests": 5}
     assert sleeps == []
 
@@ -398,26 +399,26 @@ def test_post_json_reuses_a_keep_alive_connection(sleeps):
 def test_post_json_reopens_a_dropped_keep_alive(sleeps):
     # each reused connection is found closed: reopened at once, not retried
     with raw_server("close-after-reply") as (url, counts):
-        with contextlib.closing(ConnectionPool()) as pool:
+        with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
             for _ in range(5):
-                assert post_json(pool, url, {"model": "m"}, retries=0) == {"ok": True}
+                assert post_json(pool, url, {"model": "m"}) == {"ok": True}
     assert counts == {"connections": 5, "requests": 5}
     assert sleeps == []
 
 
 def test_post_json_failure_on_a_fresh_connection_is_a_retry(sleeps):
     with raw_server("close-before-reply") as (url, counts):
-        with contextlib.closing(ConnectionPool()) as pool:
+        with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.5)) as pool:
             with pytest.raises(BackendUnavailable):
-                post_json(pool, url, {"model": "m"}, retries=2, backoff=0.5)
+                post_json(pool, url, {"model": "m"})
     assert counts == {"connections": 3, "requests": 3}
     assert sleeps == [0.5, 1.0]
 
 
 def test_post_json_rejects_a_url_that_is_not_http(sleeps):
-    with contextlib.closing(ConnectionPool()) as pool:
+    with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
         with pytest.raises(BackendUnavailable, match="not an http"):
-            post_json(pool, "ftp://127.0.0.1/v1/x", {"model": "m"}, retries=0)
+            post_json(pool, "ftp://127.0.0.1/v1/x", {"model": "m"})
 
 
 # --------------------------------------------------------- annotate_corpus
@@ -449,7 +450,7 @@ def annotated(*args, **kwargs) -> dict:
     return {(a.model, a.text_id, a.topic): a for a in annotate_corpus(*args, **kwargs)}
 
 
-def test_annotate_corpus_cardinality(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_cardinality(tmp_path, stub_server, two_topics, pool):
     corpus = corpus_two()
     models = ["m1", "m2", "m3"]
     entries = fixture_for(
@@ -459,33 +460,33 @@ def test_annotate_corpus_cardinality(tmp_path, stub_server, two_topics):
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
     cache = ResponseCache(tmp_path)
-    matrix = annotated(corpus, two_topics, backends, cache)
+    matrix = annotated(corpus, two_topics, backends, cache, pool)
     assert len(matrix) == 12
     assert matrix["m1", "t1", "sleep"].label is True
     assert matrix["m2", "t2", "appetite"].label is False
 
     calls_before = server.call_count
-    warm = annotated(corpus, two_topics, backends, cache)
+    warm = annotated(corpus, two_topics, backends, cache, pool)
     assert warm == matrix
     assert server.call_count == calls_before
 
 
-def test_annotate_corpus_requires_two_backends(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_requires_two_backends(tmp_path, stub_server, two_topics, pool):
     server = stub_server(chat_doc([]))
     with pytest.raises(ValueError):
         annotate_corpus(
-            corpus_two(), two_topics, [backend_for(server)], ResponseCache(tmp_path)
+            corpus_two(), two_topics, [backend_for(server)], ResponseCache(tmp_path), pool
         )
 
 
-def test_annotate_corpus_rejects_duplicate_backend_names(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_rejects_duplicate_backend_names(tmp_path, stub_server, two_topics, pool):
     server = stub_server(chat_doc([]))
     backends = [backend_for(server, "same"), backend_for(server, "same")]
     with pytest.raises(ValueError):
-        annotate_corpus(corpus_two(), two_topics, backends, ResponseCache(tmp_path))
+        annotate_corpus(corpus_two(), two_topics, backends, ResponseCache(tmp_path), pool)
 
 
-def test_annotate_corpus_subtopic_leaves(tmp_path, stub_server, nested_topics):
+def test_annotate_corpus_subtopic_leaves(tmp_path, stub_server, nested_topics, pool):
     corpus = [TextItem("t1", "Some text.")]
     models = ["m1", "m2"]
     entries = fixture_for(
@@ -493,12 +494,12 @@ def test_annotate_corpus_subtopic_leaves(tmp_path, stub_server, nested_topics):
     )
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
-    matrix = annotated(corpus, nested_topics, backends, ResponseCache(tmp_path))
+    matrix = annotated(corpus, nested_topics, backends, ResponseCache(tmp_path), pool)
     assert len(matrix) == 2 * 1 * 3  # leaves: friction_blame, friction_dismiss, sleep
     assert matrix["m1", "t1", "friction_blame"].label is False
 
 
-def test_annotate_corpus_retry_with_reminder(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_retry_with_reminder(tmp_path, stub_server, two_topics, pool):
     corpus = [TextItem("t1", "Cannot sleep.")]
     models = ["m1", "m2"]
     entries = fixture_for(
@@ -517,12 +518,12 @@ def test_annotate_corpus_retry_with_reminder(tmp_path, stub_server, two_topics):
     )
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
-    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     assert matrix["m1", "t1", "sleep"].label is True
     assert not matrix["m1", "t1", "sleep"].parse_warning
 
 
-def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics, pool):
     corpus = [TextItem("t1", "Text one."), TextItem("t2", "Text two.")]
     models = ["m1", "m2"]
     entries = fixture_for(
@@ -542,10 +543,10 @@ def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics):
     server = stub_server(chat_doc(entries))
     backends = [backend_for(server, name) for name in models]
     with pytest.raises(FailureBudgetExceeded):
-        annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+        annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     # a generous budget instead fails the cells conservatively
     matrix = annotated(
-        corpus, two_topics, backends, ResponseCache(tmp_path), failure_budget=0.5
+        corpus, two_topics, backends, ResponseCache(tmp_path), pool, failure_budget=0.5
     )
     failed = matrix["m1", "t1", "sleep"]
     assert failed.label is False
@@ -553,7 +554,7 @@ def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics):
 
 
 def test_annotate_corpus_stores_a_window_in_one_transaction(tmp_path, stub_server,
-                                                            two_topics, monkeypatch):
+                                                            two_topics, monkeypatch, pool):
     corpus = corpus_two()
     models = ["m1", "m2", "m3"]
     server = stub_server(chat_doc(fixture_for(
@@ -569,14 +570,14 @@ def test_annotate_corpus_stores_a_window_in_one_transaction(tmp_path, stub_serve
 
     monkeypatch.setattr(ResponseCache, "write", counting_write)
     cache = ResponseCache(tmp_path)
-    annotated(corpus, two_topics, backends, cache)
-    assert writes == [6]  # the six (backend, text) responses, one transaction
-    annotated(corpus, two_topics, backends, cache)
-    assert writes == [6] and server.call_count == 6  # a warm run writes nothing
+    annotated(corpus, two_topics, backends, cache, pool)
+    assert writes == [2, 2, 2]  # each backend's window of two responses, one transaction
+    annotated(corpus, two_topics, backends, cache, pool)
+    assert writes == [2, 2, 2] and server.call_count == 6  # a warm run writes nothing
 
 
 def test_annotate_corpus_stores_what_arrived_before_a_failure(tmp_path, stub_server,
-                                                              two_topics):
+                                                              two_topics, pool):
     corpus = corpus_two()
     entries = fixture_for(two_topics, corpus, ["m1", "m2"],
                           lambda model, tid, topic: (False, []))
@@ -586,16 +587,16 @@ def test_annotate_corpus_stores_what_arrived_before_a_failure(tmp_path, stub_ser
     # one worker per backend: the failing (m2, t2) request is the last to start
     backends = [replace(backend_for(server, name), parallelism=1) for name in ("m1", "m2")]
     with pytest.raises(BadStatus):
-        annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+        annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     assert server.call_count == 4
     full = stub_server(chat_doc(entries))
     backends = [replace(b, endpoint=full.chat_url) for b in backends]
-    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     assert len(matrix) == 8
     assert full.call_count == 1  # the three answers that arrived were stored
 
 
-def test_annotate_corpus_many_workers_lose_nothing(tmp_path, stub_server, two_topics):
+def test_annotate_corpus_many_workers_lose_nothing(tmp_path, stub_server, two_topics, pool):
     # 16 workers fill shared per-window lists over two windows, switching
     # threads every microsecond
     corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(150)]
@@ -606,11 +607,54 @@ def test_annotate_corpus_many_workers_lose_nothing(tmp_path, stub_server, two_to
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+        matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     finally:
         sys.setswitchinterval(interval)
     assert server.call_count == 300
     assert all(matrix[m, item.id, "sleep"].phrases == (f"{m} {item.id}",)
                for m in ("m1", "m2") for item in corpus)
-    warm = annotated(corpus, two_topics, backends, ResponseCache(tmp_path))
+    warm = annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     assert warm == matrix and server.call_count == 300  # every response was stored
+
+
+def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, monkeypatch,
+                                                                   two_topics, pool):
+    # a chat with latency, over two windows of texts: each backend has as many
+    # requests in flight as its parallelism allows and never more
+    monkeypatch.setattr(annotator, "WINDOW", 12)
+    corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(20)]
+    backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
+                             parallelism=n) for n in (1, 2, 3)]
+    lock = threading.Lock()
+    now, most = Counter(), Counter()
+
+    def slow_chat(backend, prompt, pool):
+        with lock:
+            now[backend.name] += 1
+            most[backend.name] = max(most[backend.name], now[backend.name])
+        time.sleep(0.02)
+        with lock:
+            now[backend.name] -= 1
+        text = prompt.rsplit("`", 2)[1]  # the paragraph, as the phrase
+        return format_response([("sleep", True, [f"{backend.name} {text}"]),
+                                ("appetite", False, [])])
+
+    monkeypatch.setattr(annotator, "chat", slow_chat)
+    writes = []
+    real_write = ResponseCache.write
+
+    def counting_write(self, items):
+        items = list(items)
+        writes.append(len(items))
+        return real_write(self, items)
+
+    monkeypatch.setattr(ResponseCache, "write", counting_write)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        stream = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    assert most == {"m1": 1, "m2": 2, "m3": 3}
+    assert [(a.model, a.text_id, a.topic) for a in stream] == [
+        (b.name, item.id, topic) for b in backends for item in corpus
+        for topic in ("sleep", "appetite")]
+    assert all(a.phrases == (f"{a.model} {item.text}",)
+               for a, item in zip(stream[::2], corpus * 3))
+    assert writes == [12, 8] * 3  # one transaction per backend's window

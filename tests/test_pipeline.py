@@ -353,6 +353,10 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
      "backends[0].endpoint must be an http(s) URL"),
     ("embedding.endpoint: ftp://127.0.0.1:8731/v1/embeddings",
      "embedding.endpoint must be an http(s) URL"),
+    ("failure_budgett: 0.5", "failure_budgett is not a known field"),
+    ("backends.0.parallelsim: 4", "backends[0].parallelsim is not a known field"),
+    ("embedding.batchsize: 16", "embedding.batchsize is not a known field"),
+    ("backends.0.auth_env: 123", "backends[0].auth_env must be a string, got 123"),
 ], ids=lambda value: value.removeprefix("bootstrap: "))
 def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     workdir = tmp_path / "demo"
@@ -364,6 +368,15 @@ def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     err = capsys.readouterr().err
     assert problem in err
     assert "Traceback" not in err
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the documented keys and the accepted keys stay the same
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.yaml").write_text(example, encoding="utf-8")
+    load_config(tmp_path / "config.yaml")  # raises ConfigInvalid naming each problem
 
 
 E2E_FIELDS = sorted(_scalar_fields(yaml.safe_load((E2E / "config.yaml").read_text())))
@@ -894,6 +907,24 @@ def test_bad_input_file_is_an_error_line(e2e, capsys, name, content):
     err = capsys.readouterr().err
     assert "error: line" in err and name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, content", [("corpus.jsonl", ""),
+                                           ("corpus.csv", "id,text,group\n")])
+def test_empty_corpus_is_an_error_line(e2e, capsys, name, content):
+    workdir, server = e2e
+    (workdir / name).write_text(content)
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace(
+        "path: corpus.jsonl\n  format: jsonl", f"path: {name}\n  format: {name[7:]}"))
+    for stage in pipeline.STAGES:
+        assert main(["run", "--config", str(config_path), "--stage", stage,
+                     "--run-id", "empty"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "holds no texts" in err and name in err
+        assert "Traceback" not in err
+    assert list((workdir / "runs" / "empty").iterdir()) == []
+    assert server.call_count == 0
 
 
 def test_gold_text_id_starting_with_hash_is_kept(tmp_path):

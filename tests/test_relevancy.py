@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from topicensemble.annotator import (
+    ConnectionPool,
     ModelBackend,
     ResponseCache,
     TopicAnnotation,
@@ -50,9 +51,9 @@ BASE_DOC = {
 }
 
 
-def embedder_for(server, cache_dir, **kwargs) -> Embedder:
+def embedder_for(server, cache_dir, pool, **kwargs) -> Embedder:
     backend = EmbeddingBackend(name="emb-test", endpoint=server.embeddings_url, **kwargs)
-    return Embedder(backend, ResponseCache(cache_dir), backoff=0.01)
+    return Embedder(backend, ResponseCache(cache_dir), pool)
 
 
 # -------------------------------------------------------------- truncation
@@ -66,11 +67,11 @@ def test_truncate_words():
     assert truncate_words("a  b\tc") == "a b c"
 
 
-def test_embed_truncates_to_384_words(stub_server, tmp_path):
+def test_embed_truncates_to_384_words(stub_server, tmp_path, pool):
     long_text = " ".join(f"w{i}" for i in range(500))
     truncated = truncate_words(long_text)
     doc = dict(BASE_DOC, embeddings={truncated: unit(0.0, 1.0)})
-    embedder = embedder_for(stub_server(doc), tmp_path)
+    embedder = embedder_for(stub_server(doc), tmp_path, pool)
     np.testing.assert_array_equal(
         embedder.embed(long_text), embedder.embed(truncated)
     )
@@ -78,9 +79,9 @@ def test_embed_truncates_to_384_words(stub_server, tmp_path):
 
 # ------------------------------------------------------------------- embed
 
-def test_embed_cache_hit_identical(stub_server, tmp_path):
+def test_embed_cache_hit_identical(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
-    embedder = embedder_for(server, tmp_path)
+    embedder = embedder_for(server, tmp_path, pool)
     first = embedder.embed("lying awake")
     calls = server.call_count
     second = embedder.embed("lying awake")
@@ -91,35 +92,35 @@ def test_embed_cache_hit_identical(stub_server, tmp_path):
     assert embedder.cache.read(key) == first.astype("<f4").tobytes()
 
 
-def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path):
+def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path, pool):
     chat = {"model": "m1", "prompt": "hello", "response": "(1) sleep: no"}
     server = stub_server(dict(BASE_DOC, chat=[chat]))
     backend = ModelBackend(name="m1", endpoint=server.chat_url)
     emb = EmbeddingBackend(name="emb-test", endpoint=server.embeddings_url)
     first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-    answer = query_backend(backend, "hello", first)
-    vector = Embedder(emb, first).embed("lying awake")
+    answer = query_backend(backend, "hello", first, pool)
+    vector = Embedder(emb, first, pool).embed("lying awake")
     calls = server.call_count
-    again = query_backend(backend, "hello", second)
+    again = query_backend(backend, "hello", second, pool)
     assert again.from_cache
     assert (again.content, again.retrieved_at) == (answer.content, answer.retrieved_at)
-    np.testing.assert_array_equal(Embedder(emb, second).embed("lying awake"), vector)
+    np.testing.assert_array_equal(Embedder(emb, second, pool).embed("lying awake"), vector)
     assert server.call_count == calls
     first.close()
     second.close()
     assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
 
 
-def test_embed_empty_string_valid(stub_server, tmp_path):
-    embedder = embedder_for(stub_server(BASE_DOC), tmp_path)
+def test_embed_empty_string_valid(stub_server, tmp_path, pool):
+    embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     vec = embedder.embed("")
     assert vec.shape == (8,)
     assert np.isfinite(vec).all()
 
 
-def test_embed_many_batches(stub_server, tmp_path):
+def test_embed_many_batches(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
-    embedder = embedder_for(server, tmp_path, batch_size=2)
+    embedder = embedder_for(server, tmp_path, pool, batch_size=2)
     texts = [SLEEP.description, "", "lying awake", "scared to talk", "lying awake"]
     vectors = embedder.embed_many(texts)
     assert len(vectors) == 5
@@ -129,12 +130,13 @@ def test_embed_many_batches(stub_server, tmp_path):
 
 def test_embed_unavailable(tmp_path):
     backend = EmbeddingBackend(name="e", endpoint="http://127.0.0.1:9/v1/embeddings")
-    embedder = Embedder(backend, ResponseCache(tmp_path), retries=1, backoff=0.01)
-    with pytest.raises(BackendUnavailable):
-        embedder.embed("anything")
+    with closing(ConnectionPool(retries=1, timeout=30.0, backoff=0.01)) as pool:
+        embedder = Embedder(backend, ResponseCache(tmp_path), pool)
+        with pytest.raises(BackendUnavailable):
+            embedder.embed("anything")
 
 
-def test_embed_dimension_must_stay_constant(stub_server, tmp_path):
+def test_embed_dimension_must_stay_constant(stub_server, tmp_path, pool):
     doc = {
         "dimension": 8,
         "chat": [],
@@ -146,7 +148,7 @@ def test_embed_dimension_must_stay_constant(stub_server, tmp_path):
     fixture = Fixture(chat={}, embeddings=doc["embeddings"], dimension=8)
     server = serve(fixture)
     try:
-        embedder = embedder_for(server, tmp_path)
+        embedder = embedder_for(server, tmp_path, pool)
         embedder.embed("eight")
         with pytest.raises(BadStatus):
             embedder.embed("three")
@@ -175,22 +177,22 @@ def test_cosine_dimension_mismatch():
 
 # ---------------------------------------------------------------- baseline
 
-def test_topic_baseline_stable_and_recomputable(stub_server, tmp_path):
+def test_topic_baseline_stable_and_recomputable(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
-    embedder = embedder_for(server, tmp_path)
+    embedder = embedder_for(server, tmp_path, pool)
     first = topic_baseline(SLEEP, embedder)
     assert first == topic_baseline(SLEEP, embedder)
     # recompute from scratch against the live backend after a cache clear
     embedder.cache.close()
     (tmp_path / "cache.sqlite").unlink()
     calls = server.call_count
-    again = topic_baseline(SLEEP, embedder_for(server, tmp_path))
+    again = topic_baseline(SLEEP, embedder_for(server, tmp_path, pool))
     assert server.call_count > calls
     assert again == pytest.approx(first, abs=1e-6)
 
 
-def test_identical_descriptions_identical_baseline(stub_server, tmp_path):
-    embedder = embedder_for(stub_server(BASE_DOC), tmp_path)
+def test_identical_descriptions_identical_baseline(stub_server, tmp_path, pool):
+    embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     other = Topic("sleep2", SLEEP.description)
     assert topic_baseline(SLEEP, embedder) == topic_baseline(other, embedder)
 
@@ -203,8 +205,8 @@ def annotation(phrases, label=True):
     )
 
 
-def test_relevancy_score_max_of_phrases(stub_server, tmp_path):
-    embedder = embedder_for(stub_server(BASE_DOC), tmp_path)
+def test_relevancy_score_max_of_phrases(stub_server, tmp_path, pool):
+    embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     record = relevancy_score(
         annotation(["lying awake", "scared to talk"]), SLEEP, embedder
     )
@@ -215,7 +217,7 @@ def test_relevancy_score_max_of_phrases(stub_server, tmp_path):
     assert not record.potential_false_positive
 
 
-def test_relevancy_score_subtracts_baseline(stub_server, tmp_path):
+def test_relevancy_score_subtracts_baseline(stub_server, tmp_path, pool):
     doc = {
         "dimension": 8,
         "chat": [],
@@ -226,7 +228,7 @@ def test_relevancy_score_subtracts_baseline(stub_server, tmp_path):
             "phrase low": unit(0.3, math.sqrt(1 - 0.09)),
         },
     }
-    embedder = embedder_for(stub_server(doc), tmp_path)
+    embedder = embedder_for(stub_server(doc), tmp_path, pool)
     record = relevancy_score(annotation(["phrase high", "phrase low"]), SLEEP, embedder)
     assert record.baseline == pytest.approx(0.6, abs=1e-6)
     assert record.score == pytest.approx(0.3, abs=1e-6)  # clamp(0.9 - 0.6)
@@ -234,38 +236,38 @@ def test_relevancy_score_subtracts_baseline(stub_server, tmp_path):
     assert low_only.score == 0.0  # clamp(0.3 - 0.6) -> 0
 
 
-def test_relevancy_score_phrase_equals_description(stub_server, tmp_path):
-    embedder = embedder_for(stub_server(BASE_DOC), tmp_path)
+def test_relevancy_score_phrase_equals_description(stub_server, tmp_path, pool):
+    embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     record = relevancy_score(annotation([SLEEP.description]), SLEEP, embedder)
     assert record.per_phrase_sims[0].raw_sim == pytest.approx(1.0, abs=1e-6)
     assert record.score == pytest.approx(1.0 - record.baseline, abs=1e-6)
 
 
-def test_relevancy_score_positive_without_phrases(stub_server, tmp_path):
+def test_relevancy_score_positive_without_phrases(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
-    embedder = embedder_for(server, tmp_path)
+    embedder = embedder_for(server, tmp_path, pool)
     record = relevancy_score(annotation([]), SLEEP, embedder)
     assert record.score == 0.0
     assert record.potential_false_positive
     assert server.call_count == 0  # no embedding traffic for empty evidence
 
 
-def test_relevancy_score_negative_label(stub_server, tmp_path):
+def test_relevancy_score_negative_label(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
-    embedder = embedder_for(server, tmp_path)
+    embedder = embedder_for(server, tmp_path, pool)
     record = relevancy_score(annotation(["lying awake"], label=False), SLEEP, embedder)
     assert record.score == 0.0
     assert not record.potential_false_positive
     assert server.call_count == 0
 
 
-def test_relevancy_score_topic_mismatch(stub_server, tmp_path):
-    embedder = embedder_for(stub_server(BASE_DOC), tmp_path)
+def test_relevancy_score_topic_mismatch(stub_server, tmp_path, pool):
+    embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     with pytest.raises(ValueError):
         relevancy_score(annotation(["x"]), Topic("other", "Other topic."), embedder)
 
 
-def test_score_contract_random_fixtures(stub_server, tmp_path):
+def test_score_contract_random_fixtures(stub_server, tmp_path, pool):
     rng = np.random.default_rng(23)
     texts = {f"p{i}": (rng.normal(size=8)).tolist() for i in range(30)}
     doc = {
@@ -273,7 +275,7 @@ def test_score_contract_random_fixtures(stub_server, tmp_path):
         "chat": [],
         "embeddings": {SLEEP.description: unit(1.0), "": unit(0.5, 0.5), **texts},
     }
-    embedder = embedder_for(stub_server(doc), tmp_path)
+    embedder = embedder_for(stub_server(doc), tmp_path, pool)
     for _ in range(50):
         count = int(rng.integers(1, 5))
         phrases = list(rng.choice(list(texts), size=count, replace=False))
@@ -328,7 +330,7 @@ def phrase_rows(rows: int, every: int):
 
 @pytest.mark.parametrize("rows, every, batch_size", [(1000, 1, 32), (2000, 20, 8)])
 def test_score_posts_full_batches_on_every_worker(tmp_path, monkeypatch, rows, every,
-                                                  batch_size):
+                                                  batch_size, pool):
     # a cold store and distinct phrases, dense or sparse: every batch but the
     # last is full and the embedding workers are all busy at once
     slow = SlowEmbeddings(0.05)
@@ -337,7 +339,7 @@ def test_score_posts_full_batches_on_every_worker(tmp_path, monkeypatch, rows, e
                                batch_size=batch_size, parallelism=4)
     annotations = phrase_rows(rows, every)
     with closing(ResponseCache(tmp_path)) as cache:
-        records = list(score_annotations(annotations, [SLEEP], Embedder(backend, cache)))
+        records = list(score_annotations(annotations, [SLEEP], Embedder(backend, cache, pool)))
     assert [r.text_id for r in records] == [a.text_id for a in annotations]
     texts = 2 + len(range(0, rows, every))  # the phrases, "" and the description
     full, rest = divmod(texts, batch_size)
@@ -345,7 +347,7 @@ def test_score_posts_full_batches_on_every_worker(tmp_path, monkeypatch, rows, e
     assert slow.most == 4
 
 
-def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch):
+def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch, pool):
     # too few new phrases to fill a batch within READ_AHEAD rows: the oldest
     # waiting annotation is fetched for in a part batch, and no more than
     # READ_AHEAD annotations are read ahead of the records
@@ -363,27 +365,27 @@ def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch)
 
     with closing(ResponseCache(tmp_path)) as cache:
         records = []
-        for record in score_annotations(source(), [SLEEP], Embedder(backend, cache)):
+        for record in score_annotations(source(), [SLEEP], Embedder(backend, cache, pool)):
             assert read - len(records) <= 51
             records.append(record)
     assert [r.text_id for r in records] == [a.text_id for a in annotations]
     assert [r.score > 0 for r in records] == [a.label for a in annotations]
 
 
-def test_score_raises_a_failed_batch_and_stops_asking(tmp_path, monkeypatch):
+def test_score_raises_a_failed_batch_and_stops_asking(tmp_path, monkeypatch, pool):
     slow = SlowEmbeddings(0.01, fail_on="phrase 0")
     monkeypatch.setattr(Embedder, "_request", slow)
     backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
                                batch_size=4, parallelism=2)
     with closing(ResponseCache(tmp_path)) as cache:
         with pytest.raises(BackendUnavailable):
-            list(score_annotations(phrase_rows(2000, 1), [SLEEP], Embedder(backend, cache)))
+            list(score_annotations(phrase_rows(2000, 1), [SLEEP], Embedder(backend, cache, pool)))
     asked = len(slow.batches)
     time.sleep(0.05)
     assert len(slow.batches) == asked < 20  # of 501: the queued ones were cancelled
 
 
-def test_score_with_many_workers_loses_no_vector(tmp_path, monkeypatch):
+def test_score_with_many_workers_loses_no_vector(tmp_path, monkeypatch, pool):
     # 16 workers of one-text batches, switching threads every microsecond:
     # every record matches a serial scoring and every vector is stored
     slow = SlowEmbeddings(0.0)
@@ -395,7 +397,7 @@ def test_score_with_many_workers_loses_no_vector(tmp_path, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with closing(ResponseCache(tmp_path / "many")) as cache:
-            embedder = Embedder(backend, cache)
+            embedder = Embedder(backend, cache, pool)
             records = list(score_annotations(annotations, [SLEEP], embedder))
             keys = [embedder._key(a.phrases[0]) for a in annotations]
             assert None not in cache.read_many(keys)
@@ -403,7 +405,7 @@ def test_score_with_many_workers_loses_no_vector(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert len(slow.batches) == 602  # each phrase, "" and the description once
     with closing(ResponseCache(tmp_path / "one")) as cache:
-        serial = [relevancy_score(a, SLEEP, Embedder(backend, cache)) for a in annotations]
+        serial = [relevancy_score(a, SLEEP, Embedder(backend, cache, pool)) for a in annotations]
     assert records == serial
 
 
