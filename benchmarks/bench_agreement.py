@@ -1,12 +1,14 @@
 """Time the AC1 agreement bootstrap on a large synthetic rating matrix.
 
 Each resample is drawn as multinomial counts over the matrix's distinct rows,
-so time and memory grow with resamples x distinct rows, not with the items.
-The default, 10^6 items x 1,000 resamples, checks that memory stays bounded
+so time grows with resamples x distinct rows, not with the items; the
+resamples are drawn a chunk at a time, so memory grows with chunk x distinct
+rows. The default, 10^6 items x 1,000 resamples, checks that memory stays bounded
 at corpus scale. Peak RSS is the process's high-water mark, printed before
 the bootstrap (input generation and the rating matrix) and after it.
 
-    python3 benchmarks/bench_agreement.py [--items 1000000] [--resamples 1000]
+    python3 benchmarks/bench_agreement.py [--items 1000000] [--raters 4]
+        [--categories 10] [--resamples 1000]
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ def main() -> int:
     input_mb = peak_rss_mb()
 
     start = time.perf_counter()
-    lo, hi = bootstrap_ci("AC1", m, resamples=args.resamples, seed=0)
+    lo, hi = bootstrap_ci(["AC1"], m, resamples=args.resamples, seed=0)["AC1"]
     seconds = time.perf_counter() - start
     peak_mb = peak_rss_mb()
 

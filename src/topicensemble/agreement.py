@@ -23,7 +23,11 @@ NaN when the chance term degenerates (P_e >= 1).
 Both therefore depend on the items only through sums over rows of the count
 matrix, so a bootstrap resample is fully described by how often it draws
 each distinct row ("pattern"): a multinomial count vector over the patterns
-(Efron & Tibshirani, An Introduction to the Bootstrap, 1993, ch. 6).
+(Efron & Tibshirani, An Introduction to the Bootstrap, 1993, ch. 6). The
+resamples are drawn a chunk of rows at a time, sized so that a chunk's
+count vectors fill a fixed byte budget, and every requested kind of
+coefficient is computed from the same chunks; memory therefore grows with
+chunk x patterns, not with resamples x patterns.
 """
 from __future__ import annotations
 
@@ -38,6 +42,19 @@ from .errors import (
     OutOfRange,
     TooFewModels,
 )
+
+# Rows of a count matrix checked or keyed at a time, so that no step
+# allocates a temporary of the whole matrix.
+_BLOCK_ROWS = 1 << 14
+# Bytes of int64 resample counts drawn at a time (a float64 copy of the same
+# size joins them in the matmul); the rows of a chunk are this budget over
+# 8 bytes x the pattern count.
+_DRAW_BYTES = 1 << 19
+
+
+def _row_blocks(a: np.ndarray):
+    """Views of a, _BLOCK_ROWS rows at a time."""
+    return (a[start:start + _BLOCK_ROWS] for start in range(0, a.shape[0], _BLOCK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -56,12 +73,13 @@ class RatingMatrix:
             raise ValueError("need >=1 item and >=2 categories")
         if self.n < 2:
             raise ValueError("need >=2 raters")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        if not np.array_equal(counts, np.floor(counts)):
-            raise ValueError("counts must be whole numbers")
-        if not np.all(counts.sum(axis=1) == self.n):
-            raise IncompleteRatings("every row must sum to the rater count")
+        for block in _row_blocks(counts):
+            if (block < 0).any():
+                raise ValueError("counts must be non-negative")
+            if (block != np.floor(block)).any():
+                raise ValueError("counts must be whole numbers")
+            if (block.sum(axis=1) != self.n).any():
+                raise IncompleteRatings("every row must sum to the rater count")
 
     @property
     def num_items(self) -> int:
@@ -122,19 +140,21 @@ def build_rating_matrix(
             raise IncompleteRatings(
                 f"item {missing[0]}: missing rating from {rater!r}"
             ) from None
-    assigned = np.stack(columns, axis=1)  # (N, n_raters)
-    if (assigned < 0).any():
+    if any(col.size and col.min() < 0 for col in columns):
         raise ValueError("category indices must be >= 0")
-    num_cats = int(assigned.max()) + 1 if assigned.size else 2
+    num_cats = max(int(col.max()) + 1 if col.size else 2 for col in columns)
     if k is not None:
         if num_cats > k:
             raise ValueError(f"category index {num_cats - 1} outside fixed k={k}")
         num_cats = k
     num_cats = max(num_cats, 2)
-    # one tally over the flattened (item, category) cells
-    cells = assigned + num_cats * np.arange(num_items)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=num_items * num_cats)
-    counts = counts.reshape(num_items, num_cats).astype(np.float64)
+    # tally one rater at a time straight into float64 cells: a rater names
+    # one category per item, so no cell index repeats within a column
+    counts = np.zeros((num_items, num_cats))
+    cells = counts.reshape(-1)
+    row_starts = num_cats * np.arange(num_items)
+    for col in columns:
+        cells[row_starts + col] += 1.0
     return RatingMatrix(counts=counts, n=len(raters))
 
 
@@ -198,7 +218,7 @@ def _patterns_by_key(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     most n) as digits in radix n + 1, first column most significant, so keys
     sort like the rows. Exact while (n + 1) ** k <= 2 ** 63."""
     radix = (n + 1) ** np.arange(counts.shape[1] - 1, -1, -1, dtype=np.int64)
-    keys = counts.astype(np.int64) @ radix
+    keys = np.concatenate([block.astype(np.int64) @ radix for block in _row_blocks(counts)])
     _, first, freq = np.unique(keys, return_index=True, return_counts=True)
     return counts[first], freq
 
@@ -212,52 +232,74 @@ def _patterns(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(counts, axis=0, return_counts=True)
 
 
-def _resample_coefficients(
-    patterns: np.ndarray, weights: np.ndarray, n: int, kind: str
-) -> np.ndarray:
-    """Coefficient per resample; weights[r, p] is how often resample r drew
-    pattern p. NaN where the resample's chance term degenerates."""
-    items = weights[0].sum()
+def _pattern_sums(patterns: np.ndarray) -> np.ndarray:
+    """Per pattern, its agreeing rater pairs and then its category counts:
+    a resample's weighted sums of these columns are all its coefficients
+    need."""
     pairs = (patterns * (patterns - 1.0)).sum(axis=1)
-    sums = weights.astype(np.float64) @ np.column_stack((pairs, patterns))
-    po = sums[:, 0] / (items * n * (n - 1.0))
-    pe = _chance(sums[:, 1:] / (items * n), kind)
-    out = np.full(weights.shape[0], np.nan)
-    ok = pe < 1.0
-    out[ok] = (po[ok] - pe[ok]) / (1.0 - pe[ok])
+    return np.column_stack((pairs, patterns))
+
+
+def _resample_coefficients(
+    sums: np.ndarray, weights: np.ndarray, n: int, kinds: Sequence[str]
+) -> np.ndarray:
+    """Coefficients of each kind (rows, in the order of kinds) for each
+    resample (columns). sums is _pattern_sums(patterns); weights[r, p] is
+    how often resample r drew pattern p. NaN where the resample's chance
+    term degenerates."""
+    items = weights[0].sum()
+    totals = weights.astype(np.float64) @ sums
+    po = totals[:, 0] / (items * n * (n - 1.0))
+    p = totals[:, 1:] / (items * n)
+    out = np.full((len(kinds), weights.shape[0]), np.nan)
+    for row, kind in zip(out, kinds):
+        pe = _chance(p, kind)
+        ok = pe < 1.0
+        row[ok] = (po[ok] - pe[ok]) / (1.0 - pe[ok])
     return out
 
 
 def bootstrap_ci(
-    kind: str,
+    kinds: Sequence[str],
     m: RatingMatrix,
     resamples: int = 1000,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile 95% CI from item-level resampling with replacement.
+) -> dict[str, tuple[float, float] | None]:
+    """Percentile 95% CIs from item-level resampling with replacement, one
+    per kind ("AC1", "Fleiss") in kinds, all from the same resamples.
 
     Each resample is drawn as multinomial counts over the distinct rows of
     the count matrix, which has the distribution of N item draws, so time
-    and memory grow with resamples x distinct rows, not with the items.
-    Deterministic for a fixed seed. Resamples whose chance term degenerates
-    are skipped; more than 10% skipped is an error.
+    grows with resamples x distinct rows, not with the items. The resamples
+    are drawn in chunks of _DRAW_BYTES, so memory grows with chunk x
+    distinct rows; successive draws from one generator continue its stream,
+    so the CIs equal those of one draw of every resample. Deterministic for
+    a fixed seed. Resamples whose chance term degenerates are skipped; a
+    kind with more than 10% skipped gets None.
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
-    if kind not in ("AC1", "Fleiss"):
-        raise KeyError(kind)
+    for kind in kinds:
+        if kind not in ("AC1", "Fleiss"):
+            raise KeyError(kind)
     rng = np.random.default_rng(seed)
     patterns, freq = _patterns(m.counts, m.n)
-    weights = rng.multinomial(m.num_items, freq / m.num_items, size=resamples)
-    stats = _resample_coefficients(patterns, weights, m.n, kind)
-    valid = stats[~np.isnan(stats)]
-    skipped = resamples - valid.size
-    if skipped > 0.10 * resamples:
-        raise DegenerateChance(
-            f"{skipped}/{resamples} bootstrap resamples had degenerate chance agreement"
-        )
-    lo, hi = np.percentile(valid, [2.5, 97.5])
-    return float(lo), float(hi)
+    sums, pvals = _pattern_sums(patterns), freq / m.num_items
+    rows = max(1, _DRAW_BYTES // (8 * freq.size))
+    stats = np.empty((len(kinds), resamples))
+    for start in range(0, resamples, rows):
+        weights = rng.multinomial(m.num_items, pvals, size=min(rows, resamples - start))
+        stats[:, start:start + len(weights)] = _resample_coefficients(
+            sums, weights, m.n, kinds)
+    cis: dict[str, tuple[float, float] | None] = {}
+    for kind, row in zip(kinds, stats):
+        valid = row[~np.isnan(row)]
+        if resamples - valid.size > 0.10 * resamples:
+            cis[kind] = None
+            continue
+        lo, hi = np.percentile(valid, [2.5, 97.5])
+        cis[kind] = float(lo), float(hi)
+    return cis
 
 
 def _ac1_from_label_vectors(vectors: list[np.ndarray]) -> float:

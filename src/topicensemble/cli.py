@@ -19,7 +19,7 @@ from .errors import (
     MissingUpstreamArtifact,
     TopicEnsembleError,
 )
-from .pipeline import STAGES, export_triage, run
+from .pipeline import STAGES, export_triage, input_problems, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--run-id", default=None,
                        help="override the digest+timestamp run id")
 
-    val_p = sub.add_parser("validate-config", help="parse and check a config")
+    val_p = sub.add_parser("validate-config",
+                           help="check a config and that its corpus and topics load")
     val_p.add_argument("--config", required=True)
 
     tri_p = sub.add_parser("export-triage",
@@ -66,6 +67,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         problems = validate_config(cfg)
+        if not problems and args.command == "validate-config":
+            problems = input_problems(cfg)
     except ConfigInvalid as exc:
         problems = exc.problems
     for problem in problems:

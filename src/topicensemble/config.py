@@ -215,7 +215,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Checks beyond parse time: referenced files must exist and load."""
+    """Checks beyond parse time: referenced files must exist.
+    `pipeline.input_problems` checks that the corpus and topics load."""
     problems = []
     if not cfg.corpus_path.exists():
         problems.append(f"corpus file not found: {cfg.corpus_path}")

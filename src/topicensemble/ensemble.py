@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,12 +56,13 @@ class ScoreEnsemble:
     orientation_sign: int
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    threshold: float
-    precision: float  # NaN when nothing is predicted positive
-    sensitivity: float  # NaN when the target has no positives
-    f1: float
+class Sweep(NamedTuple):
+    """A threshold sweep as columns, one entry per candidate threshold."""
+
+    threshold: np.ndarray
+    precision: np.ndarray  # NaN where nothing is predicted positive
+    sensitivity: np.ndarray  # NaN when the target has no positives
+    f1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class EnsembleDecision:
     intersection_label: np.ndarray
     tau: float
     final_label: np.ndarray
-    sweep: tuple[SweepPoint, ...]
+    sweep: Sweep
 
 
 def pca_first_component(m: ScoreMatrix | np.ndarray) -> ScoreEnsemble:
@@ -122,7 +124,7 @@ def intersection_label(labels: Sequence[bool]) -> bool:
 
 def optimal_threshold(
     pc1: Sequence[float], intersection: Sequence[bool]
-) -> tuple[float, tuple[SweepPoint, ...]]:
+) -> tuple[float, Sweep]:
     """Sweep thresholds on the ensemble-score scale against the majority label.
 
     Candidates are the midpoints between consecutive distinct sorted pc1
@@ -176,15 +178,7 @@ def optimal_threshold(
         / (precision[nonzero] + sensitivity[nonzero])
     )
 
-    sweep = tuple(
-        SweepPoint(
-            threshold=float(candidates[j]),
-            precision=float(precision[j]),
-            sensitivity=float(sensitivity[j]) if total_pos else float("nan"),
-            f1=float(f1[j]),
-        )
-        for j in range(candidates.size)
-    )
+    sweep = Sweep(candidates, precision, sensitivity, f1)
     if total_pos == 0:
         return float(candidates[-1]), sweep
     best = int(np.argmax(f1))  # argmax takes the first (lowest) maximizer

@@ -179,11 +179,28 @@ def _rows(path: Path, digest: str, schema: str):
 
 # ------------------------------------------------------------------- loading
 
-def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
+def _load_corpus(cfg: RunConfig) -> list[TextItem]:
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
     if not corpus:
         raise TopicEnsembleError(f"corpus {cfg.corpus_path} holds no texts")
-    return corpus, load_topics(cfg.topics_path)
+    return corpus
+
+
+def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
+    return _load_corpus(cfg), load_topics(cfg.topics_path)
+
+
+def input_problems(cfg: RunConfig) -> list[str]:
+    """Why the corpus or the topics file would not load, one line each."""
+    problems = []
+    for what, path, load in (("corpus", cfg.corpus_path, _load_corpus),
+                             ("topics", cfg.topics_path, lambda c: load_topics(c.topics_path))):
+        try:
+            load(cfg)
+        except (TopicEnsembleError, OSError) as exc:
+            message = str(exc)  # named after the file unless it names it itself
+            problems.append(message if str(path) in message else f"{what} {path}: {message}")
+    return problems
 
 
 class _Cells:
@@ -336,20 +353,20 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str) -> None:
             ("scores", score_ratings, 10),
         ):
             matrix = agr.build_rating_matrix(ratings, k=k)
+            coefs = {}
             for kind, fn in (("AC1", agr.gwet_ac1), ("Fleiss", agr.fleiss_kappa)):
                 try:
-                    coef = fn(matrix).coefficient
+                    coefs[kind] = fn(matrix).coefficient
                 except DegenerateChance:
-                    table.append([topic, kind, target, None, None, None])
-                    continue
-                try:
-                    lo, hi = agr.bootstrap_ci(
-                        kind, matrix,
-                        resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed,
-                    )
-                except DegenerateChance:
-                    lo = hi = None
-                table.append([topic, kind, target, coef, lo, hi])
+                    pass
+            # the kinds with a coefficient share one set of resamples
+            cis = agr.bootstrap_ci(
+                list(coefs), matrix,
+                resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed,
+            ) if coefs else {}
+            for kind in ("AC1", "Fleiss"):
+                table.append([topic, kind, target, coefs.get(kind),
+                              *(cis.get(kind) or (None, None))])
 
     stage_dir = run_dir / "agree"
     _write_csv(
@@ -420,7 +437,7 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
         _write_jsonl(stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows)
         _write_csv(stage_dir / f"{topic}.sweep.csv", "sweep", digest,
                    ["threshold", "precision", "sensitivity", "f1"],
-                   [[p.threshold, p.precision, p.sensitivity, p.f1] for p in decision.sweep])
+                   zip(*(column.tolist() for column in decision.sweep)))
         summary[topic] = {
             "models": models,
             "weights": [float(w) for w in ens.weights],
@@ -548,7 +565,6 @@ def run(cfg: RunConfig, stage: str = "all", run_id: str | None = None) -> Path:
     if run_id is None:
         run_id = make_run_id(digest)
     run_dir = Path(cfg.output_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
     todo = STAGES if stage == "all" else (stage,)
     for name in todo:
         logger.info("stage %s -> %s", name, run_dir / name)

@@ -192,7 +192,7 @@ def test_c04_threshold_exactness():
         tau, sweep = optimal_threshold(pc1, gold)
         oracle = oracle_sweep(pc1, gold)
         best_f1 = max(f1 for _, f1 in oracle)
-        got_f1 = max(p.f1 for p in sweep)
+        got_f1 = sweep.f1.max()
         assert got_f1 == pytest.approx(best_f1, abs=1e-12)
         if gold.any():
             lowest = min(t for t, f1 in oracle if abs(f1 - best_f1) <= 1e-12)

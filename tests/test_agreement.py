@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from topicensemble.agreement import (
+    _BLOCK_ROWS,
+    _DRAW_BYTES,
     RatingMatrix,
+    _pattern_sums,
     _patterns,
     _patterns_by_key,
     _resample_coefficients,
@@ -83,6 +88,32 @@ def test_rating_matrix_rejects_fractional_counts():
     # rows are keyed as integers when resampled, so counts must be whole
     with pytest.raises(ValueError):
         RatingMatrix(counts=np.array([[1.5, 0.5], [2.0, 0.0]]), n=2)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ([-1.0, 3.0], ValueError, "non-negative"),
+    ([1.5, 0.5], ValueError, "whole numbers"),
+    ([1.0, 0.0], IncompleteRatings, "sum to the rater count"),
+])
+def test_rating_matrix_checks_every_row_block(row, error, message):
+    counts = np.ones((2 * _BLOCK_ROWS + 3, 2))
+    counts[-1] = row
+    with pytest.raises(error, match=message):
+        RatingMatrix(counts=counts, n=2)
+
+
+def test_build_rating_matrix_needs_little_beyond_the_counts():
+    rng = np.random.default_rng(3)
+    ratings = {f"r{j}": rng.integers(0, 10, size=200_000) for j in range(4)}
+    tracemalloc.start()
+    try:
+        m = build_rating_matrix(ratings, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an int64 tally, its float64 copy or a whole-matrix floor would each
+    # take another counts.nbytes
+    assert peak < 1.5 * m.counts.nbytes
 
 
 def test_percent_agreement_unanimous():
@@ -170,15 +201,15 @@ def test_bin_scores_monotone_and_surjective():
 
 def test_bootstrap_ci_unanimous():
     m = build_rating_matrix({"a": [0, 1, 0], "b": [0, 1, 0]})
-    assert bootstrap_ci("AC1", m, resamples=200, seed=3) == (1.0, 1.0)
+    assert bootstrap_ci(["AC1"], m, resamples=200, seed=3) == {"AC1": (1.0, 1.0)}
 
 
 def test_bootstrap_ci_deterministic():
     m = RatingMatrix(counts=np.tile(SPLIT, (10, 1)), n=2)
-    first = bootstrap_ci("AC1", m, resamples=300, seed=42)
-    second = bootstrap_ci("AC1", m, resamples=300, seed=42)
+    first = bootstrap_ci(["AC1"], m, resamples=300, seed=42)
+    second = bootstrap_ci(["AC1"], m, resamples=300, seed=42)
     assert first == second
-    assert first != bootstrap_ci("AC1", m, resamples=300, seed=43)
+    assert first != bootstrap_ci(["AC1"], m, resamples=300, seed=43)
 
 
 def test_bootstrap_ci_contains_point_estimate():
@@ -186,7 +217,7 @@ def test_bootstrap_ci_contains_point_estimate():
     # stream) must also bracket the AC1 point estimate of 0.2
     counts = np.tile(SPLIT, (50, 1)).astype(float)
     m = RatingMatrix(counts=counts, n=2)
-    lo, hi = bootstrap_ci("AC1", m, resamples=1000, seed=7)
+    lo, hi = bootstrap_ci(["AC1"], m, resamples=1000, seed=7)["AC1"]
     assert lo <= 0.2 <= hi
 
     rng = np.random.RandomState(123)  # legacy generator: independent stream
@@ -203,14 +234,64 @@ def test_bootstrap_ci_contains_point_estimate():
 def test_bootstrap_ci_requires_100_resamples():
     m = RatingMatrix(counts=np.array(SPLIT), n=2)
     with pytest.raises(ValueError):
-        bootstrap_ci("AC1", m, resamples=50, seed=0)
+        bootstrap_ci(["AC1"], m, resamples=50, seed=0)
+    with pytest.raises(KeyError):
+        bootstrap_ci(["AC1", "kappa"], m, resamples=100, seed=0)
 
 
 def test_bootstrap_ci_fails_when_too_many_degenerate():
-    # single item, single used category: every Fleiss resample degenerates
+    # single item, single used category: every Fleiss resample degenerates,
+    # while AC1 (P_e* = 0 here) keeps its interval from the same resamples
     m = build_rating_matrix({"a": [0], "b": [0]}, k=2)
-    with pytest.raises(DegenerateChance):
-        bootstrap_ci("Fleiss", m, resamples=200, seed=0)
+    assert bootstrap_ci(["Fleiss"], m, resamples=200, seed=0) == {"Fleiss": None}
+    assert bootstrap_ci(["AC1", "Fleiss"], m, resamples=200, seed=0) == {
+        "AC1": (1.0, 1.0), "Fleiss": None}
+
+
+def one_draw_ci(kind, m, resamples, seed):
+    """bootstrap_ci's interval from a single multinomial draw of every resample."""
+    rng = np.random.default_rng(seed)
+    patterns, freq = _patterns(m.counts, m.n)
+    weights = rng.multinomial(m.num_items, freq / m.num_items, size=resamples)
+    (stats,) = _resample_coefficients(_pattern_sums(patterns), weights, m.n, [kind])
+    lo, hi = np.percentile(stats[~np.isnan(stats)], [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def many_patterns(rng, items=6000):
+    """About 3,000 distinct rows: 6 raters over 10 categories."""
+    picks = rng.integers(0, 10, size=(6, items))
+    return build_rating_matrix({f"r{j}": picks[j] for j in range(6)}, k=10)
+
+
+@pytest.mark.parametrize("resamples", [100, 1000, 1001])
+def test_chunked_bootstrap_equals_one_draw(resamples):
+    rng = np.random.default_rng(40)
+    few = rand_matrix(rng, N=300, k=2, n=5)
+    many = many_patterns(rng)
+    rows = _DRAW_BYTES // (8 * len(_patterns(many.counts, many.n)[1]))
+    assert rows < resamples and resamples % rows  # several chunks, the last partial
+    for m in (few, many):
+        cis = bootstrap_ci(["AC1", "Fleiss"], m, resamples=resamples, seed=resamples)
+        for kind in ("AC1", "Fleiss"):
+            assert cis[kind] == one_draw_ci(kind, m, resamples, seed=resamples)
+            # one kind alone draws the same resamples as both together
+            assert bootstrap_ci([kind], m, resamples=resamples, seed=resamples) == {
+                kind: cis[kind]}
+
+
+def test_bootstrap_memory_grows_with_the_chunk_not_the_resamples():
+    m = many_patterns(np.random.default_rng(41))
+    assert len(_patterns(m.counts, m.n)[1]) > 1500
+    tracemalloc.start()
+    try:
+        bootstrap_ci(["AC1", "Fleiss"], m, resamples=10_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one draw of every resample would hold 10,000 x patterns int64 weights
+    # (over 120 MB) plus their float64 copy
+    assert peak < 4 * 2**20
 
 
 def test_detect_outliers_identical_models():
@@ -352,7 +433,7 @@ def test_resample_kernel_matches_gather(k, kind):
         idx = rng.integers(0, m.num_items, size=(60, m.num_items))
         patterns, _ = _patterns(m.counts, m.n)
         weights = pattern_weights(m.counts, patterns, idx)
-        got = _resample_coefficients(patterns, weights, m.n, kind)
+        (got,) = _resample_coefficients(_pattern_sums(patterns), weights, m.n, [kind])
         np.testing.assert_allclose(
             got, gathered_coefficients(m.counts, m.n, idx, kind), rtol=0, atol=1e-12
         )
@@ -366,9 +447,9 @@ def test_resample_kernel_degenerate_resamples():
     idx = rng.integers(0, 4, size=(200, 4))
     patterns, _ = _patterns(counts, 3)
     weights = pattern_weights(counts, patterns, idx)
-    for kind in ("AC1", "Fleiss"):
+    both = _resample_coefficients(_pattern_sums(patterns), weights, 3, ["AC1", "Fleiss"])
+    for kind, got in zip(("AC1", "Fleiss"), both):
         expected = gathered_coefficients(counts, 3, idx, kind)
-        got = _resample_coefficients(patterns, weights, 3, kind)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert np.array_equal(np.isnan(got), np.isnan(expected))
     assert np.isnan(expected).sum() > 20

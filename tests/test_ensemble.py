@@ -146,20 +146,22 @@ def test_vote_ops_need_two_labels():
 def test_optimal_threshold_fixture():
     tau, sweep = optimal_threshold([0.1, 0.2, 0.8, 0.9], [False, False, True, True])
     assert tau == pytest.approx(0.5)
-    best = max(p.f1 for p in sweep)
+    best = sweep.f1.max()
     assert best == 1.0
+    # four distinct scores: a sentinel, three midpoints and a sentinel
+    assert [len(column) for column in sweep] == [5, 5, 5, 5]
 
 
 def test_optimal_threshold_no_positives():
     tau, sweep = optimal_threshold([0.1, 0.5, 0.9], [False, False, False])
     assert tau == pytest.approx(1.9)
-    assert all(p.f1 == 0.0 for p in sweep)
+    assert (sweep.f1 == 0.0).all()
 
 
 def test_optimal_threshold_all_positive():
     tau, sweep = optimal_threshold([0.1, 0.5, 0.9], [True, True, True])
     assert tau == pytest.approx(-0.9)
-    assert sweep[0].f1 == 1.0
+    assert sweep.f1[0] == 1.0
 
 
 def test_optimal_threshold_sweep_monotone():
@@ -170,10 +172,10 @@ def test_optimal_threshold_sweep_monotone():
         gold = rng.random(n) < 0.4
         _, sweep = optimal_threshold(pc1, gold)
         if gold.any():
-            sens = [p.sensitivity for p in sweep]
+            sens = sweep.sensitivity.tolist()
             assert all(a >= b - 1e-12 for a, b in zip(sens, sens[1:]))
-        predicted_sets = [frozenset(np.flatnonzero(pc1 >= p.threshold).tolist())
-                          for p in sweep]
+        predicted_sets = [frozenset(np.flatnonzero(pc1 >= t).tolist())
+                          for t in sweep.threshold]
         for bigger, smaller in zip(predicted_sets, predicted_sets[1:]):
             assert smaller <= bigger
 
@@ -186,7 +188,7 @@ def test_optimal_threshold_matches_exhaustive_oracle():
         gold = rng.random(n) < rng.uniform(0.1, 0.9)
         tau, sweep = optimal_threshold(pc1, gold)
         oracle_tau, oracle_f1 = sweep_oracle(pc1, gold)
-        got_f1 = max(p.f1 for p in sweep)
+        got_f1 = sweep.f1.max()
         assert got_f1 == pytest.approx(oracle_f1, abs=1e-12)
         assert tau == pytest.approx(oracle_tau, abs=1e-12)
 

@@ -923,8 +923,29 @@ def test_empty_corpus_is_an_error_line(e2e, capsys, name, content):
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "holds no texts" in err and name in err
         assert "Traceback" not in err
-    assert list((workdir / "runs" / "empty").iterdir()) == []
+    assert not (workdir / "runs" / "empty").exists()
     assert server.call_count == 0
+
+
+@pytest.mark.parametrize("files, problems", [
+    ({"corpus.jsonl": ""}, ["corpus.jsonl holds no texts"]),
+    ({"topics.yaml": "topics:\n  - short_name: sleep: x\n"},
+     ["topics.yaml is not valid YAML"]),
+    ({"corpus.jsonl": "", "topics.yaml": "topics: []\n"},
+     ["corpus.jsonl holds no texts", "non-empty topic list"]),
+], ids=["empty-corpus", "topics-not-yaml", "both"])
+def test_validate_config_loads_corpus_and_topics(tmp_path, capsys, files, problems):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    for name, content in files.items():
+        (workdir / name).write_text(content)
+    assert main(["validate-config", "--config", str(workdir / "config.yaml")]) == 2
+    out, err = capsys.readouterr()
+    assert "config OK" not in out and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == len(problems)
+    for line, problem in zip(lines, problems):
+        assert line.startswith("config error: ") and problem in line
 
 
 def test_gold_text_id_starting_with_hash_is_kept(tmp_path):
