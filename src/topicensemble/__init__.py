@@ -23,7 +23,15 @@ from .annotator import (
     parse_response,
     query_backend,
 )
-from .corpus import TextItem, Topic, TopicSet, load_corpus, load_topics
+from .corpus import (
+    CorpusView,
+    TextItem,
+    Topic,
+    TopicSet,
+    load_corpus,
+    load_corpus_view,
+    load_topics,
+)
 from .ensemble import (
     EnsembleDecision,
     ScoreEnsemble,

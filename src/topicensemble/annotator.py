@@ -15,19 +15,17 @@ fall back to splitting the post-colon tail on commas/semicolons.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
-import sqlite3
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
 from .corpus import TextItem, TopicSet
@@ -38,6 +36,13 @@ from .errors import (
     FailureBudgetExceeded,
     Unparseable,
 )
+
+# http.client (which loads ssl and email), sqlite3 and concurrent.futures are
+# imported where they are first used, so that the commands that reach no
+# backend and no store (run --stage agree/ensemble/evaluate, validate-config)
+# never load them.
+if TYPE_CHECKING:
+    import http.client
 
 logger = logging.getLogger(__name__)
 
@@ -127,6 +132,8 @@ class ResponseCache:
     """
 
     def __init__(self, cache_dir: str | Path):
+        import sqlite3
+
         self.path = Path(cache_dir) / "cache.sqlite"
         self._lock = threading.Lock()
         try:
@@ -144,6 +151,8 @@ class ResponseCache:
             raise
 
     def _execute(self, sql: str, args=(), many: bool = False) -> list:
+        import sqlite3
+
         with self._lock:
             try:
                 with self._db:  # commits a write, rolls it back on error
@@ -228,6 +237,8 @@ class ConnectionPool:
 
         A reused connection that the server closed while it was idle is
         replaced once at no cost; any other failure propagates."""
+        import http.client
+
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
@@ -278,6 +289,8 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
     BadStatus at once, and so does a malformed JSON body. `auth_env` names
     the environment variable holding a bearer token.
     """
+    import http.client
+
     headers = {"Content-Type": "application/json"}
     if auth_env:
         headers["Authorization"] = f"Bearer {os.environ.get(auth_env, '')}"
@@ -315,6 +328,8 @@ def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
     """
     if len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         return list(pool.map(fn, items))

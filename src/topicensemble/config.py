@@ -228,7 +228,19 @@ def validate_config(cfg: RunConfig) -> list[str]:
 
 
 def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """SHA-256 of a file's bytes, read 64 KiB at a time so that a large
+    corpus is never held whole (hashlib.file_digest needs Python 3.11).
+
+    The chunk stays under glibc malloc's initial 128 KiB mmap threshold: a
+    mapped chunk, once freed, raises that threshold to its size, and later
+    buffers of up to that size then stay in the heap. With 1 MiB chunks
+    that raised the peak RSS of `run --stage all` on 2,000 texts by 2 MB.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def config_digest(cfg: RunConfig) -> str:

@@ -9,9 +9,12 @@ from __future__ import annotations
 import csv
 import json
 import re
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import (
@@ -123,22 +126,76 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[TextItem]:
     Ids are verified unique; text is trimmed of surrounding whitespace only
     (no lowercasing or unicode folding - models see the raw text).
     """
-    path = Path(path)
+    return [TextItem(rid, text.strip(), group)
+            for _, rid, text, group in _records(Path(path), format)]
+
+
+@dataclass(frozen=True)
+class CorpusView:
+    """The ids and groups of a corpus in file order: what every stage but
+    annotate reads. Texts without a group have None."""
+
+    ids: list[str]
+    groups: list[str | None]
+
+    def __len__(self):
+        return len(self.ids)
+
+
+def load_corpus_view(path: str | Path, format: str = "jsonl") -> CorpusView:
+    """The CorpusView of a corpus file, which refuses every file that
+    load_corpus refuses. Each text is checked but not kept, and each
+    distinct group string is held once."""
+    ids: list[str] = []
+    groups: list[str | None] = []
+    shared: dict = {}
+    for _, rid, _, group in _records(Path(path), format):
+        ids.append(rid)
+        groups.append(shared.setdefault(group, group))
+    return CorpusView(ids, groups)
+
+
+def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | None]]:
+    """(line, id, untrimmed text, group) of each record, in file order.
+
+    A record that is not an object, lacks an id or a text, has an empty
+    text or has a group that is not a string raises an error naming the
+    file and the line; so does the first byte that is not UTF-8. Once the
+    last record is read, an id that repeats raises DuplicateId.
+    """
+    if format not in _READERS:
+        raise ValueError(f"unknown corpus format {format!r}")
+    read = _READERS[format]
+    where = f"corpus {path}"
+    hashes = array("q")  # of each id, 8 B a record where a set of ids takes 27-107 B
     try:
-        if format == "jsonl":
-            items = _load_jsonl(path)
-        elif format == "csv":
-            items = _load_csv(path)
-        else:
-            raise ValueError(f"unknown corpus format {format!r}")
+        for lineno, record in read(path):
+            rid, text = record.get("id"), record.get("text")
+            group = record.get("group") or None
+            if not isinstance(rid, str) or not rid:
+                raise MalformedRecord(lineno, f"{where}: missing or empty 'id'")
+            if not isinstance(text, str):
+                raise MalformedRecord(lineno, f"{where}: missing 'text'")
+            if not text or text.isspace():
+                raise EmptyText(f"line {lineno}: {where}: empty text for id {rid!r}")
+            if group is not None and not isinstance(group, str):
+                raise MalformedRecord(lineno, f"{where}: 'group' must be a string")
+            hashes.append(hash(rid))
+            yield lineno, rid, text, group
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-    seen: set[str] = set()
-    for item in items:
-        if item.id in seen:
-            raise DuplicateId(item.id)
-        seen.add(item.id)
-    return items
+    ordered = np.frombuffer(hashes, dtype=np.int64)
+    ordered.sort()  # in place
+    repeated = set(ordered[1:][ordered[1:] == ordered[:-1]].tolist())
+    if repeated:  # an id repeats, or two ids share a hash: read the file again to tell
+        first_line: dict[str, int] = {}
+        for lineno, record in read(path):
+            rid = record["id"]
+            if hash(rid) in repeated:
+                if rid in first_line:
+                    raise DuplicateId(f"line {lineno}: {where}: duplicate id {rid!r} "
+                                      f"(first on line {first_line[rid]})")
+                first_line[rid] = lineno
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRecord:
@@ -160,47 +217,35 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRecord:
     return MalformedRecord(0, f"corpus {path} is not UTF-8: {exc}")
 
 
-def _load_jsonl(path: Path) -> list[TextItem]:
-    items = []
+_decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
+
+
+def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                record = json.loads(line)
+                record = _decode(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc}") from exc
+                raise MalformedRecord(lineno, f"corpus {path}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "record is not an object")
-            items.append(_item_from_record(record, lineno))
-    return items
+                raise MalformedRecord(lineno, f"corpus {path}: record is not an object")
+            yield lineno, record
 
 
-def _load_csv(path: Path) -> list[TextItem]:
-    items = []
+def _csv_records(path: Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            return []
+            return
         missing = {"id", "text"} - set(reader.fieldnames)
         if missing:
-            raise MalformedRecord(1, f"missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, 2):
-            items.append(_item_from_record(row, lineno))
-    return items
+            raise MalformedRecord(1, f"corpus {path}: missing columns: {sorted(missing)}")
+        yield from enumerate(reader, 2)
 
 
-def _item_from_record(record: dict, lineno: int) -> TextItem:
-    rid = record.get("id")
-    text = record.get("text")
-    if not isinstance(rid, str) or not rid:
-        raise MalformedRecord(lineno, "missing or empty 'id'")
-    if not isinstance(text, str):
-        raise MalformedRecord(lineno, "missing 'text'")
-    if not text.strip():
-        raise EmptyText(rid)
-    group = record.get("group") or None
-    return TextItem(id=rid, text=text.strip(), group=group)
+_READERS = {"jsonl": _jsonl_records, "csv": _csv_records}
 
 
 def save_corpus(items: list[TextItem], path: str | Path, format: str = "jsonl") -> None:
@@ -240,25 +285,37 @@ def load_topics(path: str | Path) -> TopicSet:
         entries = doc.get("topics")
     else:
         entries = doc
+    where = f"topics file {path}"
     if not isinstance(entries, list) or not entries:
-        raise MalformedRecord(0, "topic file must contain a non-empty topic list")
-    return TopicSet(tuple(_topic_from_entry(e, depth=0) for e in entries))
+        raise MalformedRecord(0, f"{where} must contain a non-empty topic list")
+    topics = tuple(_topic_from_entry(e, f"{where}: topic {k}", depth=0)
+                   for k, e in enumerate(entries, 1))
+    try:
+        return TopicSet(topics)
+    except DuplicateShortName as exc:
+        raise DuplicateShortName(f"{where}: duplicate short_name {str(exc)!r}") from None
 
 
-def _topic_from_entry(entry, depth: int) -> Topic:
+def _topic_from_entry(entry, where: str, depth: int) -> Topic:
+    """The Topic of one entry; `where` names the file and the entry in errors."""
     if not isinstance(entry, dict):
-        raise MalformedRecord(0, f"topic entry is not a mapping: {entry!r}")
+        raise MalformedRecord(0, f"{where}: not a mapping: {entry!r}")
     name = entry.get("short_name")
     if not isinstance(name, str) or not name:
-        raise MalformedRecord(0, "topic entry missing 'short_name'")
+        raise MalformedRecord(0, f"{where}: missing 'short_name'")
+    where = f"{where} ({name!r})"
     desc = entry.get("description")
     if not isinstance(desc, str) or not desc.strip():
-        raise MissingDescription(name)
+        raise MissingDescription(f"{where}: missing description")
     subs = entry.get("subtopics") or []
     if subs and depth >= 1:
-        raise NestingTooDeep(name)
-    subtopics = tuple(_topic_from_entry(s, depth + 1) for s in subs)
-    return Topic(short_name=name, description=desc.strip(), subtopics=subtopics)
+        raise NestingTooDeep(f"{where}: subtopics cannot nest")
+    subtopics = tuple(_topic_from_entry(s, f"{where}, subtopic {j}", depth + 1)
+                      for j, s in enumerate(subs, 1))
+    try:
+        return Topic(short_name=name, description=desc.strip(), subtopics=subtopics)
+    except MalformedRecord as exc:  # a short_name's characters or a lone subtopic
+        raise MalformedRecord(0, f"{where}: {exc.reason}") from None
 
 
 def topics_to_dict(topics: TopicSet) -> dict:

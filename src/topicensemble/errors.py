@@ -12,7 +12,7 @@ class TopicEnsembleError(Exception):
 # corpus
 class MalformedRecord(TopicEnsembleError):
     def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(f"line {line}: {reason}" if line else reason)
         self.line = line
         self.reason = reason
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import agreement as agr
 from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
-from .corpus import TextItem, TopicSet, load_corpus, load_topics
+from .corpus import CorpusView, TopicSet, load_corpus, load_corpus_view, load_topics
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (DegenerateChance, MalformedRecord, MissingUpstreamArtifact,
@@ -65,13 +65,18 @@ def _replacing(path: Path):
         raise
 
 
+# json.dumps(row, sort_keys=True, ensure_ascii=False) without building an
+# encoder for each row
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
 def _write_jsonl(path: Path, schema: str, digest: str, rows: Iterable[dict]) -> None:
     with _replacing(path) as fh:
         meta = {"schema": schema, "schema_version": SCHEMA_VERSION,
                 "config_digest": digest}
-        fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        fh.write(_encode({"_meta": meta}) + "\n")
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_encode(row) + "\n")
 
 
 def _fmt(value) -> str:
@@ -179,21 +184,26 @@ def _rows(path: Path, digest: str, schema: str):
 
 # ------------------------------------------------------------------- loading
 
-def _load_corpus(cfg: RunConfig) -> list[TextItem]:
-    corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
+def _load_corpus(cfg: RunConfig, load):
+    """The corpus as `load` reads it: load_corpus for annotate, the one stage
+    that reads texts, and load_corpus_view for the rest."""
+    corpus = load(cfg.corpus_path, cfg.corpus_format)
     if not corpus:
         raise TopicEnsembleError(f"corpus {cfg.corpus_path} holds no texts")
     return corpus
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[list[TextItem], TopicSet]:
-    return _load_corpus(cfg), load_topics(cfg.topics_path)
+def _load_inputs(cfg: RunConfig) -> tuple[CorpusView, TopicSet]:
+    """The corpus ids and groups and the topics: the inputs of every stage
+    after annotate."""
+    return _load_corpus(cfg, load_corpus_view), load_topics(cfg.topics_path)
 
 
 def input_problems(cfg: RunConfig) -> list[str]:
     """Why the corpus or the topics file would not load, one line each."""
     problems = []
-    for what, path, load in (("corpus", cfg.corpus_path, _load_corpus),
+    for what, path, load in (("corpus", cfg.corpus_path,
+                              lambda c: _load_corpus(c, load_corpus_view)),
                              ("topics", cfg.topics_path, lambda c: load_topics(c.topics_path))):
         try:
             load(cfg)
@@ -230,7 +240,7 @@ class _Cells:
 # -------------------------------------------------------------------- stages
 
 def stage_annotate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
-    corpus, topics = _load_inputs(cfg)
+    corpus, topics = _load_corpus(cfg, load_corpus), load_topics(cfg.topics_path)
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
         annotations = annotate_corpus(corpus, topics, cfg.backends, cache, pool,
@@ -254,7 +264,7 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     path = run_dir / "annotate" / "annotations.jsonl"
     leaves = topics.leaves()
     models = [backend.name for backend in cfg.backends]
-    text_ids, leaf_names = [item.id for item in corpus], [leaf.short_name for leaf in leaves]
+    text_ids, leaf_names = corpus.ids, [leaf.short_name for leaf in leaves]
     cells = _Cells(path, {"model": models, "text_id": text_ids, "topic": leaf_names})
     at_model, at_text, at_leaf = cells.at
     labels, scores, seen = cells.labels, cells.scores, cells.seen
@@ -303,12 +313,12 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
     def agg_rows():
         for j, model in enumerate(models):
-            for i, item in enumerate(corpus):
+            for i, text_id in enumerate(text_ids):
                 cell_labels, cell_scores = labels[j, i].tolist(), scores[j, i].tolist()
                 for topic, kids in zip(topics, children):
                     label, score = aggregate_subtopics(
                         [(cell_labels[k], cell_scores[k]) for k in kids])
-                    yield {"model": model, "text_id": item.id,
+                    yield {"model": model, "text_id": text_id,
                            "topic": topic.short_name, "label": label, "score": score}
 
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
@@ -317,16 +327,15 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
 
 def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
-                corpus: list[TextItem], topics: TopicSet) -> tuple[dict, dict]:
+                text_ids: list[str], topics: TopicSet) -> tuple[dict, dict]:
     """(labels, scores) from score/aggregated.jsonl: {topic: {model: per-text
-    vector in corpus order}}, views of (topics, models, texts) arrays filled
+    vector in text_ids order}}, views of (topics, models, texts) arrays filled
     as the rows stream in. Rows outside the config are ignored; a missing
     cell raises MissingUpstreamArtifact naming it."""
     path = run_dir / "score" / "aggregated.jsonl"
     names = topics.top_level_names()
     models = [backend.name for backend in cfg.backends]
-    cells = _Cells(path, {"topic": names, "model": models,
-                          "text_id": [item.id for item in corpus]})
+    cells = _Cells(path, {"topic": names, "model": models, "text_id": text_ids})
     at_topic, at_model, at_text = cells.at
     labels, scores, seen = cells.labels, cells.scores, cells.seen
     with closing(_rows(path, digest, "aggregated")) as rows:
@@ -341,7 +350,7 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
 
 def stage_agree(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
 
     table = []
     for topic in topics.top_level_names():
@@ -400,7 +409,7 @@ def stage_agree(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
 def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
     path = run_dir / "agree" / "outliers.json"
     outliers = _read(path, digest)
     excluded = outliers.get("excluded")
@@ -423,7 +432,7 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
             decision, ens = degenerate_ensemble(labels[topic], excluded=excluded)
         dec_rows = (
             {
-                "text_id": item.id,
+                "text_id": text_id,
                 "per_model_labels": {m: bool(labels[topic][m][i]) for m in models},
                 "per_model_scores": {m: float(scores[topic][m][i]) for m in models},
                 "pc1": float(ens.pc1[i]),
@@ -432,7 +441,7 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
                 "final": bool(decision.final_label[i]),
                 "tau": float(decision.tau),
             }
-            for i, item in enumerate(corpus)
+            for i, text_id in enumerate(corpus.ids)
         )
         _write_jsonl(stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows)
         _write_csv(stage_dir / f"{topic}.sweep.csv", "sweep", digest,
@@ -497,9 +506,9 @@ def _decisions(path: Path, digest: str) -> _Decisions:
 
 def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus, topics)
+    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
     stage_dir = run_dir / "evaluate"
-    ids = [item.id for item in corpus]
+    ids = corpus.ids
 
     group_rows = []
     decisions_by_topic = {}
@@ -511,7 +520,7 @@ def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
         group_rows.extend(
             [s.group, s.topic, s.occurrence_rate, s.mean_score, s.count]
             for s in group_summary(decisions.final, decisions.pc1,
-                                   [item.group for item in corpus], topic=topic))
+                                   corpus.groups, topic=topic))
     _write_csv(stage_dir / "groups.csv", "groups", digest,
                ["group", "topic", "occurrence_rate", "mean_score", "count"], group_rows)
 

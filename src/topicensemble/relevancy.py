@@ -20,8 +20,8 @@ import hashlib
 import threading
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .annotator import (
 )
 from .corpus import Topic
 from .errors import BadStatus, ZeroNormVector
+
+if TYPE_CHECKING:  # imported where used, as annotator imports its transport
+    from concurrent.futures import Future
 
 TRUNCATE_WORDS = 384
 # Most annotations the score stage holds while they wait for their vectors.
@@ -249,6 +252,8 @@ def _embedded(annotations: Iterable[TopicAnnotation], embedder: Embedder,
     read and fetched (in a part batch if need be) and waited for. Texts no
     waiting annotation needs are dropped every READ_AHEAD annotations.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     size = embedder.backend.batch_size
     waiting: deque[tuple[TopicAnnotation, tuple[str, ...]]] = deque()
     known: dict[str, _Text] = {}

@@ -1,10 +1,15 @@
+import json
+import tracemalloc
+
 import pytest
 
+from topicensemble import corpus
 from topicensemble.corpus import (
     TextItem,
     Topic,
     TopicSet,
     load_corpus,
+    load_corpus_view,
     load_topics,
     save_corpus,
     save_topics,
@@ -16,6 +21,7 @@ from topicensemble.errors import (
     MalformedRecord,
     MissingDescription,
     NestingTooDeep,
+    TopicEnsembleError,
 )
 
 
@@ -113,6 +119,98 @@ def test_corpus_round_trip(tmp_path, format):
     ]
 
 
+_BAD_CORPORA = {
+    "jsonl": {
+        "duplicate-id": '{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n'
+                        '{"id": "a", "text": "z"}\n',
+        "invalid-json": '{"id": "a", "text": "x"}\nnot json\n',
+        "not-an-object": '["a", "x"]\n',
+        "missing-id": '{"text": "x"}\n',
+        "missing-text": '{"id": "a"}\n',
+        "empty-text": '{"id": "a", "text": "x"}\n{"id": "b", "text": "   "}\n',
+        "group-not-a-string": '{"id": "a", "text": "x", "group": 3}\n',
+        "not-utf8": b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xe9"}\n',
+    },
+    "csv": {
+        "duplicate-id": "id,text\na,x\nb,y\na,z\n",
+        "missing-column": "id,body\na,hello\n",
+        "missing-id": "id,text\n,x\n",
+        "missing-text": "id,text\na\n",
+        "empty-text": 'id,text\na,x\nb,"   "\n',
+        "not-utf8": b"id,text\na,x\nb,caf\xe9\n",
+    },
+}
+
+
+@pytest.mark.parametrize("format, content", [
+    pytest.param(format, content, id=f"{format}-{case}")
+    for format, cases in _BAD_CORPORA.items() for case, content in cases.items()])
+def test_view_refuses_what_load_corpus_refuses(tmp_path, format, content):
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(TopicEnsembleError) as loaded:
+        load_corpus(path, format)
+    with pytest.raises(TopicEnsembleError) as viewed:
+        load_corpus_view(path, format)
+    assert type(viewed.value) is type(loaded.value)
+    assert str(viewed.value) == str(loaded.value)
+    assert str(loaded.value).startswith("line ") and str(path) in str(loaded.value)
+
+
+def test_duplicate_id_names_both_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_BAD_CORPORA["jsonl"]["duplicate-id"])
+    with pytest.raises(DuplicateId) as excinfo:
+        load_corpus_view(path, "jsonl")
+    assert str(excinfo.value) == (
+        f"line 3: corpus {path}: duplicate id 'a' (first on line 1)")
+
+
+def test_ids_that_share_a_hash_are_told_apart(tmp_path, monkeypatch):
+    # ids are compared by hash first; equal hashes send the file to be read
+    # again, where only equal ids are duplicates
+    monkeypatch.setattr(corpus, "hash", lambda rid: 0, raising=False)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n')
+    assert load_corpus_view(path, "jsonl").ids == ["a", "b"]
+    path.write_text(_BAD_CORPORA["jsonl"]["duplicate-id"])
+    with pytest.raises(DuplicateId, match=r"^line 3: .*'a' \(first on line 1\)$"):
+        load_corpus_view(path, "jsonl")
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_view_matches_load_corpus(tmp_path, format):
+    items = [TextItem("a", "first", "g1"), TextItem("b", "second"),
+             TextItem("c", "third", "g1")]
+    path = tmp_path / f"corpus.{format}"
+    save_corpus(items, path, format)
+    view = load_corpus_view(path, format)
+    assert view.ids == [i.id for i in load_corpus(path, format)] == ["a", "b", "c"]
+    assert view.groups == ["g1", None, "g1"] and view.groups[0] is view.groups[2]
+    assert len(view) == 3
+
+
+@pytest.mark.parametrize("chars", [50, 2000])
+def test_view_memory_per_text(tmp_path, chars):
+    # ids, groups and the duplicate check; a TextItem each costs 340 B more
+    # than its text, and a set of ids alone up to 107 B a text
+    texts = 10_000
+    path = tmp_path / "corpus.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(texts):
+            text = f"{i:06d} " + "w" * (chars - 7)
+            fh.write(json.dumps({"id": f"text-{i:06d}", "text": text,
+                                 "group": f"site-{i % 7}"}) + "\n")
+    tracemalloc.start()
+    try:
+        view = load_corpus_view(path, "jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(view) == texts and view.ids[-1] == f"text-{texts - 1:06d}"
+    assert peak / texts <= 160, f"{peak / texts:.0f} B per text"
+
+
 def test_load_topics_yaml(tmp_path):
     path = tmp_path / "topics.yaml"
     path.write_text(
@@ -162,6 +260,26 @@ def test_load_topics_missing_description(tmp_path):
     path.write_text("topics:\n  - {short_name: a}\n")
     with pytest.raises(MissingDescription):
         load_topics(path)
+
+
+@pytest.mark.parametrize("topics, problem", [
+    ("topics:\n  - {short_name: a, description: A.}\n  - {short_name: b}\n",
+     "topic 2 ('b'): missing description"),
+    ("topics:\n  - short_name: a\n    description: A.\n    subtopics:\n"
+     "      - {short_name: a1, description: One.}\n      - {short_name: a2}\n",
+     "topic 1 ('a'), subtopic 2 ('a2'): missing description"),
+    ("topics:\n  - {short_name: a b, description: A.}\n",
+     "topic 1 ('a b'): short_name 'a b' must match [A-Za-z0-9_]+"),
+    ("topics:\n  - {short_name: a, description: A.}\n  - {short_name: a, description: B.}\n",
+     "duplicate short_name 'a'"),
+    ("topics:\n  - just a string\n", "topic 1: not a mapping: 'just a string'"),
+], ids=["description", "subtopic-description", "charset", "duplicate", "not-a-mapping"])
+def test_topics_errors_name_file_and_entry(tmp_path, topics, problem):
+    path = tmp_path / "topics.yaml"
+    path.write_text(topics)
+    with pytest.raises(TopicEnsembleError) as excinfo:
+        load_topics(path)
+    assert str(excinfo.value) == f"topics file {path}: {problem}"
 
 
 def test_load_topics_nesting_too_deep(tmp_path):

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from topicensemble import annotator, relevancy
 from topicensemble.annotator import ModelBackend
 from topicensemble.cli import main
-from topicensemble.config import config_digest, load_config
-from topicensemble.corpus import TextItem, Topic, TopicSet
+from topicensemble.config import _file_digest, config_digest, load_config
+from topicensemble.corpus import CorpusView, TextItem, Topic, TopicSet
 from topicensemble.errors import ConfigInvalid, MissingUpstreamArtifact
 from topicensemble import pipeline
 from topicensemble.pipeline import run
@@ -419,6 +419,14 @@ def test_config_digest_ignores_output_paths(e2e, tmp_path):
     assert config_digest(cfg_a) == config_digest(cfg_b)
 
 
+@pytest.mark.parametrize("size", [0, 1 << 16, (5 << 15) + 7])
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    # read a chunk at a time: empty, exactly one chunk, and two and a half
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+    assert _file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_ensemble_stage_zero_variance_fallback(tmp_path):
     # a topic nobody ever labels: every score column is constant, so the
     # stage falls back to flat pc1 + sentinel threshold instead of aborting
@@ -549,6 +557,29 @@ def test_cli_does_not_import_requests():
             "assert 'requests' not in sys.modules, 'requests imported'")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_analysis_commands_load_no_backend_io_modules(finished_run, tmp_path):
+    # agree, ensemble, evaluate and validate-config reach no backend and no store
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    config = str(workdir / "config.yaml")
+    commands = [["run", "--config", config, "--stage", stage, "--run-id", "done"]
+                for stage in ("agree", "ensemble", "evaluate")]
+    commands.append(["validate-config", "--config", config])
+    src = Path(pipeline.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from topicensemble.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "loaded = {'http.client', 'ssl', 'sqlite3', 'concurrent.futures'}"
+            " & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -813,7 +844,8 @@ def test_aggregated_memory_is_arrays(tmp_path):
     rows = len(models) * len(corpus) * 2
     tracemalloc.start()
     try:
-        labels, scores = pipeline._aggregated(cfg, tmp_path, "d", corpus, topics)
+        labels, scores = pipeline._aggregated(cfg, tmp_path, "d",
+                                              [item.id for item in corpus], topics)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -839,7 +871,8 @@ def test_score_memory_is_arrays(tmp_path, stub_server, monkeypatch):
         backends=[ModelBackend(m, server.chat_url) for m in models],
         embedding=EmbeddingBackend("emb", server.embeddings_url),
         cache_dir=tmp_path / "cache", retries=0, timeout=10.0, backoff=0.01)
-    monkeypatch.setattr(pipeline, "_load_inputs", lambda cfg: (corpus, topics))
+    view = CorpusView([item.id for item in corpus], [item.group for item in corpus])
+    monkeypatch.setattr(pipeline, "_load_inputs", lambda cfg: (view, topics))
     pipeline._write_jsonl(
         tmp_path / "annotate" / "annotations.jsonl", "annotations", "d",
         ({"model": m, "text_id": item.id, "topic": leaf, "label": i % 4 == 0,
@@ -925,6 +958,29 @@ def test_empty_corpus_is_an_error_line(e2e, capsys, name, content):
         assert "Traceback" not in err
     assert not (workdir / "runs" / "empty").exists()
     assert server.call_count == 0
+
+
+_FIRST_TEXT = '{"id": "t1", "text": "I have been lying awake for hours every night this week."}\n'
+
+
+@pytest.mark.parametrize("name, append, problem", [
+    ("corpus.jsonl", _FIRST_TEXT, "line 7: corpus {path}: duplicate id 't1' (first on line 1)"),
+    ("corpus.jsonl", '{"id": "zz", "text": " "}\n', "line 7: corpus {path}: empty text for id 'zz'"),
+    ("topics.yaml", "  - short_name: mood\n",
+     "topics file {path}: topic 3 ('mood'): missing description"),
+], ids=["duplicate-id", "empty-text", "missing-description"])
+@pytest.mark.parametrize("command, exit_code, prefix", [
+    ("run", 1, "error: "), ("validate-config", 2, "config error: ")])
+def test_input_error_names_file_line_and_problem(tmp_path, capsys, name, append, problem,
+                                                 command, exit_code, prefix):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    path = workdir / name
+    path.write_text(path.read_text() + append)
+    assert main([command, "--config", str(workdir / "config.yaml")]) == exit_code
+    err = capsys.readouterr().err
+    assert prefix + problem.format(path=path.resolve()) in err.splitlines()
+    assert err.count("error: ") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("files, problems", [
