@@ -37,7 +37,6 @@ from .ensemble import (
     ScoreEnsemble,
     ScoreMatrix,
     ensemble_topic,
-    fuse_labels,
     intersection_label,
     optimal_threshold,
     pca_first_component,

@@ -161,10 +161,6 @@ class ResponseCache:
             except sqlite3.Error as exc:
                 raise CacheError(f"cache {self.path}: {exc}") from exc
 
-    def read(self, key: str) -> bytes | None:
-        rows = self._execute("SELECT value FROM entries WHERE key = ?", (key,))
-        return rows[0][0] if rows else None
-
     def read_many(self, keys: Sequence[str]) -> list[bytes | None]:
         """The bytes stored under each key, None where absent: one query per
         500 keys, within SQLite's smallest bound on query parameters (999)."""
@@ -197,7 +193,7 @@ class ResponseCache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, backend: ModelBackend, prompt: str) -> dict | None:
-        blob = self.read(self.key(backend, prompt))
+        blob = self.read_many([self.key(backend, prompt)])[0]
         return None if blob is None else json.loads(blob)
 
     @staticmethod

@@ -215,15 +215,14 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Checks beyond parse time: referenced files must exist.
+    """Checks beyond parse time: referenced files must exist and be files.
     `pipeline.input_problems` checks that the corpus and topics load."""
     problems = []
-    if not cfg.corpus_path.exists():
-        problems.append(f"corpus file not found: {cfg.corpus_path}")
-    if not cfg.topics_path.exists():
-        problems.append(f"topics file not found: {cfg.topics_path}")
-    if cfg.gold_labels is not None and not cfg.gold_labels.exists():
-        problems.append(f"gold labels file not found: {cfg.gold_labels}")
+    for what, path in (("corpus", cfg.corpus_path), ("topics", cfg.topics_path),
+                       ("gold labels", cfg.gold_labels)):
+        if path is not None and not path.is_file():
+            problems.append(f"{what} path is not a file: {path}" if path.exists()
+                            else f"{what} file not found: {path}")
     return problems
 
 

@@ -102,14 +102,6 @@ class TopicSet:
             out.extend(top.subtopics if top.subtopics else [top])
         return out
 
-    def leaf_parent(self) -> dict[str, str]:
-        """Map each leaf short_name to its top-level topic short_name."""
-        out: dict[str, str] = {}
-        for top in self.topics:
-            for leaf in top.subtopics if top.subtopics else [top]:
-                out[leaf.short_name] = top.short_name
-        return out
-
     def top_level_names(self) -> list[str]:
         return [t.short_name for t in self.topics]
 
@@ -248,25 +240,6 @@ def _csv_records(path: Path) -> Iterator[tuple[int, dict]]:
 _READERS = {"jsonl": _jsonl_records, "csv": _csv_records}
 
 
-def save_corpus(items: list[TextItem], path: str | Path, format: str = "jsonl") -> None:
-    path = Path(path)
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for item in items:
-                record = {"id": item.id, "text": item.text}
-                if item.group is not None:
-                    record["group"] = item.group
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "text", "group"])
-            for item in items:
-                writer.writerow([item.id, item.text, item.group or ""])
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-
-
 def load_topics(path: str | Path) -> TopicSet:
     """Load a TopicSet from a YAML (or JSON) document.
 
@@ -316,20 +289,3 @@ def _topic_from_entry(entry, where: str, depth: int) -> Topic:
         return Topic(short_name=name, description=desc.strip(), subtopics=subtopics)
     except MalformedRecord as exc:  # a short_name's characters or a lone subtopic
         raise MalformedRecord(0, f"{where}: {exc.reason}") from None
-
-
-def topics_to_dict(topics: TopicSet) -> dict:
-    """Inverse of load_topics, for round-trip serialization."""
-
-    def entry(t: Topic) -> dict:
-        out = {"short_name": t.short_name, "description": t.description}
-        if t.subtopics:
-            out["subtopics"] = [entry(s) for s in t.subtopics]
-        return out
-
-    return {"topics": [entry(t) for t in topics]}
-
-
-def save_topics(topics: TopicSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(topics_to_dict(topics), fh, sort_keys=False, allow_unicode=True)

@@ -185,23 +185,6 @@ def optimal_threshold(
     return float(candidates[best]), sweep
 
 
-def fuse_labels(
-    union: Sequence[bool],
-    pc1: Sequence[float],
-    tau: float,
-    intersection: Sequence[bool],
-) -> np.ndarray:
-    """Demote union positives scoring below tau; never promote negatives."""
-    union_arr = np.asarray(union, dtype=bool)
-    scores = np.asarray(pc1, dtype=np.float64)
-    inter = np.asarray(intersection, dtype=bool)
-    if not (union_arr.shape == scores.shape == inter.shape):
-        raise ValueError("union, pc1 and intersection must align")
-    if np.any(inter & ~union_arr):
-        raise ValueError("intersection positives must be union positives")
-    return union_arr & (scores >= tau)
-
-
 def ensemble_topic(
     labels: Mapping[str, Sequence[bool]],
     scores: Mapping[str, Sequence[float]],
@@ -250,11 +233,10 @@ def _decide(label_mat: np.ndarray, pc1: np.ndarray) -> EnsembleDecision:
     union = label_mat.any(axis=1)
     inter = label_mat.sum(axis=1) > label_mat.shape[1] / 2.0
     tau, sweep = optimal_threshold(pc1, inter)
-    final = fuse_labels(union, pc1, tau, inter)
     return EnsembleDecision(
         union_label=union,
         intersection_label=inter,
         tau=tau,
-        final_label=final,
+        final_label=union & (pc1 >= tau),  # demote union positives below tau
         sweep=sweep,
     )

@@ -17,11 +17,10 @@ fresh vectors round-trip through float32 so warm reruns are bit-stable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,17 +34,13 @@ from .annotator import (
 from .corpus import Topic
 from .errors import BadStatus, ZeroNormVector
 
-if TYPE_CHECKING:  # imported where used, as annotator imports its transport
-    from concurrent.futures import Future
-
 TRUNCATE_WORDS = 384
-# Most annotations the score stage holds while they wait for their vectors.
-# The stage reads this far ahead to gather full batches of texts the store
-# lacks for every embedding worker: 4,096 rows hold 4 batches of 32 if 3% of
-# annotations carry a new phrase. Each waiting row costs about 200 B besides
-# its texts' vectors (12 KiB each at 1,536 dimensions); under tracemalloc
-# the stage peaks at 22 B per annotation row at 1,024, 42 B at 4,096 and
-# 71 B at 8,192 (30,000 rows, 4-dimension vectors).
+# Annotations the score stage works at a time. A window's positive phrases
+# are looked up in one store read, and the ones the store lacks are POSTed
+# in batches of batch_size on up to `parallelism` embedding workers: 4,096
+# rows fill 4 batches of 32 if 3% of annotations carry a new phrase. The
+# window's rows and its phrases' vectors (12 KiB each at 1,536 dimensions)
+# are held until its last record is out.
 READ_AHEAD = 4096
 
 
@@ -105,14 +100,11 @@ class Embedder:
         self.pool = pool
         self.parallelism = max(1, backend.parallelism)
         self._dimension: int | None = None
-        self._dimension_lock = threading.Lock()  # fetches decode on worker threads
+        self._dimension_lock = threading.Lock()  # callers may share an Embedder across threads
 
     def _key(self, truncated: str) -> str:
         digest = hashlib.sha256(truncated.encode("utf-8")).hexdigest()
         return f"emb/{self.backend.name}/{digest}"
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed texts: stored vectors first, the rest fetched (see fetch)."""
@@ -172,6 +164,9 @@ class Embedder:
             raise BadStatus(200, f"malformed embedding payload: {exc}")
         if len(vectors) != len(batch):
             raise BadStatus(200, f"{len(vectors)} embeddings for {len(batch)} inputs")
+        for text, vec in zip(batch, vectors):  # null decodes to NaN; json takes NaN, Infinity
+            if not np.isfinite(vec).all():
+                raise BadStatus(200, f"non-finite embedding for input {text[:40]!r}")
         return vectors
 
 
@@ -188,136 +183,51 @@ def score_annotations(annotations: Iterable[TopicAnnotation], topics: Iterable[T
 
     Negative labels and positives without phrases score 0 without touching
     the embedding backend; otherwise the score is
-    clamp(max_p cos(description, phrase_p) - baseline, 0, 1). Vectors come
-    from _embedded, which embeds the empty string and every description
-    with the first positive. Each topic's baseline is computed once, and
-    each (topic, phrase) cosine once while _embedded holds the phrase.
+    clamp(max_p cos(description, phrase_p) - baseline, 0, 1). The stream is
+    worked READ_AHEAD annotations at a time: one embed_many call gets the
+    vectors of the window's positive phrases, and in the first window with
+    one also those of the empty string and every description. Each topic's
+    baseline is computed once, and each (topic, phrase) cosine once a window.
     """
     topics = {topic.short_name: topic for topic in topics}
-    keys = ("", *(topic.description for topic in topics.values()))
+    keys = ["", *(topic.description for topic in topics.values())]
     described: dict[str, np.ndarray] = {}  # "" and each description -> vector
     base: dict[str, tuple[np.ndarray, float]] = {}  # topic -> (description vector, b)
-    for ann, texts in _embedded(annotations, embedder, keys):
-        if ann.topic not in topics:
-            raise ValueError(f"annotation topic {ann.topic!r} is not among "
-                             f"{sorted(topics)}")
-        if not ann.label or not ann.phrases:
+    annotations = iter(annotations)
+    while window := list(itertools.islice(annotations, READ_AHEAD)):
+        phrases = [p for ann in window if ann.label for p in ann.phrases]
+        vectors: dict[str, np.ndarray] = {}
+        if phrases:
+            first = [] if described else keys
+            texts = list(dict.fromkeys(first + phrases))
+            vectors = dict(zip(texts, embedder.embed_many(texts)))
+            if not described:
+                described = {key: vectors[key] for key in keys}
+        sims: dict[tuple[str, str], float] = {}  # (topic, phrase) -> cosine
+        for ann in window:
+            if ann.topic not in topics:
+                raise ValueError(f"annotation topic {ann.topic!r} is not among "
+                                 f"{sorted(topics)}")
+            if not ann.label or not ann.phrases:
+                yield RelevancyRecord(
+                    model=ann.model, text_id=ann.text_id, topic=ann.topic,
+                    score=0.0, baseline=0.0,
+                    potential_false_positive=ann.label and not ann.phrases)
+                continue
+            if ann.topic not in base:
+                desc_vec = described[topics[ann.topic].description]
+                base[ann.topic] = desc_vec, cosine_similarity(desc_vec, described[""])
+            desc_vec, baseline = base[ann.topic]
+            for p in ann.phrases:
+                if (ann.topic, p) not in sims:
+                    sims[ann.topic, p] = cosine_similarity(desc_vec, vectors[p])
+            per_phrase = tuple(PhraseSimilarity(phrase=p, raw_sim=sims[ann.topic, p])
+                               for p in ann.phrases)
+            raw_max = max(s.raw_sim for s in per_phrase)
             yield RelevancyRecord(
                 model=ann.model, text_id=ann.text_id, topic=ann.topic,
-                score=0.0, baseline=0.0,
-                potential_false_positive=ann.label and not ann.phrases)
-            continue
-        if not described:
-            described = {key: texts[key].vector for key in keys}
-        if ann.topic not in base:
-            desc_vec = described[topics[ann.topic].description]
-            base[ann.topic] = desc_vec, cosine_similarity(desc_vec, described[""])
-        desc_vec, baseline = base[ann.topic]
-        for p in ann.phrases:
-            sims = texts[p].sims
-            if ann.topic not in sims:
-                sims[ann.topic] = cosine_similarity(desc_vec, texts[p].vector)
-        per_phrase = tuple(PhraseSimilarity(phrase=p, raw_sim=texts[p].sims[ann.topic])
-                           for p in ann.phrases)
-        raw_max = max(s.raw_sim for s in per_phrase)
-        yield RelevancyRecord(
-            model=ann.model, text_id=ann.text_id, topic=ann.topic,
-            score=min(max(raw_max - baseline, 0.0), 1.0), baseline=baseline,
-            per_phrase_sims=per_phrase)
-
-
-class _Text:
-    """A text that waiting annotations need: its vector once read or
-    fetched, the future of the batch fetching it, and its cosines by topic."""
-
-    __slots__ = ("vector", "batch", "sims")
-
-    def __init__(self):
-        self.vector: np.ndarray | None = None
-        self.batch: Future | None = None
-        self.sims: dict[str, float] = {}
-
-
-def _embedded(annotations: Iterable[TopicAnnotation], embedder: Embedder,
-              first: tuple[str, ...]) -> Iterator[tuple[TopicAnnotation, dict[str, _Text]]]:
-    """Yield each annotation, in order, with {text: _Text} holding a vector
-    for each of its phrases if it is positive, and for the texts `first`
-    with the first positive.
-
-    Texts are looked up in the store batch_size at a time as they are first
-    needed, and the missing ones are POSTed in full batches on up to
-    `parallelism` workers while later annotations are read, so no request
-    waits for another. An annotation is yielded once its vectors are in.
-    When more than READ_AHEAD annotations wait, the oldest one's texts are
-    read and fetched (in a part batch if need be) and waited for. Texts no
-    waiting annotation needs are dropped every READ_AHEAD annotations.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = embedder.backend.batch_size
-    waiting: deque[tuple[TopicAnnotation, tuple[str, ...]]] = deque()
-    known: dict[str, _Text] = {}
-    unread: list[str] = []
-    missing: list[str] = []  # not stored and not yet asked for, in the order first needed
-    workers = ThreadPoolExecutor(embedder.parallelism)
-
-    def read() -> None:
-        for text, vec in embedder.stored(unread).items():
-            if vec is None:
-                missing.append(text)
-            known[text].vector = vec
-        unread.clear()
-
-    def ask(count: int) -> None:  # POST the first `count` missing texts
-        batch = missing[:count]
-        del missing[:count]
-        future = workers.submit(embedder.fetch, batch)
-        for text in batch:
-            known[text].batch = future
-
-    def ready(texts: tuple[str, ...], wait: bool) -> bool:
-        if wait and any(known[t].vector is None and known[t].batch is None for t in texts):
-            read()
-            while missing:
-                ask(size)
-        for t in texts:
-            entry = known[t]
-            if entry.vector is None:
-                if not wait and (entry.batch is None or not entry.batch.done()):
-                    return False
-                entry.vector = entry.batch.result()[t]
-        return True
-
-    def drop_unneeded() -> None:
-        needed = {t for _, texts in waiting for t in texts}
-        for text in [t for t in known if t not in needed]:
-            del known[text]
-
-    try:
-        yielded = 0
-        for ann in annotations:
-            texts = ann.phrases if ann.label else ()
-            if texts and first:
-                texts, first = (*first, *texts), ()
-            waiting.append((ann, texts))
-            for text in texts:
-                if text not in known:
-                    known[text] = _Text()
-                    unread.append(text)
-            if len(unread) >= size:
-                read()
-            while len(missing) >= size:
-                ask(size)
-            while waiting and ready(waiting[0][1], wait=len(waiting) > READ_AHEAD):
-                yield waiting.popleft()[0], known
-                yielded += 1
-                if yielded % READ_AHEAD == 0:
-                    drop_unneeded()
-        while waiting:
-            ready(waiting[0][1], wait=True)
-            yield waiting.popleft()[0], known
-    finally:
-        workers.shutdown(cancel_futures=True)
+                score=min(max(raw_max - baseline, 0.0), 1.0), baseline=baseline,
+                per_phrase_sims=per_phrase)
 
 
 def relevancy_score(

@@ -268,7 +268,7 @@ def test_store_shared_by_threads(tmp_path):
         try:
             for i in range(400):
                 store.write([(f"{t}/{i}", f"{t}:{i}".encode())])
-                if store.read(f"{t}/{i // 2}") != f"{t}:{i // 2}".encode():
+                if store.read_many([f"{t}/{i // 2}"])[0] != f"{t}:{i // 2}".encode():
                     errors.append(f"{t}/{i // 2} unreadable")
         except Exception as exc:  # reported below; a thread cannot fail the test
             errors.append(repr(exc))
@@ -287,7 +287,7 @@ def test_store_shared_by_threads(tmp_path):
     assert errors == []
     store.close()
     fresh = ResponseCache(tmp_path)
-    assert all(fresh.read(f"{t}/{i}") == f"{t}:{i}".encode()
+    assert all(fresh.read_many([f"{t}/{i}"])[0] == f"{t}:{i}".encode()
                for t in range(8) for i in range(400))
     fresh.close()
 

@@ -11,8 +11,6 @@ from topicensemble.corpus import (
     load_corpus,
     load_corpus_view,
     load_topics,
-    save_corpus,
-    save_topics,
 )
 from topicensemble.errors import (
     DuplicateId,
@@ -105,6 +103,14 @@ def test_non_utf8_corpus_names_line_and_byte(tmp_path, format):
     assert f"is not UTF-8: byte {data.index(0xE9)} (0xe9)" in str(excinfo.value)
 
 
+# two texts, one with a comma and a group, one without a group
+_ROUND_TRIP = {
+    "jsonl": '{"id": "a", "text": "first, with comma", "group": "g1"}\n'
+             '{"id": "b", "text": "second"}\n',
+    "csv": 'id,text,group\na,"first, with comma",g1\nb,second,\n',
+}
+
+
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
 def test_corpus_round_trip(tmp_path, format):
     items = [
@@ -112,7 +118,7 @@ def test_corpus_round_trip(tmp_path, format):
         TextItem("b", "second"),
     ]
     path = tmp_path / f"corpus.{format}"
-    save_corpus(items, path, format)
+    path.write_text(_ROUND_TRIP[format], encoding="utf-8")
     loaded = load_corpus(path, format)
     assert [(i.id, i.text, i.group) for i in loaded] == [
         (i.id, i.text, i.group) for i in items
@@ -180,10 +186,12 @@ def test_ids_that_share_a_hash_are_told_apart(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
 def test_view_matches_load_corpus(tmp_path, format):
-    items = [TextItem("a", "first", "g1"), TextItem("b", "second"),
-             TextItem("c", "third", "g1")]
     path = tmp_path / f"corpus.{format}"
-    save_corpus(items, path, format)
+    path.write_text({
+        "jsonl": '{"id": "a", "text": "first", "group": "g1"}\n{"id": "b", "text": "second"}\n'
+                 '{"id": "c", "text": "third", "group": "g1"}\n',
+        "csv": "id,text,group\na,first,g1\nb,second,\nc,third,g1\n",
+    }[format], encoding="utf-8")
     view = load_corpus_view(path, format)
     assert view.ids == [i.id for i in load_corpus(path, format)] == ["a", "b", "c"]
     assert view.groups == ["g1", None, "g1"] and view.groups[0] is view.groups[2]
@@ -241,7 +249,9 @@ def test_load_topics_with_subtopics(tmp_path):
     topics = load_topics(path)
     assert len(topics.topics[0].subtopics) == 10
     assert len(topics.leaves()) == 10
-    assert topics.leaf_parent()["sub3"] == "friction"
+    assert topics.top_level_names() == ["friction"]
+    assert topics.leaves()[3] is topics.topics[0].subtopics[3]
+    assert topics.leaves()[3].short_name == "sub3"
 
 
 def test_load_topics_duplicate_short_name(tmp_path):
@@ -301,7 +311,17 @@ def test_load_topics_nesting_too_deep(tmp_path):
 
 def test_topics_round_trip(tmp_path, nested_topics):
     path = tmp_path / "topics.yaml"
-    save_topics(nested_topics, path)
+    path.write_text(
+        "topics:\n"
+        "- short_name: friction\n"
+        "  description: Workplace friction with coworkers or managers.\n"
+        "  subtopics:\n"
+        "  - short_name: friction_blame\n"
+        "    description: Blamed for problems caused by others.\n"
+        "  - short_name: friction_dismiss\n"
+        "    description: Suggestions dismissed without discussion.\n"
+        "- short_name: sleep\n"
+        "  description: Sleep problems.\n", encoding="utf-8")
     loaded = load_topics(path)
     assert loaded == nested_topics
 

@@ -3,8 +3,8 @@ import pytest
 
 from topicensemble.ensemble import (
     ScoreMatrix,
+    degenerate_ensemble,
     ensemble_topic,
-    fuse_labels,
     intersection_label,
     optimal_threshold,
     pca_first_component,
@@ -195,35 +195,48 @@ def test_optimal_threshold_matches_exhaustive_oracle():
 
 # ---------------------------------------------------------------- fusion
 
-def test_fuse_labels_rule():
-    final = fuse_labels(
-        [True, True, True, False],
-        [0.9, 0.3, 0.6, 0.2],
-        0.5,
-        [True, False, True, False],
-    )
-    assert final.tolist() == [True, False, True, False]
+def assert_fused(decision, pc1):
+    """Demote-only fusion: the final label is the union label where pc1 >= tau."""
+    union, inter = decision.union_label, decision.intersection_label
+    above = np.asarray(pc1) >= decision.tau
+    assert decision.final_label.tolist() == (union & above).tolist()
+    assert not np.any(decision.final_label & ~union)  # never promotes
+    assert not np.any(inter & above & ~decision.final_label)  # keeps the sandwich
 
 
-def test_fuse_labels_tau_extremes():
-    union = [True, False, True]
-    pc1 = [0.2, 0.5, 0.9]
-    inter = [False, False, True]
-    assert fuse_labels(union, pc1, 0.0, inter).tolist() == union
-    assert fuse_labels(union, pc1, 2.0, inter).tolist() == [False, False, False]
+def test_fusion_rule():
+    decision, ens = ensemble_topic(DEMOTION_LABELS, DEMOTION_SCORES, topic="t")
+    assert_fused(decision, ens.pc1)
+    assert decision.final_label.tolist() == [True] * 5 + [False] * 3
 
 
-def test_fuse_labels_sandwich():
+def test_fusion_tau_extremes():
+    # flat scores: with majority positives tau falls below every pc1 and the
+    # union passes; without, tau rises above every pc1 and nothing does
+    majority = {"a": [True, False, True], "b": [True, False, False], "c": [False, False, True]}
+    decision, ens = degenerate_ensemble(majority)
+    assert decision.tau < ens.pc1.min()
+    assert_fused(decision, ens.pc1)
+    assert decision.final_label.tolist() == [True, False, True]
+    lone = {"a": [True, False, False], "b": [False, True, False], "c": [False, False, False]}
+    decision, ens = degenerate_ensemble(lone)
+    assert decision.tau > ens.pc1.max()
+    assert_fused(decision, ens.pc1)
+    assert decision.union_label.tolist() == [True, True, False]
+    assert decision.final_label.tolist() == [False, False, False]
+
+
+def test_fusion_sandwich():
     rng = np.random.default_rng(10)
     for _ in range(200):
         n = int(rng.integers(2, 30))
-        union = rng.random(n) < 0.6
-        inter = union & (rng.random(n) < 0.6)
-        pc1 = rng.random(n)
-        tau = float(rng.random())
-        final = fuse_labels(union, pc1, tau, inter)
-        assert not np.any(final & ~union)
-        assert not np.any(inter & (pc1 >= tau) & ~final)
+        labels = {m: rng.random(n) < 0.6 for m in "abc"}
+        scores = {m: np.where(labels[m], rng.random(n), 0.0) for m in "abc"}
+        try:
+            decision, ens = ensemble_topic(labels, scores, topic="t")
+        except ZeroVariance:
+            decision, ens = degenerate_ensemble(labels)
+        assert_fused(decision, ens.pc1)
 
 
 # ---------------------------------------------------------- ensemble_topic

@@ -176,6 +176,32 @@ def test_score_computes_each_cosine_once(e2e, monkeypatch):
     assert len(calls) == len(pairs) + len({row["topic"] for row in positive})
 
 
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf")],
+                         ids=["null", "nan", "infinity"])
+def test_non_finite_embedding_is_a_backend_failure(e2e, monkeypatch, capsys, bad):
+    # refused before it is stored, so a rerun asks again and scores finite
+    workdir, server = e2e
+    config = str(workdir / "config.yaml")
+    real_post = relevancy.post_json
+
+    def post(*args):
+        body = real_post(*args)
+        body["data"][-1]["embedding"][0] = bad
+        return body
+
+    monkeypatch.setattr(relevancy, "post_json", post)
+    assert main(["run", "--config", config, "--run-id", "bad"]) == 4
+    err = capsys.readouterr().err
+    assert "backend failure: " in err and "non-finite embedding" in err
+    assert "Traceback" not in err
+    monkeypatch.undo()
+    assert main(["run", "--config", config, "--run-id", "bad", "--stage", "score"]) == 0
+    scored = workdir / "runs" / "bad" / "score"
+    for name in ("relevancy.jsonl", "aggregated.jsonl"):
+        text = (scored / name).read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
 def test_run_stages_individually_equals_run_all(e2e):
     workdir, server = e2e
     cfg = load_config(workdir / "config.yaml")
@@ -981,6 +1007,22 @@ def test_input_error_names_file_line_and_problem(tmp_path, capsys, name, append,
     err = capsys.readouterr().err
     assert prefix + problem.format(path=path.resolve()) in err.splitlines()
     assert err.count("error: ") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, what", [
+    ("corpus.path", "corpus"), ("topics", "topics"), ("gold_labels", "gold labels")])
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_input_path_that_is_a_directory_is_a_config_error(tmp_path, capsys, key, what,
+                                                          command):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    (workdir / "inputs").mkdir()
+    _write_mutated(workdir / "config.yaml", {key: "inputs"})
+    assert main([command, "--config", str(workdir / "config.yaml")]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"config error: {what} path is not a file: {(workdir / 'inputs').resolve()}"]
+    assert "config OK" not in out and not (workdir / "runs").exists()
 
 
 @pytest.mark.parametrize("files, problems", [

@@ -73,7 +73,7 @@ def test_embed_truncates_to_384_words(stub_server, tmp_path, pool):
     doc = dict(BASE_DOC, embeddings={truncated: unit(0.0, 1.0)})
     embedder = embedder_for(stub_server(doc), tmp_path, pool)
     np.testing.assert_array_equal(
-        embedder.embed(long_text), embedder.embed(truncated)
+        embedder.embed_many([long_text])[0], embedder.embed_many([truncated])[0]
     )
 
 
@@ -82,14 +82,14 @@ def test_embed_truncates_to_384_words(stub_server, tmp_path, pool):
 def test_embed_cache_hit_identical(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
     embedder = embedder_for(server, tmp_path, pool)
-    first = embedder.embed("lying awake")
+    first = embedder.embed_many(["lying awake"])[0]
     calls = server.call_count
-    second = embedder.embed("lying awake")
+    second = embedder.embed_many(["lying awake"])[0]
     assert server.call_count == calls
     np.testing.assert_array_equal(first, second)
     # stored under the backend's prefix as little-endian float32
     key = "emb/emb-test/" + hashlib.sha256(b"lying awake").hexdigest()
-    assert embedder.cache.read(key) == first.astype("<f4").tobytes()
+    assert embedder.cache.read_many([key])[0] == first.astype("<f4").tobytes()
 
 
 def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path, pool):
@@ -99,12 +99,13 @@ def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path, pool):
     emb = EmbeddingBackend(name="emb-test", endpoint=server.embeddings_url)
     first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
     answer = query_backend(backend, "hello", first, pool)
-    vector = Embedder(emb, first, pool).embed("lying awake")
+    vector = Embedder(emb, first, pool).embed_many(["lying awake"])[0]
     calls = server.call_count
     again = query_backend(backend, "hello", second, pool)
     assert again.from_cache
     assert (again.content, again.retrieved_at) == (answer.content, answer.retrieved_at)
-    np.testing.assert_array_equal(Embedder(emb, second, pool).embed("lying awake"), vector)
+    again = Embedder(emb, second, pool).embed_many(["lying awake"])[0]
+    np.testing.assert_array_equal(again, vector)
     assert server.call_count == calls
     first.close()
     second.close()
@@ -113,7 +114,7 @@ def test_second_store_reads_what_the_first_wrote(stub_server, tmp_path, pool):
 
 def test_embed_empty_string_valid(stub_server, tmp_path, pool):
     embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
-    vec = embedder.embed("")
+    vec = embedder.embed_many([""])[0]
     assert vec.shape == (8,)
     assert np.isfinite(vec).all()
 
@@ -133,7 +134,7 @@ def test_embed_unavailable(tmp_path):
     with closing(ConnectionPool(retries=1, timeout=30.0, backoff=0.01)) as pool:
         embedder = Embedder(backend, ResponseCache(tmp_path), pool)
         with pytest.raises(BackendUnavailable):
-            embedder.embed("anything")
+            embedder.embed_many(["anything"])
 
 
 def test_embed_dimension_must_stay_constant(stub_server, tmp_path, pool):
@@ -149,11 +150,25 @@ def test_embed_dimension_must_stay_constant(stub_server, tmp_path, pool):
     server = serve(fixture)
     try:
         embedder = embedder_for(server, tmp_path, pool)
-        embedder.embed("eight")
+        embedder.embed_many(["eight"])
         with pytest.raises(BadStatus):
-            embedder.embed("three")
+            embedder.embed_many(["three"])
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("bad", [None, float("nan"), float("-inf")],
+                         ids=["null", "nan", "infinity"])
+def test_embed_refuses_a_non_finite_vector(tmp_path, monkeypatch, pool, bad):
+    # json reads NaN and Infinity, and a null entry becomes NaN in the array
+    monkeypatch.setattr(relevancy, "post_json",
+                        lambda *args: {"data": [{"embedding": [1.0, bad, 0.0]}]})
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    with closing(ResponseCache(tmp_path)) as cache:
+        embedder = Embedder(backend, cache, pool)
+        with pytest.raises(BadStatus, match="non-finite embedding"):
+            embedder.embed_many(["lying awake"])
+        assert embedder.stored(["lying awake"]) == {"lying awake": None}
 
 
 # ------------------------------------------------------------------ cosine
@@ -348,9 +363,9 @@ def test_score_posts_full_batches_on_every_worker(tmp_path, monkeypatch, rows, e
 
 
 def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch, pool):
-    # too few new phrases to fill a batch within READ_AHEAD rows: the oldest
-    # waiting annotation is fetched for in a part batch, and no more than
-    # READ_AHEAD annotations are read ahead of the records
+    # too few new phrases to fill a batch within READ_AHEAD rows: each window
+    # of READ_AHEAD annotations POSTs its phrases in a part batch before its
+    # records come out, so no more are read ahead of the records
     monkeypatch.setattr(relevancy, "READ_AHEAD", 50)
     monkeypatch.setattr(Embedder, "_request", SlowEmbeddings(0.0))
     backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings", batch_size=8)
@@ -370,6 +385,38 @@ def test_score_reads_at_most_read_ahead_annotations_ahead(tmp_path, monkeypatch,
             records.append(record)
     assert [r.text_id for r in records] == [a.text_id for a in annotations]
     assert [r.score > 0 for r in records] == [a.label for a in annotations]
+
+
+def mixed_rows(rows: int):
+    """Annotations of SLEEP: every fourth one negative, the others with one
+    of 40 recurring phrases, and every other one a phrase of its own too."""
+    return [TopicAnnotation("m", f"t{i}", "sleep", label=i % 4 != 3,
+                            phrases=() if i % 4 == 3 else (f"recurring {i % 40}",) if i % 2
+                            else (f"phrase {i}", f"recurring {i % 40}"))
+            for i in range(rows)]
+
+
+def test_score_works_windows_of_read_ahead_annotations(tmp_path, monkeypatch, pool):
+    monkeypatch.setattr(relevancy, "READ_AHEAD", 64)
+    slow = SlowEmbeddings(0.001)
+    monkeypatch.setattr(Embedder, "_request", slow)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=8, parallelism=4)
+    annotations = mixed_rows(1000)
+    windows = -(-len(annotations) // 64)
+    with closing(ResponseCache(tmp_path / "windowed")) as cache:
+        records = list(score_annotations(annotations, [SLEEP], Embedder(backend, cache, pool)))
+        posted = [text for batch in slow.batches for text in batch]
+        wanted = {"", SLEEP.description, *(p for a in annotations for p in a.phrases)}
+        assert sorted(posted) == sorted(wanted)  # each text POSTed once
+        assert sum(len(batch) < 8 for batch in slow.batches) <= windows
+        assert slow.most <= 4
+        slow.batches.clear()
+        again = list(score_annotations(annotations, [SLEEP], Embedder(backend, cache, pool)))
+        assert slow.batches == [] and again == records  # the second pass reads the store
+    with closing(ResponseCache(tmp_path / "serial")) as cache:
+        serial = [relevancy_score(a, SLEEP, Embedder(backend, cache, pool)) for a in annotations]
+    assert records == serial
 
 
 def test_score_raises_a_failed_batch_and_stops_asking(tmp_path, monkeypatch, pool):
