@@ -323,29 +323,19 @@ def detect_outliers(
     models = list(labels)
     if len(models) < 3:
         raise TooFewModels("leave-one-out detection needs >=3 models")
-    vectors = {}
-    length = None
-    for name in models:
-        vec = np.asarray(labels[name], dtype=np.int64)
-        if length is None:
-            length = vec.size
-        elif vec.size != length:
+    vectors = {name: np.asarray(labels[name], dtype=np.int64) for name in models}
+    for name, vec in vectors.items():
+        if vec.size != vectors[models[0]].size:
             raise IncompleteRatings(f"model {name!r} label vector length mismatch")
-        vectors[name] = vec
-
-    def ac1_of(names: list[str]) -> float:
-        return _ac1_from_label_vectors([vectors[n] for n in names])
-
-    base = ac1_of(models)
-    first_deltas = {name: ac1_of([m for m in models if m != name]) - base
-                    for name in models}
 
     current = list(models)
     excluded: list[str] = []
     while len(current) > 2:
-        round_base = ac1_of(current)
-        deltas = {name: ac1_of([m for m in current if m != name]) - round_base
-                  for name in current}
+        round_base = _ac1_from_label_vectors([vectors[m] for m in current])
+        deltas = {name: _ac1_from_label_vectors([vectors[m] for m in current if m != name])
+                  - round_base for name in current}
+        if not excluded:  # the first round, over every model, is the one reported
+            base, first_deltas = round_base, deltas
         worst = max(current, key=lambda name: deltas[name])
         # only a genuine increase counts, so exclusions can never lower AC1
         # (matters when the base coefficient is negative)

@@ -8,8 +8,10 @@ Data files are JSONL (first line is a {"_meta": ...} record with the schema,
 its version and the config digest) or CSV (first line is a "# key=value ..."
 comment). outliers.json, ensemble.json and the per-stage manifest.json, which
 `run` writes once a stage has finished, carry the config digest too. Upstream
-JSONL is streamed through `_rows`, which checks the header and every row;
-`_read` checks a JSON document's digest. Undefined numeric cells (degenerate
+JSONL is streamed through `_rows`, which checks the header and every row, and
+`_cells` places each row of annotations.jsonl and aggregated.jsonl by its
+position in its (model, topic) stream, which follows the corpus order; `_read`
+checks a JSON document's digest. Undefined numeric cells (degenerate
 coefficients, undefined precision) are written as empty strings.
 """
 from __future__ import annotations
@@ -200,41 +202,51 @@ def _load_inputs(cfg: RunConfig) -> tuple[CorpusView, TopicSet]:
 
 
 def input_problems(cfg: RunConfig) -> list[str]:
-    """Why the corpus or the topics file would not load, one line each."""
+    """Why the corpus, topics or gold labels file would not load, one line each."""
     problems = []
     for what, path, load in (("corpus", cfg.corpus_path,
-                              lambda c: _load_corpus(c, load_corpus_view)),
-                             ("topics", cfg.topics_path, lambda c: load_topics(c.topics_path))):
+                              lambda _: _load_corpus(cfg, load_corpus_view)),
+                             ("topics", cfg.topics_path, load_topics),
+                             ("gold labels", cfg.gold_labels, _load_gold)):
         try:
-            load(cfg)
+            if path is not None:
+                load(path)
         except (TopicEnsembleError, OSError) as exc:
             message = str(exc)  # named after the file unless it names it itself
             problems.append(message if str(path) in message else f"{what} {path}: {message}")
     return problems
 
 
-class _Cells:
-    """Bool label, float score and `seen` arrays over a config's (model,
-    text_id, topic) cells, one axis per field in the order of `axes`
-    ({field: keys}), for filling as an artifact's rows stream in. `at`
-    holds each axis's key -> index lookup (None for a key outside the
-    config), in axis order."""
-
-    def __init__(self, path: Path, axes: dict[str, list[str]]):
-        self.path, self.axes = path, axes
-        self.at = tuple({key: i for i, key in enumerate(keys)}.get for keys in axes.values())
-        shape = tuple(map(len, axes.values()))
-        self.labels, self.scores = np.zeros(shape, bool), np.zeros(shape)
-        self.seen = np.zeros(shape, bool)
-
-    def check(self) -> None:
-        """Raise MissingUpstreamArtifact naming the first cell not seen."""
-        if not self.seen.all():
-            first = np.unravel_index(np.argmin(self.seen), self.seen.shape)
-            named = {field: keys[i] for (field, keys), i in zip(self.axes.items(), first)}
-            raise MissingUpstreamArtifact(
-                f"{self.path}: no row for "
-                f"{(named['model'], named['text_id'], named['topic'])}")
+def _cells(path: Path, digest: str, schema: str,
+           models: list[str], text_ids: list[str], topics: list[str]):
+    """Stream an upstream JSONL artifact's rows as (j, i, k, row): the row's
+    indexes in `models`, `text_ids` and `topics`. Each (model, topic) pair's
+    rows follow the corpus order, so i counts the pair's rows before it;
+    pairs may interleave. A row outside the config or out of its pair's
+    order, or a pair that ends early, raises MissingUpstreamArtifact naming
+    the file and the cell. Consumers close the generator, as for `_rows`."""
+    streams = {(model, topic): [j, k, 0]  # the pair's indexes and its rows so far
+               for j, model in enumerate(models) for k, topic in enumerate(topics)}
+    n = len(text_ids)
+    with closing(_rows(path, digest, schema)) as rows:
+        for lineno, row in rows:
+            model, text_id, topic = row["model"], row["text_id"], row["topic"]
+            stream = streams.get((model, topic))
+            if stream is None:
+                raise MissingUpstreamArtifact(
+                    f"{path}: line {lineno}: cell {model, text_id, topic} "
+                    f"is not a cell of this config")
+            j, k, i = stream
+            if i == n or text_id != text_ids[i]:
+                due = (model, text_ids[i], topic) if i < n else "no row"
+                raise MissingUpstreamArtifact(f"{path}: line {lineno}: cell "
+                                              f"{model, text_id, topic} is out of order; "
+                                              f"{due} belongs there")
+            stream[2] = i + 1
+            yield j, i, k, row
+    for (model, topic), (_, _, i) in streams.items():
+        if i < n:
+            raise MissingUpstreamArtifact(f"{path}: no row for {model, text_ids[i], topic}")
 
 
 # -------------------------------------------------------------------- stages
@@ -265,26 +277,20 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     leaves = topics.leaves()
     models = [backend.name for backend in cfg.backends]
     text_ids, leaf_names = corpus.ids, [leaf.short_name for leaf in leaves]
-    cells = _Cells(path, {"model": models, "text_id": text_ids, "topic": leaf_names})
-    at_model, at_text, at_leaf = cells.at
-    labels, scores, seen = cells.labels, cells.scores, cells.seen
+    # each (model, leaf) pair's labels and scores in corpus order, as they stream in
+    pairs = [(model, leaf) for model in models for leaf in leaf_names]
+    labels = {pair: array("b") for pair in pairs}
+    scores = {pair: array("d") for pair in pairs}
 
     def annotations():  # each cell checked and its label kept as rows stream to scoring
-        with closing(_rows(path, digest, "annotations")) as rows:
-            for lineno, r in rows:
-                cell = at_model(r["model"]), at_text(r["text_id"]), at_leaf(r["topic"])
-                if None in cell or seen[cell]:
-                    problem = "is not a cell of this config" if None in cell else "has two rows"
-                    raise MissingUpstreamArtifact(
-                        f"{path}: line {lineno}: cell {r['model'], r['text_id'], r['topic']} "
-                        f"{problem}")
-                labels[cell], seen[cell] = r["label"], True
-                j, i, k = cell  # the config's strings, shared by every row that waits
+        with closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells:
+            for j, i, k, r in cells:
+                model, leaf = models[j], leaf_names[k]  # config strings: waiting rows share them
+                labels[model, leaf].append(r["label"])
                 yield TopicAnnotation(
-                    model=models[j], text_id=text_ids[i], topic=leaf_names[k],
+                    model=model, text_id=text_ids[i], topic=leaf,
                     label=r["label"], phrases=tuple(r["phrases"]),
                     parse_warning=r["parse_warning"])
-        cells.check()
 
     stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
@@ -292,9 +298,9 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
         embedder = Embedder(cfg.embedding, cache, pool)
 
         def relevancy_rows():
+            # one record per annotation, in order, so each pair's records follow the corpus
             for record in score_annotations(annotations(), leaves, embedder):
-                cell = at_model(record.model), at_text(record.text_id), at_leaf(record.topic)
-                scores[cell] = record.score
+                scores[record.model, record.topic].append(record.score)
                 yield {
                     "model": record.model, "text_id": record.text_id,
                     "topic": record.topic, "score": record.score,
@@ -308,21 +314,18 @@ def stage_score(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
         _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_rows())
 
-    children = [[at_leaf(c.short_name) for c in (topic.subtopics or [topic])]
-                for topic in topics]
-
     def agg_rows():
-        for j, model in enumerate(models):
+        for model in models:
+            children = [[(labels[model, c.short_name], scores[model, c.short_name])
+                         for c in (topic.subtopics or [topic])] for topic in topics]
             for i, text_id in enumerate(text_ids):
-                cell_labels, cell_scores = labels[j, i].tolist(), scores[j, i].tolist()
                 for topic, kids in zip(topics, children):
-                    label, score = aggregate_subtopics(
-                        [(cell_labels[k], cell_scores[k]) for k in kids])
+                    label, score = aggregate_subtopics([(ls[i], ss[i]) for ls, ss in kids])
                     yield {"model": model, "text_id": text_id,
                            "topic": topic.short_name, "label": label, "score": score}
 
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
-    logger.info("score: %d leaf records, %d aggregated", labels.size,
+    logger.info("score: %d leaf records, %d aggregated", len(pairs) * len(corpus),
                 len(models) * len(corpus) * len(topics))
 
 
@@ -330,20 +333,15 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
                 text_ids: list[str], topics: TopicSet) -> tuple[dict, dict]:
     """(labels, scores) from score/aggregated.jsonl: {topic: {model: per-text
     vector in text_ids order}}, views of (topics, models, texts) arrays filled
-    as the rows stream in. Rows outside the config are ignored; a missing
-    cell raises MissingUpstreamArtifact naming it."""
+    as `_cells` streams the rows in."""
     path = run_dir / "score" / "aggregated.jsonl"
     names = topics.top_level_names()
     models = [backend.name for backend in cfg.backends]
-    cells = _Cells(path, {"topic": names, "model": models, "text_id": text_ids})
-    at_topic, at_model, at_text = cells.at
-    labels, scores, seen = cells.labels, cells.scores, cells.seen
-    with closing(_rows(path, digest, "aggregated")) as rows:
-        for _, row in rows:
-            cell = at_topic(row["topic"]), at_model(row["model"]), at_text(row["text_id"])
-            if None not in cell:
-                labels[cell], scores[cell], seen[cell] = row["label"], row["score"], True
-    cells.check()
+    shape = len(names), len(models), len(text_ids)
+    labels, scores = np.zeros(shape, bool), np.zeros(shape)
+    with closing(_cells(path, digest, "aggregated", models, text_ids, names)) as cells:
+        for j, i, k, row in cells:
+            labels[k, j, i], scores[k, j, i] = row["label"], row["score"]
     return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
             {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})
 
@@ -459,7 +457,7 @@ def stage_ensemble(cfg: RunConfig, run_dir: Path, digest: str) -> None:
 
 
 def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
-    """CSV text_id,topic,label -> {topic: {text_id: bool}}."""
+    """CSV text_id,topic,label, one row a (topic, text_id) -> {topic: {text_id: bool}}."""
     truthy = {"1", "true", "yes", "y"}
     falsy = {"0", "false", "no", "n"}
     gold: dict[str, dict[str, bool]] = {}
@@ -474,7 +472,15 @@ def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
                 if value not in truthy and value not in falsy:
                     raise MalformedRecord(
                         reader.line_num, f"{path}: gold label {row['label']!r} not boolean")
-                gold.setdefault(row["topic"], {})[row["text_id"]] = value in truthy
+                topic_gold = gold.setdefault(row["topic"], {})
+                if row["text_id"] in topic_gold:  # rare, so read again for the first line
+                    key = row["topic"], row["text_id"]
+                    fh.seek(0)
+                    rows = csv.DictReader(fh)
+                    first = next(rows.line_num for r in rows if (r["topic"], r["text_id"]) == key)
+                    raise MalformedRecord(reader.line_num, f"{path}: duplicate gold row for "
+                                          f"{key} (first on line {first})")
+                topic_gold[row["text_id"]] = value in truthy
     except UnicodeDecodeError as exc:
         raise MalformedRecord(0, f"{path} is not UTF-8: {exc}") from exc
     return gold
@@ -508,14 +514,13 @@ def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
     corpus, topics = _load_inputs(cfg)
     labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
     stage_dir = run_dir / "evaluate"
-    ids = corpus.ids
 
     group_rows = []
     decisions_by_topic = {}
     for topic in topics.top_level_names():
         path = run_dir / "ensemble" / f"{topic}.decisions.jsonl"
         decisions = decisions_by_topic[topic] = _decisions(path, digest)
-        if decisions.text_id != ids:
+        if decisions.text_id != corpus.ids:
             raise MissingUpstreamArtifact(f"{path}: rows do not follow the corpus")
         group_rows.extend(
             [s.group, s.topic, s.occurrence_rate, s.mean_score, s.count]
@@ -531,9 +536,12 @@ def stage_evaluate(cfg: RunConfig, run_dir: Path, digest: str) -> None:
             topic_gold = gold.get(topic)
             if not topic_gold:
                 continue
-            sel = np.array([i for i, tid in enumerate(ids) if tid in topic_gold],
+            sel = np.array([i for i, tid in enumerate(corpus.ids) if tid in topic_gold],
                            dtype=np.intp)
-            gold_vec = [topic_gold[ids[i]] for i in sel]
+            if not sel.size:
+                raise TopicEnsembleError(f"gold labels {cfg.gold_labels}: no row of topic "
+                                         f"{topic!r} names a text of the corpus")
+            gold_vec = [topic_gold[corpus.ids[i]] for i in sel]
             candidates = {
                 backend.name: (labels[topic][backend.name][sel],
                                scores[topic][backend.name][sel])

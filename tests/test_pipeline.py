@@ -22,7 +22,7 @@ from topicensemble.annotator import ModelBackend
 from topicensemble.cli import main
 from topicensemble.config import _file_digest, config_digest, load_config
 from topicensemble.corpus import CorpusView, TextItem, Topic, TopicSet
-from topicensemble.errors import ConfigInvalid, MissingUpstreamArtifact
+from topicensemble.errors import ConfigInvalid, MalformedRecord, MissingUpstreamArtifact
 from topicensemble import pipeline
 from topicensemble.pipeline import run
 from topicensemble.relevancy import EmbeddingBackend
@@ -724,7 +724,8 @@ def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
         assert f"{path}: line 3: " in err
 
 
-@pytest.mark.parametrize("case", ["missing", "unknown leaf", "unknown model", "twice"])
+@pytest.mark.parametrize("case", ["missing", "unknown leaf", "unknown model", "twice",
+                                  "swapped", "last missing", "last twice"])
 def test_score_checks_annotation_cells(finished_run, tmp_path, capsys, case):
     workdir = tmp_path / "demo"
     shutil.copytree(finished_run, workdir)
@@ -732,17 +733,29 @@ def test_score_checks_annotation_cells(finished_run, tmp_path, capsys, case):
     path = run_dir / "annotate" / "annotations.jsonl"
     before = {p.name: p.read_bytes() for p in (run_dir / "score").iterdir()}
     lines = path.read_text().splitlines(keepends=True)
-    k = next(k for k, line in enumerate(lines[1:], 1)
-             if json.loads(line)["text_id"] == "t2" and json.loads(line)["model"] == "m_alpha"
-             and json.loads(line)["topic"] == "sleep")
-    row = json.loads(lines[k])
-    if case == "missing":
+    cells = [(None, None, None)] + [
+        tuple(json.loads(line)[f] for f in ("model", "text_id", "topic")) for line in lines[1:]]
+    # lines[k] is line k + 1; t2 and t3 are neighbours in the (m_alpha, sleep) stream
+    k, after = (cells.index(("m_alpha", t, "sleep")) for t in ("t2", "t3"))
+    last = cells.index(("m_alpha", "t6", "sleep"))
+    t2, t3 = cells[k], cells[after]
+    if case == "missing":  # the pair's next row moves up into line `after`
         del lines[k]
-        want = f"{path}: no row for ('m_alpha', 't2', 'sleep')"
+        want = f"{path}: line {after}: cell {t3} is out of order; {t2} belongs there"
     elif case == "twice":
         lines.insert(k, lines[k])
-        want = f"{path}: line {k + 2}: cell ('m_alpha', 't2', 'sleep') has two rows"
+        want = f"{path}: line {k + 2}: cell {t2} is out of order; {t3} belongs there"
+    elif case == "swapped":
+        lines[k], lines[after] = lines[after], lines[k]
+        want = f"{path}: line {k + 1}: cell {t3} is out of order; {t2} belongs there"
+    elif case == "last missing":  # noticed once the file is read
+        del lines[last]
+        want = f"{path}: no row for {cells[last]}"
+    elif case == "last twice":
+        lines.insert(last, lines[last])
+        want = f"{path}: line {last + 2}: cell {cells[last]} is out of order; no row belongs there"
     else:
+        row = json.loads(lines[k])
         field, value = ("topic", "nap") if case == "unknown leaf" else ("model", "m_delta")
         lines[k] = json.dumps(dict(row, **{field: value})) + "\n"
         cell = tuple(dict(row, **{field: value})[f] for f in ("model", "text_id", "topic"))
@@ -818,19 +831,27 @@ def _analysis_outputs(run_dir: Path) -> dict:
             if p.is_file() and p.parts[-2] in ("agree", "ensemble", "evaluate")}
 
 
-def test_aggregated_rows_outside_the_config_are_ignored(finished_run, tmp_path):
+@pytest.mark.parametrize("field", ["model", "text_id", "topic"])
+def test_aggregated_rows_outside_the_config_exit_3(finished_run, tmp_path, capsys, field):
+    # the file carries this config's digest, so a foreign row means it was edited
     workdir = tmp_path / "demo"
     shutil.copytree(finished_run, workdir)
     run_dir = workdir / "runs" / "done"
     before = _analysis_outputs(run_dir)
     path = run_dir / "score" / "aggregated.jsonl"
-    row = json.loads(path.read_text().splitlines()[1])
-    with open(path, "a", encoding="utf-8") as fh:  # a model, text and topic of no config
-        for field in ("model", "text_id", "topic"):
-            fh.write(json.dumps(dict(row, **{field: "stranger"})) + "\n")
+    lines = path.read_text().splitlines()
+    row = dict(json.loads(lines[1]), **{field: "stranger"})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    cell = (row["model"], row["text_id"], row["topic"])
+    problem = ("is out of order; no row belongs there" if field == "text_id"
+               else "is not a cell of this config")
     config = str(workdir / "config.yaml")
     for stage in ("agree", "ensemble", "evaluate"):
-        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 0
+        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: line {len(lines) + 1}: cell {cell} {problem}" in err
+        assert "Traceback" not in err
     assert _analysis_outputs(run_dir) == before
 
 
@@ -839,26 +860,29 @@ def test_aggregated_missing_cell_exits_3_naming_it(finished_run, tmp_path, capsy
     shutil.copytree(finished_run, workdir)
     path = workdir / "runs" / "done" / "score" / "aggregated.jsonl"
     lines = path.read_text().splitlines(keepends=True)
-    cfg = load_config(workdir / "config.yaml")
-    models = [b.name for b in cfg.backends]
-    topics = ["sleep", "appetite"]
-    texts = [json.loads(line)["id"] for line in cfg.corpus_path.read_text().splitlines()]
-    gone = [json.loads(lines[k]) for k in (len(lines) - 2, 6)]
-    path.write_text("".join(line for k, line in enumerate(lines)
-                            if k not in (len(lines) - 2, 6)))
-    # of two missing cells, the one first in (topic, model, text) order is named
-    first = min(gone, key=lambda r: (topics.index(r["topic"]), models.index(r["model"]),
-                                     texts.index(r["text_id"])))
+    cells = [(None, None, None)] + [
+        tuple(json.loads(line)[f] for f in ("model", "text_id", "topic")) for line in lines[1:]]
+    end = len(lines) - 2  # the last row of its (model, topic) stream
+    assert all(cells[k][::2] != cells[end][::2] for k in range(end + 1, len(lines)))
+    # the row after line 7 in the same stream, which moves up one line when 7 goes
+    after = next(k for k in range(7, end) if cells[k][::2] == cells[6][::2])
     config = str(workdir / "config.yaml")
-    for stage in ("agree", "ensemble", "evaluate"):
-        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
-        err = capsys.readouterr().err
-        assert f"{path}: no row for {(first['model'], first['text_id'], first['topic'])}" in err
-        assert "Traceback" not in err
+    # of two missing cells, the first problem in file order is named
+    for gone, want in (
+            ((end,), f"no row for {cells[end]}"),
+            ((end, 6), f"line {after}: cell {cells[after]} is out of order; "
+                       f"{cells[6]} belongs there")):
+        path.write_text("".join(line for k, line in enumerate(lines) if k not in gone))
+        for stage in ("agree", "ensemble", "evaluate"):
+            assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+            err = capsys.readouterr().err
+            assert f"{path}: {want}" in err
+            assert "Traceback" not in err
 
 
 def test_aggregated_memory_is_arrays(tmp_path):
-    # 2 topics x 4 models x 2,500 texts; rows of dicts cost about 800 B a row
+    # 2 topics x 4 models x 2,500 texts; rows of dicts cost about 800 B a row,
+    # and the label and score arrays alone 9 B
     topics = TopicSet((Topic("sleep", "Sleep."), Topic("appetite", "Appetite.")))
     models = ["m1", "m2", "m3", "m4"]
     corpus = [TextItem(f"text-{i:05d}", "Some text.") for i in range(2500)]
@@ -876,7 +900,7 @@ def test_aggregated_memory_is_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert rows >= 20_000
-    assert peak / rows <= 64, f"{peak / rows:.0f} B per row"
+    assert peak / rows <= 13, f"{peak / rows:.0f} B per row"
     assert labels["appetite"]["m3"][:4].tolist() == [True, False, False, True]
     assert scores["sleep"]["m4"][2499] == 2499 / 2500
 
@@ -1031,7 +1055,11 @@ def test_input_path_that_is_a_directory_is_a_config_error(tmp_path, capsys, key,
      ["topics.yaml is not valid YAML"]),
     ({"corpus.jsonl": "", "topics.yaml": "topics: []\n"},
      ["corpus.jsonl holds no texts", "non-empty topic list"]),
-], ids=["empty-corpus", "topics-not-yaml", "both"])
+    ({"gold.csv": "text_id,topic,label\nt1,sleep,maybe\n"},
+     ["line 2: {workdir}/gold.csv: gold label 'maybe' not boolean"]),
+    ({"gold.csv": "text_id,topic,label\nt1,sleep,1\nt2,sleep,1\nt1,sleep,0\n"},
+     ["line 4: {workdir}/gold.csv: duplicate gold row for ('sleep', 't1') (first on line 2)"]),
+], ids=["empty-corpus", "topics-not-yaml", "both", "gold-label-maybe", "gold-duplicate-row"])
 def test_validate_config_loads_corpus_and_topics(tmp_path, capsys, files, problems):
     workdir = tmp_path / "demo"
     shutil.copytree(E2E, workdir)
@@ -1043,13 +1071,34 @@ def test_validate_config_loads_corpus_and_topics(tmp_path, capsys, files, proble
     lines = err.splitlines()
     assert len(lines) == len(problems)
     for line, problem in zip(lines, problems):
-        assert line.startswith("config error: ") and problem in line
+        assert line.startswith("config error: ")
+        assert problem.format(workdir=workdir.resolve()) in line
 
 
 def test_gold_text_id_starting_with_hash_is_kept(tmp_path):
     gold = tmp_path / "gold.csv"
     gold.write_text("text_id,topic,label\n#t1,sleep,1\nt2,sleep,no\n")
     assert pipeline._load_gold(gold) == {"sleep": {"#t1": True, "t2": False}}
+
+
+def test_gold_second_row_for_a_cell_is_refused(tmp_path):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("text_id,topic,label\nt1,sleep,1\nt1,appetite,0\nt1,sleep,0\n")
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold)
+    assert str(exc.value) == (f"line 4: {gold}: duplicate gold row for ('sleep', 't1') "
+                              f"(first on line 2)")
+
+
+def test_gold_topic_naming_no_corpus_text_is_an_error_line(e2e, capsys):
+    workdir, server = e2e
+    gold = workdir / "gold.csv"
+    gold.write_text("text_id,topic,label\nzz1,sleep,1\nzz2,sleep,0\n")
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "bad"]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: gold labels {gold.resolve()}: no row of topic 'sleep' names a text "
+            f"of the corpus") in err.splitlines()
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])
