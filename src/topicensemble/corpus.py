@@ -214,7 +214,7 @@ _decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
 
 
 def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # "-sig": skip a leading byte-order mark
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
@@ -228,7 +228,7 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
 
 
 def _csv_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return

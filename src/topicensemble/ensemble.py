@@ -54,6 +54,8 @@ class ScoreEnsemble:
     weights: np.ndarray  # unit L2 norm, one weight per model column
     pc1: np.ndarray  # per-text ensemble score, min-max rescaled to [0, 1]
     orientation_sign: int
+    models: tuple[str, ...] = ()  # the model of each column; () for a plain array
+    flat: bool = False  # every column was constant: pc1 is 0, the weights uniform
 
 
 class Sweep(NamedTuple):
@@ -82,15 +84,17 @@ def pca_first_component(m: ScoreMatrix | np.ndarray) -> ScoreEnsemble:
     Accepts a plain (texts x models) array for direct numeric use; the
     [0, 1] range check then rests with the caller.
     """
-    x = m.values if isinstance(m, ScoreMatrix) else np.asarray(m, dtype=np.float64)
-    topic = m.topic if isinstance(m, ScoreMatrix) else ""
+    if isinstance(m, ScoreMatrix):
+        x, topic, models = m.values, m.topic, m.models
+    else:
+        x, topic, models = np.asarray(m, dtype=np.float64), "", ()
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("need a 2-D matrix with >=2 model columns")
     if x.shape[0] < 2:
         raise ValueError("need >=2 texts")
-    centered = x - x.mean(axis=0)
-    if not np.any(centered.var(axis=0) > 0.0):
+    if _constant(x):
         raise ZeroVariance(f"all score columns constant for topic {topic!r}")
+    centered = x - x.mean(axis=0)
     cov = np.cov(centered, rowvar=False, ddof=1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     weights = eigvecs[:, -1]
@@ -104,7 +108,13 @@ def pca_first_component(m: ScoreMatrix | np.ndarray) -> ScoreEnsemble:
         raw = -raw
     lo, hi = raw.min(), raw.max()
     pc1 = (raw - lo) / (hi - lo)
-    return ScoreEnsemble(weights=weights, pc1=pc1, orientation_sign=sign)
+    return ScoreEnsemble(weights=weights, pc1=pc1, orientation_sign=sign, models=models)
+
+
+def _constant(x: np.ndarray) -> bool:
+    """True when no column of x holds two different values: there is no
+    direction of variance to project on."""
+    return not (x[1:] != x[:-1]).any()
 
 
 def union_label(labels: Sequence[bool]) -> bool:
@@ -194,7 +204,11 @@ def ensemble_topic(
     """Full fusion for one topic: PCA, union/intersection, threshold, demotion.
 
     labels and scores map model name -> per-text vectors (same text order);
-    excluded models are dropped before anything is computed.
+    excluded models are dropped before anything is computed, and the result
+    reports the models fused, in input order. When every fused score column
+    is constant, there is nothing to project: the result is flat (pc1 all 0,
+    uniform weights 1/sqrt(m), orientation 1, `flat` set), and the sentinel
+    threshold rule decides alone. Raises TooFewModels below 2 models.
     """
     models = [name for name in labels if name not in excluded]
     if len(models) < 2:
@@ -208,24 +222,14 @@ def ensemble_topic(
     if label_mat.shape != score_mat.values.shape:
         raise ValueError("labels and scores must cover the same cells")
 
-    score_ens = pca_first_component(score_mat)
+    if _constant(score_mat.values):
+        score_ens = ScoreEnsemble(
+            weights=np.full(len(models), 1.0 / np.sqrt(len(models))),
+            pc1=np.zeros(label_mat.shape[0]), orientation_sign=1,
+            models=score_mat.models, flat=True)
+    else:
+        score_ens = pca_first_component(score_mat)
     return _decide(label_mat, score_ens.pc1), score_ens
-
-
-def degenerate_ensemble(
-    labels: Mapping[str, Sequence[bool]],
-    excluded: Set[str] = frozenset(),
-) -> tuple[EnsembleDecision, ScoreEnsemble]:
-    """Fallback for ensemble_topic when it raises ZeroVariance: the scores
-    carry no signal, so pc1 is flat, the weights are uniform and the sentinel
-    threshold rule decides alone."""
-    models = [name for name in labels if name not in excluded]
-    label_mat = np.stack([np.asarray(labels[m], dtype=bool) for m in models], axis=1)
-    pc1 = np.zeros(label_mat.shape[0])
-    ens = ScoreEnsemble(
-        weights=np.full(len(models), 1.0 / np.sqrt(len(models))), pc1=pc1, orientation_sign=1
-    )
-    return _decide(label_mat, pc1), ens
 
 
 def _decide(label_mat: np.ndarray, pc1: np.ndarray) -> EnsembleDecision:

@@ -25,7 +25,7 @@ import math
 import os
 import time
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -37,9 +37,9 @@ from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_
 from .config import RunConfig, config_digest
 from .corpus import CorpusView, TopicSet, load_corpus, load_corpus_view, load_topics, not_utf8
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
-from .ensemble import degenerate_ensemble, ensemble_topic, optimal_threshold  # noqa: F401
+from .ensemble import ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (ConfigInvalid, DegenerateChance, MalformedRecord,
-                     MissingUpstreamArtifact, TooFewModels, TopicEnsembleError, ZeroVariance)
+                     MissingUpstreamArtifact, TooFewModels, TopicEnsembleError)
 from .evaluation import compare_raters, group_summary, subset_ensemble_candidates
 # relevancy_score is imported for pipebench/tracer.py, which wraps the name here
 from .relevancy import (Embedder, aggregate_subtopics, relevancy_score,  # noqa: F401
@@ -208,7 +208,8 @@ def load_inputs(cfg: RunConfig, gold: bool
     topics = attempt("topics", cfg.topics_path, load_topics)
     columns = None
     if gold and cfg.gold_labels is not None:
-        rows = attempt("gold labels", cfg.gold_labels, _load_gold)
+        names = None if topics is None else set(topics.top_level_names())
+        rows = attempt("gold labels", cfg.gold_labels, lambda p: _load_gold(p, names))
         if not problems:  # the corpus, the topics and the gold rows all loaded
             columns = {topic: np.fromiter((rows[topic].get(text_id, -1) for text_id in corpus.ids),
                                           dtype=np.int8, count=len(corpus))
@@ -221,13 +222,14 @@ def load_inputs(cfg: RunConfig, gold: bool
     return corpus, topics, columns
 
 
-def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
-    """CSV text_id,topic,label, one row a (topic, text_id) -> {topic: {text_id: bool}}."""
+def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str, bool]]:
+    """CSV text_id,topic,label, one row a (topic, text_id) -> {topic: {text_id: bool}}.
+    A row naming a topic outside `topics`, when given, is refused."""
     truthy = {"1", "true", "yes", "y"}
     falsy = {"0", "false", "no", "n"}
     gold: dict[str, dict[str, bool]] = {}
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             missing = {"text_id", "topic", "label"} - set(reader.fieldnames or ())
             if missing:
@@ -237,6 +239,9 @@ def _load_gold(path: Path) -> dict[str, dict[str, bool]]:
                 if value not in truthy and value not in falsy:
                     raise MalformedRecord(
                         reader.line_num, f"{path}: gold label {row['label']!r} not boolean")
+                if topics is not None and row["topic"] not in topics:
+                    raise MalformedRecord(reader.line_num, f"{path}: topic "
+                                          f"{row['topic']!r} is not a top-level topic")
                 topic_gold = gold.setdefault(row["topic"], {})
                 if row["text_id"] in topic_gold:  # rare, so read again for the first line
                     key = row["topic"], row["text_id"]
@@ -454,20 +459,13 @@ def stage_ensemble(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
     stage_dir = run_dir / "ensemble"
     summary = {}
     for topic in topics.top_level_names():
-        models = [b.name for b in cfg.backends if b.name not in excluded]
-        zero_variance = False
-        try:
-            decision, ens = ensemble_topic(
-                labels[topic], scores[topic], topic=topic, excluded=excluded
-            )
-        except ZeroVariance:
-            zero_variance = True
-            decision, ens = degenerate_ensemble(labels[topic], excluded=excluded)
+        decision, ens = ensemble_topic(labels[topic], scores[topic], topic=topic,
+                                       excluded=excluded)
         dec_rows = (
             {
                 "text_id": text_id,
-                "per_model_labels": {m: bool(labels[topic][m][i]) for m in models},
-                "per_model_scores": {m: float(scores[topic][m][i]) for m in models},
+                "per_model_labels": {m: bool(labels[topic][m][i]) for m in ens.models},
+                "per_model_scores": {m: float(scores[topic][m][i]) for m in ens.models},
                 "pc1": float(ens.pc1[i]),
                 "union": bool(decision.union_label[i]),
                 "intersection": bool(decision.intersection_label[i]),
@@ -481,11 +479,11 @@ def stage_ensemble(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
                    ["threshold", "precision", "sensitivity", "f1"],
                    zip(*(column.tolist() for column in decision.sweep)))
         summary[topic] = {
-            "models": models,
+            "models": list(ens.models),
             "weights": [float(w) for w in ens.weights],
             "orientation_sign": ens.orientation_sign,
             "tau": float(decision.tau),
-            "zero_variance_fallback": zero_variance,
+            "zero_variance_fallback": ens.flat,
         }
     _write_json(stage_dir / "ensemble.json", digest, {"topics": summary})
     logger.info("ensemble: %d topics, excluded=%s", len(summary), sorted(excluded))

@@ -125,6 +125,24 @@ def test_corpus_round_trip(tmp_path, format):
     ]
 
 
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_corpus_with_a_byte_order_mark_loads(tmp_path, format):
+    # spreadsheet "CSV UTF-8" exports start with one; a bad byte after it is
+    # still named by its offset in the file, the mark's 3 bytes included
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(b"\xef\xbb\xbf" + _ROUND_TRIP[format].encode())
+    loaded = load_corpus(path, format)
+    assert [(i.id, i.text, i.group) for i in loaded] == [
+        ("a", "first, with comma", "g1"), ("b", "second", None)]
+    assert load_corpus_view(path, format).ids == ["a", "b"]
+    data = b"\xef\xbb\xbf" + _ROUND_TRIP[format].encode() + b"c,caf\xe9\n"
+    path.write_bytes(data)
+    with pytest.raises(MalformedRecord) as excinfo:
+        load_corpus(path, format)
+    assert excinfo.value.line == 3 + (format == "csv")
+    assert f"is not UTF-8: byte {data.index(0xE9)} (0xe9)" in str(excinfo.value)
+
+
 _BAD_CORPORA = {
     "jsonl": {
         "duplicate-id": '{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n'

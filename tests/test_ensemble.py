@@ -3,7 +3,6 @@ import pytest
 
 from topicensemble.ensemble import (
     ScoreMatrix,
-    degenerate_ensemble,
     ensemble_topic,
     intersection_label,
     optimal_threshold,
@@ -213,13 +212,14 @@ def test_fusion_rule():
 def test_fusion_tau_extremes():
     # flat scores: with majority positives tau falls below every pc1 and the
     # union passes; without, tau rises above every pc1 and nothing does
+    flat = {m: [0.3, 0.3, 0.3] for m in "abc"}
     majority = {"a": [True, False, True], "b": [True, False, False], "c": [False, False, True]}
-    decision, ens = degenerate_ensemble(majority)
+    decision, ens = ensemble_topic(majority, flat)
     assert decision.tau < ens.pc1.min()
     assert_fused(decision, ens.pc1)
     assert decision.final_label.tolist() == [True, False, True]
     lone = {"a": [True, False, False], "b": [False, True, False], "c": [False, False, False]}
-    decision, ens = degenerate_ensemble(lone)
+    decision, ens = ensemble_topic(lone, flat)
     assert decision.tau > ens.pc1.max()
     assert_fused(decision, ens.pc1)
     assert decision.union_label.tolist() == [True, True, False]
@@ -232,10 +232,7 @@ def test_fusion_sandwich():
         n = int(rng.integers(2, 30))
         labels = {m: rng.random(n) < 0.6 for m in "abc"}
         scores = {m: np.where(labels[m], rng.random(n), 0.0) for m in "abc"}
-        try:
-            decision, ens = ensemble_topic(labels, scores, topic="t")
-        except ZeroVariance:
-            decision, ens = degenerate_ensemble(labels)
+        decision, ens = ensemble_topic(labels, scores, topic="t")
         assert_fused(decision, ens.pc1)
 
 
@@ -287,7 +284,24 @@ def test_ensemble_topic_exclusion_drops_columns():
         DEMOTION_LABELS, DEMOTION_SCORES, topic="t", excluded={"D"}
     )
     assert ens.weights.shape == (3,)
+    assert ens.models == ("A", "B", "C") and not ens.flat
     assert decision.final_label.tolist() == [True] * 5 + [False] * 3
+
+
+def test_ensemble_topic_flat_scores():
+    # every kept score column constant: no ZeroVariance, a flat result over the
+    # kept models; D's varying column is excluded, so it does not count
+    labels = {"A": [True, False, True], "D": [True, True, False], "B": [False] * 3}
+    scores = {"A": [0.4] * 3, "D": [0.9, 0.5, 0.0], "B": [0.0] * 3}
+    decision, ens = ensemble_topic(labels, scores, topic="t", excluded={"D"})
+    assert ens.flat and ens.models == ("A", "B") and ens.orientation_sign == 1
+    assert ens.weights.tolist() == pytest.approx([2 ** -0.5] * 2)
+    assert ens.pc1.tolist() == [0.0] * 3
+    assert decision.tau == 1.0  # the sentinel: no majority positive among A and B
+    assert decision.union_label.tolist() == [True, False, True]
+    assert decision.final_label.tolist() == [False] * 3
+    _, ens = ensemble_topic(labels, scores, topic="t")
+    assert not ens.flat and ens.models == ("A", "D", "B")
 
 
 def test_ensemble_topic_too_few_after_exclusion():

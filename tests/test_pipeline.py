@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import http.client
 import io
@@ -454,8 +455,9 @@ def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
 
 
 def test_ensemble_stage_zero_variance_fallback(tmp_path):
-    # a topic nobody ever labels: every score column is constant, so the
-    # stage falls back to flat pc1 + sentinel threshold instead of aborting
+    # a topic nobody ever labels: every kept score column is constant, so the
+    # stage falls back to flat pc1 + sentinel threshold instead of aborting.
+    # m3's column varies, but outliers.json excludes m3, so it is not fused.
     workdir = tmp_path / "zv"
     workdir.mkdir()
     (workdir / "corpus.jsonl").write_text(
@@ -470,6 +472,7 @@ def test_ensemble_stage_zero_variance_fallback(tmp_path):
         "backends:\n"
         "  - {name: m1, endpoint: http://127.0.0.1:1/v1/chat/completions}\n"
         "  - {name: m2, endpoint: http://127.0.0.1:1/v1/chat/completions}\n"
+        "  - {name: m3, endpoint: http://127.0.0.1:1/v1/chat/completions}\n"
         "embedding: {endpoint: http://127.0.0.1:1/v1/embeddings}\n"
         "output_dir: runs\n"
     )
@@ -479,6 +482,9 @@ def test_ensemble_stage_zero_variance_fallback(tmp_path):
     agg_rows = [
         {"model": m, "text_id": t, "topic": "ghost", "label": False, "score": 0.0}
         for m in ("m1", "m2") for t in ("t1", "t2")
+    ] + [
+        {"model": "m3", "text_id": "t1", "topic": "ghost", "label": True, "score": 0.5},
+        {"model": "m3", "text_id": "t2", "topic": "ghost", "label": False, "score": 0.0},
     ]
     (run_dir / "score").mkdir(parents=True)
     (run_dir / "score" / "aggregated.jsonl").write_text(
@@ -491,21 +497,28 @@ def test_ensemble_stage_zero_variance_fallback(tmp_path):
     )
     (run_dir / "agree").mkdir()
     (run_dir / "agree" / "outliers.json").write_text(
-        json.dumps({"excluded": [], "config_digest": digest}))
+        json.dumps({"excluded": ["m3"], "config_digest": digest}))
 
     from topicensemble.pipeline import stage_ensemble
 
     stage_ensemble(cfg, pipeline.load_inputs(cfg, gold=False), run_dir, digest)
     summary = json.loads((run_dir / "ensemble" / "ensemble.json").read_text())
-    assert summary["topics"]["ghost"]["zero_variance_fallback"] is True
-    assert summary["topics"]["ghost"]["weights"] == pytest.approx([2 ** -0.5] * 2)
-    decisions = [
-        json.loads(line)
-        for line in (run_dir / "ensemble" / "ghost.decisions.jsonl")
-        .read_text().splitlines()[1:]
-    ]
-    assert all(d["final"] is False for d in decisions)
-    assert all(d["pc1"] == 0.0 for d in decisions)
+    assert summary["topics"]["ghost"] == {
+        "models": ["m1", "m2"],
+        "weights": [pytest.approx(2 ** -0.5, abs=1e-15)] * 2,
+        "orientation_sign": 1,
+        "tau": 1.0,
+        "zero_variance_fallback": True,
+    }
+    meta = ('{"_meta": {"config_digest": "%s", "schema": "decisions", '
+            '"schema_version": 1}}\n' % digest)
+    rows = "".join(
+        '{"final": false, "intersection": false, "pc1": 0.0, '
+        '"per_model_labels": {"m1": false, "m2": false}, '
+        '"per_model_scores": {"m1": 0.0, "m2": 0.0}, '
+        '"tau": 1.0, "text_id": "%s", "union": false}\n' % text_id
+        for text_id in ("t1", "t2"))
+    assert (run_dir / "ensemble" / "ghost.decisions.jsonl").read_text() == meta + rows
 
 
 def test_subset_ensembles_in_metrics(e2e):
@@ -974,9 +987,10 @@ def test_failed_write_keeps_the_old_artifact(tmp_path, write):
 @pytest.mark.parametrize("name,content", [
     ("gold.csv", "text_id,topic,label\nt1,sleep,maybe\n"),
     ("gold.csv", "text_id,topic,verdict\nt1,sleep,1\n"),
+    ("gold.csv", "text_id,topic,label\nt1,sleep,1\nt1,slep,1\n"),
     ("topics.yaml", "topics:\n  - short_name: sleep: x\n"),
     ("corpus.jsonl", b'{"id": "t1", "text": "caf\xe9 au lait"}\n'),
-], ids=["gold-label-maybe", "gold-no-label-column", "topics-not-yaml",
+], ids=["gold-label-maybe", "gold-no-label-column", "gold-unknown-topic", "topics-not-yaml",
         "corpus-not-utf8"])
 def test_bad_input_file_is_an_error_line(e2e, capsys, name, content):
     workdir, server = e2e
@@ -1061,8 +1075,10 @@ def test_input_path_that_is_a_directory_is_a_config_error(tmp_path, capsys, key,
      ["line 4: {workdir}/gold.csv: duplicate gold row for ('sleep', 't1') (first on line 2)"]),
     ({"gold.csv": "text_id,topic,label\nzz1,sleep,1\nzz2,sleep,0\n"},
      ["gold labels {workdir}/gold.csv: no row of topic 'sleep' names a text of the corpus"]),
+    ({"gold.csv": "text_id,topic,label\nt1,sleep,1\nt1,slep,1\nt2,slep,0\n"},
+     ["line 3: {workdir}/gold.csv: topic 'slep' is not a top-level topic"]),
 ], ids=["empty-corpus", "topics-not-yaml", "both", "gold-label-maybe", "gold-duplicate-row",
-        "gold-names-no-corpus-text"])
+        "gold-names-no-corpus-text", "gold-unknown-topic"])
 def test_validate_config_loads_corpus_and_topics(tmp_path, capsys, files, problems):
     workdir = tmp_path / "demo"
     shutil.copytree(E2E, workdir)
@@ -1091,6 +1107,52 @@ def test_gold_second_row_for_a_cell_is_refused(tmp_path):
         pipeline._load_gold(gold)
     assert str(exc.value) == (f"line 4: {gold}: duplicate gold row for ('sleep', 't1') "
                               f"(first on line 2)")
+
+
+def test_gold_row_of_a_subtopic_is_refused(tmp_path):
+    # gold labels are per top-level topic; a subtopic is scored, not evaluated
+    gold = tmp_path / "gold.csv"
+    gold.write_text("text_id,topic,label\nt1,sleep,1\nt2,insomnia,0\n")
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold, {"sleep", "appetite"})
+    assert str(exc.value) == f"line 3: {gold}: topic 'insomnia' is not a top-level topic"
+
+
+def test_gold_with_a_byte_order_mark_names_both_lines_of_a_duplicate(tmp_path):
+    gold = tmp_path / "gold.csv"
+    gold.write_bytes(b"\xef\xbb\xbftext_id,topic,label\nt1,sleep,1\nt2,sleep,0\n")
+    assert pipeline._load_gold(gold) == {"sleep": {"t1": True, "t2": False}}
+    gold.write_bytes(b"\xef\xbb\xbftext_id,topic,label\nt1,sleep,1\nt2,sleep,0\nt1,sleep,0\n")
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold)
+    assert str(exc.value) == (f"line 4: {gold}: duplicate gold row for ('sleep', 't1') "
+                              f"(first on line 2)")
+
+
+def test_corpus_and_gold_with_a_byte_order_mark_run_like_without(e2e, tmp_path, capsys):
+    workdir, server = e2e
+    records = [json.loads(line) for line in (workdir / "corpus.jsonl").read_text().splitlines()]
+    corpus = io.StringIO()
+    csv.writer(corpus, lineterminator="\n").writerows(
+        [["id", "text", "group"]] + [[r["id"], r["text"], r.get("group", "")] for r in records])
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace(
+        "path: corpus.jsonl\n  format: jsonl", "path: corpus.csv\n  format: csv"))
+    (workdir / "corpus.csv").write_text(corpus.getvalue(), encoding="utf-8")
+    bom = tmp_path / "bom"
+    shutil.copytree(workdir, bom)
+    for name in ("corpus.csv", "gold.csv"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (workdir / name).read_bytes())
+    trees = []
+    for root in (workdir, bom):
+        assert main(["validate-config", "--config", str(root / "config.yaml")]) == 0
+        assert "config OK" in capsys.readouterr().out
+        cfg = load_config(root / "config.yaml")
+        run_dir = run(cfg, stage="all", run_id="bom")
+        digest = config_digest(cfg).encode()
+        trees.append({p.relative_to(run_dir).as_posix(): p.read_bytes().replace(digest, b"<d>")
+                      for p in run_dir.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1] and "evaluate/metrics.csv" in trees[0]
 
 
 def test_gold_topic_naming_no_corpus_text_is_an_error_line(e2e, capsys):
