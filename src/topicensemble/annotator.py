@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 from urllib.parse import urlsplit
 
 from .corpus import TextItem, TopicSet
@@ -37,12 +37,13 @@ from .errors import (
     Unparseable,
 )
 
-# http.client (which loads ssl and email), sqlite3 and concurrent.futures are
+# socket (and ssl, for an https endpoint), sqlite3 and concurrent.futures are
 # imported where they are first used, so that the commands that reach no
 # backend and no store (run --stage agree/ensemble/evaluate, validate-config)
-# never load them.
+# never load them. The backend transport is the small HTTP/1.1 client below,
+# not http.client, which would load ssl and email on every run.
 if TYPE_CHECKING:
-    import http.client
+    import socket
 
 logger = logging.getLogger(__name__)
 
@@ -207,82 +208,200 @@ class ResponseCache:
         return json.loads(blob)
 
 
+# http.client's limits on a reply's status, header and chunk-size lines
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# a request target holds printable ASCII only
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")
+
+
+class ProtocolError(Exception):
+    """A reply that is not well-formed HTTP/1.x, or a URL that is not
+    http(s): post_json retries it as it retries a connection error."""
+
+
 class ConnectionPool:
-    """Keep-alive HTTP(S) connections to backends, shared by threads, and
+    """Keep-alive HTTP/1.1 connections to backends, shared by threads, and
     the retry policy of the calls made over them (see post_json).
 
     A call takes an idle connection to its (scheme, host, port), or opens
     one, and hands it back once the whole reply is read, so the pool holds
     as many connections per endpoint as calls were ever in flight at once:
-    one per worker thread. Each socket operation waits at most `timeout`
+    one per worker thread. A connection is a socket with TCP_NODELAY set
+    (for https wrapped in TLS, verified against the system's CA
+    certificates) and one buffered reader of its replies. A request goes out
+    in one write: the request line, Host, Accept-Encoding: identity,
+    Content-Length, the caller's headers and the body. Interim 1xx replies
+    are skipped, and a reply's body is read by its Content-Length, by chunked
+    coding, or to the end of the stream; only in that last case, or after an
+    HTTP/1.0 reply or one with Connection: close, is the connection closed
+    rather than handed back. Each socket operation waits at most `timeout`
     seconds. close() closes every idle connection; a call that fails closes
     the connection it holds. Proxy environment variables are not honoured.
     """
 
     def __init__(self, retries: int, timeout: float, backoff: float):
         self.retries, self.timeout, self.backoff = retries, timeout, backoff
-        self._idle: dict[tuple[str, str, int | None], list] = {}
+        self._idle: dict[tuple[str, str, int | None], list[tuple[socket.socket, BinaryIO]]] = {}
         self._lock = threading.Lock()
 
     def post(self, url: str, body: bytes, headers: dict) -> tuple[int, bytes]:
         """POST body to url and return (status, reply body).
 
         A reused connection that the server closed while it was idle is
-        replaced once at no cost; any other failure propagates."""
-        import http.client
-
+        replaced once at no cost; any other failure propagates: an OSError
+        from the socket, or ProtocolError for a malformed reply or a URL
+        that is not http(s)."""
         parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise http.client.InvalidURL(f"not an http(s) URL: {url!r}")
-        key = (parts.scheme, parts.hostname, parts.port)
+        scheme, host, port = key = (parts.scheme, parts.hostname, parts.port)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if scheme not in ("http", "https") or not host or _BAD_TARGET.search(target):
+            raise ProtocolError(f"not an http(s) URL: {url!r}")
+        # Host as http.client forms it: IDNA, IPv6 in brackets, and the port
+        # unless it is the scheme's default
+        if not host.isascii():
+            host = host.encode("idna").decode()
+        if ":" in host:
+            host = f"[{host}]"
+        if port not in (None, 443 if scheme == "https" else 80):
+            host += f":{port}"
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        if fields.count("\n") != len(headers) or fields.count("\r") != len(headers):
+            raise ValueError("a request header holds a line break")
+        request = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+                   f"Content-Length: {len(body)}\r\n{fields}\r\n").encode("latin-1") + body
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, key, target, body, headers)
-            except ConnectionError:  # includes RemoteDisconnected
+                return self._exchange(conn, key, request)
+            except ConnectionError:
                 pass
-        cls = http.client.HTTPSConnection if key[0] == "https" else http.client.HTTPConnection
-        conn = cls(key[1], key[2], timeout=self.timeout)
-        return self._exchange(conn, key, target, body, headers)
+        return self._exchange(self._connect(key), key, request)
 
-    def _exchange(self, conn: http.client.HTTPConnection, key: tuple, target: str,
-                  body: bytes, headers: dict) -> tuple[int, bytes]:
+    def _connect(self, key: tuple[str, str, int | None]) -> tuple[socket.socket, BinaryIO]:
+        import socket
+
+        scheme, host, port = key
+        sock = socket.create_connection((host, port or (443 if scheme == "https" else 80)),
+                                        self.timeout)
         try:
-            if conn.sock is not None:  # a reused connection
-                conn.sock.settimeout(self.timeout)
-            conn.request("POST", target, body, headers)
-            reply = conn.getresponse()
-            data = reply.read()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                import ssl
+
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        if conn.sock is not None:  # None: the server closed it with this reply
+        return sock, sock.makefile("rb")
+
+    def _exchange(self, conn: tuple[socket.socket, BinaryIO], key: tuple,
+                  request: bytes) -> tuple[int, bytes]:
+        try:
+            conn[0].sendall(request)
+            status, data, keep = _read_reply(conn[1])
+        except BaseException:
+            _close(conn)
+            raise
+        if keep:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return reply.status, data
+        else:
+            _close(conn)
+        return status, data
 
     def close(self) -> None:
         with self._lock:
             conns = [conn for idle in self._idle.values() for conn in idle]
             self._idle.clear()
         for conn in conns:
-            conn.close()
+            _close(conn)
+
+
+def _close(conn: tuple[socket.socket, BinaryIO]) -> None:
+    conn[1].close()
+    conn[0].close()
+
+
+def _read_reply(rfile: BinaryIO) -> tuple[int, bytes, bool]:
+    """Read one reply: (status, body, whether the connection can carry the
+    next request). Interim 1xx replies are skipped; a server that closes the
+    connection before the status line raises ConnectionResetError."""
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the server closed the connection without a reply")
+        parts = line.split(None, 2)
+        if (len(line) > _MAX_LINE or len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
+                or not (parts[1].isdigit() and 100 <= int(parts[1]) <= 999)):
+            raise ProtocolError(f"malformed status line {line[:200]!r}")
+        status = int(parts[1])
+        headers = _read_headers(rfile)
+        if status >= 200:
+            break
+    keep = parts[0] != b"HTTP/1.0" and b"close" not in headers.get(b"connection", b"").lower()
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(rfile), keep
+    if status in (204, 304):
+        return status, b"", keep
+    try:
+        length = int(headers[b"content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:  # delimited by the end of the stream
+        return status, rfile.read(), False
+    data = rfile.read(length)
+    if len(data) < length:
+        raise ProtocolError(f"reply body cut short: {len(data)} of {length} bytes")
+    return status, data, keep
+
+
+def _read_headers(rfile: BinaryIO) -> dict[bytes, bytes]:
+    """The header fields up to the blank line, by lower-cased name (the
+    first of repeated ones)."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ProtocolError(f"header line longer than {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.partition(b":")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise ProtocolError(f"more than {_MAX_HEADERS} header lines")
+
+
+def _read_chunked(rfile: BinaryIO) -> bytes:
+    chunks = []
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0 or len(line) > _MAX_LINE:
+            raise ProtocolError(f"malformed chunk size line {line[:200]!r}")
+        if size == 0:
+            break
+        chunk = rfile.read(size + 2)  # the data and its CRLF
+        if len(chunk) < size + 2:
+            raise ProtocolError("chunked reply body cut short")
+        chunks.append(chunk[:size])
+    _read_headers(rfile)  # the trailer
+    return b"".join(chunks)
 
 
 def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | None = None):
     """POST payload as JSON and return the decoded body of the 200 reply.
 
-    Connection errors, timeouts, HTTP protocol errors, 429 and 5xx are
-    retried up to the pool's `retries` times, after `backoff`, 2·`backoff`,
-    ... seconds, then raise BackendUnavailable; any other status raises
-    BadStatus at once, and so does a malformed JSON body. `auth_env` names
-    the environment variable holding a bearer token.
+    Connection errors, timeouts, malformed replies (ProtocolError), 429 and
+    5xx are retried up to the pool's `retries` times, after `backoff`,
+    2·`backoff`, ... seconds, then raise BackendUnavailable; any other status
+    raises BadStatus at once, and so does a malformed JSON body. `auth_env`
+    names the environment variable holding a bearer token.
     """
-    import http.client
-
     headers = {"Content-Type": "application/json"}
     if auth_env:
         headers["Authorization"] = f"Bearer {os.environ.get(auth_env, '')}"
@@ -293,7 +412,7 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
             time.sleep(pool.backoff * 2 ** (attempt - 1))
         try:
             status, data = pool.post(url, body, headers)
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, ProtocolError) as exc:
             last_error = exc
             continue
         if status == 429 or status >= 500:

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import socket
 import sys
 import threading
@@ -339,13 +340,15 @@ def _read_request(rfile) -> bool:
 
 
 @contextlib.contextmanager
-def raw_server(mode: str):
-    """An HTTP/1.1 server on 127.0.0.1 that answers each POST with
-    {"ok": true} and never sends Connection: close. Modes: "keep-alive"
-    serves any number of requests per connection, "close-after-reply"
-    closes each connection after one reply, "close-before-reply" closes it
-    after reading the request. Yields (url, counts of connections and
-    requests)."""
+def raw_server(mode: str, reply: bytes = _REPLY):
+    """An HTTP/1.1 server on 127.0.0.1, one connection at a time, that
+    answers each POST with `reply` (by default {"ok": true}, without
+    Connection: close). Modes: "keep-alive" serves any number of requests
+    per connection, "close-after-reply" closes each connection after one
+    reply, "close-before-reply" closes it after reading the request, and
+    "reply-first" sends the reply as soon as it accepts, reads nothing and
+    closes once the client has. A connection the client resets is dropped.
+    Yields (url, counts of connections and requests)."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
     counts = {"connections": 0, "requests": 0}
@@ -359,12 +362,16 @@ def raw_server(mode: str):
                 continue
             counts["connections"] += 1
             conn.settimeout(10)
-            with conn, conn.makefile("rb") as rfile:
+            with conn, conn.makefile("rb") as rfile, contextlib.suppress(OSError):
+                if mode == "reply-first":
+                    conn.sendall(reply)
+                    while conn.recv(65536):
+                        pass
                 while _read_request(rfile):
                     counts["requests"] += 1
                     if mode == "close-before-reply":
                         break
-                    conn.sendall(_REPLY)
+                    conn.sendall(reply)
                     if mode == "close-after-reply":
                         break
 
@@ -419,6 +426,93 @@ def test_post_json_rejects_a_url_that_is_not_http(sleeps):
     with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
         with pytest.raises(BackendUnavailable, match="not an http"):
             post_json(pool, "ftp://127.0.0.1/v1/x", {"model": "m"})
+
+
+_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+
+
+@pytest.mark.parametrize("mode, reply, connections", [
+    ("keep-alive", _HEAD + b"Transfer-Encoding: chunked\r\n\r\n5;ext=1\r\n{\"ok\"\r\n"
+     b"5\r\n: tru\r\n2\r\ne}\r\n0\r\nX-Trailer: 1\r\n\r\n", 1),
+    ("keep-alive", b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + _REPLY, 1),
+    # no Content-Length: the body ends with the stream
+    ("close-after-reply", _HEAD + b"\r\n{\"ok\": true}", 3),
+    # the server would serve more requests on the connection, but the reply
+    # said close (or was HTTP/1.0), so each call opens a new one
+    ("keep-alive", _HEAD + b"Connection: close\r\nContent-Length: 12\r\n\r\n{\"ok\": true}", 3),
+    ("keep-alive", b"HTTP/1.0 200 OK\r\nContent-Length: 12\r\n\r\n{\"ok\": true}", 3),
+], ids=["chunked", "interim-100", "delimited-by-close", "connection-close", "http-1.0"])
+def test_post_json_reads_each_reply_framing(sleeps, mode, reply, connections):
+    with raw_server(mode, reply) as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
+            for _ in range(3):
+                assert post_json(pool, url, {"model": "m"}) == {"ok": True}
+    assert counts == {"connections": connections, "requests": 3}
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("reply, mode, error", [
+    (b"HTTP/1.1 OK\r\n\r\n", "keep-alive", "malformed status line"),
+    (b"ICY 200 OK\r\n\r\n", "keep-alive", "malformed status line"),
+    (_HEAD + b"Content-Length: 40\r\n\r\n{\"ok\": true}", "close-after-reply", "cut short"),
+    (_HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n", "close-after-reply", "chunk size"),
+    (_HEAD + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n", "keep-alive", "header line longer"),
+    (_HEAD + b"X-Many: 1\r\n" * 100 + b"\r\n", "keep-alive", "more than 100 header"),
+])
+def test_post_json_retries_a_malformed_reply(sleeps, reply, mode, error):
+    with raw_server(mode, reply) as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.5)) as pool:
+            with pytest.raises(BackendUnavailable, match=error):
+                post_json(pool, url, {"model": "m"})
+    assert counts == {"connections": 3, "requests": 3}
+    assert sleeps == [0.5, 1.0]
+
+
+def test_post_json_https_to_a_plain_http_server_is_a_retried_transport_error(sleeps):
+    # the TLS handshake reads an HTTP reply where it expects a TLS record
+    with raw_server("reply-first") as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=1, timeout=30.0, backoff=0.5)) as pool:
+            with pytest.raises(BackendUnavailable, match="SSL"):
+                post_json(pool, url.replace("http://", "https://"), {"model": "m"})
+    assert counts == {"connections": 2, "requests": 0}
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("url, target, host", [
+    ("http://127.0.0.1:8080/v1/x?a=1", b"/v1/x?a=1", b"127.0.0.1:8080"),
+    ("http://LocalHost:80", b"/", b"localhost"),
+    ("https://example.org:443/v1/x", b"/v1/x", b"example.org"),
+    ("https://example.org:8443/v1/x", b"/v1/x", b"example.org:8443"),
+    ("http://[::1]:9000/v1/x", b"/v1/x", b"[::1]:9000"),
+])
+def test_post_json_sends_the_request_in_one_write(monkeypatch, url, target, host):
+    # the head as http.client sends it: Host, Accept-Encoding, Content-Length,
+    # then the caller's headers
+    sent = []
+
+    class Socket:
+        sendall = sent.append
+
+        def close(self):
+            pass
+
+    monkeypatch.setenv("STUB_TOKEN", "secret")
+    pool = ConnectionPool(retries=0, timeout=30.0, backoff=0.5)
+    monkeypatch.setattr(pool, "_connect", lambda key: (Socket(), io.BytesIO(_REPLY)))
+    assert post_json(pool, url, {"model": "m"}, "STUB_TOKEN") == {"ok": True}
+    body = b'{"model": "m"}'
+    assert sent == [b"POST " + target + b" HTTP/1.1\r\nHost: " + host +
+                    b"\r\nAccept-Encoding: identity\r\nContent-Length: %d\r\n"
+                    b"Content-Type: application/json\r\nAuthorization: Bearer secret\r\n\r\n"
+                    % len(body) + body]
+
+
+def test_post_json_refuses_a_line_break_in_a_header(monkeypatch):
+    monkeypatch.setenv("STUB_TOKEN", "secret\r\nX-Injected: 1")
+    pool = ConnectionPool(retries=0, timeout=30.0, backoff=0.5)
+    monkeypatch.setattr(pool, "_connect", lambda key: pytest.fail("connected"))
+    with pytest.raises(ValueError, match="line break"):
+        post_json(pool, "http://127.0.0.1:9/v1/x", {"model": "m"}, "STUB_TOKEN")
 
 
 # --------------------------------------------------------- annotate_corpus

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import hashlib
-import http.client
 import io
 import json
 import os
@@ -135,20 +134,22 @@ def test_e2e_artifact_bytes_are_pinned(tmp_path):
 def test_warm_annotate_posts_nothing_and_uses_no_worker(e2e, monkeypatch):
     workdir, server = e2e
     cfg = load_config(workdir / "config.yaml")
-    cold = run(cfg, stage="annotate", run_id="cold")
     submitted, posts = [], []
-    real_run_parallel, real_request = annotator.run_parallel, http.client.HTTPConnection.request
+    real_run_parallel, real_post = annotator.run_parallel, annotator.ConnectionPool.post
 
     def spying_run_parallel(fn, items, workers):
         submitted.extend(items)
         return real_run_parallel(fn, items, workers)
 
-    def counting_request(self, *args, **kwargs):
+    def counting_post(self, *args, **kwargs):
         posts.append(args)
-        return real_request(self, *args, **kwargs)
+        return real_post(self, *args, **kwargs)
 
+    monkeypatch.setattr(annotator.ConnectionPool, "post", counting_post)
+    cold = run(cfg, stage="annotate", run_id="cold")
+    assert len(posts) > 0  # the spy sees the POSTs a cold run makes
+    posts.clear()
     monkeypatch.setattr(annotator, "run_parallel", spying_run_parallel)
-    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
     warm = run(cfg, stage="annotate", run_id="warm")
     assert submitted == [] and posts == []
     rel = Path("annotate") / "annotations.jsonl"
@@ -572,13 +573,13 @@ def test_dead_backend_fails_fast(tmp_path, monkeypatch, texts):
     config_path = workdir / "config.yaml"
     config_path.write_text(config_path.read_text().replace("8731", str(port)))
     posts = []
-    real_request = http.client.HTTPConnection.request
+    real_post = annotator.ConnectionPool.post
 
-    def counting_request(self, *args, **kwargs):
+    def counting_post(self, *args, **kwargs):
         posts.append(args)
-        return real_request(self, *args, **kwargs)
+        return real_post(self, *args, **kwargs)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
+    monkeypatch.setattr(annotator.ConnectionPool, "post", counting_post)
     assert main(["run", "--config", str(config_path), "--run-id", "dead"]) == 4
     cfg = load_config(config_path)
     workers = sum(b.parallelism for b in cfg.backends)
@@ -614,12 +615,32 @@ def test_analysis_commands_load_no_backend_io_modules(finished_run, tmp_path):
             "from topicensemble.cli import main\n"
             f"for argv in {commands!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            "loaded = {'http.client', 'ssl', 'sqlite3', 'concurrent.futures'}"
+            "loaded = {'socket', 'ssl', 'sqlite3', 'concurrent.futures'}"
             " & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_annotate_over_http_loads_no_http_client_email_or_ssl(e2e):
+    # the backend transport is annotator's own HTTP/1.1 exchange; ssl is
+    # loaded only for an https endpoint
+    workdir, server = e2e
+    argv = ["run", "--config", str(workdir / "config.yaml"), "--stage", "annotate",
+            "--run-id", "cold"]
+    src = Path(pipeline.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from topicensemble.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "loaded = {'http.client', 'email.parser', 'ssl'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert server.call_count > 0
 
 
 # ------------------------------------------- artifact integrity and bad inputs
