@@ -1,0 +1,104 @@
+"""Cold annotate wall time against backends that take real time to answer.
+
+Starts `topicensemble.stubserver` in its own process, with each chat reply
+held back --delay-ms (the launcher of bench_transport.py), and a fixture
+holding an answer for every (model, text). Then runs `annotate_corpus` over
+--texts texts for --backends backends at --parallelism each, into an empty
+store, --repeats times. Prints the median wall time against the
+slowest-backend bound, texts / parallelism × delay, and against the sum over
+backends, which is what working one backend at a time costs; and the mean
+calls in flight per backend (the summed time of its chat calls over the wall
+time), whose ceiling is the parallelism.
+
+    PYTHONPATH=src python3 benchmarks/bench_annotate.py [--texts 300]
+        [--backends 3] [--parallelism 2] [--delay-ms 20] [--repeats 3]
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import tempfile
+import threading
+import time
+from collections import Counter
+from contextlib import closing
+from pathlib import Path
+
+from bench_transport import TOPICS, start_stub
+
+from topicensemble import annotator
+from topicensemble.annotator import (ConnectionPool, ModelBackend, ResponseCache,
+                                     annotate_corpus, build_prompt)
+from topicensemble.corpus import TextItem
+from topicensemble.stubserver import format_response
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--texts", type=int, default=300)
+    parser.add_argument("--backends", type=int, default=3)
+    parser.add_argument("--parallelism", type=int, default=2)
+    parser.add_argument("--delay-ms", type=float, default=20.0,
+                        help="hold each chat reply back this long in the stub")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    corpus = [TextItem(f"t{i}", f"Text number {i}: the deadlines keep piling up.")
+              for i in range(args.texts)]
+    models = [f"m{b}" for b in range(args.backends)]
+    answer = format_response([(topic.short_name, False, []) for topic in TOPICS])
+    busy: Counter = Counter()
+    lock = threading.Lock()
+    real_chat = annotator.chat
+
+    def timed_chat(backend, prompt, pool):
+        start = time.perf_counter()
+        try:
+            return real_chat(backend, prompt, pool)
+        finally:
+            with lock:
+                busy[backend.name] += time.perf_counter() - start
+
+    annotator.chat = timed_chat
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "fixture.json"
+        fixture.write_text(json.dumps({"dimension": 8, "embeddings": {}, "chat": [
+            {"model": model, "prompt": build_prompt(TOPICS, item), "response": answer}
+            for model in models for item in corpus]}))
+        proc, url = start_stub(fixture, args.delay_ms)
+        backends = [ModelBackend(model, url, parallelism=args.parallelism) for model in models]
+        walls, inflight = [], []
+        try:
+            for repeat in range(args.repeats):
+                busy.clear()
+                with (closing(ResponseCache(Path(tmp) / f"cache{repeat}")) as cache,
+                      closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.0)) as pool):
+                    start = time.perf_counter()
+                    with closing(annotate_corpus(corpus, TOPICS, backends, cache, pool)) as cells:
+                        count = sum(1 for _ in cells)
+                    wall = time.perf_counter() - start
+                if count != len(models) * len(corpus) * len(TOPICS.leaves()):
+                    raise RuntimeError(f"{count} cells")
+                walls.append(wall)
+                inflight.append([busy[model] / wall for model in models])
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+    slowest = args.texts / args.parallelism * args.delay_ms / 1000.0
+    wall = statistics.median(walls)
+    print(f"texts={args.texts} backends={args.backends} parallelism={args.parallelism} "
+          f"delay_ms={args.delay_ms:g} repeats={args.repeats}")
+    print(f"wall_s {wall:7.3f}  (runs: {', '.join(f'{w:.3f}' for w in walls)})")
+    print(f"slowest_backend_bound_s {slowest:7.3f}  wall/bound {wall / slowest:5.2f}")
+    print(f"sum_over_backends_s {slowest * args.backends:7.3f}")
+    print("inflight_mean_per_backend " + "  ".join(
+        f"{model} {statistics.median(run[b] for run in inflight):.2f}"
+        for b, model in enumerate(models)) + f"  (ceiling {args.parallelism})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -67,9 +67,8 @@ sys.exit(stubserver.main(sys.argv[2:]))
 
 def start_stub(fixture: Path, delay_ms: float) -> tuple[subprocess.Popen, str]:
     """The stub server in its own process, and its chat URL once it listens."""
-    # -u: the stub prints its ready line without flushing it
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-c", STUB, str(delay_ms), str(fixture),
+        [sys.executable, "-c", STUB, str(delay_ms), str(fixture),
          "--port", str(free_port())], stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
     if not line.startswith("stub server listening on "):

@@ -14,6 +14,7 @@ fall back to splitting the post-colon tail on commas/semicolons.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -37,11 +38,12 @@ from .errors import (
     Unparseable,
 )
 
-# socket (and ssl, for an https endpoint), sqlite3 and concurrent.futures are
-# imported where they are first used, so that the commands that reach no
-# backend and no store (run --stage agree/ensemble/evaluate, validate-config)
-# never load them. The backend transport is the small HTTP/1.1 client below,
-# not http.client, which would load ssl and email on every run.
+# socket (and ssl, for an https endpoint) and sqlite3 are imported where they
+# are first used, so that the commands that reach no backend and no store
+# (run --stage agree/ensemble/evaluate, validate-config) never load them. The
+# backend transport is the small HTTP/1.1 client below, not http.client, which
+# would load ssl and email on every run; the workers are plain threads, not a
+# concurrent.futures pool.
 if TYPE_CHECKING:
     import socket
 
@@ -211,7 +213,8 @@ class ResponseCache:
 # http.client's limits on a reply's status, header and chunk-size lines
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-# a request target holds printable ASCII only
+# a request target holds printable ASCII only; config refuses an endpoint by
+# the same rule
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
@@ -431,21 +434,45 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
 
 
 def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(x) for x in items] on up to `workers` threads, in input order.
+    """[fn(x) for x in items] in input order, on the calling thread and up to
+    `workers` - 1 more threads.
 
-    The first exception cancels every call not yet started and is re-raised
-    once the running ones return, so a dead backend costs the calls in
-    flight rather than the whole queue.
+    Every thread takes the next index from one shared iterator, so one item
+    or one worker starts no thread. The first exception stops every thread
+    from starting another call and is re-raised once the running calls
+    return, so a dead backend costs the calls in flight rather than the
+    whole queue.
     """
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(items)
+    indexes = iter(range(len(items)))  # next() on it is atomic under the GIL
+    failures: list[BaseException] = []
 
-    pool = ThreadPoolExecutor(max_workers=workers)
+    def work() -> None:
+        for i in indexes:
+            if failures:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                failures.append(exc)
+                return
+
+    threads: list[threading.Thread] = []
     try:
-        return list(pool.map(fn, items))
+        for _ in range(min(workers, len(items)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException as exc:  # a thread that could not start, or an interrupt
+        failures.append(exc)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
@@ -501,18 +528,29 @@ _QUOTED_RE = re.compile(r"'([^']+)'|\"([^\"]+)\"")
 _PHRASE_MARKER_RE = re.compile(
     r"related\s+phrases(?:\s+if\s+any)?\s*:?", re.IGNORECASE
 )
+_PHRASE_SPLIT_RE = re.compile(r"[,;]")
 _PHRASE_PLACEHOLDERS = {"none", "n/a", "na", "-", "no", "nothing"}
 
 
+@functools.lru_cache(maxsize=1024)
+def _leaf_patterns(index: int, short_name: str) -> tuple[re.Pattern, re.Pattern]:
+    """A leaf's numbered topic line, "(k) name:", and its name anywhere."""
+    name = re.escape(short_name)
+    return (re.compile(rf"\(\s*{index}\s*\)\s*{name}\s*:", re.IGNORECASE),
+            re.compile(rf"\b{name}\s*:", re.IGNORECASE))
+
+
+def _topic_line(short_names: Iterable[str]) -> re.Pattern:
+    """Any leaf's name anywhere: it is found in a response exactly when
+    parse_response recognizes a topic line there, since a short name starts
+    with a word character and so every numbered line holds a match too."""
+    names = "|".join(re.escape(name) for name in short_names)
+    return re.compile(rf"\b(?:{names})\s*:", re.IGNORECASE)
+
+
 def _topic_matches(content: str, index: int, short_name: str) -> list[re.Match]:
-    numbered = re.compile(
-        rf"\(\s*{index}\s*\)\s*{re.escape(short_name)}\s*:", re.IGNORECASE
-    )
-    found = list(numbered.finditer(content))
-    if not found:
-        anywhere = re.compile(rf"\b{re.escape(short_name)}\s*:", re.IGNORECASE)
-        found = list(anywhere.finditer(content))
-    return found
+    numbered, anywhere = _leaf_patterns(index, short_name)
+    return list(numbered.finditer(content)) or list(anywhere.finditer(content))
 
 
 def _choose_match(content: str, matches: list[re.Match]) -> re.Match | None:
@@ -537,7 +575,7 @@ def _extract_phrases(segment: str) -> tuple[str, ...]:
         label = _LABEL_RE.match(segment)
         tail = segment[label.end() :] if label else segment
         tail = tail.lstrip(" ,.;]")
-    parts = re.split(r"[,;]", tail)
+    parts = _PHRASE_SPLIT_RE.split(tail)
     phrases = []
     for part in parts:
         cleaned = part.strip().strip("'\"").strip()
@@ -606,15 +644,27 @@ def annotate_corpus(
     """Annotate every (backend, text) pair: a stream of one annotation per
     (backend, text, leaf topic) cell, in that order.
 
-    Each backend's texts are worked WINDOW at a time. One store read answers
-    the window's stored prompts on the calling thread; only the rest go to
-    the backend's `parallelism` workers over `pool`, and their responses are
-    stored in one transaction, also when a request fails (before the error
-    propagates). The calling thread parses each response in order. One that
-    no topic line is recognized in is asked again, the same way, with
-    FORMAT_REMINDER; cells still unparseable then fail conservatively (label
-    false, parse_warning), and once more than failure_budget of all cells
-    have failed the stream raises FailureBudgetExceeded.
+    The ordered pass works each backend's texts WINDOW at a time. One store
+    read answers the window's stored prompts on the calling thread; only the
+    rest go to the backend's `parallelism` workers over `pool`, and their
+    responses are stored in one transaction, also when a request fails
+    (before the error propagates). The calling thread parses each response in
+    order. One that no topic line is recognized in is asked again, the same
+    way, with FORMAT_REMINDER; cells still unparseable then fail
+    conservatively (label false, parse_warning), and once more than
+    failure_budget of all cells have failed the stream raises
+    FailureBudgetExceeded.
+
+    At the first window with a store miss, every later backend gets a lane: a
+    thread that fills the store with that backend's answers, reminders
+    included, WINDOW at a time on the backend's own `parallelism` workers, so
+    that all backends are busy at once. The ordered pass joins a backend's
+    lane before that backend's first window, which then makes no call; the
+    order and the memory of one window a thread stay as they are. A lane
+    whose own failed cells exceed failure_budget stops the run. The first
+    failure anywhere stops every call not yet made, in the ordered pass and
+    in every lane, and is what the stream raises; closing the stream joins
+    every lane.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -622,54 +672,103 @@ def annotate_corpus(
         raise ValueError("backend names must be unique within a run")
     leaves = topics.leaves()
     total_cells = len(backends) * len(corpus) * len(leaves)
+    topic_line = _topic_line(leaf.short_name for leaf in leaves)
+    failures: list[BaseException] = []  # every fetch looks here before it POSTs
 
-    def answers(backend: ModelBackend, prompts: list[str]) -> list[str]:
+    def check_budget(failed_cells: int) -> None:
+        if failed_cells / total_cells > failure_budget:
+            raise FailureBudgetExceeded(f"{failed_cells}/{total_cells} cells unparseable "
+                                        f"(budget {failure_budget:.2%})")
+
+    def answers(backend: ModelBackend, prompts: list[str],
+                on_miss: Callable[[], None] | None = None) -> list[str | None]:
+        """The answer to each prompt, None for a call that a failure stopped."""
         keys = [cache.key(backend, prompt) for prompt in prompts]
         blobs = cache.read_many(keys)
         contents = [None if blob is None else json.loads(blob)["content"] for blob in blobs]
+        misses = [i for i, blob in enumerate(blobs) if blob is None]
+        if misses and on_miss is not None:
+            on_miss()
         fresh: list[tuple[str, bytes]] = []  # appended by the workers
 
         def fetch(i: int) -> None:
-            contents[i] = chat(backend, prompts[i], pool)
-            fresh.append((keys[i], cache.entry(prompts[i], contents[i])))
+            if not failures:
+                contents[i] = chat(backend, prompts[i], pool)
+                fresh.append((keys[i], cache.entry(prompts[i], contents[i])))
 
         try:
-            run_parallel(fetch, [i for i, blob in enumerate(blobs) if blob is None],
-                         max(1, backend.parallelism))
+            run_parallel(fetch, misses, max(1, backend.parallelism))
         finally:
             if fresh:
                 cache.write(fresh)
         return contents
 
+    def lane(backend: ModelBackend) -> None:
+        try:
+            failed_cells = 0
+            for start in range(0, len(corpus), WINDOW):
+                todo = [build_prompt(topics, item) for item in corpus[start : start + WINDOW]]
+                for suffix in ("", "\n" + FORMAT_REMINDER):
+                    contents = answers(backend, [prompt + suffix for prompt in todo])
+                    if failures:
+                        return
+                    todo = [prompt for prompt, content in zip(todo, contents)
+                            if not topic_line.search(content)]
+                failed_cells += len(todo) * len(leaves)
+                check_budget(failed_cells)
+        except BaseException as exc:
+            failures.append(exc)
+
     def stream() -> Iterator[TopicAnnotation]:
+        lanes: dict[str, threading.Thread] = {}
+
+        def start_lanes(after: int) -> None:
+            if not lanes:
+                for backend in backends[after + 1 :]:
+                    lanes[backend.name] = threading.Thread(
+                        target=lane, args=(backend,), name=f"lane {backend.name}")
+                    lanes[backend.name].start()
+
         failed_cells = 0
-        windows = ((backend, corpus[start : start + WINDOW]) for backend in backends
-                   for start in range(0, len(corpus), WINDOW))
-        for backend, window in windows:
-            prompts = [build_prompt(topics, item) for item in window]
-            parsed: list[list[TopicAnnotation] | None] = [None] * len(window)
-            todo = list(range(len(window)))
-            for suffix in ("", "\n" + FORMAT_REMINDER):
-                contents = answers(backend, [prompts[i] + suffix for i in todo])
-                for i, content in zip(todo, contents):
-                    try:
-                        parsed[i] = parse_response(content, topics, backend.name, window[i].id)
-                    except Unparseable:
-                        pass
-                todo = [i for i in todo if parsed[i] is None]
-            for i in todo:
-                logger.warning("unparseable response from %s for text %s; "
-                               "marking cells failed", backend.name, window[i].id)
-                parsed[i] = [TopicAnnotation(model=backend.name, text_id=window[i].id,
-                                             topic=leaf.short_name, label=False,
-                                             phrases=(), parse_warning=True)
-                             for leaf in leaves]
-                failed_cells += len(leaves)
-                if failed_cells / total_cells > failure_budget:
-                    raise FailureBudgetExceeded(
-                        f"{failed_cells}/{total_cells} cells unparseable "
-                        f"(budget {failure_budget:.2%})")
-            for annotations in parsed:
-                yield from annotations
+        try:
+            for b, backend in enumerate(backends):
+                if backend.name in lanes:
+                    lanes[backend.name].join()  # its windows are store hits now
+                for start in range(0, len(corpus), WINDOW):
+                    window = corpus[start : start + WINDOW]
+                    prompts = [build_prompt(topics, item) for item in window]
+                    parsed: list[list[TopicAnnotation] | None] = [None] * len(window)
+                    todo = list(range(len(window)))
+                    for suffix in ("", "\n" + FORMAT_REMINDER):
+                        contents = answers(backend, [prompts[i] + suffix for i in todo],
+                                           lambda: start_lanes(b))
+                        if failures:
+                            raise failures[0]
+                        for i, content in zip(todo, contents):
+                            try:
+                                parsed[i] = parse_response(content, topics, backend.name,
+                                                           window[i].id)
+                            except Unparseable:
+                                pass
+                        todo = [i for i in todo if parsed[i] is None]
+                    for i in todo:
+                        logger.warning("unparseable response from %s for text %s; "
+                                       "marking cells failed", backend.name, window[i].id)
+                        parsed[i] = [TopicAnnotation(model=backend.name, text_id=window[i].id,
+                                                     topic=leaf.short_name, label=False,
+                                                     phrases=(), parse_warning=True)
+                                     for leaf in leaves]
+                        failed_cells += len(leaves)
+                        check_budget(failed_cells)
+                    for annotations in parsed:
+                        yield from annotations
+        except BaseException as exc:
+            failures.append(exc)  # no lane makes another call
+            if isinstance(exc, Exception) and failures[0] is not exc:
+                raise failures[0]  # a lane failed first
+            raise
+        finally:
+            for thread in lanes.values():
+                thread.join()
 
     return stream()

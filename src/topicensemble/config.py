@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .annotator import Decoding, ModelBackend
+from .annotator import _BAD_TARGET, Decoding, ModelBackend
 from .errors import ConfigInvalid
 from .relevancy import EmbeddingBackend
 
@@ -70,14 +70,16 @@ def _number(section: dict, key: str, default, problems: list[str], *,
 
 
 def _http_url(value: str) -> bool:
-    """Whether `value` is an http(s) URL with a host and a valid port, the
-    only kind of endpoint the backend transport can reach."""
+    """Whether `value` is an http(s) URL with a host, a valid port and a
+    path and query that the backend transport sends: the only kind of
+    endpoint it can reach."""
     try:
         parts = urlsplit(value)
         parts.port  # raises ValueError for a port that is not a number in range
     except ValueError:
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+    return (parts.scheme in ("http", "https") and bool(parts.hostname)
+            and not _BAD_TARGET.search(parts.path + parts.query))
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -293,10 +293,12 @@ def _cells(path: Path, digest: str, schema: str,
 def stage_annotate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
     _, topics, _ = inputs
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)  # the one stage that reads texts
+    # the stream closes first: its lanes stop and are joined before the store
+    # and the pool they use are closed
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
-          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
-        annotations = annotate_corpus(corpus, topics, cfg.backends, cache, pool,
-                                      failure_budget=cfg.failure_budget)
+          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool,
+          closing(annotate_corpus(corpus, topics, cfg.backends, cache, pool,
+                                  failure_budget=cfg.failure_budget)) as annotations):
         rows = (
             {
                 "model": ann.model, "text_id": ann.text_id,

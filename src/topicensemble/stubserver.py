@@ -218,7 +218,8 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8731)
     args = parser.parse_args(argv)
     server = serve(Fixture.from_file(args.fixture), port=args.port)
-    print(f"stub server listening on {server.chat_url} and {server.embeddings_url}")
+    print(f"stub server listening on {server.chat_url} and {server.embeddings_url}",
+          flush=True)
     try:
         threading.Event().wait()
     except KeyboardInterrupt:

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicensemble import annotator
 from topicensemble.annotator import (
@@ -21,6 +23,7 @@ from topicensemble.annotator import (
     parse_response,
     post_json,
     query_backend,
+    run_parallel,
 )
 from topicensemble.corpus import TextItem, Topic, TopicSet
 from topicensemble.errors import (
@@ -210,6 +213,27 @@ def test_parse_round_trip_canonical_format(two_topics):
             assert ann.label is label
             if label:
                 assert list(ann.phrases) == phrases
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_topic_line_is_found_exactly_when_parse_response_recognizes_one(data):
+    # the lanes' cheap test asks for the reminder where the ordered pass does
+    names = data.draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True),
+                               min_size=1, max_size=3, unique=True))
+    topics = TopicSet(tuple(Topic(name, f"About {name}.") for name in names))
+    piece = st.one_of(st.sampled_from(names),
+                      st.sampled_from(["(1)", "( 2 )", "(3)", ":", " ", "\n", "yes", "no",
+                                       "[yes/no]", "_", "x", "\u017f", "\u212a", "."]),
+                      st.text(max_size=3))
+    content = "".join(data.draw(st.lists(piece, max_size=12)))
+    content = data.draw(st.sampled_from([content, content.upper(), content.lower()]))
+    try:
+        parse_response(content, topics)
+        recognized = True
+    except Unparseable:
+        recognized = False
+    assert bool(annotator._topic_line(names).search(content)) is recognized
 
 
 # ----------------------------------------------------------- query + cache
@@ -678,16 +702,18 @@ def test_annotate_corpus_stores_what_arrived_before_a_failure(tmp_path, stub_ser
     last = build_prompt(two_topics, corpus[1])
     partial = [e for e in entries if (e["model"], e["prompt"]) != ("m2", last)]
     server = stub_server(chat_doc(partial))
-    # one worker per backend: the failing (m2, t2) request is the last to start
+    # one worker per backend: m2's lane asks for t1 before the failing t2, and
+    # m1's calls race the failure, which stops the ones not yet made
     backends = [replace(backend_for(server, name), parallelism=1) for name in ("m1", "m2")]
     with pytest.raises(BadStatus):
         annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
-    assert server.call_count == 4
+    answered = server.call_count - 1  # every request but the failing one
+    assert 1 <= answered <= 3
     full = stub_server(chat_doc(entries))
     backends = [replace(b, endpoint=full.chat_url) for b in backends]
     matrix = annotated(corpus, two_topics, backends, ResponseCache(tmp_path), pool)
     assert len(matrix) == 8
-    assert full.call_count == 1  # the three answers that arrived were stored
+    assert full.call_count == 4 - answered  # the answers that arrived were stored
 
 
 def test_annotate_corpus_many_workers_lose_nothing(tmp_path, stub_server, two_topics, pool):
@@ -734,16 +760,18 @@ def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, mon
                                 ("appetite", False, [])])
 
     monkeypatch.setattr(annotator, "chat", slow_chat)
-    writes = []
+    writes = Counter()  # transactions by (backend, number of answers)
     real_write = ResponseCache.write
 
     def counting_write(self, items):
         items = list(items)
-        writes.append(len(items))
+        writes.update({(owner[key], len(items)) for key, _ in items})
         return real_write(self, items)
 
     monkeypatch.setattr(ResponseCache, "write", counting_write)
     with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        owner = {cache.key(b, build_prompt(two_topics, item)): b.name
+                 for b in backends for item in corpus}
         stream = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
     assert most == {"m1": 1, "m2": 2, "m3": 3}
     assert [(a.model, a.text_id, a.topic) for a in stream] == [
@@ -751,4 +779,97 @@ def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, mon
         for topic in ("sleep", "appetite")]
     assert all(a.phrases == (f"{a.model} {item.text}",)
                for a, item in zip(stream[::2], corpus * 3))
-    assert writes == [12, 8] * 3  # one transaction per backend's window
+    # one transaction per backend's window, holding that backend's answers only
+    assert writes == {(b.name, size): 1 for b in backends for size in (12, 8)}
+
+
+def canned_chat(delay, answer=None):
+    """A stand-in for annotator.chat that answers after `delay(backend)`
+    seconds and records each backend's calls and its most calls in flight."""
+    lock = threading.Lock()
+    calls, now, most = Counter(), Counter(), Counter()
+
+    def chat(backend, prompt, pool):
+        with lock:
+            calls[backend.name] += 1
+            now[backend.name] += 1
+            most[backend.name] = max(most[backend.name], now[backend.name])
+        time.sleep(delay(backend))
+        with lock:
+            now[backend.name] -= 1
+        if answer is not None:
+            return answer(backend)
+        return format_response([("sleep", True, []), ("appetite", False, [])])
+
+    return chat, calls, most
+
+
+def test_annotate_corpus_keeps_every_backend_busy_at_once(tmp_path, monkeypatch,
+                                                          two_topics, pool):
+    # three backends at a 20 ms latency: the wall time is the slowest
+    # backend's, not the sum over backends
+    corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(60)]
+    backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
+                             parallelism=2) for n in range(3)]
+    chat, calls, most = canned_chat(lambda backend: 0.02)
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        start = time.perf_counter()
+        stream = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+        wall = time.perf_counter() - start
+    slowest = len(corpus) / 2 * 0.02
+    assert len(stream) == 3 * 60 * 2
+    assert wall <= 1.5 * slowest, f"{wall:.2f} s against {slowest:.2f} s"
+    assert calls == {"m0": 60, "m1": 60, "m2": 60}
+    assert most == {"m0": 2, "m1": 2, "m2": 2}
+
+
+def test_a_later_backend_over_its_failure_budget_stops_the_run_early(tmp_path, monkeypatch,
+                                                                     two_topics, pool):
+    # m2 answers no topic line at all, also when reminded; its lane stops the
+    # run while m1's pass is still going, not after m2's whole corpus
+    monkeypatch.setattr(annotator, "WINDOW", 20)
+    corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(600)]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=1)
+                for name in ("m1", "m2")]
+    chat, calls, _ = canned_chat(
+        lambda backend: 0.002 if backend.name == "m1" else 0.0,
+        lambda backend: "Sure." if backend.name == "m2" else format_response(
+            [("sleep", False, []), ("appetite", False, [])]))
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        with pytest.raises(FailureBudgetExceeded):
+            list(annotate_corpus(corpus, two_topics, backends, cache, pool, failure_budget=0.01))
+    budget_texts = 0.01 * 2 * 600 * 2 / 2  # failed cells allowed, in texts of two leaves
+    assert calls["m2"] <= 2 * (budget_texts + annotator.WINDOW)  # asked, then reminded
+    assert calls["m1"] < len(corpus)
+
+
+def test_run_parallel_keeps_order_on_the_calling_thread_and_its_workers():
+    threads = set()
+
+    def square(x):
+        threads.add(threading.get_ident())
+        time.sleep(0.001)
+        return x * x
+
+    assert run_parallel(square, list(range(20)), 4) == [x * x for x in range(20)]
+    assert threading.get_ident() in threads and len(threads) <= 4
+    threads.clear()
+    assert run_parallel(square, [1, 2, 3], 1) == [1, 4, 9]
+    assert threads == {threading.get_ident()}  # one worker starts no thread
+    assert run_parallel(square, [], 4) == []
+
+
+def test_run_parallel_starts_no_call_after_the_first_failure():
+    started = []
+
+    def call(x):
+        started.append(x)
+        if x == 3:
+            raise ValueError("boom")
+        time.sleep(0.01)
+
+    with pytest.raises(ValueError, match="boom"):
+        run_parallel(call, list(range(100)), 2)
+    assert 3 in started and len(started) <= 5  # items 0-3 and at most one more in flight

@@ -8,7 +8,10 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicensemble import annotator, relevancy
-from topicensemble.annotator import ModelBackend
+from topicensemble.annotator import ModelBackend, ResponseCache
 from topicensemble.cli import main
 from topicensemble.config import _file_digest, config_digest, load_config
 from topicensemble.corpus import CorpusView, TextItem, Topic, TopicSet
-from topicensemble.errors import ConfigInvalid, MalformedRecord, MissingUpstreamArtifact
+from topicensemble.errors import (CacheError, ConfigInvalid, MalformedRecord,
+                                  MissingUpstreamArtifact)
 from topicensemble import pipeline
 from topicensemble.pipeline import run
 from topicensemble.relevancy import EmbeddingBackend
@@ -154,6 +158,96 @@ def test_warm_annotate_posts_nothing_and_uses_no_worker(e2e, monkeypatch):
     assert submitted == [] and posts == []
     rel = Path("annotate") / "annotations.jsonl"
     assert (warm / rel).read_bytes() == (cold / rel).read_bytes()
+
+
+def test_warm_annotate_starts_no_thread(e2e, monkeypatch):
+    workdir, server = e2e
+    cfg = load_config(workdir / "config.yaml")
+    started = []
+    real_start = threading.Thread.start
+
+    def spying_start(self):
+        started.append(self.name)
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spying_start)
+    run(cfg, stage="annotate", run_id="cold")
+    assert [name for name in started if name.startswith("lane ")] == ["lane m_beta",
+                                                                     "lane m_gamma"]
+    started.clear()
+    run(cfg, stage="annotate", run_id="warm")
+    assert started == []
+
+
+def _numbered_corpus(workdir: Path, texts: int) -> None:
+    (workdir / "corpus.jsonl").write_text("".join(
+        json.dumps({"id": f"t{i}", "text": f"Text number {i}."}) + "\n"
+        for i in range(texts)))
+
+
+def _answer_no(prompt: str) -> str:
+    """A well-formed answer to a labeling prompt: no to every topic."""
+    block = prompt.split("Return answer in format:\n", 1)[1].rsplit("\nParagraph: ", 1)[0]
+    return block.replace("[yes/no], related phrases if any:", "no")
+
+
+def test_a_dead_later_backend_stops_the_run_during_the_first_backends_pass(tmp_path,
+                                                                           monkeypatch):
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    texts = 300
+    _numbered_corpus(workdir, texts)
+    _write_mutated(workdir / "config.yaml",
+                   {"backends.1.endpoint": f"http://127.0.0.1:{port}/v1/chat/completions"})
+    calls = Counter()
+    real_chat = annotator.chat
+
+    def chat(backend, prompt, pool):  # m_alpha and m_gamma answer in 5 ms
+        if backend.name == "m_beta":
+            return real_chat(backend, prompt, pool)
+        calls[backend.name] += 1
+        time.sleep(0.005)
+        return _answer_no(prompt)
+
+    monkeypatch.setattr(annotator, "chat", chat)
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "dead"]) == 4
+    assert 0 < calls["m_alpha"] < texts
+
+
+def test_a_writer_failing_mid_stream_leaves_no_lane_running(tmp_path, monkeypatch):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    _numbered_corpus(workdir, 60)
+    cfg = load_config(workdir / "config.yaml")
+
+    def chat(backend, prompt, pool):  # the lanes' backends are slow
+        time.sleep(0.0 if backend.name == "m_alpha" else 0.03)
+        return _answer_no(prompt)
+
+    def failing_write(path, schema, digest, rows):
+        next(iter(rows))
+        raise RuntimeError("disk full")
+
+    store_errors = []
+    real_execute = ResponseCache._execute
+
+    def recording_execute(self, *args, **kwargs):
+        try:
+            return real_execute(self, *args, **kwargs)
+        except CacheError as exc:
+            store_errors.append(exc)
+            raise
+
+    monkeypatch.setattr(annotator, "chat", chat)
+    monkeypatch.setattr(pipeline, "_write_jsonl", failing_write)
+    monkeypatch.setattr(ResponseCache, "_execute", recording_execute)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run(cfg, stage="annotate", run_id="cut")
+    assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+    assert store_errors == []
 
 
 def test_score_computes_each_cosine_once(e2e, monkeypatch):
@@ -378,6 +472,8 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("backends.1: 7", "backends[1] must be a mapping"),
     ("embedding: [a, b]", "embedding must be a mapping"),
     ("backends.0.endpoint: 127.0.0.1:8731/v1/chat/completions",
+     "backends[0].endpoint must be an http(s) URL"),
+    ("backends.0.endpoint: http://127.0.0.1:8731/v1/chat completions",
      "backends[0].endpoint must be an http(s) URL"),
     ("embedding.endpoint: ftp://127.0.0.1:8731/v1/embeddings",
      "embedding.endpoint must be an http(s) URL"),

@@ -1,5 +1,10 @@
 import http.client
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 from urllib.parse import urlsplit
 
 from topicensemble.stubserver import Fixture, chat_digest
@@ -128,3 +133,22 @@ def test_port_in_use(stub_server):
     server = stub_server(DOC)
     with pytest.raises(PortInUse):
         serve(Fixture.from_dict(DOC), port=server.port)
+
+
+def test_standalone_server_flushes_its_ready_line(tmp_path):
+    # a reader on a pipe gets the line with no unbuffered mode asked for
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(DOC))
+    src = Path(__file__).parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "topicensemble.stubserver", str(fixture),
+                             "--port", "0"], stdout=subprocess.PIPE, env=env)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+        assert ready, "no ready line within 10 s"
+        assert proc.stdout.readline().startswith(b"stub server listening on http://")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
