@@ -21,13 +21,14 @@ p_j = (1/N) sum_i n_ij / n. The coefficient is (P_o - P_e) / (1 - P_e), and
 NaN when the chance term degenerates (P_e >= 1).
 
 Both therefore depend on the items only through sums over rows of the count
-matrix, so a bootstrap resample is fully described by how often it draws
-each distinct row ("pattern"): a multinomial count vector over the patterns
-(Efron & Tibshirani, An Introduction to the Bootstrap, 1993, ch. 6). The
-resamples are drawn a chunk of rows at a time, sized so that a chunk's
-count vectors fill a fixed byte budget, and every requested kind of
+matrix. So a RatingMatrix holds only the distinct rows ("patterns") and how
+often each occurs, and each coefficient is a frequency-weighted sum over them.
+A bootstrap resample is fully described by how often it draws each pattern: a
+multinomial count vector over the patterns (Efron & Tibshirani, An
+Introduction to the Bootstrap, 1993, ch. 6). The resamples are drawn a chunk
+at a time, sized to a fixed byte budget, and every requested kind of
 coefficient is computed from the same chunks; memory therefore grows with
-chunk x patterns, not with resamples x patterns.
+chunk x patterns, not with the items or the resamples.
 """
 from __future__ import annotations
 
@@ -36,58 +37,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateChance,
-    IncompleteRatings,
-    OutOfRange,
-    TooFewModels,
-)
+from .errors import DegenerateChance, IncompleteRatings, OutOfRange, TooFewModels
 
-# Rows of a count matrix checked or keyed at a time, so that no step
-# allocates a temporary of the whole matrix.
-_BLOCK_ROWS = 1 << 14
 # Bytes of int64 resample counts drawn at a time (a float64 copy of the same
 # size joins them in the matmul); the rows of a chunk are this budget over
 # 8 bytes x the pattern count.
 _DRAW_BYTES = 1 << 19
 
 
-def _row_blocks(a: np.ndarray):
-    """Views of a, _BLOCK_ROWS rows at a time."""
-    return (a[start:start + _BLOCK_ROWS] for start in range(0, a.shape[0], _BLOCK_ROWS))
-
-
 @dataclass(frozen=True)
 class RatingMatrix:
-    """Item-by-category rater counts: counts[i, j] raters put item i in j."""
+    """Item-by-category rater counts held as distinct rows ("patterns") and
+    how often each occurs: freq[p] items have counts[p, j] raters putting
+    them in category j. Given counts alone, each row is one item, and the
+    rows are reduced to their patterns."""
 
     counts: np.ndarray
     n: int
+    freq: np.ndarray | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.float64)
-        object.__setattr__(self, "counts", counts)
         if counts.ndim != 2:
             raise ValueError("counts must be 2-D (items x categories)")
         if counts.shape[0] < 1 or counts.shape[1] < 2:
             raise ValueError("need >=1 item and >=2 categories")
         if self.n < 2:
             raise ValueError("need >=2 raters")
-        for block in _row_blocks(counts):
-            if (block < 0).any():
-                raise ValueError("counts must be non-negative")
-            if (block != np.floor(block)).any():
-                raise ValueError("counts must be whole numbers")
-            if (block.sum(axis=1) != self.n).any():
-                raise IncompleteRatings("every row must sum to the rater count")
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        if (counts != np.floor(counts)).any():
+            raise ValueError("counts must be whole numbers")
+        if (counts.sum(axis=1) != self.n).any():
+            raise IncompleteRatings("every row must sum to the rater count")
+        if self.freq is None:
+            counts, freq = _patterns(counts, self.n)
+            object.__setattr__(self, "freq", freq)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def num_items(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def num_categories(self) -> int:
-        return self.counts.shape[1]
+        return int(self.freq.sum())
 
 
 @dataclass(frozen=True)
@@ -137,9 +127,7 @@ def build_rating_matrix(
             missing = [i for i, value in enumerate(vec) if value is None]
             if not missing:
                 raise
-            raise IncompleteRatings(
-                f"item {missing[0]}: missing rating from {rater!r}"
-            ) from None
+            raise IncompleteRatings(f"item {missing[0]}: missing rating from {rater!r}") from None
     if any(col.size and col.min() < 0 for col in columns):
         raise ValueError("category indices must be >= 0")
     num_cats = max(int(col.max()) + 1 if col.size else 2 for col in columns)
@@ -148,14 +136,15 @@ def build_rating_matrix(
             raise ValueError(f"category index {num_cats - 1} outside fixed k={k}")
         num_cats = k
     num_cats = max(num_cats, 2)
-    # tally one rater at a time straight into float64 cells: a rater names
-    # one category per item, so no cell index repeats within a column
-    counts = np.zeros((num_items, num_cats))
-    cells = counts.reshape(-1)
-    row_starts = num_cats * np.arange(num_items)
+    radix = _radix(len(raters), num_cats)
+    if radix is None:  # no int64 key: tally the item rows and sort them
+        return RatingMatrix(counts=sum(np.eye(num_cats)[col] for col in columns), n=len(raters))
+    # a rater adds its category's place value to each item's key
+    keys = np.zeros(num_items, dtype=np.int64)
     for col in columns:
-        cells[row_starts + col] += 1.0
-    return RatingMatrix(counts=counts, n=len(raters))
+        keys += radix[col]
+    patterns, freq = _unkey(keys, radix, len(raters))
+    return RatingMatrix(counts=patterns, n=len(raters), freq=freq)
 
 
 def _chance(p: np.ndarray, kind: str) -> np.ndarray:
@@ -165,15 +154,14 @@ def _chance(p: np.ndarray, kind: str) -> np.ndarray:
     return (p * p).sum(axis=-1)
 
 
-def observed_agreement(counts: np.ndarray, n: int) -> float:
-    pairs = (counts * (counts - 1.0)).sum(axis=1)
-    return float(pairs.mean() / (n * (n - 1.0)))
-
-
-def coefficient(counts: np.ndarray, n: int, kind: str) -> tuple[float, float, float]:
-    """(coefficient, P_o, P_e) of kind "AC1" or "Fleiss"; NaN if P_e >= 1."""
-    po = observed_agreement(counts, n)
-    pe = float(_chance(counts.mean(axis=0) / n, kind))
+def _point(patterns: np.ndarray, freq: np.ndarray, n: int,
+           kind: str) -> tuple[float, float, float]:
+    """(coefficient, P_o, P_e) of kind "AC1" or "Fleiss"; NaN if P_e >= 1. The
+    weighted sums are whole numbers below 2 ** 53, so they are exact."""
+    totals = freq @ _pattern_sums(patterns)
+    items = freq.sum()
+    po = float(totals[0] / items / (n * (n - 1.0)))
+    pe = float(_chance(totals[1:] / items / n, kind))
     if pe >= 1.0:
         return np.nan, po, pe
     return (po - pe) / (1.0 - pe), po, pe
@@ -181,11 +169,11 @@ def coefficient(counts: np.ndarray, n: int, kind: str) -> tuple[float, float, fl
 
 def percent_agreement(m: RatingMatrix) -> float:
     """Observed proportion of agreeing rater pairs, averaged over items."""
-    return observed_agreement(m.counts, m.n)
+    return _point(m.counts, m.freq, m.n, "AC1")[1]
 
 
 def gwet_ac1(m: RatingMatrix) -> AgreementResult:
-    coef, po, pe = coefficient(m.counts, m.n, "AC1")
+    coef, po, pe = _point(m.counts, m.freq, m.n, "AC1")
     if np.isnan(coef):
         # P_e* = 1 is unreachable for k >= 2; guarded anyway.
         raise DegenerateChance(f"AC1 chance agreement degenerate (P_e*={pe})")
@@ -193,11 +181,10 @@ def gwet_ac1(m: RatingMatrix) -> AgreementResult:
 
 
 def fleiss_kappa(m: RatingMatrix) -> AgreementResult:
-    coef, po, pe = coefficient(m.counts, m.n, "Fleiss")
+    coef, po, pe = _point(m.counts, m.freq, m.n, "Fleiss")
     if np.isnan(coef):
-        raise DegenerateChance(
-            "Fleiss kappa undefined: all ratings fall in a single category (P_e=1)"
-        )
+        raise DegenerateChance("Fleiss kappa undefined: all ratings fall in a single "
+                               "category (P_e=1)")
     return AgreementResult(coefficient=float(coef), kind="Fleiss", p_o=po, p_e=pe)
 
 
@@ -207,35 +194,39 @@ def bin_scores(scores: Sequence[float]) -> np.ndarray:
     level = min(floor(score * 10), 9), so 1.0 lands in the top level.
     """
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.size and ((arr < 0.0).any() or (arr > 1.0).any()):
-        bad = arr[(arr < 0.0) | (arr > 1.0)][0]
-        raise OutOfRange(f"score {bad} outside [0, 1]")
+    bad = ~((arr >= 0.0) & (arr <= 1.0))  # NaN too
+    if bad.any():
+        raise OutOfRange(f"score {arr[bad][0]} outside [0, 1]")
     return np.minimum(np.floor(arr * 10.0).astype(np.int64), 9)
 
 
-def _patterns_by_key(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows via one integer key per row: the row's entries (each at
-    most n) as digits in radix n + 1, first column most significant, so keys
-    sort like the rows. Exact while (n + 1) ** k <= 2 ** 63."""
-    radix = (n + 1) ** np.arange(counts.shape[1] - 1, -1, -1, dtype=np.int64)
-    keys = np.concatenate([block.astype(np.int64) @ radix for block in _row_blocks(counts)])
-    _, first, freq = np.unique(keys, return_index=True, return_counts=True)
-    return counts[first], freq
+def _radix(n: int, k: int) -> np.ndarray | None:
+    """Place values that key a row of k entries, each at most n, as digits in radix
+    n + 1, first column first, so keys sort like the rows; None past int64."""
+    if (n + 1) ** k > 2**63:
+        return None
+    return (n + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def _unkey(keys: np.ndarray, radix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys' rows in lexicographic order, occurrences of each)."""
+    keys, freq = np.unique(keys, return_counts=True)
+    return (keys[:, None] // radix % (n + 1)).astype(np.float64), freq
 
 
 def _patterns(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows in lexicographic order, occurrences of each)."""
-    if (n + 1) ** counts.shape[1] <= 2**63:
-        return _patterns_by_key(counts, n)
-    # a row sort works for any n and k, but took 5.7 s against the key's 0.19 s
-    # at 10^6 x 10 (4 raters; 2-vCPU Xeon VM, NumPy 2.4)
-    return np.unique(counts, axis=0, return_counts=True)
+    radix = _radix(n, counts.shape[1])
+    if radix is None:
+        # a row sort works for any n and k, but took 5.7 s against the key's
+        # 0.19 s at 10^6 x 10 (4 raters; 2-vCPU Xeon VM, NumPy 2.4)
+        return np.unique(counts, axis=0, return_counts=True)
+    return _unkey(counts.astype(np.int64) @ radix, radix, n)
 
 
 def _pattern_sums(patterns: np.ndarray) -> np.ndarray:
     """Per pattern, its agreeing rater pairs and then its category counts:
-    a resample's weighted sums of these columns are all its coefficients
-    need."""
+    the weighted sums of these columns are all a coefficient needs."""
     pairs = (patterns * (patterns - 1.0)).sum(axis=1)
     return np.column_stack((pairs, patterns))
 
@@ -283,9 +274,8 @@ def bootstrap_ci(
         if kind not in ("AC1", "Fleiss"):
             raise KeyError(kind)
     rng = np.random.default_rng(seed)
-    patterns, freq = _patterns(m.counts, m.n)
-    sums, pvals = _pattern_sums(patterns), freq / m.num_items
-    rows = max(1, _DRAW_BYTES // (8 * freq.size))
+    sums, pvals = _pattern_sums(m.counts), m.freq / m.num_items
+    rows = max(1, _DRAW_BYTES // (8 * m.freq.size))
     stats = np.empty((len(kinds), resamples))
     for start in range(0, resamples, rows):
         weights = rng.multinomial(m.num_items, pvals, size=min(rows, resamples - start))
@@ -302,19 +292,14 @@ def bootstrap_ci(
     return cis
 
 
-def _ac1_from_label_vectors(vectors: list[np.ndarray]) -> float:
-    n = len(vectors)
-    positives = np.sum(vectors, axis=0)  # raters saying yes, per cell
-    counts = np.stack([positives, n - positives], axis=1).astype(np.float64)
-    coef, _, _ = coefficient(counts, n, "AC1")
-    return float(coef)
-
-
 def detect_outliers(
     labels: Mapping[str, Sequence[bool]],
     threshold_fraction: float = 0.10,
 ) -> OutlierReport:
     """Greedy leave-one-out outlier scan over pooled label vectors.
+
+    The models' labels are pooled once into distinct yes/no patterns (at
+    most 2 ** models of them), and each AC1 is computed over those.
 
     In each round, the rater whose removal raises AC1 the most is excluded
     when that increase exceeds threshold_fraction x the round's base AC1.
@@ -323,17 +308,30 @@ def detect_outliers(
     models = list(labels)
     if len(models) < 3:
         raise TooFewModels("leave-one-out detection needs >=3 models")
-    vectors = {name: np.asarray(labels[name], dtype=np.int64) for name in models}
-    for name, vec in vectors.items():
-        if vec.size != vectors[models[0]].size:
+    vectors = [np.asarray(labels[name], dtype=bool) for name in models]
+    for name, vec in zip(models, vectors):
+        if vec.size != vectors[0].size:
             raise IncompleteRatings(f"model {name!r} label vector length mismatch")
+    radix = _radix(1, len(models))  # a row of one bit a model
+    if radix is None:
+        said_yes, freq = np.unique(np.stack(vectors, axis=1), axis=0, return_counts=True)
+    else:
+        keys = np.zeros(vectors[0].size, dtype=np.int64)
+        for place, vec in zip(radix, vectors):
+            np.add(keys, place, out=keys, where=vec)
+        said_yes, freq = _unkey(keys, radix, 1)
+    said_yes = dict(zip(models, said_yes.T))
+
+    def ac1(names: list[str]) -> float:
+        yes = sum(said_yes[name] for name in names)
+        return _point(np.column_stack((yes, len(names) - yes)), freq, len(names), "AC1")[0]
 
     current = list(models)
     excluded: list[str] = []
     while len(current) > 2:
-        round_base = _ac1_from_label_vectors([vectors[m] for m in current])
-        deltas = {name: _ac1_from_label_vectors([vectors[m] for m in current if m != name])
-                  - round_base for name in current}
+        round_base = ac1(current)
+        deltas = {name: ac1([m for m in current if m != name]) - round_base
+                  for name in current}
         if not excluded:  # the first round, over every model, is the one reported
             base, first_deltas = round_base, deltas
         worst = max(current, key=lambda name: deltas[name])

@@ -26,7 +26,7 @@ from .errors import (
     NestingTooDeep,
 )
 
-SHORT_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+SHORT_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # fullmatch: "$" passes a final "\n"
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Topic:
     subtopics: tuple["Topic", ...] = ()
 
     def __post_init__(self):
-        if not SHORT_NAME_RE.match(self.short_name):
+        if not SHORT_NAME_RE.fullmatch(self.short_name):
             raise MalformedRecord(
                 0, f"short_name {self.short_name!r} must match [A-Za-z0-9_]+"
             )

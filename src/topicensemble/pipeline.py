@@ -258,12 +258,13 @@ def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str
 
 def _cells(path: Path, digest: str, schema: str,
            models: list[str], text_ids: list[str], topics: list[str]):
-    """Stream an upstream JSONL artifact's rows as (j, i, k, row): the row's
-    indexes in `models`, `text_ids` and `topics`. Each (model, topic) pair's
-    rows follow the corpus order, so i counts the pair's rows before it;
-    pairs may interleave. A row outside the config or out of its pair's
-    order, or a pair that ends early, raises MissingUpstreamArtifact naming
-    the file and the cell. Consumers close the generator, as for `_rows`."""
+    """Stream an upstream JSONL artifact's rows as (line number, j, i, k, row),
+    with j, i and k the row's indexes in `models`, `text_ids` and `topics`.
+    Each (model, topic) pair's rows follow the corpus order, so i counts the
+    pair's rows before it; pairs may interleave. A row outside the config or
+    out of its pair's order, or a pair that ends early, raises
+    MissingUpstreamArtifact naming the file and the cell. Consumers close the
+    generator, as for `_rows`."""
     streams = {(model, topic): [j, k, 0]  # the pair's indexes and its rows so far
                for j, model in enumerate(models) for k, topic in enumerate(topics)}
     n = len(text_ids)
@@ -282,7 +283,7 @@ def _cells(path: Path, digest: str, schema: str,
                                               f"{model, text_id, topic} is out of order; "
                                               f"{due} belongs there")
             stream[2] = i + 1
-            yield j, i, k, row
+            yield lineno, j, i, k, row
     for (model, topic), (_, _, i) in streams.items():
         if i < n:
             raise MissingUpstreamArtifact(f"{path}: no row for {model, text_ids[i], topic}")
@@ -326,7 +327,7 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
 
     def annotations():  # each cell checked and its label kept as rows stream to scoring
         with closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells:
-            for j, i, k, r in cells:
+            for _, j, i, k, r in cells:
                 model, leaf = models[j], leaf_names[k]  # config strings: waiting rows share them
                 labels[model, leaf].append(r["label"])
                 yield TopicAnnotation(
@@ -375,14 +376,17 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
                 text_ids: list[str], topics: TopicSet) -> tuple[dict, dict]:
     """(labels, scores) from score/aggregated.jsonl: {topic: {model: per-text
     vector in text_ids order}}, views of (topics, models, texts) arrays filled
-    as `_cells` streams the rows in."""
+    as `_cells` streams the rows in. A score outside [0, 1] is refused."""
     path = run_dir / "score" / "aggregated.jsonl"
     names = topics.top_level_names()
     models = [backend.name for backend in cfg.backends]
     shape = len(names), len(models), len(text_ids)
     labels, scores = np.zeros(shape, bool), np.zeros(shape)
     with closing(_cells(path, digest, "aggregated", models, text_ids, names)) as cells:
-        for j, i, k, row in cells:
+        for lineno, j, i, k, row in cells:
+            if not 0.0 <= row["score"] <= 1.0:  # NaN fails too
+                raise MissingUpstreamArtifact(f"{path}: line {lineno}: score must be "
+                                              f"within [0, 1], got {row['score']!r}")
             labels[k, j, i], scores[k, j, i] = row["label"], row["score"]
     return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
             {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})
@@ -394,14 +398,11 @@ def stage_agree(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
 
     table = []
     for topic in topics.top_level_names():
-        # category 0 = positive; fixed k=2 for labels, k=10 for binned scores
-        label_ratings = {m: np.where(vec, 0, 1) for m, vec in labels[topic].items()}
-        score_ratings = {m: agr.bin_scores(vec) for m, vec in scores[topic].items()}
-        for target, ratings, k in (
-            ("labels", label_ratings, 2),
-            ("scores", score_ratings, 10),
-        ):
-            matrix = agr.build_rating_matrix(ratings, k=k)
+        # category 0 = positive; fixed k=2 for labels, k=10 for binned scores;
+        # one target's rating columns at a time
+        for target, vectors, rate, k in (("labels", labels[topic], lambda v: np.where(v, 0, 1), 2),
+                                          ("scores", scores[topic], agr.bin_scores, 10)):
+            matrix = agr.build_rating_matrix({m: rate(v) for m, v in vectors.items()}, k=k)
             coefs = {}
             for kind, fn in (("AC1", agr.gwet_ac1), ("Fleiss", agr.fleiss_kappa)):
                 try:

@@ -1,15 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import tracemalloc
-
+from topicensemble import agreement
 from topicensemble.agreement import (
-    _BLOCK_ROWS,
     _DRAW_BYTES,
     RatingMatrix,
     _pattern_sums,
     _patterns,
-    _patterns_by_key,
     _resample_coefficients,
     bin_scores,
     bootstrap_ci,
@@ -48,9 +51,11 @@ SPLIT = [[2, 0], [1, 1]]  # two raters: unanimous yes, then split
 
 
 def test_build_rating_matrix_tally():
-    m = build_rating_matrix({"r1": [0, 0], "r2": [0, 1]}, k=2)
-    assert m.counts.tolist() == [[2.0, 0.0], [1.0, 1.0]]
-    assert m.n == 2
+    # item rows [2, 0], [1, 1], [2, 0]: their patterns in lexicographic order
+    m = build_rating_matrix({"r1": [0, 0, 0], "r2": [0, 1, 0]}, k=2)
+    assert m.counts.tolist() == [[1.0, 1.0], [2.0, 0.0]]
+    assert m.freq.tolist() == [1, 2]
+    assert m.n == 2 and m.num_items == 3
 
 
 def test_build_rating_matrix_identical_raters():
@@ -79,8 +84,10 @@ def test_build_rating_matrix_matches_row_loop():
         ratings = {f"r{j}": rng.integers(0, k, size=50) for j in range(4)}
         assigned = np.stack(list(ratings.values()), axis=1)
         expected = np.array([np.bincount(row, minlength=k) for row in assigned])
+        patterns, freq = np.unique(expected, axis=0, return_counts=True)
         m = build_rating_matrix(ratings, k=k)
-        assert np.array_equal(m.counts, expected)
+        assert np.array_equal(m.counts, patterns)
+        assert np.array_equal(m.freq, freq)
         assert m.counts.dtype == np.float64
 
 
@@ -96,24 +103,44 @@ def test_rating_matrix_rejects_fractional_counts():
     ([1.0, 0.0], IncompleteRatings, "sum to the rater count"),
 ])
 def test_rating_matrix_checks_every_row_block(row, error, message):
-    counts = np.ones((2 * _BLOCK_ROWS + 3, 2))
+    # the last of many item rows, and the last of the patterns when they come
+    # with their frequencies
+    counts = np.ones((40_000, 2))
     counts[-1] = row
     with pytest.raises(error, match=message):
         RatingMatrix(counts=counts, n=2)
+    with pytest.raises(error, match=message):
+        RatingMatrix(counts=counts[-2:], n=2, freq=np.array([39_999, 1]))
 
 
 def test_build_rating_matrix_needs_little_beyond_the_counts():
     rng = np.random.default_rng(3)
-    ratings = {f"r{j}": rng.integers(0, 10, size=200_000) for j in range(4)}
+    items = 200_000
+    ratings = {f"r{j}": rng.integers(0, 10, size=items) for j in range(4)}
     tracemalloc.start()
     try:
         m = build_rating_matrix(ratings, k=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # an int64 tally, its float64 copy or a whole-matrix floor would each
-    # take another counts.nbytes
-    assert peak < 1.5 * m.counts.nbytes
+    assert m.num_items == items
+    # one int64 key an item, a rater's place values and np.unique's sorted
+    # copy of the keys; an item-by-category tally would add 10 floats an item
+    assert peak < 3 * 8 * items
+
+
+def test_points_need_less_than_half_a_count_matrix():
+    rng = np.random.default_rng(3)
+    items, k = 200_000, 10
+    ratings = {f"r{j}": rng.integers(0, k, size=items) for j in range(4)}
+    tracemalloc.start()
+    try:
+        m = build_rating_matrix(ratings, k=k)
+        gwet_ac1(m), fleiss_kappa(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * items * k * 8  # one items x k float64 matrix is 15.3 MiB
 
 
 def test_percent_agreement_unanimous():
@@ -190,6 +217,8 @@ def test_bin_scores_out_of_range():
         bin_scores([-0.01])
     with pytest.raises(OutOfRange):
         bin_scores([1.01])
+    with pytest.raises(OutOfRange):
+        bin_scores([0.5, float("nan")])
 
 
 def test_bin_scores_monotone_and_surjective():
@@ -251,9 +280,8 @@ def test_bootstrap_ci_fails_when_too_many_degenerate():
 def one_draw_ci(kind, m, resamples, seed):
     """bootstrap_ci's interval from a single multinomial draw of every resample."""
     rng = np.random.default_rng(seed)
-    patterns, freq = _patterns(m.counts, m.n)
-    weights = rng.multinomial(m.num_items, freq / m.num_items, size=resamples)
-    (stats,) = _resample_coefficients(_pattern_sums(patterns), weights, m.n, [kind])
+    weights = rng.multinomial(m.num_items, m.freq / m.num_items, size=resamples)
+    (stats,) = _resample_coefficients(_pattern_sums(m.counts), weights, m.n, [kind])
     lo, hi = np.percentile(stats[~np.isnan(stats)], [2.5, 97.5])
     return float(lo), float(hi)
 
@@ -269,7 +297,7 @@ def test_chunked_bootstrap_equals_one_draw(resamples):
     rng = np.random.default_rng(40)
     few = rand_matrix(rng, N=300, k=2, n=5)
     many = many_patterns(rng)
-    rows = _DRAW_BYTES // (8 * len(_patterns(many.counts, many.n)[1]))
+    rows = _DRAW_BYTES // (8 * many.freq.size)
     assert rows < resamples and resamples % rows  # several chunks, the last partial
     for m in (few, many):
         cis = bootstrap_ci(["AC1", "Fleiss"], m, resamples=resamples, seed=resamples)
@@ -326,35 +354,64 @@ def test_detect_outliers_never_lowers_ac1():
     # exclusions fire only on genuine increases, so the pooled AC1 of the
     # survivors is never below the full-set AC1
     rng = np.random.default_rng(14)
-    from topicensemble.agreement import _ac1_from_label_vectors
-
     for trial in range(30):
         vecs = {
             f"m{i}": (rng.random(30) < rng.uniform(0.2, 0.8)).tolist()
             for i in range(int(rng.integers(3, 6)))
         }
         report = detect_outliers(vecs, threshold_fraction=0.01)
-        survivors = [m for m in vecs if m not in report.excluded]
-        after = _ac1_from_label_vectors(
-            [np.asarray(vecs[m], dtype=np.int64) for m in survivors]
-        )
+        survivors = {m: np.where(vecs[m], 0, 1) for m in vecs if m not in report.excluded}
+        after = gwet_ac1(build_rating_matrix(survivors, k=2)).coefficient
         assert after >= report.base_ac1 - 1e-12
 
 
-def rand_matrix(rng, N=12, k=3, n=4):
+def test_detect_outliers_beyond_an_int64_key():
+    # 64 models' bits overflow an int64 key, so their patterns come from a row sort
+    rng = np.random.default_rng(16)
+    vecs = {f"m{i}": rng.random(20) < 0.5 for i in range(64)}
+    report = detect_outliers(vecs)
+
+    def ac1(names):
+        return gwet_ac1(build_rating_matrix(
+            {m: np.where(vecs[m], 0, 1) for m in names}, k=2)).coefficient
+
+    assert report.base_ac1 == ac1(vecs)
+    assert report.deltas["m7"] == ac1([m for m in vecs if m != "m7"]) - report.base_ac1
+
+
+def test_detect_outliers_needs_less_than_a_count_matrix():
+    # two topics of 200,000 texts pooled, four models
+    rng = np.random.default_rng(15)
+    labels = {f"m{j}": rng.random(400_000) < 0.4 for j in range(4)}
+    tracemalloc.start()
+    try:
+        detect_outliers(labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000 * 10 * 8  # 15.3 MiB
+
+
+def rand_counts(rng, N=12, k=3, n=4):
+    """Item rows: N items, each put by n raters into k categories at random."""
     counts = np.zeros((N, k))
     for i in range(N):
         counts[i] = np.bincount(rng.integers(0, k, size=n), minlength=k)
-    return RatingMatrix(counts=counts, n=n)
+    return counts
+
+
+def rand_matrix(rng, N=12, k=3, n=4):
+    return RatingMatrix(counts=rand_counts(rng, N, k, n), n=n)
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        m = rand_matrix(rng)
-        item_perm = rng.permutation(m.num_items)
-        cat_perm = rng.permutation(m.num_categories)
-        permuted = RatingMatrix(counts=m.counts[item_perm][:, cat_perm], n=m.n)
+        counts = rand_counts(rng)
+        m = RatingMatrix(counts=counts, n=4)
+        item_perm = rng.permutation(counts.shape[0])
+        cat_perm = rng.permutation(counts.shape[1])
+        permuted = RatingMatrix(counts=counts[item_perm][:, cat_perm], n=m.n)
         assert gwet_ac1(permuted).coefficient == pytest.approx(
             gwet_ac1(m).coefficient, abs=1e-12
         )
@@ -429,13 +486,13 @@ def pattern_weights(counts, patterns, idx):
 def test_resample_kernel_matches_gather(k, kind):
     rng = np.random.default_rng(21 + k)
     for _ in range(10):
-        m = rand_matrix(rng, N=40, k=k, n=4)
-        idx = rng.integers(0, m.num_items, size=(60, m.num_items))
-        patterns, _ = _patterns(m.counts, m.n)
-        weights = pattern_weights(m.counts, patterns, idx)
-        (got,) = _resample_coefficients(_pattern_sums(patterns), weights, m.n, [kind])
+        counts = rand_counts(rng, N=40, k=k, n=4)
+        idx = rng.integers(0, len(counts), size=(60, len(counts)))
+        m = RatingMatrix(counts=counts, n=4)
+        weights = pattern_weights(counts, m.counts, idx)
+        (got,) = _resample_coefficients(_pattern_sums(m.counts), weights, m.n, [kind])
         np.testing.assert_allclose(
-            got, gathered_coefficients(m.counts, m.n, idx, kind), rtol=0, atol=1e-12
+            got, gathered_coefficients(counts, m.n, idx, kind), rtol=0, atol=1e-12
         )
 
 
@@ -458,13 +515,13 @@ def test_resample_kernel_degenerate_resamples():
 def test_pattern_paths_agree():
     rng = np.random.default_rng(30)
     for k, n in ((2, 2), (2, 9), (10, 4), (10, 77)):
-        m = rand_matrix(rng, N=300, k=k, n=n)
-        by_key = _patterns_by_key(m.counts, m.n)
-        by_row = np.unique(m.counts, axis=0, return_counts=True)
+        counts = rand_counts(rng, N=300, k=k, n=n)
+        by_key = _patterns(counts, n)  # (n + 1) ** k <= 2 ** 63: the key path
+        by_row = np.unique(counts, axis=0, return_counts=True)
         for got, want in zip(by_key, by_row):
             assert np.array_equal(got, want)
-        assert by_key[1].sum() == m.num_items
-        assert len({tuple(row) for row in m.counts.tolist()}) == len(by_key[0])
+        assert by_key[1].sum() == len(counts)
+        assert len({tuple(row) for row in counts.tolist()}) == len(by_key[0])
 
 
 @pytest.mark.parametrize("n", [77, 78])
@@ -480,3 +537,53 @@ def test_patterns_at_the_int64_key_limit(n):
     patterns, freq = _patterns(counts, n)
     assert np.array_equal(patterns, want_patterns)
     assert np.array_equal(freq, want_freq)
+
+
+def item_row_coefficient(counts, n, kind, point=True):
+    """The coefficient straight from an items x categories count matrix, in
+    the division order of the code: point estimates divide each sum over the
+    items by N and then by the rater term, bootstrap resamples by their
+    product once."""
+    N, k = counts.shape
+    pairs, totals = (counts * (counts - 1.0)).sum(), counts.sum(axis=0)
+    if point:
+        po, p = pairs / N / (n * (n - 1.0)), totals / N / n
+    else:
+        po, p = pairs / (N * n * (n - 1.0)), totals / (N * n)
+    pe = (p * (1.0 - p)).sum() / (k - 1.0) if kind == "AC1" else (p * p).sum()
+    return (po - pe) / (1.0 - pe) if pe < 1.0 else np.nan
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("n", [77, 78])  # 78 ** 10 <= 2 ** 63 < 79 ** 10
+def test_patterns_equal_the_item_row_formulas(k, n):
+    # the pattern sums are whole numbers below 2 ** 53, so weighting the
+    # patterns by their frequencies gives exactly what the item rows give
+    rng = np.random.default_rng(50 + k + n)
+    picks = rng.integers(0, k, size=(n, 60))
+    counts = np.array([np.bincount(item, minlength=k) for item in picks.T], dtype=float)
+    m = build_rating_matrix({f"r{j}": picks[j] for j in range(n)}, k=k)
+    for kind, fn in (("AC1", gwet_ac1), ("Fleiss", fleiss_kappa)):
+        assert fn(m).coefficient == item_row_coefficient(counts, n, kind)
+        assert fn(RatingMatrix(counts=counts, n=n)).coefficient == fn(m).coefficient
+    # the same multinomial draws, each expanded back into its item rows
+    cis = bootstrap_ci(["AC1", "Fleiss"], m, resamples=200, seed=n)
+    patterns, freq = np.unique(counts, axis=0, return_counts=True)
+    weights = np.random.default_rng(n).multinomial(len(counts), freq / len(counts), size=200)
+    for kind in ("AC1", "Fleiss"):
+        stats = [item_row_coefficient(np.repeat(patterns, w, axis=0), n, kind, point=False)
+                 for w in weights]
+        lo, hi = np.percentile(stats, [2.5, 97.5])
+        assert cis[kind] == (float(lo), float(hi))
+
+
+def test_bench_agreement_runs():
+    # the benchmark script drives the public API, so it must keep up with it
+    src = Path(agreement.__file__).parents[1]
+    script = Path(__file__).parents[1] / "benchmarks" / "bench_agreement.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(script), "--items", "2000", "--resamples", "100"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "agree chain" in proc.stdout

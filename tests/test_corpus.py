@@ -354,6 +354,13 @@ def test_topic_short_name_charset():
         Topic("bad name", "Has a space.")
 
 
+@pytest.mark.parametrize("name", ["sleep\n", "\nsleep", "sleep\r\n"])
+def test_topic_short_name_with_a_newline_is_refused(name):
+    # "$" alone would also match before a final newline
+    with pytest.raises(MalformedRecord, match="must match"):
+        Topic(name, "Sleep.")
+
+
 def test_single_subtopic_rejected():
     with pytest.raises(MalformedRecord):
         Topic("a", "Top.", subtopics=(Topic("b", "Only child."),))

@@ -1010,6 +1010,26 @@ def test_aggregated_missing_cell_exits_3_naming_it(finished_run, tmp_path, capsy
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.1, 2.5],
+                         ids=["NaN", "Infinity", "-0.1", "2.5"])
+def test_aggregated_score_outside_unit_interval_exits_3(finished_run, tmp_path, capsys, score):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    run_dir = workdir / "runs" / "done"
+    before = _analysis_outputs(run_dir)
+    path = run_dir / "score" / "aggregated.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(dict(json.loads(lines[2]), score=score)) + "\n"  # NaN, Infinity
+    path.write_text("".join(lines))
+    config = str(workdir / "config.yaml")
+    for stage in ("agree", "ensemble"):
+        assert main(["run", "--config", config, "--stage", stage, "--run-id", "done"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: score must be within [0, 1], got {score!r}" in err
+        assert "Traceback" not in err
+    assert _analysis_outputs(run_dir) == before
+
+
 def test_aggregated_memory_is_arrays(tmp_path):
     # 2 topics x 4 models x 2,500 texts; rows of dicts cost about 800 B a row,
     # and the label and score arrays alone 9 B
@@ -1315,6 +1335,15 @@ def test_input_not_utf8_names_line_and_byte(tmp_path, capsys, name, where, data)
     assert capsys.readouterr().err.splitlines() == [
         f"config error: line {line}: {where}{workdir.resolve() / name} is not UTF-8: "
         f"byte {bad} (0xe9): invalid continuation byte"]
+
+
+def test_short_name_with_a_trailing_newline_is_a_config_error(tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    topics = workdir / "topics.yaml"
+    topics.write_text(topics.read_text().replace("short_name: sleep", 'short_name: "sleep\\n"'))
+    assert main(["validate-config", "--config", str(workdir / "config.yaml")]) == 2
+    assert "short_name 'sleep\\n' must match [A-Za-z0-9_]+" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("run_id", ["", ".", "..", "{tmp_path}/elsewhere", "../x", "a/b",
