@@ -57,7 +57,7 @@ def agree_chain(labels: list, scores: list, resamples: int) -> tuple[list, objec
     rows = []
     for topic_labels, topic_scores in zip(labels, scores):
         # one target's rating columns at a time, as the agree stage builds them
-        for vectors, rate, k in ((topic_labels, lambda v: np.where(v, 0, 1), 2),
+        for vectors, rate, k in ((topic_labels, lambda v: (~v).astype(np.int8), 2),
                                  (topic_scores, bin_scores, 10)):
             matrix = build_rating_matrix({m: rate(v) for m, v in vectors.items()}, k=k)
             coefs = {}

@@ -121,6 +121,9 @@ def build_rating_matrix(
     columns = []
     for rater in raters:
         vec = ratings[rater]
+        if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
+            columns.append(vec)  # radix[col] takes any integer dtype: no int64 copy
+            continue
         try:
             columns.append(np.asarray(vec, dtype=np.int64))
         except TypeError:
@@ -197,7 +200,7 @@ def bin_scores(scores: Sequence[float]) -> np.ndarray:
     bad = ~((arr >= 0.0) & (arr <= 1.0))  # NaN too
     if bad.any():
         raise OutOfRange(f"score {arr[bad][0]} outside [0, 1]")
-    return np.minimum(np.floor(arr * 10.0).astype(np.int64), 9)
+    return np.minimum(np.floor(arr * 10.0).astype(np.int8), 9)
 
 
 def _radix(n: int, k: int) -> np.ndarray | None:

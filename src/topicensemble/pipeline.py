@@ -3,7 +3,9 @@
 `run` loads the input files once, by `load_inputs`, before its first stage.
 Each stage streams its artifacts to temp files renamed into place under
 {output_dir}/{run_id}/{stage}/ and reads upstream artifacts back from disk,
-so `run all` is the same as running the stages one at a time.
+so `run all` is the same as running the stages one at a time. Within one
+`run`, score/aggregated.jsonl is read once, by the first stage that needs it
+(`_aggregated_once`), and its arrays are kept in the run's `Inputs`.
 
 Data files are JSONL (first line is a {"_meta": ...} record with the schema,
 its version and the config digest) or CSV (first line is a "# key=value ..."
@@ -12,8 +14,12 @@ comment). outliers.json, ensemble.json and the per-stage manifest.json, which
 JSONL is streamed through `_rows`, which checks the header and every row, and
 `_cells` places each row of annotations.jsonl and aggregated.jsonl by its
 position in its (model, topic) stream, which follows the corpus order; `_read`
-checks a JSON document's digest. Undefined numeric cells (degenerate
-coefficients, undefined precision) are written as empty strings.
+checks a JSON document's digest. A row laid out as `_write_jsonl` writes it is
+decoded from the match of its schema's pattern, built from `_ROW_FIELDS`; any
+other line goes through `json` and the per-field check, which give the same
+values and messages. Decision rows are formatted from column windows in the
+bytes `_encode` gives. Undefined numeric cells (degenerate coefficients,
+undefined precision) are written as empty strings.
 """
 from __future__ import annotations
 
@@ -23,10 +29,12 @@ import json
 import logging
 import math
 import os
+import re
 import time
 from array import array
 from collections.abc import Iterable, Set
 from contextlib import closing, contextmanager
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +44,7 @@ from . import agreement as agr
 from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
 from .corpus import CorpusView, TopicSet, load_corpus, load_corpus_view, load_topics, not_utf8
+from .ensemble import EnsembleDecision, ScoreEnsemble
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import ensemble_topic, optimal_threshold  # noqa: F401
 from .errors import (ConfigInvalid, DegenerateChance, MalformedRecord,
@@ -73,11 +82,14 @@ def _replacing(path: Path):
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
+def _meta_line(schema: str, digest: str) -> str:
+    meta = {"schema": schema, "schema_version": SCHEMA_VERSION, "config_digest": digest}
+    return _encode({"_meta": meta}) + "\n"
+
+
 def _write_jsonl(path: Path, schema: str, digest: str, rows: Iterable[dict]) -> None:
     with _replacing(path) as fh:
-        meta = {"schema": schema, "schema_version": SCHEMA_VERSION,
-                "config_digest": digest}
-        fh.write(_encode({"_meta": meta}) + "\n")
+        fh.write(_meta_line(schema, digest))
         for row in rows:
             fh.write(_encode(row) + "\n")
 
@@ -119,7 +131,51 @@ _ROW_FIELDS = {
 }
 _KINDS = {"a string": (str,), "a boolean": (bool,), "a number": (int, float),
           "an object": (dict,), "a list of strings": (list,)}  # items checked too
-_decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
+_decoder = json.JSONDecoder()
+_decode = _decoder.decode  # json.loads without its per-call dispatch
+
+
+def _scan(text: str):
+    """json.loads of a text that holds one JSON value and nothing else."""
+    return _decoder.scan_once(text, 0)[0]
+
+
+# A row as _write_jsonl writes it (keys sorted, ", " and ": " between items, strings
+# without escapes or control characters, numbers as float literals) is decoded from
+# the groups of its schema's pattern, to the values json.loads would give; any other
+# line is decoded by json.
+_STRING = r'"[^"\\\x00-\x1f]*"'
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_SCALAR = f"(?:true|false|null|{_FLOAT}|{_STRING})"
+_OBJECT = rf"\{{(?:{_STRING}: {_SCALAR}(?:, {_STRING}: {_SCALAR})*)?\}}"
+_FROM_TEXT = {  # by kind: the value's pattern, one group, and how its text is decoded
+    "a string": (r'"([^"\\\x00-\x1f]*)"', None),
+    "a boolean": ("(true|false)", "true".__eq__),
+    "a number": (f"({_FLOAT})", float),
+    "an object": (f"({_OBJECT})", _scan),
+    "a list of strings": (rf"(\[(?:{_STRING}(?:, {_STRING})*)?\])", _scan),
+    None: (_OBJECT, None),  # a field no reader checks: no group
+}
+# fields that rows carry and no reader checks, each an object, by schema
+_UNCHECKED = {"decisions": ("per_model_scores",)}
+
+
+def _row_pattern(fields: dict[str, str], unchecked: Iterable[str]):
+    """(fullmatch of a row as written, its groups in `fields` order, and
+    (index, decode) for each value whose text is not the value itself)."""
+    kinds = {**fields, **dict.fromkeys(unchecked)}
+    names = sorted(kinds)
+    pattern = re.compile(r"\{" + ", ".join(f'"{name}": {_FROM_TEXT[kinds[name]][0]}'
+                                           for name in names) + r"\}\n")
+    groups = [name for name in names if name in fields]
+    order = tuple(groups.index(name) + 1 for name in fields)
+    decodes = tuple((i, _FROM_TEXT[kind][1]) for i, kind in enumerate(fields.values())
+                    if _FROM_TEXT[kind][1] is not None)
+    return pattern.fullmatch, order, decodes
+
+
+_ROW_PATTERNS = {schema: _row_pattern(fields, _UNCHECKED.get(schema, ()))
+                 for schema, fields in _ROW_FIELDS.items()}
 
 
 def _check_header(path: Path, head, want: dict, prefix: str = "") -> None:
@@ -147,8 +203,9 @@ def _read(path: Path, digest: str) -> dict:
 
 def _rows(path: Path, digest: str, schema: str):
     """Stream the rows of an upstream JSONL artifact of this config as
-    (line number, row). Line 1 must be the `_meta` header of `schema`, and
-    each row an object whose fields have the kinds _ROW_FIELDS names.
+    (line number, values), the values a list in _ROW_FIELDS[schema] order.
+    Line 1 must be the `_meta` header of `schema`, and each row an object
+    whose fields have the kinds _ROW_FIELDS names.
 
     A missing or unreadable file, a header of another config, a bad row or a
     truncated last line raises MissingUpstreamArtifact naming the file and
@@ -156,10 +213,18 @@ def _rows(path: Path, digest: str, schema: str):
     so that one which stops early leaves no file open."""
     want = {"config_digest": digest, "schema": schema, "schema_version": SCHEMA_VERSION}
     checks = [(name, kind, _KINDS[kind]) for name, kind in _ROW_FIELDS[schema].items()]
+    fullmatch, order, decodes = _ROW_PATTERNS[schema]
     lineno, line = 0, "\n"  # last line read, for the error message
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
+                match = fullmatch(line) if lineno > 1 else None
+                if match is not None:
+                    values = list(match.group(*order))
+                    for i, decode in decodes:
+                        values[i] = decode(values[i])
+                    yield lineno, values
+                    continue
                 row = _decode(line)
                 if lineno == 1:
                     head = row.get("_meta") if isinstance(row, dict) else None
@@ -167,6 +232,7 @@ def _rows(path: Path, digest: str, schema: str):
                     continue
                 if type(row) is not dict:
                     raise MissingUpstreamArtifact(f"{path}: line {lineno}: not an object")
+                values = []
                 for name, kind, types in checks:
                     value = row.get(name)
                     if type(value) not in types or (
@@ -174,7 +240,8 @@ def _rows(path: Path, digest: str, schema: str):
                         got = repr(value) if name in row else "no value"
                         raise MissingUpstreamArtifact(
                             f"{path}: line {lineno}: {name} must be {kind}, got {got}")
-                yield lineno, row
+                    values.append(value)
+                yield lineno, values
     except FileNotFoundError:
         raise MissingUpstreamArtifact(f"{path}: not found") from None
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
@@ -187,8 +254,16 @@ def _rows(path: Path, digest: str, schema: str):
 
 # ------------------------------------------------------------------- loading
 
-def load_inputs(cfg: RunConfig, gold: bool
-                ) -> tuple[CorpusView, TopicSet, dict[str, np.ndarray] | None]:
+class Inputs(NamedTuple):
+    """What `run` hands each stage. Annotate and score read only the first two."""
+
+    corpus: CorpusView
+    topics: TopicSet
+    gold: dict[str, np.ndarray] | None
+    upstream: dict  # what a stage read of an upstream artifact, kept for the later stages
+
+
+def load_inputs(cfg: RunConfig, gold: bool) -> Inputs:
     """The corpus ids and groups, the topics and, if `gold` is set and the
     config names a gold labels file, {top-level topic: int8 column}: 1 or 0
     from a text's gold row, -1 where no row names the text. Raises
@@ -219,7 +294,7 @@ def load_inputs(cfg: RunConfig, gold: bool
                             if not (column >= 0).any())
     if problems:
         raise ConfigInvalid(problems)
-    return corpus, topics, columns
+    return Inputs(corpus, topics, columns, {})
 
 
 def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str, bool]]:
@@ -258,8 +333,9 @@ def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str
 
 def _cells(path: Path, digest: str, schema: str,
            models: list[str], text_ids: list[str], topics: list[str]):
-    """Stream an upstream JSONL artifact's rows as (line number, j, i, k, row),
-    with j, i and k the row's indexes in `models`, `text_ids` and `topics`.
+    """Stream an upstream JSONL artifact's rows as (line number, j, i, k, values),
+    with j, i and k the row's indexes in `models`, `text_ids` and `topics`, and
+    the values as `_rows` gives them (model, text_id and topic first).
     Each (model, topic) pair's rows follow the corpus order, so i counts the
     pair's rows before it; pairs may interleave. A row outside the config or
     out of its pair's order, or a pair that ends early, raises
@@ -269,8 +345,8 @@ def _cells(path: Path, digest: str, schema: str,
                for j, model in enumerate(models) for k, topic in enumerate(topics)}
     n = len(text_ids)
     with closing(_rows(path, digest, schema)) as rows:
-        for lineno, row in rows:
-            model, text_id, topic = row["model"], row["text_id"], row["topic"]
+        for lineno, values in rows:
+            model, text_id, topic = values[0], values[1], values[2]
             stream = streams.get((model, topic))
             if stream is None:
                 raise MissingUpstreamArtifact(
@@ -283,7 +359,7 @@ def _cells(path: Path, digest: str, schema: str,
                                               f"{model, text_id, topic} is out of order; "
                                               f"{due} belongs there")
             stream[2] = i + 1
-            yield lineno, j, i, k, row
+            yield lineno, j, i, k, values
     for (model, topic), (_, _, i) in streams.items():
         if i < n:
             raise MissingUpstreamArtifact(f"{path}: no row for {model, text_ids[i], topic}")
@@ -292,7 +368,7 @@ def _cells(path: Path, digest: str, schema: str,
 # -------------------------------------------------------------------- stages
 
 def stage_annotate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
-    _, topics, _ = inputs
+    topics = inputs[1]
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)  # the one stage that reads texts
     # the stream closes first: its lanes stop and are joined before the store
     # and the pool they use are closed
@@ -315,7 +391,7 @@ def stage_annotate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
 
 
 def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
-    corpus, topics, _ = inputs
+    corpus, topics = inputs[:2]
     path = run_dir / "annotate" / "annotations.jsonl"
     leaves = topics.leaves()
     models = [backend.name for backend in cfg.backends]
@@ -327,13 +403,12 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
 
     def annotations():  # each cell checked and its label kept as rows stream to scoring
         with closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells:
-            for _, j, i, k, r in cells:
+            for _, j, i, k, (_, _, _, label, phrases, parse_warning) in cells:
                 model, leaf = models[j], leaf_names[k]  # config strings: waiting rows share them
-                labels[model, leaf].append(r["label"])
+                labels[model, leaf].append(label)
                 yield TopicAnnotation(
                     model=model, text_id=text_ids[i], topic=leaf,
-                    label=r["label"], phrases=tuple(r["phrases"]),
-                    parse_warning=r["parse_warning"])
+                    label=label, phrases=tuple(phrases), parse_warning=parse_warning)
 
     stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
@@ -382,26 +457,42 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
     models = [backend.name for backend in cfg.backends]
     shape = len(names), len(models), len(text_ids)
     labels, scores = np.zeros(shape, bool), np.zeros(shape)
+    # flat views of both arrays: cell (k, j, i) is at (k * len(models) + j) * len(text_ids) + i,
+    # and a memoryview item is set in less time than a numpy one
+    label_at, score_at = memoryview(labels.reshape(-1)), memoryview(scores.reshape(-1))
     with closing(_cells(path, digest, "aggregated", models, text_ids, names)) as cells:
-        for lineno, j, i, k, row in cells:
-            if not 0.0 <= row["score"] <= 1.0:  # NaN fails too
+        for lineno, j, i, k, (_, _, _, label, score) in cells:
+            if not 0.0 <= score <= 1.0:  # NaN fails too
                 raise MissingUpstreamArtifact(f"{path}: line {lineno}: score must be "
-                                              f"within [0, 1], got {row['score']!r}")
-            labels[k, j, i], scores[k, j, i] = row["label"], row["score"]
+                                              f"within [0, 1], got {score!r}")
+            at = (k * shape[1] + j) * shape[2] + i
+            label_at[at], score_at[at] = label, score
     return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
             {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})
 
 
-def stage_agree(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
-    corpus, topics, _ = inputs
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
+def _aggregated_once(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str
+                     ) -> tuple[dict, dict]:
+    """`_aggregated`, read by the first stage of a `run` that needs it and
+    reused by the later ones. It still comes from the file score wrote, so
+    `run all` gives what the stages run one at a time give."""
+    if "aggregated" not in inputs.upstream:
+        inputs.upstream["aggregated"] = _aggregated(cfg, run_dir, digest,
+                                                    inputs.corpus.ids, inputs.topics)
+    return inputs.upstream["aggregated"]
+
+
+def stage_agree(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -> None:
+    topics = inputs.topics
+    labels, scores = _aggregated_once(cfg, inputs, run_dir, digest)
 
     table = []
     for topic in topics.top_level_names():
         # category 0 = positive; fixed k=2 for labels, k=10 for binned scores;
-        # one target's rating columns at a time
-        for target, vectors, rate, k in (("labels", labels[topic], lambda v: np.where(v, 0, 1), 2),
-                                          ("scores", scores[topic], agr.bin_scores, 10)):
+        # one target's int8 rating columns at a time
+        for target, vectors, rate, k in (
+                ("labels", labels[topic], lambda v: (~v).astype(np.int8), 2),
+                ("scores", scores[topic], agr.bin_scores, 10)):
             matrix = agr.build_rating_matrix({m: rate(v) for m, v in vectors.items()}, k=k)
             coefs = {}
             for kind, fn in (("AC1", agr.gwet_ac1), ("Fleiss", agr.fleiss_kappa)):
@@ -448,9 +539,9 @@ def stage_agree(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
                 len(table), outliers["excluded"])
 
 
-def stage_ensemble(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
-    corpus, topics, _ = inputs
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
+def stage_ensemble(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -> None:
+    corpus, topics = inputs.corpus, inputs.topics
+    labels, scores = _aggregated_once(cfg, inputs, run_dir, digest)
     path = run_dir / "agree" / "outliers.json"
     outliers = _read(path, digest)
     excluded = outliers.get("excluded")
@@ -464,20 +555,10 @@ def stage_ensemble(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
     for topic in topics.top_level_names():
         decision, ens = ensemble_topic(labels[topic], scores[topic], topic=topic,
                                        excluded=excluded)
-        dec_rows = (
-            {
-                "text_id": text_id,
-                "per_model_labels": {m: bool(labels[topic][m][i]) for m in ens.models},
-                "per_model_scores": {m: float(scores[topic][m][i]) for m in ens.models},
-                "pc1": float(ens.pc1[i]),
-                "union": bool(decision.union_label[i]),
-                "intersection": bool(decision.intersection_label[i]),
-                "final": bool(decision.final_label[i]),
-                "tau": float(decision.tau),
-            }
-            for i, text_id in enumerate(corpus.ids)
-        )
-        _write_jsonl(stage_dir / f"{topic}.decisions.jsonl", "decisions", digest, dec_rows)
+        with _replacing(stage_dir / f"{topic}.decisions.jsonl") as fh:
+            fh.write(_meta_line("decisions", digest))
+            fh.writelines(_decision_lines(corpus.ids, labels[topic], scores[topic],
+                                          ens, decision))
         _write_csv(stage_dir / f"{topic}.sweep.csv", "sweep", digest,
                    ["threshold", "precision", "sensitivity", "f1"],
                    zip(*(column.tolist() for column in decision.sweep)))
@@ -492,6 +573,42 @@ def stage_ensemble(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
     logger.info("ensemble: %d topics, excluded=%s", len(summary), sorted(excluded))
 
 
+# decision rows formatted at a time: about 350 KB of text, never the whole file's
+_DECISION_WINDOW = 1024
+_JSON_BOOL = ("false", "true")  # indexed by a bool
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """A float column's values as `_encode` writes each (float.__repr__
+    where finite), in one pass."""
+    return list(map(float.__repr__ if np.isfinite(column).all() else _encode, column.tolist()))
+
+
+def _decision_lines(text_ids: list[str], labels: dict, scores: dict,
+                    ens: ScoreEnsemble, decision: EnsembleDecision) -> Iterable[str]:
+    """The rows of {topic}.decisions.jsonl as `_encode` would write them,
+    keys sorted, formatted from `.tolist()` columns a window of rows at a
+    time: one string a window."""
+    members = sorted(ens.models)
+    keys = [encode_basestring(m) + ": " for m in members]
+    tau = _encode(float(decision.tau))
+    for lo in range(0, len(text_ids), _DECISION_WINDOW):
+        at = slice(lo, lo + _DECISION_WINDOW)
+        per_label = zip(*([key + _JSON_BOOL[v] for v in labels[m][at].tolist()]
+                          for key, m in zip(keys, members)))
+        per_score = zip(*([key + text for text in _json_floats(scores[m][at])]
+                          for key, m in zip(keys, members)))
+        yield "".join(
+            f'{{"final": {_JSON_BOOL[final]}, "intersection": {_JSON_BOOL[inter]}, '
+            f'"pc1": {pc1}, "per_model_labels": {{{", ".join(pml)}}}, '
+            f'"per_model_scores": {{{", ".join(pms)}}}, "tau": {tau}, '
+            f'"text_id": {encode_basestring(text_id)}, "union": {_JSON_BOOL[union]}}}\n'
+            for final, inter, pc1, pml, pms, text_id, union in zip(
+                decision.final_label[at].tolist(), decision.intersection_label[at].tolist(),
+                _json_floats(ens.pc1[at]), per_label, per_score, text_ids[at],
+                decision.union_label[at].tolist()))
+
+
 class _Decisions(NamedTuple):
     text_id: list[str]
     final: np.ndarray
@@ -500,32 +617,39 @@ class _Decisions(NamedTuple):
     members: list[str]  # the models of the first row's per_model_labels
 
 
-def _decisions(path: Path, digest: str) -> _Decisions:
-    """The columns of a {topic}.decisions.jsonl that evaluate and triage use."""
+def _decisions(path: Path, digest: str, models: list[str]) -> _Decisions:
+    """The columns of a {topic}.decisions.jsonl that evaluate and triage use.
+    A first row whose per_model_labels names a model outside `models` is refused."""
     text_id, members = [], []
     final, pc1, tau = array("b"), array("d"), array("d")
     with closing(_rows(path, digest, "decisions")) as rows:
-        for _, row in rows:
+        for lineno, (row_text_id, row_final, _, _, row_pc1, row_tau, labels) in rows:
             if not text_id:
-                members = list(row["per_model_labels"])
-            text_id.append(row["text_id"])
-            final.append(row["final"])
-            pc1.append(row["pc1"])
-            tau.append(row["tau"])
+                members = list(labels)
+                for model in members:
+                    if model not in models:
+                        raise MissingUpstreamArtifact(
+                            f"{path}: line {lineno}: per_model_labels names {model!r}, "
+                            f"which is not a model of this config")
+            text_id.append(row_text_id)
+            final.append(row_final)
+            pc1.append(row_pc1)
+            tau.append(row_tau)
     return _Decisions(text_id, np.asarray(final, dtype=bool), np.asarray(pc1),
                       np.asarray(tau), members)
 
 
-def stage_evaluate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> None:
-    corpus, topics, gold = inputs
-    labels, scores = _aggregated(cfg, run_dir, digest, corpus.ids, topics)
+def stage_evaluate(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -> None:
+    corpus, topics, gold = inputs.corpus, inputs.topics, inputs.gold
+    labels, scores = _aggregated_once(cfg, inputs, run_dir, digest)
     stage_dir = run_dir / "evaluate"
 
+    models = [backend.name for backend in cfg.backends]
     group_rows = []
     decisions_by_topic = {}
     for topic in topics.top_level_names():
         path = run_dir / "ensemble" / f"{topic}.decisions.jsonl"
-        decisions = decisions_by_topic[topic] = _decisions(path, digest)
+        decisions = decisions_by_topic[topic] = _decisions(path, digest, models)
         if decisions.text_id != corpus.ids:
             raise MissingUpstreamArtifact(f"{path}: rows do not follow the corpus")
         group_rows.extend(
@@ -539,11 +663,7 @@ def stage_evaluate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
         metric_rows = []
         for topic, column in gold.items():
             sel = np.flatnonzero(column >= 0)
-            candidates = {
-                backend.name: (labels[topic][backend.name][sel],
-                               scores[topic][backend.name][sel])
-                for backend in cfg.backends
-            }
+            candidates = {m: (labels[topic][m][sel], scores[topic][m][sel]) for m in models}
             decisions = decisions_by_topic[topic]
             candidates["ensemble"] = (decisions.final[sel], decisions.pc1[sel])
             if cfg.subset_ensembles:
@@ -591,9 +711,10 @@ def export_triage(cfg: RunConfig, run_id: str, top_n: int = 20) -> Path:
     highest (likeliest false negatives)."""
     digest = config_digest(cfg)
     run_dir = Path(cfg.output_dir) / run_id
+    models = [backend.name for backend in cfg.backends]
     rows = []
     for topic in load_topics(cfg.topics_path).top_level_names():
-        d = _decisions(run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest)
+        d = _decisions(run_dir / "ensemble" / f"{topic}.decisions.jsonl", digest, models)
         pc1, tau = d.pc1.tolist(), d.tau.tolist()
         for kind, picks, sign in (("review_positive", d.final, 1),
                                   ("review_negative", ~d.final, -1)):

@@ -956,6 +956,56 @@ def test_evaluate_decisions_out_of_corpus_order_exits_3(finished_run, tmp_path, 
     assert f"{path}: rows do not follow the corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "export-triage"])
+def test_decisions_naming_a_foreign_model_exit_3(e2e, capsys, command):
+    # subset ensembles fuse the models the first row names, so a foreign one
+    # there was a KeyError traceback
+    workdir, _ = e2e
+    config_path = workdir / "config.yaml"
+    config_path.write_text(config_path.read_text().replace(
+        "subset_ensembles: false", "subset_ensembles: true"))
+    config = str(config_path)
+    assert main(["run", "--config", config, "--run-id", "r"]) == 0
+    path = workdir / "runs" / "r" / "ensemble" / "sleep.decisions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    assert '"per_model_labels": {"m_alpha": ' in lines[1]
+    lines[1] = lines[1].replace('"m_alpha": ', '"zz": ', 1)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    argv = (["run", "--stage", "evaluate"] if command == "evaluate" else [command])
+    assert main(argv + ["--config", config, "--run-id", "r"]) == 3
+    err = capsys.readouterr().err
+    assert (f"upstream artifact: {path}: line 2: per_model_labels names 'zz', "
+            f"which is not a model of this config") in err
+    assert "Traceback" not in err
+
+
+def test_run_all_reads_aggregated_once(e2e, monkeypatch):
+    # agree, ensemble and evaluate share one read of score/aggregated.jsonl,
+    # and give the tree the stages give when run one at a time
+    workdir, _ = e2e
+    cfg = load_config(workdir / "config.yaml")
+    opened = Counter()
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    together = run(cfg, stage="all", run_id="together")
+    apart = [run(cfg, stage=stage, run_id="apart") for stage in pipeline.STAGES][-1]
+    assert opened[together / "score" / "aggregated.jsonl"] == 1
+    assert opened[apart / "score" / "aggregated.jsonl"] == 3
+
+    def tree(run_dir: Path) -> dict:
+        return {p.relative_to(run_dir): p.read_bytes().replace(run_dir.name.encode(), b"<id>")
+                for p in run_dir.rglob("*") if p.is_file()}
+
+    assert tree(together) == tree(apart)
+    assert len(tree(together)) == len(E2E_ARTIFACT_SHA256)
+
+
 def _analysis_outputs(run_dir: Path) -> dict:
     return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*")
             if p.is_file() and p.parts[-2] in ("agree", "ensemble", "evaluate")}
