@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 from urllib.parse import urlsplit
 
 from .corpus import TextItem, TopicSet
@@ -86,8 +86,10 @@ class RawResponse:
     from_cache: bool
 
 
-@dataclass(frozen=True)
-class TopicAnnotation:
+class TopicAnnotation(NamedTuple):
+    """One (model, text, leaf topic) cell. A tuple, not a frozen dataclass:
+    the stages make one per cell, and a tuple is built in one step."""
+
     model: str
     text_id: str
     topic: str
@@ -116,6 +118,12 @@ def build_prompt(topics: TopicSet, item: TextItem) -> str:
         lines.append(f"({k}) {leaf.short_name}: [yes/no], related phrases if any:")
     lines.append(f"Paragraph: `{item.text}`")
     return "\n".join(lines)
+
+
+# json.dumps(..., ensure_ascii=False), with and without sort_keys, without
+# building an encoder for each call; the store's keys and documents are these bytes
+_encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_encode_unsorted = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class ResponseCache:
@@ -179,16 +187,12 @@ class ResponseCache:
             self._db.close()
 
     def key(self, backend: ModelBackend, prompt: str) -> str:
-        payload = json.dumps(
-            {
-                "backend": backend.name,
-                "prompt": prompt,
-                "temperature": backend.decoding.temperature,
-                "max_tokens": backend.decoding.max_tokens,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        payload = _encode_sorted({
+            "backend": backend.name,
+            "prompt": prompt,
+            "temperature": backend.decoding.temperature,
+            "max_tokens": backend.decoding.max_tokens,
+        })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, backend: ModelBackend, prompt: str) -> dict | None:
@@ -198,11 +202,11 @@ class ResponseCache:
     @staticmethod
     def entry(prompt: str, content: str) -> bytes:
         """The stored document of a chat response retrieved now."""
-        return json.dumps({
+        return _encode_unsorted({
             "prompt_digest": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "content": content,
             "retrieved_at": datetime.now(timezone.utc).isoformat(),
-        }, ensure_ascii=False).encode("utf-8")
+        }).encode("utf-8")
 
     def put(self, backend: ModelBackend, prompt: str, content: str) -> dict:
         blob = self.entry(prompt, content)
@@ -477,8 +481,9 @@ def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
 
 def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
     """POST one chat completion over `pool` and return its content. Retries
-    and errors are those of post_json; a reply with no string content is
-    BadStatus."""
+    and errors are those of post_json; a reply with no string content, or
+    with content that has no UTF-8 encoding (a lone surrogate, which JSON's
+    \\u escapes can spell), is BadStatus."""
     payload = {
         "model": backend.name,
         "messages": [{"role": "user", "content": prompt}],
@@ -492,6 +497,12 @@ def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
         raise BadStatus(200, f"malformed completion payload: {exc}")
     if not isinstance(content, str):
         raise BadStatus(200, f"malformed completion payload: content {content!r}")
+    if not content.isascii():
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BadStatus(200, f"malformed completion payload: content holds "
+                                 f"{content[exc.start]!r}, which has no UTF-8 encoding")
     return content
 
 
@@ -623,13 +634,8 @@ def parse_response(
             label, warning = False, True
         else:
             label, warning = label_match.group(1).lower() == "yes", False
-        annotations.append(
-            TopicAnnotation(
-                model=model, text_id=text_id, topic=leaf.short_name,
-                label=label, phrases=_extract_phrases(segment),
-                parse_warning=warning,
-            )
-        )
+        annotations.append(TopicAnnotation(model, text_id, leaf.short_name, label,
+                                           _extract_phrases(segment), warning))
     return annotations
 
 

@@ -152,8 +152,10 @@ def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | Non
 
     A record that is not an object, lacks an id or a text, has an empty
     text or has a group that is not a string raises an error naming the
-    file and the line; so does the first byte that is not UTF-8. Once the
-    last record is read, an id that repeats raises DuplicateId.
+    file and the line; so does the first byte that is not UTF-8, and an id,
+    text or group holding a lone surrogate (a JSON escape such as "\\ud83d"
+    spells one), which no artifact or store key could encode. Once the last
+    record is read, an id that repeats raises DuplicateId.
     """
     if format not in _READERS:
         raise ValueError(f"unknown corpus format {format!r}")
@@ -172,6 +174,8 @@ def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | Non
                 raise EmptyText(f"line {lineno}: {where}: empty text for id {rid!r}")
             if group is not None and not isinstance(group, str):
                 raise MalformedRecord(lineno, f"{where}: 'group' must be a string")
+            if not (rid.isascii() and text.isascii() and (group is None or group.isascii())):
+                _refuse_unencodable(lineno, where, {"id": rid, "text": text, "group": group})
             hashes.append(hash(rid))
             yield lineno, rid, text, group or None
     except UnicodeDecodeError as exc:
@@ -188,6 +192,18 @@ def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | Non
                     raise DuplicateId(f"line {lineno}: {where}: duplicate id {rid!r} "
                                       f"(first on line {first_line[rid]})")
                 first_line[rid] = lineno
+
+
+def _refuse_unencodable(lineno: int, where: str, fields: dict[str, str | None]) -> None:
+    """MalformedRecord for the first field that has no UTF-8 encoding."""
+    for name, value in fields.items():
+        if value is None:
+            continue
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecord(lineno, f"{where}: {name!r} holds {value[exc.start]!r}, "
+                                          f"which has no UTF-8 encoding") from None
 
 
 def not_utf8(where: str, path: Path, exc: UnicodeDecodeError) -> MalformedRecord:

@@ -17,9 +17,13 @@ position in its (model, topic) stream, which follows the corpus order; `_read`
 checks a JSON document's digest. A row laid out as `_write_jsonl` writes it is
 decoded from the match of its schema's pattern, built from `_ROW_FIELDS`; any
 other line goes through `json` and the per-field check, which give the same
-values and messages. Decision rows are formatted from column windows in the
-bytes `_encode` gives. Undefined numeric cells (degenerate coefficients,
-undefined precision) are written as empty strings.
+values and messages. Every JSONL artifact is formatted by the stage that
+writes it, from the row's values and with no per-row dict, in the bytes
+json.dumps(row, sort_keys=True, ensure_ascii=False) gives (`_encode`):
+annotation, relevancy and aggregated rows one at a time, decision rows from
+column windows; `_write_jsonl` puts them on disk after the `_meta` line.
+Undefined numeric cells (degenerate coefficients, undefined precision) are
+written as empty strings.
 """
 from __future__ import annotations
 
@@ -51,8 +55,8 @@ from .errors import (ConfigInvalid, DegenerateChance, MalformedRecord,
                      MissingUpstreamArtifact, TooFewModels, TopicEnsembleError)
 from .evaluation import compare_raters, group_summary, subset_ensemble_candidates
 # relevancy_score is imported for pipebench/tracer.py, which wraps the name here
-from .relevancy import (Embedder, aggregate_subtopics, relevancy_score,  # noqa: F401
-                        score_annotations)
+from .relevancy import (Embedder, RelevancyRecord, aggregate_subtopics,  # noqa: F401
+                        relevancy_score, score_annotations)
 
 logger = logging.getLogger(__name__)
 
@@ -87,11 +91,47 @@ def _meta_line(schema: str, digest: str) -> str:
     return _encode({"_meta": meta}) + "\n"
 
 
-def _write_jsonl(path: Path, schema: str, digest: str, rows: Iterable[dict]) -> None:
+def _write_jsonl(path: Path, schema: str, digest: str, lines: Iterable[str]) -> None:
+    """The `_meta` line of `schema`, then `lines`: each one or more rows as
+    `_encode(row) + "\\n"` gives them, formatted by the stage that writes them."""
     with _replacing(path) as fh:
         fh.write(_meta_line(schema, digest))
-        for row in rows:
-            fh.write(_encode(row) + "\n")
+        fh.writelines(lines)
+
+
+# The row formatters: each gives the bytes `_encode(row) + "\\n"` gives for its
+# schema's row, keys sorted, without building the row's dict.
+_JSON_BOOL = ("false", "true")  # indexed by a bool
+
+
+def _json_float(value: float) -> str:
+    """A float as `_encode` writes it: float.__repr__ where finite."""
+    return float.__repr__(value) if math.isfinite(value) else _encode(value)
+
+
+def _annotation_line(ann: TopicAnnotation) -> str:
+    model, text_id, topic, label, phrases, parse_warning = ann
+    return (f'{{"label": {_JSON_BOOL[label]}, "model": {encode_basestring(model)}, '
+            f'"parse_warning": {_JSON_BOOL[parse_warning]}, '
+            f'"phrases": [{", ".join(map(encode_basestring, phrases))}], '
+            f'"text_id": {encode_basestring(text_id)}, "topic": {encode_basestring(topic)}}}\n')
+
+
+def _relevancy_line(record: RelevancyRecord) -> str:
+    model, text_id, topic, score, baseline, per_phrase_sims, false_positive = record
+    sims = ", ".join(f'{{"phrase": {encode_basestring(phrase)}, "raw_sim": {_json_float(sim)}}}'
+                     for phrase, sim in per_phrase_sims)
+    return (f'{{"baseline": {_json_float(baseline)}, "model": {encode_basestring(model)}, '
+            f'"per_phrase_sims": [{sims}], '
+            f'"potential_false_positive": {_JSON_BOOL[false_positive]}, '
+            f'"score": {_json_float(score)}, "text_id": {encode_basestring(text_id)}, '
+            f'"topic": {encode_basestring(topic)}}}\n')
+
+
+def _aggregated_line(model: str, text_id: str, topic: str, label: bool, score: float) -> str:
+    return (f'{{"label": {_JSON_BOOL[label]}, "model": {encode_basestring(model)}, '
+            f'"score": {_json_float(score)}, "text_id": {encode_basestring(text_id)}, '
+            f'"topic": {encode_basestring(topic)}}}\n')
 
 
 def _fmt(value) -> str:
@@ -201,11 +241,14 @@ def _read(path: Path, digest: str) -> dict:
     return doc
 
 
-def _rows(path: Path, digest: str, schema: str):
+def _rows(path: Path, digest: str, schema: str, as_text: Set[str] = frozenset()):
     """Stream the rows of an upstream JSONL artifact of this config as
     (line number, values), the values a list in _ROW_FIELDS[schema] order.
     Line 1 must be the `_meta` header of `schema`, and each row an object
-    whose fields have the kinds _ROW_FIELDS names.
+    whose fields have the kinds _ROW_FIELDS names. A row that takes the
+    pattern path gives the fields named in `as_text` as their JSON text,
+    which the pattern has checked but not decoded; the json path gives
+    every value decoded.
 
     A missing or unreadable file, a header of another config, a bad row or a
     truncated last line raises MissingUpstreamArtifact naming the file and
@@ -214,6 +257,9 @@ def _rows(path: Path, digest: str, schema: str):
     want = {"config_digest": digest, "schema": schema, "schema_version": SCHEMA_VERSION}
     checks = [(name, kind, _KINDS[kind]) for name, kind in _ROW_FIELDS[schema].items()]
     fullmatch, order, decodes = _ROW_PATTERNS[schema]
+    if as_text:
+        names = list(_ROW_FIELDS[schema])
+        decodes = tuple((i, decode) for i, decode in decodes if names[i] not in as_text)
     lineno, line = 0, "\n"  # last line read, for the error message
     try:
         with open(path, encoding="utf-8") as fh:
@@ -376,17 +422,8 @@ def stage_annotate(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) ->
           closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool,
           closing(annotate_corpus(corpus, topics, cfg.backends, cache, pool,
                                   failure_budget=cfg.failure_budget)) as annotations):
-        rows = (
-            {
-                "model": ann.model, "text_id": ann.text_id,
-                "topic": ann.topic, "label": ann.label,
-                "phrases": list(ann.phrases),
-                "parse_warning": ann.parse_warning,
-            }
-            for ann in annotations
-        )
-        stage_dir = run_dir / "annotate"
-        _write_jsonl(stage_dir / "annotations.jsonl", "annotations", digest, rows)
+        _write_jsonl(run_dir / "annotate" / "annotations.jsonl", "annotations", digest,
+                     map(_annotation_line, annotations))
     logger.info("annotate: %d cells", len(cfg.backends) * len(corpus) * len(topics.leaves()))
 
 
@@ -406,43 +443,32 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
             for _, j, i, k, (_, _, _, label, phrases, parse_warning) in cells:
                 model, leaf = models[j], leaf_names[k]  # config strings: waiting rows share them
                 labels[model, leaf].append(label)
-                yield TopicAnnotation(
-                    model=model, text_id=text_ids[i], topic=leaf,
-                    label=label, phrases=tuple(phrases), parse_warning=parse_warning)
+                yield TopicAnnotation(model, text_ids[i], leaf, label, tuple(phrases),
+                                      parse_warning)
 
     stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
           closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
         embedder = Embedder(cfg.embedding, cache, pool)
 
-        def relevancy_rows():
+        def relevancy_lines():
             # one record per annotation, in order, so each pair's records follow the corpus
             for record in score_annotations(annotations(), leaves, embedder):
                 scores[record.model, record.topic].append(record.score)
-                yield {
-                    "model": record.model, "text_id": record.text_id,
-                    "topic": record.topic, "score": record.score,
-                    "baseline": record.baseline,
-                    "per_phrase_sims": [
-                        {"phrase": s.phrase, "raw_sim": s.raw_sim}
-                        for s in record.per_phrase_sims
-                    ],
-                    "potential_false_positive": record.potential_false_positive,
-                }
+                yield _relevancy_line(record)
 
-        _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_rows())
+        _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_lines())
 
-    def agg_rows():
+    def aggregated_lines():
         for model in models:
             children = [[(labels[model, c.short_name], scores[model, c.short_name])
                          for c in (topic.subtopics or [topic])] for topic in topics]
             for i, text_id in enumerate(text_ids):
                 for topic, kids in zip(topics, children):
                     label, score = aggregate_subtopics([(ls[i], ss[i]) for ls, ss in kids])
-                    yield {"model": model, "text_id": text_id,
-                           "topic": topic.short_name, "label": label, "score": score}
+                    yield _aggregated_line(model, text_id, topic.short_name, label, score)
 
-    _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, agg_rows())
+    _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, aggregated_lines())
     logger.info("score: %d leaf records, %d aggregated", len(pairs) * len(corpus),
                 len(models) * len(corpus) * len(topics))
 
@@ -555,10 +581,8 @@ def stage_ensemble(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -
     for topic in topics.top_level_names():
         decision, ens = ensemble_topic(labels[topic], scores[topic], topic=topic,
                                        excluded=excluded)
-        with _replacing(stage_dir / f"{topic}.decisions.jsonl") as fh:
-            fh.write(_meta_line("decisions", digest))
-            fh.writelines(_decision_lines(corpus.ids, labels[topic], scores[topic],
-                                          ens, decision))
+        _write_jsonl(stage_dir / f"{topic}.decisions.jsonl", "decisions", digest,
+                     _decision_lines(corpus.ids, labels[topic], scores[topic], ens, decision))
         _write_csv(stage_dir / f"{topic}.sweep.csv", "sweep", digest,
                    ["threshold", "precision", "sensitivity", "f1"],
                    zip(*(column.tolist() for column in decision.sweep)))
@@ -575,7 +599,6 @@ def stage_ensemble(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -
 
 # decision rows formatted at a time: about 350 KB of text, never the whole file's
 _DECISION_WINDOW = 1024
-_JSON_BOOL = ("false", "true")  # indexed by a bool
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
@@ -619,13 +642,14 @@ class _Decisions(NamedTuple):
 
 def _decisions(path: Path, digest: str, models: list[str]) -> _Decisions:
     """The columns of a {topic}.decisions.jsonl that evaluate and triage use.
-    A first row whose per_model_labels names a model outside `models` is refused."""
+    A first row whose per_model_labels names a model outside `models` is
+    refused; only that row's per_model_labels is decoded."""
     text_id, members = [], []
     final, pc1, tau = array("b"), array("d"), array("d")
-    with closing(_rows(path, digest, "decisions")) as rows:
+    with closing(_rows(path, digest, "decisions", as_text={"per_model_labels"})) as rows:
         for lineno, (row_text_id, row_final, _, _, row_pc1, row_tau, labels) in rows:
             if not text_id:
-                members = list(labels)
+                members = list(_scan(labels) if type(labels) is str else labels)
                 for model in members:
                     if model not in models:
                         raise MissingUpstreamArtifact(

@@ -21,6 +21,7 @@ import itertools
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +54,14 @@ class EmbeddingBackend:
     parallelism: int = 4
 
 
-@dataclass(frozen=True)
-class PhraseSimilarity:
+# the records are tuples, not frozen dataclasses: score makes one for each
+# annotation and phrase, and a tuple is built in one step
+class PhraseSimilarity(NamedTuple):
     phrase: str
     raw_sim: float
 
 
-@dataclass(frozen=True)
-class RelevancyRecord:
+class RelevancyRecord(NamedTuple):
     model: str
     text_id: str
     topic: str
@@ -209,10 +210,9 @@ def score_annotations(annotations: Iterable[TopicAnnotation], topics: Iterable[T
                 raise ValueError(f"annotation topic {ann.topic!r} is not among "
                                  f"{sorted(topics)}")
             if not ann.label or not ann.phrases:
-                yield RelevancyRecord(
-                    model=ann.model, text_id=ann.text_id, topic=ann.topic,
-                    score=0.0, baseline=0.0,
-                    potential_false_positive=ann.label and not ann.phrases)
+                # score and baseline 0, no phrases; a positive without phrases is flagged
+                yield RelevancyRecord(ann.model, ann.text_id, ann.topic, 0.0, 0.0, (),
+                                      ann.label and not ann.phrases)
                 continue
             if ann.topic not in base:
                 desc_vec = described[topics[ann.topic].description]
@@ -221,8 +221,7 @@ def score_annotations(annotations: Iterable[TopicAnnotation], topics: Iterable[T
             for p in ann.phrases:
                 if (ann.topic, p) not in sims:
                     sims[ann.topic, p] = cosine_similarity(desc_vec, vectors[p])
-            per_phrase = tuple(PhraseSimilarity(phrase=p, raw_sim=sims[ann.topic, p])
-                               for p in ann.phrases)
+            per_phrase = tuple(PhraseSimilarity(p, sims[ann.topic, p]) for p in ann.phrases)
             raw_max = max(s.raw_sim for s in per_phrase)
             yield RelevancyRecord(
                 model=ann.model, text_id=ann.text_id, topic=ann.topic,

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import socket
 import sys
 import threading
@@ -273,6 +274,25 @@ def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server, po
     assert cache.key(greedy, "hello") != cache.key(sampled, "hello")
     assert cache.get(greedy, "hello")["content"] == cache.get(sampled, "hello")["content"] == "ok"
     assert server.call_count == 2
+
+
+def test_store_key_is_pinned():
+    # a store written by an earlier version must still answer: the key is the
+    # SHA-256 of json.dumps({backend, prompt, temperature, max_tokens},
+    # sort_keys=True, ensure_ascii=False)
+    backend = ModelBackend("m_alpha", "http://127.0.0.1:1/v1/chat/completions",
+                           decoding=Decoding(temperature=0.0, max_tokens=256))
+    prompt = 'Paragraph: `Café au lait, "quoted"\n\ttab`'
+    assert ResponseCache.key(None, backend, prompt) == (
+        "aed719238ae1297c06db6ea3d2cfb5cfb38ec44d19981c2039c56f0807e9be2a")
+
+
+def test_store_entry_is_the_json_document():
+    entry = ResponseCache.entry("p", 'Café "x"')
+    assert entry.startswith(b'{"prompt_digest": "148de9c5a7a44d19e56cd9ae1a554bf67847afb0c58f6e'
+                            b'12fa29ac7ddfca9940", "content": "Caf\xc3\xa9 \\"x\\"", '
+                            b'"retrieved_at": "')
+    assert json.loads(entry)["content"] == 'Café "x"'
 
 
 def test_store_read_many_keeps_key_order_across_queries(tmp_path):

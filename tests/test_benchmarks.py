@@ -23,6 +23,7 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
      "slowest_backend_bound_s"),
     ("bench_corpus.py", ["--texts", "2000", "--words", "5"], "load_corpus_view"),
     ("bench_handoff.py", ["--texts", "500", "--repeats", "1"], "together"),
+    ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "in pipeline"),
 ])
 def test_benchmark_script_runs(tmp_path, script, args, printed):
     src = Path(topicensemble.__file__).parents[1]

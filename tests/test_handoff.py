@@ -3,8 +3,10 @@
 `pipeline._rows` decodes a row that its schema's pattern fits from the match
 groups, and any other line through json with the per-field check; the two
 paths must agree on every line, in values or in the refusal's message.
-`pipeline._decision_lines` formats decision rows from columns, and must give
-the bytes `_encode` gives for the same rows.
+`pipeline._decision_lines` formats decision rows from columns, and the row
+formatters (`_annotation_line`, `_relevancy_line`, `_aggregated_line`) format
+one row each from its values; each must give the bytes `_encode` gives for
+the same rows.
 """
 from __future__ import annotations
 
@@ -21,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicensemble import pipeline
+from topicensemble.annotator import TopicAnnotation
 from topicensemble.errors import MissingUpstreamArtifact
+from topicensemble.relevancy import PhraseSimilarity, RelevancyRecord
 
 SCHEMAS = list(pipeline._ROW_FIELDS)
 
@@ -261,3 +265,110 @@ def test_decision_lines_are_the_encoded_rows(monkeypatch, n, odd):
     assert "".join(windows) == want
     if odd == "none":
         assert all(_matched("decisions", line) for line in want.splitlines(keepends=True))
+
+
+# ------------------------------------------------------------- row formatters
+
+def _annotation(model, text_id, topic, label, phrases, parse_warning):
+    """The annotation formatter's line, and the row as a dict."""
+    line = pipeline._annotation_line(
+        TopicAnnotation(model, text_id, topic, label, tuple(phrases), parse_warning))
+    return line, {"model": model, "text_id": text_id, "topic": topic, "label": label,
+                  "phrases": list(phrases), "parse_warning": parse_warning}
+
+
+def _relevancy(model, text_id, topic, score, baseline, sims, false_positive):
+    """The relevancy formatter's line, and the row as a dict."""
+    line = pipeline._relevancy_line(RelevancyRecord(
+        model, text_id, topic, score, baseline,
+        tuple(PhraseSimilarity(phrase, sim) for phrase, sim in sims), false_positive))
+    return line, {"model": model, "text_id": text_id, "topic": topic, "score": score,
+                  "baseline": baseline,
+                  "per_phrase_sims": [{"phrase": phrase, "raw_sim": sim} for phrase, sim in sims],
+                  "potential_false_positive": false_positive}
+
+
+def _aggregated(model, text_id, topic, label, score):
+    """The aggregated formatter's line, and the row as a dict."""
+    return (pipeline._aggregated_line(model, text_id, topic, label, score),
+            {"model": model, "text_id": text_id, "topic": topic, "label": label,
+             "score": score})
+
+
+# by schema: the formatter, a typical record's values, and which of them are
+# strings and which floats
+FORMATTERS = {
+    "annotations": (_annotation, ("m1", "t1", "sleep", True, ["lying awake", "no sleep"], False),
+                    (0, 1, 2), ()),
+    "relevancy": (_relevancy, ("m1", "t1", "sleep", 0.4375, 0.125,
+                               [("lying awake", 0.5625), ("no sleep", 0.25)], False),
+                  (0, 1, 2), (3, 4)),
+    "aggregated": (_aggregated, ("m1", "t1", "sleep", True, 0.4375), (0, 1, 2), (4,)),
+}
+ODD_STRINGS = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\n\r\t\b\f", "\x7f", "café ☕",
+               "\U0001f600", "  ", ""]
+ODD_FLOATS = [0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, 1e16, 123456789.0, math.nan,
+              math.inf, -math.inf]
+
+
+def _lines_agree(schema: str, values) -> str:
+    line, row = FORMATTERS[schema][0](*values)
+    assert line == pipeline._encode(row) + "\n"
+    return line
+
+
+@pytest.mark.parametrize("schema", list(FORMATTERS))
+@pytest.mark.parametrize("text", ODD_STRINGS)
+def test_row_formatters_write_strings_as_json_does(schema, text):
+    _, values, strings, _ = FORMATTERS[schema]
+    for i in strings:
+        _lines_agree(schema, [text if j == i else v for j, v in enumerate(values)])
+    if schema == "annotations":
+        _lines_agree(schema, [*values[:4], [text, text + "x"], values[5]])
+    if schema == "relevancy":
+        _lines_agree(schema, [*values[:5], [(text, 0.5)], values[6]])
+
+
+@pytest.mark.parametrize("schema", ["relevancy", "aggregated"])
+@pytest.mark.parametrize("number", ODD_FLOATS, ids=repr)
+def test_row_formatters_write_floats_as_json_does(schema, number):
+    _, values, _, floats = FORMATTERS[schema]
+    for i in floats:
+        line = _lines_agree(schema, [number if j == i else v for j, v in enumerate(values)])
+        if math.isfinite(number):
+            assert repr(number) in line
+    if schema == "relevancy":
+        _lines_agree(schema, [*values[:5], [("a", number), ("b", -number)], values[6]])
+
+
+@pytest.mark.parametrize("schema,values", [
+    ("annotations", ("m1", "t1", "sleep", False, [], True)),
+    ("relevancy", ("m1", "t1", "sleep", 0.0, 0.0, [], True)),
+    ("aggregated", ("m1", "t1", "sleep", False, 0.0)),
+])
+def test_row_formatters_write_empty_lists_and_false_as_json_does(schema, values):
+    line = _lines_agree(schema, values)
+    if schema != "aggregated":
+        assert "[]" in line
+    if schema != "relevancy":
+        assert _matched(schema, line)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_RECORDS = {
+    "annotations": st.tuples(_TEXT, _TEXT, _TEXT, st.booleans(), st.lists(_TEXT, max_size=4),
+                             st.booleans()),
+    "relevancy": st.tuples(_TEXT, _TEXT, _TEXT, _FLOATS, _FLOATS,
+                           st.lists(st.tuples(_TEXT, _FLOATS), max_size=4), st.booleans()),
+    "aggregated": st.tuples(_TEXT, _TEXT, _TEXT, st.booleans(), _FLOATS),
+}
+
+
+@pytest.mark.parametrize("schema", list(FORMATTERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_random_records_format_as_json_does(schema, data):
+    line = _lines_agree(schema, data.draw(_RECORDS[schema]))
+    if schema in pipeline._ROW_FIELDS:  # and the reader takes the line back
+        assert _both_paths(schema, [line]) == repr(
+            [(2, [json.loads(line)[name] for name in pipeline._ROW_FIELDS[schema]])])

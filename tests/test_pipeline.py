@@ -1089,7 +1089,8 @@ def test_aggregated_memory_is_arrays(tmp_path):
     cfg = SimpleNamespace(backends=[ModelBackend(m, "http://127.0.0.1:1/v1") for m in models])
     pipeline._write_jsonl(
         tmp_path / "score" / "aggregated.jsonl", "aggregated", "d",
-        ({"model": m, "text_id": item.id, "topic": t, "label": i % 3 == 0, "score": i / 2500}
+        (pipeline._encode({"model": m, "text_id": item.id, "topic": t, "label": i % 3 == 0,
+                           "score": i / 2500}) + "\n"
          for m in models for i, item in enumerate(corpus) for t in ("sleep", "appetite")))
     rows = len(models) * len(corpus) * 2
     tracemalloc.start()
@@ -1124,8 +1125,9 @@ def test_score_memory_is_arrays(tmp_path, stub_server):
     view = CorpusView([item.id for item in corpus], [item.group for item in corpus])
     pipeline._write_jsonl(
         tmp_path / "annotate" / "annotations.jsonl", "annotations", "d",
-        ({"model": m, "text_id": item.id, "topic": leaf, "label": i % 4 == 0,
-          "phrases": [phrases[i % 8]] if i % 4 == 0 else [], "parse_warning": False}
+        (pipeline._encode({"model": m, "text_id": item.id, "topic": leaf, "label": i % 4 == 0,
+                           "phrases": [phrases[i % 8]] if i % 4 == 0 else [],
+                           "parse_warning": False}) + "\n"
          for m in models for i, item in enumerate(corpus) for leaf in leaves))
     rows = len(models) * len(corpus) * len(leaves)
     pipeline.stage_score(cfg, (view, topics, None), tmp_path, "d")  # fills the store
@@ -1154,9 +1156,13 @@ def _rows_then_unencodable():
     yield {"a": 3}
 
 
+def _lines(rows):
+    return (pipeline._encode(row) + "\n" for row in rows)
+
+
 @pytest.mark.parametrize("write", [
-    lambda path: pipeline._write_jsonl(path, "x", "d", _rows_then_fail()),
-    lambda path: pipeline._write_jsonl(path, "x", "d", _rows_then_unencodable()),
+    lambda path: pipeline._write_jsonl(path, "x", "d", _lines(_rows_then_fail())),
+    lambda path: pipeline._write_jsonl(path, "x", "d", _lines(_rows_then_unencodable())),
     lambda path: pipeline._write_csv(path, "x", "d", ["a"],
                                      ([r["a"]] for r in _rows_then_fail())),
     lambda path: pipeline._write_json(path, "d", {"bad": object()}),
@@ -1232,6 +1238,43 @@ def test_input_error_names_file_line_and_problem(tmp_path, capsys, name, append,
     err = capsys.readouterr().err
     assert prefix + problem.format(path=path.resolve()) in err.splitlines()
     assert err.count("error: ") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["id", "text", "group"])
+@pytest.mark.parametrize("command, exit_code, prefix", [
+    ("run", 1, "error: "), ("validate-config", 2, "config error: ")])
+def test_corpus_field_with_a_lone_surrogate_is_refused(e2e, capsys, field, command,
+                                                       exit_code, prefix):
+    # "\ud83d" is valid JSON, but no artifact or store key could encode it
+    workdir, server = e2e
+    path = workdir / "corpus.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record[field] = record[field][:4] + "\ud83d"
+    lines[1] = json.dumps(record) + "\n"  # ensure_ascii: written as the escape
+    assert "\\ud83d" in lines[1]
+    path.write_text("".join(lines))
+    assert main([command, "--config", str(workdir / "config.yaml")]) == exit_code
+    err = capsys.readouterr().err
+    assert (f"{prefix}line 2: corpus {path.resolve()}: {field!r} holds '\\ud83d', which has "
+            f"no UTF-8 encoding") in err.splitlines()
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert server.call_count == 0 and not (workdir / "runs").exists()
+
+
+def test_chat_reply_with_a_lone_surrogate_is_a_backend_failure(e2e, capsys):
+    # the stub escapes it as "\ud83d" in valid JSON; the reply is refused, not stored
+    workdir, server = e2e
+    chat = server.fixture.chat
+    for digest in chat:
+        chat[digest] += " \ud83d"
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "bad"]) == 4
+    err = capsys.readouterr().err
+    assert ("backend failure: HTTP 200: malformed completion payload: content holds "
+            "'\\ud83d', which has no UTF-8 encoding") in err.splitlines()
+    assert "Traceback" not in err
+    with contextlib.closing(ResponseCache(workdir / "cache")) as cache:
+        assert cache._execute("SELECT count(*) FROM entries") == [(0,)]
 
 
 @pytest.mark.parametrize("key, what", [
