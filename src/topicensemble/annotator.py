@@ -135,7 +135,8 @@ class ResponseCache:
     input's SHA-256 and hold little-endian float32 vectors. WAL mode and a
     busy timeout let processes share a cache dir on a local filesystem; one
     connection serves every thread, one statement at a time. close() folds
-    the WAL back into the file.
+    the WAL back into the file. Chat answers and embeddings are read,
+    fetched and stored through fill.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -181,6 +182,32 @@ class ResponseCache:
     def write(self, items: Iterable[tuple[str, bytes]]) -> None:
         """Store (key, bytes) pairs in one transaction."""
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
+
+    def fill(self, keys: Sequence[str], fetch: Callable[[list[str]], Sequence[bytes]],
+             size: int, workers: int, on_miss: Callable[[], None] | None = None) -> list:
+        """The bytes under each key: one read, then, if a key is missing,
+        on_miss() once and the missing keys handed to fetch `size` at a time on
+        up to `workers` threads. fetch returns their bytes, or [] for a call it
+        did not make; what arrived is stored in one transaction, also when a
+        call fails."""
+        blobs = self.read_many(keys)
+        misses = [i for i, blob in enumerate(blobs) if blob is None]
+        if misses and on_miss is not None:
+            on_miss()
+        fresh: list[tuple[str, bytes]] = []  # appended by the workers
+
+        def batch(start: int) -> None:
+            part = misses[start : start + size]
+            for i, blob in zip(part, fetch([keys[i] for i in part])):
+                blobs[i] = blob
+                fresh.append((keys[i], blob))
+
+        try:
+            run_parallel(batch, range(0, len(misses), size), workers)
+        finally:
+            if fresh:
+                self.write(fresh)
+        return blobs
 
     def close(self) -> None:
         with self._lock:
@@ -650,16 +677,15 @@ def annotate_corpus(
     """Annotate every (backend, text) pair: a stream of one annotation per
     (backend, text, leaf topic) cell, in that order.
 
-    The ordered pass works each backend's texts WINDOW at a time. One store
-    read answers the window's stored prompts on the calling thread; only the
-    rest go to the backend's `parallelism` workers over `pool`, and their
-    responses are stored in one transaction, also when a request fails
-    (before the error propagates). The calling thread parses each response in
-    order. One that no topic line is recognized in is asked again, the same
-    way, with FORMAT_REMINDER; cells still unparseable then fail
-    conservatively (label false, parse_warning), and once more than
-    failure_budget of all cells have failed the stream raises
-    FailureBudgetExceeded.
+    The ordered pass works each backend's texts WINDOW at a time, each
+    window's prompts through one ResponseCache.fill: one store read on the
+    calling thread, only the rest sent to the backend's `parallelism`
+    workers over `pool`, and their responses stored in one transaction. The
+    calling thread parses each response in order. One that no topic line is
+    recognized in is asked again, the same way, with FORMAT_REMINDER; cells
+    still unparseable then fail conservatively (label false, parse_warning),
+    and once more than failure_budget of all cells have failed, counted a
+    window at a time, the stream raises FailureBudgetExceeded.
 
     At the first window with a store miss, every later backend gets a lane: a
     thread that fills the store with that backend's answers, reminders
@@ -681,47 +707,44 @@ def annotate_corpus(
     topic_line = _topic_line(leaf.short_name for leaf in leaves)
     failures: list[BaseException] = []  # every fetch looks here before it POSTs
 
-    def check_budget(failed_cells: int) -> None:
-        if failed_cells / total_cells > failure_budget:
-            raise FailureBudgetExceeded(f"{failed_cells}/{total_cells} cells unparseable "
-                                        f"(budget {failure_budget:.2%})")
+    def windows(backend: ModelBackend, accept: Callable[[TextItem, str], object],
+                on_miss: Callable[[], None] | None = None,
+                ) -> Iterator[tuple[Sequence[TextItem], list]]:
+        """Each window of the corpus with accept(item, answer) for each text,
+        asked again with FORMAT_REMINDER where accept returns None. Ends once a
+        failure anywhere has stopped the calls; the Nones left count against
+        the budget once the caller has the window."""
+        failed_cells = 0
+        for start in range(0, len(corpus), WINDOW):
+            window = corpus[start : start + WINDOW]
+            prompts = [build_prompt(topics, item) for item in window]
+            results: list = [None] * len(window)
+            todo = list(range(len(window)))
+            for suffix in ("", "\n" + FORMAT_REMINDER):
+                asked = [prompts[i] + suffix for i in todo]
+                keys = [cache.key(backend, prompt) for prompt in asked]
+                prompt_of = dict(zip(keys, asked))
 
-    def answers(backend: ModelBackend, prompts: list[str],
-                on_miss: Callable[[], None] | None = None) -> list[str | None]:
-        """The answer to each prompt, None for a call that a failure stopped."""
-        keys = [cache.key(backend, prompt) for prompt in prompts]
-        blobs = cache.read_many(keys)
-        contents = [None if blob is None else json.loads(blob)["content"] for blob in blobs]
-        misses = [i for i, blob in enumerate(blobs) if blob is None]
-        if misses and on_miss is not None:
-            on_miss()
-        fresh: list[tuple[str, bytes]] = []  # appended by the workers
+                def fetch(batch: list[str]) -> list[bytes]:  # one key a call
+                    prompt = prompt_of[batch[0]]
+                    return [] if failures else [cache.entry(prompt, chat(backend, prompt, pool))]
 
-        def fetch(i: int) -> None:
-            if not failures:
-                contents[i] = chat(backend, prompts[i], pool)
-                fresh.append((keys[i], cache.entry(prompts[i], contents[i])))
-
-        try:
-            run_parallel(fetch, misses, max(1, backend.parallelism))
-        finally:
-            if fresh:
-                cache.write(fresh)
-        return contents
+                blobs = cache.fill(keys, fetch, 1, max(1, backend.parallelism), on_miss)
+                if failures:
+                    return
+                for i, blob in zip(todo, blobs):
+                    results[i] = accept(window[i], json.loads(blob)["content"])
+                todo = [i for i in todo if results[i] is None]
+            yield window, results
+            failed_cells += len(todo) * len(leaves)
+            if failed_cells / total_cells > failure_budget:
+                raise FailureBudgetExceeded(f"{failed_cells}/{total_cells} cells unparseable "
+                                            f"(budget {failure_budget:.2%})")
 
     def lane(backend: ModelBackend) -> None:
         try:
-            failed_cells = 0
-            for start in range(0, len(corpus), WINDOW):
-                todo = [build_prompt(topics, item) for item in corpus[start : start + WINDOW]]
-                for suffix in ("", "\n" + FORMAT_REMINDER):
-                    contents = answers(backend, [prompt + suffix for prompt in todo])
-                    if failures:
-                        return
-                    todo = [prompt for prompt, content in zip(todo, contents)
-                            if not topic_line.search(content)]
-                failed_cells += len(todo) * len(leaves)
-                check_budget(failed_cells)
+            for _ in windows(backend, lambda item, answer: topic_line.search(answer)):
+                pass
         except BaseException as exc:
             failures.append(exc)
 
@@ -735,39 +758,28 @@ def annotate_corpus(
                         target=lane, args=(backend,), name=f"lane {backend.name}")
                     lanes[backend.name].start()
 
-        failed_cells = 0
         try:
             for b, backend in enumerate(backends):
                 if backend.name in lanes:
                     lanes[backend.name].join()  # its windows are store hits now
-                for start in range(0, len(corpus), WINDOW):
-                    window = corpus[start : start + WINDOW]
-                    prompts = [build_prompt(topics, item) for item in window]
-                    parsed: list[list[TopicAnnotation] | None] = [None] * len(window)
-                    todo = list(range(len(window)))
-                    for suffix in ("", "\n" + FORMAT_REMINDER):
-                        contents = answers(backend, [prompts[i] + suffix for i in todo],
-                                           lambda: start_lanes(b))
-                        if failures:
-                            raise failures[0]
-                        for i, content in zip(todo, contents):
-                            try:
-                                parsed[i] = parse_response(content, topics, backend.name,
-                                                           window[i].id)
-                            except Unparseable:
-                                pass
-                        todo = [i for i in todo if parsed[i] is None]
-                    for i in todo:
-                        logger.warning("unparseable response from %s for text %s; "
-                                       "marking cells failed", backend.name, window[i].id)
-                        parsed[i] = [TopicAnnotation(model=backend.name, text_id=window[i].id,
-                                                     topic=leaf.short_name, label=False,
-                                                     phrases=(), parse_warning=True)
-                                     for leaf in leaves]
-                        failed_cells += len(leaves)
-                        check_budget(failed_cells)
-                    for annotations in parsed:
+
+                def parsed(item: TextItem, answer: str) -> list[TopicAnnotation] | None:
+                    try:
+                        return parse_response(answer, topics, backend.name, item.id)
+                    except Unparseable:
+                        return None
+
+                for window, results in windows(backend, parsed, lambda: start_lanes(b)):
+                    for item, annotations in zip(window, results):
+                        if annotations is None:
+                            logger.warning("unparseable response from %s for text %s; "
+                                           "marking cells failed", backend.name, item.id)
+                            annotations = [TopicAnnotation(backend.name, item.id,
+                                                           leaf.short_name, False, (), True)
+                                           for leaf in leaves]
                         yield from annotations
+                if failures:
+                    raise failures[0]
         except BaseException as exc:
             failures.append(exc)  # no lane makes another call
             if isinstance(exc, Exception) and failures[0] is not exc:

@@ -19,7 +19,8 @@ from urllib.parse import urlsplit
 import yaml
 
 from .annotator import _BAD_TARGET, Decoding, ModelBackend
-from .errors import ConfigInvalid
+from .corpus import _refuse_unencodable
+from .errors import ConfigInvalid, MalformedRecord
 from .relevancy import EmbeddingBackend
 
 
@@ -91,6 +92,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid([f"cannot read config {path}: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigInvalid([f"config {path} is not a mapping"])
+    try:
+        _refuse_unencodable(0, f"config {path}", doc)
+    except MalformedRecord as exc:
+        raise ConfigInvalid([exc.reason]) from None
     base = path.parent
 
     problems: list[str] = []
@@ -150,11 +155,12 @@ def load_config(path: str | Path) -> RunConfig:
         if not _http_url(endpoint):
             problems.append(f"{where}endpoint must be an http(s) URL, got {endpoint!r}")
         names.add(name)
-        temperature = _number(entry, "temperature", 0.0, problems, where=where)
-        max_tokens = _number(entry, "max_tokens", 512, problems, where=where,
-                             integer=True, minimum=1)
-        parallelism = _number(entry, "parallelism", 4, problems, where=where,
-                              integer=True, minimum=1)
+        temperature = _number(entry, "temperature", Decoding.temperature, problems,
+                              where=where)
+        max_tokens = _number(entry, "max_tokens", Decoding.max_tokens, problems,
+                             where=where, integer=True, minimum=1)
+        parallelism = _number(entry, "parallelism", ModelBackend.parallelism, problems,
+                              where=where, integer=True, minimum=1)
         if None in (temperature, max_tokens, parallelism):
             continue
         backends.append(
@@ -178,7 +184,7 @@ def load_config(path: str | Path) -> RunConfig:
         problems.append(f"embedding.endpoint must be an http(s) URL, got {emb_endpoint!r}")
     bootstrap = mapping("bootstrap", doc.get("bootstrap") or {})
     known("bootstrap.", bootstrap, "resamples", "seed")
-    subset_ensembles = doc.get("subset_ensembles", False)
+    subset_ensembles = doc.get("subset_ensembles", RunConfig.subset_ensembles)
     if not isinstance(subset_ensembles, bool):
         problems.append(f"subset_ensembles must be true or false, got {subset_ensembles!r}")
     gold = doc.get("gold_labels")
@@ -191,23 +197,24 @@ def load_config(path: str | Path) -> RunConfig:
             name=emb_name,
             endpoint=emb_endpoint,
             auth_env=auth_env("embedding.", emb),
-            batch_size=_number(emb, "batch_size", 32, problems, where="embedding.",
-                               integer=True, minimum=1),
-            parallelism=_number(emb, "parallelism", 4, problems, where="embedding.",
-                                integer=True, minimum=1),
+            batch_size=_number(emb, "batch_size", EmbeddingBackend.batch_size, problems,
+                               where="embedding.", integer=True, minimum=1),
+            parallelism=_number(emb, "parallelism", EmbeddingBackend.parallelism, problems,
+                                where="embedding.", integer=True, minimum=1),
         ),
         cache_dir=resolve("cache_dir", doc.get("cache_dir", ".topicensemble-cache")),
         output_dir=resolve("output_dir", doc.get("output_dir", "runs")),
-        outlier_threshold=_number(doc, "outlier_threshold", 0.10, problems,
-                                  exclusive=True),
-        bootstrap_resamples=_number(bootstrap, "resamples", 1000, problems,
-                                    where="bootstrap.", integer=True, minimum=100),
-        bootstrap_seed=_number(bootstrap, "seed", 0, problems, where="bootstrap.",
-                               integer=True),
-        failure_budget=_number(doc, "failure_budget", 0.01, problems, maximum=1),
-        retries=_number(doc, "retries", 3, problems, integer=True),
-        timeout=_number(doc, "timeout", 30.0, problems, exclusive=True),
-        backoff=_number(doc, "backoff", 0.5, problems),
+        outlier_threshold=_number(doc, "outlier_threshold", RunConfig.outlier_threshold,
+                                  problems, exclusive=True),
+        bootstrap_resamples=_number(bootstrap, "resamples", RunConfig.bootstrap_resamples,
+                                    problems, where="bootstrap.", integer=True, minimum=100),
+        bootstrap_seed=_number(bootstrap, "seed", RunConfig.bootstrap_seed, problems,
+                               where="bootstrap.", integer=True),
+        failure_budget=_number(doc, "failure_budget", RunConfig.failure_budget, problems,
+                               maximum=1),
+        retries=_number(doc, "retries", RunConfig.retries, problems, integer=True),
+        timeout=_number(doc, "timeout", RunConfig.timeout, problems, exclusive=True),
+        backoff=_number(doc, "backoff", RunConfig.backoff, problems),
         gold_labels=resolve("gold_labels", gold) if gold is not None else None,
         subset_ensembles=subset_ensembles,
     )

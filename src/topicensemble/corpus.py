@@ -194,16 +194,24 @@ def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | Non
                 first_line[rid] = lineno
 
 
-def _refuse_unencodable(lineno: int, where: str, fields: dict[str, str | None]) -> None:
-    """MalformedRecord for the first field that has no UTF-8 encoding."""
+def _refuse_unencodable(lineno: int, where: str, fields: dict, seen: set | None = None) -> None:
+    """MalformedRecord for the first string that has no UTF-8 encoding (a
+    lone surrogate, which JSON's and YAML's \\u escapes can spell): a field's,
+    or one in a field's lists and mappings, named by its path. Each list and
+    mapping is walked once, so a YAML alias that holds itself ends."""
+    seen = set() if seen is None else seen
     for name, value in fields.items():
-        if value is None:
-            continue
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise MalformedRecord(lineno, f"{where}: {name!r} holds {value[exc.start]!r}, "
-                                          f"which has no UTF-8 encoding") from None
+        if isinstance(value, (dict, list)) and id(value) not in seen:
+            seen.add(id(value))
+            named = ({f"{name}.{k}": v for k, v in value.items()} if isinstance(value, dict)
+                     else {f"{name}[{i}]": v for i, v in enumerate(value)})
+            _refuse_unencodable(lineno, where, named, seen)
+        elif isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedRecord(lineno, f"{where}: {name!r} holds {value[exc.start]!r}, "
+                                              f"which has no UTF-8 encoding") from None
 
 
 def not_utf8(where: str, path: Path, exc: UnicodeDecodeError) -> MalformedRecord:
@@ -280,6 +288,7 @@ def load_topics(path: str | Path) -> TopicSet:
         entries = doc
     if not isinstance(entries, list) or not entries:
         raise MalformedRecord(0, f"{where} must contain a non-empty topic list")
+    _refuse_unencodable(0, where, {"topics": entries})
     topics = tuple(_topic_from_entry(e, f"{where}: topic {k}", depth=0)
                    for k, e in enumerate(entries, 1))
     try:

@@ -149,9 +149,8 @@ def compare_raters(
 def subset_ensemble_candidates(
     labels: Mapping[str, Sequence[bool]],
     scores: Mapping[str, Sequence[float]],
-    min_size: int = 2,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Re-run the ensemble for every model subset of size >= min_size.
+    """Re-run the ensemble for every subset of two or more models.
 
     Candidate names are "ensemble[a+b+...]" with members in input order;
     a subset of constant score columns gets ensemble_topic's flat result.
@@ -159,7 +158,7 @@ def subset_ensemble_candidates(
     """
     models = list(labels)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for size in range(min_size, len(models) + 1):
+    for size in range(2, len(models) + 1):
         for combo in combinations(models, size):
             decision, ens = ensemble_topic({m: labels[m] for m in combo},
                                            {m: scores[m] for m in combo})

@@ -10,9 +10,11 @@ phrases score 0; the latter are flagged as potential false positives.
 Embedding inputs are truncated to their first 384 whitespace-delimited words
 (whitespace collapsed, so truncation is idempotent). Vectors live in the
 run's one response store (annotator.ResponseCache) as little-endian float32
-bytes under "emb/{backend}/" plus the truncated text's SHA-256, and requests
-go through the same retrying POST as chat (annotator.post_json). Cached and
-fresh vectors round-trip through float32 so warm reruns are bit-stable.
+bytes under "emb/{backend}/" plus the truncated text's SHA-256. They are
+read, fetched and stored by the same store routine as chat answers
+(ResponseCache.fill), one transaction of new vectors per call, and requests
+go through the same retrying POST (annotator.post_json). Cached and fresh
+vectors round-trip through float32 so warm reruns are bit-stable.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .annotator import (
     ResponseCache,
     TopicAnnotation,
     post_json,
-    run_parallel,
 )
 from .corpus import Topic
 from .errors import BadStatus, ZeroNormVector
@@ -38,10 +39,10 @@ from .errors import BadStatus, ZeroNormVector
 TRUNCATE_WORDS = 384
 # Annotations the score stage works at a time. A window's positive phrases
 # are looked up in one store read, and the ones the store lacks are POSTed
-# in batches of batch_size on up to `parallelism` embedding workers: 4,096
-# rows fill 4 batches of 32 if 3% of annotations carry a new phrase. The
-# window's rows and its phrases' vectors (12 KiB each at 1,536 dimensions)
-# are held until its last record is out.
+# in batches of batch_size on up to `parallelism` embedding workers and
+# stored in one transaction: 4,096 rows fill 4 batches of 32 if 3% of
+# annotations carry a new phrase. The window's rows and its phrases' vectors
+# (12 KiB each at 1,536 dimensions) are held until its last record is out.
 READ_AHEAD = 4096
 
 
@@ -91,8 +92,8 @@ class Embedder:
     """Caching client for the embedding wire protocol.
 
     POSTs {model, input: [texts]} and expects {data: [{embedding: [...]}]}
-    in input order. Vectors are read from and written to `cache`; requests
-    go out over `pool`, with its retry policy.
+    in input order. Vectors are read from and written to `cache` by its fill
+    routine; requests go out over `pool`, with its retry policy.
     """
 
     def __init__(self, backend: EmbeddingBackend, cache: ResponseCache, pool: ConnectionPool):
@@ -108,39 +109,20 @@ class Embedder:
         return f"emb/{self.backend.name}/{digest}"
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Embed texts: stored vectors first, the rest fetched (see fetch)."""
-        vectors = self.stored(texts)
-        vectors.update(self.fetch([t for t, vec in vectors.items() if vec is None]))
-        return [vectors[t] for t in texts]
+        """The vector of each text, through one ResponseCache.fill: each
+        distinct truncated text is keyed once, and those the store lacks are
+        POSTed in batches of batch_size on up to `parallelism` workers and
+        stored in one transaction."""
+        truncated = [truncate_words(t) for t in texts]
+        text_of = {self._key(u): u for u in dict.fromkeys(truncated)}
 
-    def stored(self, texts: Iterable[str]) -> dict[str, np.ndarray | None]:
-        """{text: its stored vector, None if there is none} for each distinct
-        text, from one store read."""
-        distinct = list(dict.fromkeys(texts))
-        blobs = self.cache.read_many([self._key(truncate_words(t)) for t in distinct])
-        return {t: None if blob is None else self._vector(blob)
-                for t, blob in zip(distinct, blobs)}
+        def fetch(keys: list[str]) -> list[bytes]:
+            return [vec.astype("<f4").tobytes()
+                    for vec in self._request([text_of[key] for key in keys])]
 
-    def fetch(self, texts: Sequence[str]) -> dict[str, np.ndarray]:
-        """{text: vector} for texts POSTed in batches of batch_size on up to
-        `parallelism` workers; each batch is stored as it arrives.
-
-        Results are keyed by text, so assembly order never depends on
-        request completion order.
-        """
-        truncated = {t: truncate_words(t) for t in texts}
-        distinct = list(dict.fromkeys(truncated.values()))
-        size = self.backend.batch_size
-        batches = [distinct[start : start + size] for start in range(0, len(distinct), size)]
-        blobs: dict[str, bytes] = {}
-
-        def fetch(batch: list[str]) -> None:
-            fresh = [vec.astype("<f4").tobytes() for vec in self._request(batch)]
-            self.cache.write(zip(map(self._key, batch), fresh))
-            blobs.update(zip(batch, fresh))
-
-        run_parallel(fetch, batches, self.parallelism)
-        return {t: self._vector(blobs[u]) for t, u in truncated.items()}
+        blobs = self.cache.fill(list(text_of), fetch, self.backend.batch_size, self.parallelism)
+        vectors = dict(zip(text_of.values(), map(self._vector, blobs)))
+        return [vectors[u] for u in truncated]
 
     def _vector(self, blob: bytes) -> np.ndarray:
         vec = np.frombuffer(blob, dtype="<f4").astype(np.float64)

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topicensemble import agreement
 from topicensemble.agreement import (
     _DRAW_BYTES,
     RatingMatrix,
@@ -575,15 +570,3 @@ def test_patterns_equal_the_item_row_formulas(k, n):
                  for w in weights]
         lo, hi = np.percentile(stats, [2.5, 97.5])
         assert cis[kind] == (float(lo), float(hi))
-
-
-def test_bench_agreement_runs():
-    # the benchmark script drives the public API, so it must keep up with it
-    src = Path(agreement.__file__).parents[1]
-    script = Path(__file__).parents[1] / "benchmarks" / "bench_agreement.py"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(script), "--items", "2000", "--resamples", "100"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "agree chain" in proc.stdout

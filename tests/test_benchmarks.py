@@ -18,6 +18,7 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
 
 
 @pytest.mark.parametrize("script,args,printed", [
+    ("bench_agreement.py", ["--items", "2000", "--resamples", "100"], "agree chain"),
     ("bench_transport.py", ["--calls", "200", "--repeats", "1"], "calls_per_s"),
     ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "1"],
      "slowest_backend_bound_s"),

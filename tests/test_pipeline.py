@@ -1262,6 +1262,43 @@ def test_corpus_field_with_a_lone_surrogate_is_refused(e2e, capsys, field, comma
     assert server.call_count == 0 and not (workdir / "runs").exists()
 
 
+@pytest.mark.parametrize("name, line, replacement, field", [
+    ("topics.yaml", "    description: Sleep", '    description: "Sleep problems \\ud83d."',
+     "topics[0].description"),
+    ("config.yaml", "  - name: m_alpha", '  - name: "m_alpha\\ud83d"', "backends[0].name"),
+    ("config.yaml", "    endpoint:", '    endpoint: "http://127.0.0.1\\ud83d/v1/chat"',
+     "backends[0].endpoint"),
+    ("config.yaml", "    parallelism: 2", '    parallelism: 2\n    auth_env: "TOKEN\\ud83d"',
+     "backends[0].auth_env"),
+    ("config.yaml", "  name: emb-demo", '  name: "emb-demo\\ud83d"', "embedding.name"),
+    ("config.yaml", "  path: corpus.jsonl", '  path: "corpus\\ud83d.jsonl"', "corpus.path"),
+], ids=["description", "backend-name", "endpoint", "auth-env", "embedding-name", "corpus-path"])
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_config_or_topics_field_with_a_lone_surrogate_is_refused(e2e, capsys, name, line,
+                                                                 replacement, field, command):
+    # YAML's "\ud83d" escape loads as a lone surrogate, which no store key,
+    # config digest or environment lookup could encode
+    workdir, server = e2e
+    path = workdir / name
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith(line))
+    lines[at] = replacement
+    path.write_text("\n".join(lines) + "\n")
+    config = workdir / "config.yaml"
+    code = main([command, "--config", str(config)])
+    err = capsys.readouterr().err
+    problem = f"{field!r} holds '\\ud83d', which has no UTF-8 encoding"
+    if name == "topics.yaml":  # an unreadable topics file, as every other one
+        assert code == (1 if command == "run" else 2)
+        prefix = "error: " if command == "run" else "config error: "
+        assert f"{prefix}topics file {path.resolve()}: {problem}" in err.splitlines()
+    else:
+        assert code == 2
+        assert f"config error: config {config}: {problem}" in err.splitlines()
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert server.call_count == 0 and not (workdir / "runs").exists()
+
+
 def test_chat_reply_with_a_lone_surrogate_is_a_backend_failure(e2e, capsys):
     # the stub escapes it as "\ud83d" in valid JSON; the reply is refused, not stored
     workdir, server = e2e

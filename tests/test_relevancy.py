@@ -168,7 +168,38 @@ def test_embed_refuses_a_non_finite_vector(tmp_path, monkeypatch, pool, bad):
         embedder = Embedder(backend, cache, pool)
         with pytest.raises(BadStatus, match="non-finite embedding"):
             embedder.embed_many(["lying awake"])
-        assert embedder.stored(["lying awake"]) == {"lying awake": None}
+        key = "emb/emb/" + hashlib.sha256(b"lying awake").hexdigest()
+        assert cache.read_many([key]) == [None]
+
+
+def test_embed_many_stores_its_new_vectors_in_one_transaction(tmp_path, monkeypatch, pool):
+    slow = SlowEmbeddings(0.0)
+    monkeypatch.setattr(Embedder, "_request", slow)
+    writes = []
+    write = ResponseCache.write
+    monkeypatch.setattr(ResponseCache, "write",
+                        lambda cache, items: writes.append(1) or write(cache, items))
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=2, parallelism=2)
+    with closing(ResponseCache(tmp_path)) as cache:
+        Embedder(backend, cache, pool).embed_many([f"phrase {i}" for i in range(7)])
+    assert len(slow.batches) == 4 and writes == [1]
+
+
+def test_embed_many_keeps_what_arrived_before_a_failed_batch(tmp_path, monkeypatch, pool):
+    texts = [f"phrase {i}" for i in range(5)]
+    failing = SlowEmbeddings(0.0, fail_on="phrase 3")
+    monkeypatch.setattr(Embedder, "_request", failing)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=1, parallelism=1)
+    with closing(ResponseCache(tmp_path)) as cache:
+        with pytest.raises(BackendUnavailable):
+            Embedder(backend, cache, pool).embed_many(texts)
+        assert failing.batches == [[t] for t in texts[:4]]  # none after the failure
+        working = SlowEmbeddings(0.0)
+        monkeypatch.setattr(Embedder, "_request", working)
+        Embedder(backend, cache, pool).embed_many(texts)
+    assert working.batches == [["phrase 3"], ["phrase 4"]]
 
 
 # ------------------------------------------------------------------ cosine
