@@ -183,13 +183,13 @@ class ResponseCache:
         """Store (key, bytes) pairs in one transaction."""
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
 
-    def fill(self, keys: Sequence[str], fetch: Callable[[list[str]], Sequence[bytes]],
+    def fill(self, keys: Sequence[str], fetch: Callable[[list[int]], Sequence[bytes]],
              size: int, workers: int, on_miss: Callable[[], None] | None = None) -> list:
         """The bytes under each key: one read, then, if a key is missing,
-        on_miss() once and the missing keys handed to fetch `size` at a time on
-        up to `workers` threads. fetch returns their bytes, or [] for a call it
-        did not make; what arrived is stored in one transaction, also when a
-        call fails."""
+        on_miss() once and the missing keys' positions handed to fetch `size`
+        at a time on up to `workers` threads. fetch returns their bytes, or []
+        for a call it did not make; what arrived is stored in one transaction,
+        also when a call fails."""
         blobs = self.read_many(keys)
         misses = [i for i, blob in enumerate(blobs) if blob is None]
         if misses and on_miss is not None:
@@ -198,7 +198,7 @@ class ResponseCache:
 
         def batch(start: int) -> None:
             part = misses[start : start + size]
-            for i, blob in zip(part, fetch([keys[i] for i in part])):
+            for i, blob in zip(part, fetch(part)):
                 blobs[i] = blob
                 fresh.append((keys[i], blob))
 
@@ -684,8 +684,9 @@ def annotate_corpus(
     calling thread parses each response in order. One that no topic line is
     recognized in is asked again, the same way, with FORMAT_REMINDER; cells
     still unparseable then fail conservatively (label false, parse_warning),
-    and once more than failure_budget of all cells have failed, counted a
-    window at a time, the stream raises FailureBudgetExceeded.
+    and once more than failure_budget of all cells have failed, every
+    backend's counted together a window at a time, the stream raises
+    FailureBudgetExceeded before it yields that window's rows.
 
     At the first window with a store miss, every later backend gets a lane: a
     thread that fills the store with that backend's answers, reminders
@@ -708,13 +709,13 @@ def annotate_corpus(
     failures: list[BaseException] = []  # every fetch looks here before it POSTs
 
     def windows(backend: ModelBackend, accept: Callable[[TextItem, str], object],
-                on_miss: Callable[[], None] | None = None,
+                failed_cells: list[int], on_miss: Callable[[], None] | None = None,
                 ) -> Iterator[tuple[Sequence[TextItem], list]]:
         """Each window of the corpus with accept(item, answer) for each text,
-        asked again with FORMAT_REMINDER where accept returns None. Ends once a
-        failure anywhere has stopped the calls; the Nones left count against
-        the budget once the caller has the window."""
-        failed_cells = 0
+        asked again with FORMAT_REMINDER where accept returns None. The Nones
+        left are added to failed_cells[0] and checked against the budget
+        before the window is yielded. Ends once a failure anywhere has stopped
+        the calls."""
         for start in range(0, len(corpus), WINDOW):
             window = corpus[start : start + WINDOW]
             prompts = [build_prompt(topics, item) for item in window]
@@ -722,28 +723,27 @@ def annotate_corpus(
             todo = list(range(len(window)))
             for suffix in ("", "\n" + FORMAT_REMINDER):
                 asked = [prompts[i] + suffix for i in todo]
-                keys = [cache.key(backend, prompt) for prompt in asked]
-                prompt_of = dict(zip(keys, asked))
 
-                def fetch(batch: list[str]) -> list[bytes]:  # one key a call
-                    prompt = prompt_of[batch[0]]
+                def fetch(part: list[int]) -> list[bytes]:  # one prompt a call
+                    prompt = asked[part[0]]
                     return [] if failures else [cache.entry(prompt, chat(backend, prompt, pool))]
 
-                blobs = cache.fill(keys, fetch, 1, max(1, backend.parallelism), on_miss)
+                blobs = cache.fill([cache.key(backend, prompt) for prompt in asked], fetch, 1,
+                                   max(1, backend.parallelism), on_miss)
                 if failures:
                     return
                 for i, blob in zip(todo, blobs):
                     results[i] = accept(window[i], json.loads(blob)["content"])
                 todo = [i for i in todo if results[i] is None]
-            yield window, results
-            failed_cells += len(todo) * len(leaves)
-            if failed_cells / total_cells > failure_budget:
-                raise FailureBudgetExceeded(f"{failed_cells}/{total_cells} cells unparseable "
+            failed_cells[0] += len(todo) * len(leaves)
+            if failed_cells[0] / total_cells > failure_budget:
+                raise FailureBudgetExceeded(f"{failed_cells[0]}/{total_cells} cells unparseable "
                                             f"(budget {failure_budget:.2%})")
+            yield window, results
 
     def lane(backend: ModelBackend) -> None:
         try:
-            for _ in windows(backend, lambda item, answer: topic_line.search(answer)):
+            for _ in windows(backend, lambda item, answer: topic_line.search(answer), [0]):
                 pass
         except BaseException as exc:
             failures.append(exc)
@@ -758,6 +758,7 @@ def annotate_corpus(
                         target=lane, args=(backend,), name=f"lane {backend.name}")
                     lanes[backend.name].start()
 
+        failed_cells = [0]  # the ordered pass counts every backend's cells together
         try:
             for b, backend in enumerate(backends):
                 if backend.name in lanes:
@@ -769,7 +770,8 @@ def annotate_corpus(
                     except Unparseable:
                         return None
 
-                for window, results in windows(backend, parsed, lambda: start_lanes(b)):
+                for window, results in windows(backend, parsed, failed_cells,
+                                               lambda: start_lanes(b)):
                     for item, annotations in zip(window, results):
                         if annotations is None:
                             logger.warning("unparseable response from %s for text %s; "

@@ -114,14 +114,15 @@ class Embedder:
         POSTed in batches of batch_size on up to `parallelism` workers and
         stored in one transaction."""
         truncated = [truncate_words(t) for t in texts]
-        text_of = {self._key(u): u for u in dict.fromkeys(truncated)}
+        distinct = list(dict.fromkeys(truncated))
 
-        def fetch(keys: list[str]) -> list[bytes]:
+        def fetch(part: list[int]) -> list[bytes]:
             return [vec.astype("<f4").tobytes()
-                    for vec in self._request([text_of[key] for key in keys])]
+                    for vec in self._request([distinct[i] for i in part])]
 
-        blobs = self.cache.fill(list(text_of), fetch, self.backend.batch_size, self.parallelism)
-        vectors = dict(zip(text_of.values(), map(self._vector, blobs)))
+        blobs = self.cache.fill([self._key(u) for u in distinct], fetch,
+                                self.backend.batch_size, self.parallelism)
+        vectors = dict(zip(distinct, map(self._vector, blobs)))
         return [vectors[u] for u in truncated]
 
     def _vector(self, blob: bytes) -> np.ndarray:

@@ -691,6 +691,31 @@ def test_annotate_corpus_failure_budget(tmp_path, stub_server, two_topics, pool)
     assert failed.parse_warning
 
 
+def test_annotate_corpus_failure_budget_counts_every_backend_together(
+        tmp_path, stub_server, two_topics, pool):
+    corpus = corpus_two()
+    models = ["m1", "m2"]
+    # m1 is hopeless on t1 and m2 on t2: 2 of 8 cells each, 4 of 8 together
+    hopeless = {("m1", build_prompt(two_topics, corpus[0])),
+                ("m2", build_prompt(two_topics, corpus[1]))}
+    entries = [e for e in fixture_for(two_topics, corpus, models,
+                                      lambda model, tid, topic: (False, []))
+               if (e["model"], e["prompt"]) not in hopeless]
+    for model, prompt in hopeless:
+        for asked in (prompt, prompt + "\n" + annotator.FORMAT_REMINDER):
+            entries.append({"model": model, "prompt": asked, "response": "gibberish"})
+    server = stub_server(chat_doc(entries))
+    backends = [backend_for(server, name) for name in models]
+    for _ in ("cold", "warm"):
+        rows = []
+        with pytest.raises(FailureBudgetExceeded, match=r"^4/8 cells"):
+            for row in annotate_corpus(corpus, two_topics, backends, ResponseCache(tmp_path),
+                                       pool, failure_budget=0.3):
+                rows.append(row)
+        # the failing window of m2 yields no row before the stream raises
+        assert {row.model for row in rows} == {"m1"} and len(rows) == 4
+
+
 def test_annotate_corpus_stores_a_window_in_one_transaction(tmp_path, stub_server,
                                                             two_topics, monkeypatch, pool):
     corpus = corpus_two()
