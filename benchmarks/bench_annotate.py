@@ -5,13 +5,18 @@ held back --delay-ms (the launcher of bench_transport.py), and a fixture
 holding an answer for every (model, text). Then runs `annotate_corpus` over
 --texts texts for --backends backends at --parallelism each, into an empty
 store, --repeats times. Prints the median wall time against the
-slowest-backend bound, texts / parallelism × delay, and against the sum over
-backends, which is what working one backend at a time costs; and the mean
-calls in flight per backend (the summed time of its chat calls over the wall
-time), whose ceiling is the parallelism.
+slowest-backend bound, distinct texts / parallelism × delay, and against
+the sum over backends, which is what working one backend at a time costs;
+the mean calls in flight per backend (the summed time of its chat calls
+over the wall time), whose ceiling is the parallelism; and the chat calls
+each backend made in the last run. With --duplicate-share S, a share S of
+the texts repeat the text just before them, in the same window, as short
+replies ("N/A", "no") repeat in survey answers; a backend asked once per
+distinct prompt makes one call per distinct text.
 
     PYTHONPATH=src python3 benchmarks/bench_annotate.py [--texts 300]
         [--backends 3] [--parallelism 2] [--delay-ms 20] [--repeats 3]
+        [--duplicate-share 0]
 """
 from __future__ import annotations
 
@@ -42,13 +47,27 @@ def main() -> int:
     parser.add_argument("--delay-ms", type=float, default=20.0,
                         help="hold each chat reply back this long in the stub")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--duplicate-share", type=float, default=0.0,
+                        help="share of texts, in [0, 1), that repeat the text before them")
     args = parser.parse_args()
+    if not 0 <= args.duplicate_share < 1:
+        parser.error("--duplicate-share must be in [0, 1)")
 
-    corpus = [TextItem(f"t{i}", f"Text number {i}: the deadlines keep piling up.")
-              for i in range(args.texts)]
+    # text i repeats text i - 1 wherever i * share passes a whole number, unless
+    # i starts a window, so the repeats are spread evenly and share a window
+    share = args.duplicate_share
+    texts: list[str] = []
+    for i in range(args.texts):
+        if i % annotator.WINDOW and int(i * share) > int((i - 1) * share):
+            texts.append(texts[-1])
+        else:
+            texts.append(f"Text number {i}: the deadlines keep piling up.")
+    corpus = [TextItem(f"t{i}", text) for i, text in enumerate(texts)]
+    distinct = len(set(texts))
     models = [f"m{b}" for b in range(args.backends)]
     answer = format_response([(topic.short_name, False, []) for topic in TOPICS])
     busy: Counter = Counter()
+    calls: Counter = Counter()
     lock = threading.Lock()
     real_chat = annotator.chat
 
@@ -59,6 +78,7 @@ def main() -> int:
         finally:
             with lock:
                 busy[backend.name] += time.perf_counter() - start
+                calls[backend.name] += 1
 
     annotator.chat = timed_chat
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,6 +92,7 @@ def main() -> int:
         try:
             for repeat in range(args.repeats):
                 busy.clear()
+                calls.clear()
                 with (closing(ResponseCache(Path(tmp) / f"cache{repeat}")) as cache,
                       closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.0)) as pool):
                     start = time.perf_counter()
@@ -87,16 +108,19 @@ def main() -> int:
             proc.wait(timeout=10)
             proc.stdout.close()
 
-    slowest = args.texts / args.parallelism * args.delay_ms / 1000.0
+    slowest = distinct / args.parallelism * args.delay_ms / 1000.0
     wall = statistics.median(walls)
-    print(f"texts={args.texts} backends={args.backends} parallelism={args.parallelism} "
-          f"delay_ms={args.delay_ms:g} repeats={args.repeats}")
+    print(f"texts={args.texts} distinct={distinct} backends={args.backends} "
+          f"parallelism={args.parallelism} delay_ms={args.delay_ms:g} repeats={args.repeats} "
+          f"duplicate_share={share:g}")
     print(f"wall_s {wall:7.3f}  (runs: {', '.join(f'{w:.3f}' for w in walls)})")
     print(f"slowest_backend_bound_s {slowest:7.3f}  wall/bound {wall / slowest:5.2f}")
     print(f"sum_over_backends_s {slowest * args.backends:7.3f}")
     print("inflight_mean_per_backend " + "  ".join(
         f"{model} {statistics.median(run[b] for run in inflight):.2f}"
         for b, model in enumerate(models)) + f"  (ceiling {args.parallelism})")
+    print("chat_calls_per_backend " + "  ".join(f"{model} {calls[model]}" for model in models)
+          + "  (last run)")
     return 0
 
 

@@ -185,25 +185,30 @@ class ResponseCache:
 
     def fill(self, keys: Sequence[str], fetch: Callable[[list[int]], Sequence[bytes]],
              size: int, workers: int, on_miss: Callable[[], None] | None = None) -> list:
-        """The bytes under each key: one read, then, if a key is missing,
-        on_miss() once and the missing keys' positions handed to fetch `size`
-        at a time on up to `workers` threads. fetch returns their bytes, or []
-        for a call it did not make; what arrived is stored in one transaction,
-        also when a call fails."""
+        """The bytes under each key: one read, then, if keys are missing,
+        on_miss() once and each distinct one's first position handed to fetch
+        `size` at a time on up to `workers` threads. fetch returns their bytes,
+        or [] for a call it did not make; what arrived fills every position of
+        its key and is stored once, in one transaction, also when a call fails."""
         blobs = self.read_many(keys)
-        misses = [i for i, blob in enumerate(blobs) if blob is None]
+        misses: dict[str, list[int]] = {}  # each missing key's positions
+        for i, blob in enumerate(blobs):
+            if blob is None:
+                misses.setdefault(keys[i], []).append(i)
         if misses and on_miss is not None:
             on_miss()
+        firsts = [positions[0] for positions in misses.values()]
         fresh: list[tuple[str, bytes]] = []  # appended by the workers
 
         def batch(start: int) -> None:
-            part = misses[start : start + size]
+            part = firsts[start : start + size]
             for i, blob in zip(part, fetch(part)):
-                blobs[i] = blob
+                for j in misses[keys[i]]:
+                    blobs[j] = blob
                 fresh.append((keys[i], blob))
 
         try:
-            run_parallel(batch, range(0, len(misses), size), workers)
+            run_parallel(batch, range(0, len(firsts), size), workers)
         finally:
             if fresh:
                 self.write(fresh)
@@ -244,6 +249,9 @@ class ResponseCache:
 # http.client's limits on a reply's status, header and chunk-size lines
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# the longest body or chunk a reply may announce, far above any chat or embedding
+# reply: a longer one is malformed, where reading it would overflow or exhaust memory
+_MAX_BODY = 1 << 30
 # a request target holds printable ASCII only; config refuses an endpoint by
 # the same rule
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
@@ -384,6 +392,8 @@ def _read_reply(rfile: BinaryIO) -> tuple[int, bytes, bool]:
         length = int(headers[b"content-length"])
     except (KeyError, ValueError):
         length = -1
+    if length > _MAX_BODY:
+        raise ProtocolError(f"reply body of {length} bytes announced, more than {_MAX_BODY}")
     if length < 0:  # delimited by the end of the stream
         return status, rfile.read(), False
     data = rfile.read(length)
@@ -415,7 +425,7 @@ def _read_chunked(rfile: BinaryIO) -> bytes:
             size = int(line.partition(b";")[0], 16)
         except ValueError:
             size = -1
-        if size < 0 or len(line) > _MAX_LINE:
+        if not 0 <= size <= _MAX_BODY or len(line) > _MAX_LINE:
             raise ProtocolError(f"malformed chunk size line {line[:200]!r}")
         if size == 0:
             break
@@ -456,7 +466,7 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
             raise BadStatus(status, data.decode("utf-8", "replace"))
         try:
             return json.loads(data)
-        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             raise BadStatus(status, f"malformed JSON body: {exc}")
     raise BackendUnavailable(
         f"backend {payload.get('model')!r} at {url} unreachable after "
@@ -679,25 +689,25 @@ def annotate_corpus(
 
     The ordered pass works each backend's texts WINDOW at a time, each
     window's prompts through one ResponseCache.fill: one store read on the
-    calling thread, only the rest sent to the backend's `parallelism`
-    workers over `pool`, and their responses stored in one transaction. The
-    calling thread parses each response in order. One that no topic line is
-    recognized in is asked again, the same way, with FORMAT_REMINDER; cells
-    still unparseable then fail conservatively (label false, parse_warning),
-    and once more than failure_budget of all cells have failed, every
-    backend's counted together a window at a time, the stream raises
-    FailureBudgetExceeded before it yields that window's rows.
+    calling thread, each distinct prompt the store lacks sent once to the
+    backend's `parallelism` workers over `pool`, their responses stored in
+    one transaction. One that _topic_line finds no topic line in is asked
+    again, the same way, with FORMAT_REMINDER; the calling thread parses the
+    others in order. Cells still without one fail conservatively (label
+    false, parse_warning), and once more than failure_budget of all cells
+    have failed, every backend's counted together a window at a time, the
+    stream raises FailureBudgetExceeded before it yields that window's rows.
 
     At the first window with a store miss, every later backend gets a lane: a
-    thread that fills the store with that backend's answers, reminders
-    included, WINDOW at a time on the backend's own `parallelism` workers, so
-    that all backends are busy at once. The ordered pass joins a backend's
-    lane before that backend's first window, which then makes no call; the
-    order and the memory of one window a thread stay as they are. A lane
-    whose own failed cells exceed failure_budget stops the run. The first
-    failure anywhere stops every call not yet made, in the ordered pass and
-    in every lane, and is what the stream raises; closing the stream joins
-    every lane.
+    thread that fills the store with that backend's answers, reminders asked
+    by the same test, WINDOW at a time on the backend's own `parallelism`
+    workers, so that all backends are busy at once. The ordered pass joins a
+    backend's lane before that backend's first window, which then makes no
+    call; the order and the memory of one window a thread stay as they are.
+    A lane whose own failed cells exceed failure_budget stops the run. The
+    first failure anywhere stops every call not yet made, in the ordered pass
+    and in every lane, and is what the stream raises; closing the stream
+    joins every lane.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -708,18 +718,18 @@ def annotate_corpus(
     topic_line = _topic_line(leaf.short_name for leaf in leaves)
     failures: list[BaseException] = []  # every fetch looks here before it POSTs
 
-    def windows(backend: ModelBackend, accept: Callable[[TextItem, str], object],
-                failed_cells: list[int], on_miss: Callable[[], None] | None = None,
-                ) -> Iterator[tuple[Sequence[TextItem], list]]:
-        """Each window of the corpus with accept(item, answer) for each text,
-        asked again with FORMAT_REMINDER where accept returns None. The Nones
-        left are added to failed_cells[0] and checked against the budget
-        before the window is yielded. Ends once a failure anywhere has stopped
-        the calls."""
+    def windows(backend: ModelBackend, failed_cells: list[int],
+                on_miss: Callable[[], None] | None = None,
+                ) -> Iterator[tuple[Sequence[TextItem], list[str | None]]]:
+        """Each window of the corpus with each text's answer, asked again
+        with FORMAT_REMINDER where topic_line finds no topic line in it, and
+        None where the reminded answer has none either. The Nones are added
+        to failed_cells[0] and checked against the budget before the window
+        is yielded. Ends once a failure anywhere has stopped the calls."""
         for start in range(0, len(corpus), WINDOW):
             window = corpus[start : start + WINDOW]
             prompts = [build_prompt(topics, item) for item in window]
-            results: list = [None] * len(window)
+            answers: list[str | None] = [None] * len(window)
             todo = list(range(len(window)))
             for suffix in ("", "\n" + FORMAT_REMINDER):
                 asked = [prompts[i] + suffix for i in todo]
@@ -733,17 +743,18 @@ def annotate_corpus(
                 if failures:
                     return
                 for i, blob in zip(todo, blobs):
-                    results[i] = accept(window[i], json.loads(blob)["content"])
-                todo = [i for i in todo if results[i] is None]
+                    answer = json.loads(blob)["content"]
+                    answers[i] = answer if topic_line.search(answer) else None
+                todo = [i for i in todo if answers[i] is None]
             failed_cells[0] += len(todo) * len(leaves)
             if failed_cells[0] / total_cells > failure_budget:
                 raise FailureBudgetExceeded(f"{failed_cells[0]}/{total_cells} cells unparseable "
                                             f"(budget {failure_budget:.2%})")
-            yield window, results
+            yield window, answers
 
     def lane(backend: ModelBackend) -> None:
         try:
-            for _ in windows(backend, lambda item, answer: topic_line.search(answer), [0]):
+            for _ in windows(backend, [0]):
                 pass
         except BaseException as exc:
             failures.append(exc)
@@ -763,22 +774,16 @@ def annotate_corpus(
             for b, backend in enumerate(backends):
                 if backend.name in lanes:
                     lanes[backend.name].join()  # its windows are store hits now
-
-                def parsed(item: TextItem, answer: str) -> list[TopicAnnotation] | None:
-                    try:
-                        return parse_response(answer, topics, backend.name, item.id)
-                    except Unparseable:
-                        return None
-
-                for window, results in windows(backend, parsed, failed_cells,
-                                               lambda: start_lanes(b)):
-                    for item, annotations in zip(window, results):
-                        if annotations is None:
+                for window, answers in windows(backend, failed_cells, lambda: start_lanes(b)):
+                    for item, answer in zip(window, answers):
+                        if answer is None:
                             logger.warning("unparseable response from %s for text %s; "
                                            "marking cells failed", backend.name, item.id)
                             annotations = [TopicAnnotation(backend.name, item.id,
                                                            leaf.short_name, False, (), True)
                                            for leaf in leaves]
+                        else:  # topic_line found a topic line, so this does not raise
+                            annotations = parse_response(answer, topics, backend.name, item.id)
                         yield from annotations
                 if failures:
                     raise failures[0]

@@ -23,6 +23,10 @@ from .corpus import _refuse_unencodable
 from .errors import ConfigInvalid, MalformedRecord
 from .relevancy import EmbeddingBackend
 
+# The bound on `timeout` and `backoff`: one day. Far larger values overflow
+# the platform's time_t in a socket timeout or a sleep.
+_MAX_SECONDS = 86400
+
 
 @dataclass
 class RunConfig:
@@ -88,7 +92,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, yaml.YAMLError, RecursionError) as exc:  # nested past the limit
         raise ConfigInvalid([f"cannot read config {path}: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigInvalid([f"config {path} is not a mapping"])
@@ -213,8 +217,9 @@ def load_config(path: str | Path) -> RunConfig:
         failure_budget=_number(doc, "failure_budget", RunConfig.failure_budget, problems,
                                maximum=1),
         retries=_number(doc, "retries", RunConfig.retries, problems, integer=True),
-        timeout=_number(doc, "timeout", RunConfig.timeout, problems, exclusive=True),
-        backoff=_number(doc, "backoff", RunConfig.backoff, problems),
+        timeout=_number(doc, "timeout", RunConfig.timeout, problems, exclusive=True,
+                        maximum=_MAX_SECONDS),
+        backoff=_number(doc, "backoff", RunConfig.backoff, problems, maximum=_MAX_SECONDS),
         gold_labels=resolve("gold_labels", gold) if gold is not None else None,
         subset_ensembles=subset_ensembles,
     )

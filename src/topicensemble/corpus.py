@@ -244,7 +244,7 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 record = _decode(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested past the limit
                 raise MalformedRecord(lineno, f"corpus {path}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecord(lineno, f"corpus {path}: record is not an object")
@@ -277,7 +277,7 @@ def load_topics(path: str | Path) -> TopicSet:
             doc = yaml.safe_load(fh)
     except UnicodeDecodeError as exc:
         raise not_utf8(where, Path(path), exc) from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nested past the limit
         mark = getattr(exc, "problem_mark", None)
         raise MalformedRecord(
             mark.line + 1 if mark else 0, f"{where} is not valid YAML: "

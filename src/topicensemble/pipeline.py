@@ -235,7 +235,7 @@ def _read(path: Path, digest: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise MissingUpstreamArtifact(f"{path}: not found") from None
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise MissingUpstreamArtifact(f"{path}: unreadable: {exc}") from exc
     _check_header(path, doc, {"config_digest": digest})
     return doc
@@ -290,7 +290,7 @@ def _rows(path: Path, digest: str, schema: str, as_text: Set[str] = frozenset())
                 yield lineno, values
     except FileNotFoundError:
         raise MissingUpstreamArtifact(f"{path}: not found") from None
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise MissingUpstreamArtifact(f"{path}: line {lineno} unreadable: {exc}") from exc
     if lineno == 0:
         raise MissingUpstreamArtifact(f"{path}: no header")

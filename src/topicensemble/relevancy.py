@@ -109,21 +109,19 @@ class Embedder:
         return f"emb/{self.backend.name}/{digest}"
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """The vector of each text, through one ResponseCache.fill: each
-        distinct truncated text is keyed once, and those the store lacks are
-        POSTed in batches of batch_size on up to `parallelism` workers and
-        stored in one transaction."""
+        """The vector of each text, through one ResponseCache.fill: the
+        distinct truncated texts the store lacks are POSTed once each, in
+        batches of batch_size on up to `parallelism` workers, and stored in
+        one transaction."""
         truncated = [truncate_words(t) for t in texts]
-        distinct = list(dict.fromkeys(truncated))
 
         def fetch(part: list[int]) -> list[bytes]:
             return [vec.astype("<f4").tobytes()
-                    for vec in self._request([distinct[i] for i in part])]
+                    for vec in self._request([truncated[i] for i in part])]
 
-        blobs = self.cache.fill([self._key(u) for u in distinct], fetch,
+        blobs = self.cache.fill([self._key(u) for u in truncated], fetch,
                                 self.backend.batch_size, self.parallelism)
-        vectors = dict(zip(distinct, map(self._vector, blobs)))
-        return [vectors[u] for u in truncated]
+        return [self._vector(blob) for blob in blobs]
 
     def _vector(self, blob: bytes) -> np.ndarray:
         vec = np.frombuffer(blob, dtype="<f4").astype(np.float64)

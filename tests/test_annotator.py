@@ -337,6 +337,26 @@ def test_store_shared_by_threads(tmp_path):
     fresh.close()
 
 
+def test_fill_fetches_a_key_missing_at_two_positions_once(tmp_path):
+    with contextlib.closing(ResponseCache(tmp_path)) as store:
+        store.write([("hit", b"stored")])
+        asked, written = [], []
+
+        def fetch(part):
+            asked.append(part)
+            return [b"fresh"] * len(part)
+
+        def write(items):
+            written.append(list(items))
+            ResponseCache.write(store, written[-1])
+
+        store.write = write
+        assert store.fill(["new", "hit", "new"], fetch, 4, 2) == [b"fresh", b"stored", b"fresh"]
+        assert asked == [[0]]
+        assert written == [[("new", b"fresh")]]
+        assert store.read_many(["new"]) == [b"fresh"]
+
+
 def test_query_backend_unreachable(tmp_path):
     backend = ModelBackend(name="m1", endpoint="http://127.0.0.1:9/v1/chat/completions")
     with pytest.raises(BackendUnavailable):
@@ -500,6 +520,11 @@ def test_post_json_reads_each_reply_framing(sleeps, mode, reply, connections):
     (b"ICY 200 OK\r\n\r\n", "keep-alive", "malformed status line"),
     (_HEAD + b"Content-Length: 40\r\n\r\n{\"ok\": true}", "close-after-reply", "cut short"),
     (_HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n", "close-after-reply", "chunk size"),
+    # lengths past any allocation: refused, not read
+    (_HEAD + b"Content-Length: %d\r\n\r\n{}" % 10**20, "close-after-reply",
+     "reply body of 100000000000000000000 bytes announced"),
+    (_HEAD + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n{}\r\n" % 10**20, "close-after-reply",
+     "chunk size"),
     (_HEAD + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n", "keep-alive", "header line longer"),
     (_HEAD + b"X-Many: 1\r\n" * 100 + b"\r\n", "keep-alive", "more than 100 header"),
 ])
@@ -867,6 +892,53 @@ def test_annotate_corpus_keeps_every_backend_busy_at_once(tmp_path, monkeypatch,
     assert wall <= 1.5 * slowest, f"{wall:.2f} s against {slowest:.2f} s"
     assert calls == {"m0": 60, "m1": 60, "m2": 60}
     assert most == {"m0": 2, "m1": 2, "m2": 2}
+
+
+def test_annotate_corpus_asks_each_distinct_prompt_once(tmp_path, monkeypatch, two_topics,
+                                                       pool):
+    # t1 and t2 share a prompt: one call answers both, and they get the same rows
+    corpus = [TextItem("t1", "Same text."), TextItem("t2", "Same text."),
+              TextItem("t3", "Other.")]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=2)
+                for name in ("m1", "m2")]
+    chat, calls, _ = canned_chat(lambda backend: 0.0)
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        matrix = annotated(corpus, two_topics, backends, cache, pool)
+    assert calls == {"m1": 2, "m2": 2}
+    for model in ("m1", "m2"):
+        for leaf in ("sleep", "appetite"):
+            assert matrix[model, "t1", leaf]._replace(text_id="t2") == matrix[model, "t2", leaf]
+
+
+def test_annotate_corpus_warm_rerun_repeats_the_cold_rows_when_sampling(tmp_path, monkeypatch,
+                                                                        two_topics, pool):
+    # at temperature 0.7 each call answers differently; repeated texts still
+    # share one stored answer, so the warm rerun gives the cold run's rows
+    corpus = [TextItem("t1", "Same text."), TextItem("t2", "Same text."),
+              TextItem("t3", "Other.")]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions",
+                             decoding=Decoding(temperature=0.7), parallelism=2)
+                for name in ("m1", "m2")]
+    made = Counter()
+    lock = threading.Lock()
+
+    def sampled(backend):
+        with lock:
+            made[backend.name] += 1
+            yes = made[backend.name] % 2 == 1
+        return format_response([("sleep", yes, ["awake"] if yes else []),
+                                ("appetite", not yes, [])])
+
+    chat, calls, _ = canned_chat(lambda backend: 0.0, sampled)
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        cold = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    cold_calls = dict(calls)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        warm = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    assert warm == cold
+    assert calls == cold_calls  # the warm rerun made no call
 
 
 def test_a_later_backend_over_its_failure_budget_stops_the_run_early(tmp_path, monkeypatch,

@@ -22,6 +22,8 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
     ("bench_transport.py", ["--calls", "200", "--repeats", "1"], "calls_per_s"),
     ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "1"],
      "slowest_backend_bound_s"),
+    ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "1",
+                           "--duplicate-share", "0.5"], "chat_calls_per_backend"),
     ("bench_corpus.py", ["--texts", "2000", "--words", "5"], "load_corpus_view"),
     ("bench_handoff.py", ["--texts", "500", "--repeats", "1"], "together"),
     ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "in pipeline"),

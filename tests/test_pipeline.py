@@ -469,6 +469,8 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("failure_budget: 7", "failure_budget must be >= 0 and <= 1"),
     ("timeout: 0", "timeout must be > 0"),
     ("backoff: -0.5", "backoff must be >= 0"),
+    ("timeout: 1e10", "timeout must be > 0 and <= 86400"),
+    ("backoff: 1e12", "backoff must be >= 0 and <= 86400"),
     ("backends.1: 7", "backends[1] must be a mapping"),
     ("embedding: [a, b]", "embedding must be a mapping"),
     ("backends.0.endpoint: 127.0.0.1:8731/v1/chat/completions",
@@ -1312,6 +1314,50 @@ def test_chat_reply_with_a_lone_surrogate_is_a_backend_failure(e2e, capsys):
     assert "Traceback" not in err
     with contextlib.closing(ResponseCache(workdir / "cache")) as cache:
         assert cache._execute("SELECT count(*) FROM entries") == [(0,)]
+
+
+# each input a JSON or YAML decoder reads, and the exit code of each command
+# that reads it: config.yaml, the corpus and topics.yaml as README gives for
+# an unreadable file, an upstream artifact 3, a backend reply 4
+@pytest.mark.parametrize("where, codes", [
+    ("config.yaml", {"validate-config": 2, "all": 2}),
+    ("corpus.jsonl", {"validate-config": 2, "all": 1}),
+    ("topics.yaml", {"validate-config": 2, "all": 1}),
+    ("runs/done/score/aggregated.jsonl", {"agree": 3}),
+    ("runs/done/agree/outliers.json", {"ensemble": 3}),
+    ("reply", {"annotate": 4}),
+])
+def test_input_nested_past_the_recursion_limit_exits_with_its_code(finished_run, tmp_path,
+                                                                   capsys, monkeypatch,
+                                                                   where, codes):
+    # each decoder recurses once per level of nesting, so this passes its limit
+    deep = "[" * 100_000 + "]" * 100_000
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / where
+    if where == "reply":
+        shutil.rmtree(workdir / "cache")
+        monkeypatch.setattr(annotator.ConnectionPool, "post",
+                            lambda self, url, body, headers: (200, deep.encode()))
+    elif where.endswith(".yaml"):  # the value of subset_ensembles, or of the first description
+        text = path.read_text()
+        field = "subset_ensembles: " if where == "config.yaml" else "description: "
+        at = text.index(field) + len(field)
+        path.write_text(text[:at] + deep + text[text.index("\n", at):])
+    elif where.endswith(".jsonl"):  # the corpus's third record, the artifact's second row
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = deep + "\n"
+        path.write_text("".join(lines))
+    else:
+        path.write_text(deep)
+    for command, code in codes.items():
+        argv = ([command] if command == "validate-config"
+                else ["run", "--stage", command, "--run-id", "done"])
+        assert main(argv + ["--config", str(workdir / "config.yaml")]) == code
+        err = capsys.readouterr().err
+        assert "maximum recursion depth exceeded" in err and "Traceback" not in err
+        if where.startswith("runs/"):
+            assert f"upstream artifact: {path}" in err
 
 
 @pytest.mark.parametrize("key, what", [
