@@ -252,14 +252,30 @@ _MAX_HEADERS = 100
 # the longest body or chunk a reply may announce, far above any chat or embedding
 # reply: a longer one is malformed, where reading it would overflow or exhaust memory
 _MAX_BODY = 1 << 30
-# a request target holds printable ASCII only; config refuses an endpoint by
-# the same rule
+# a request target holds printable ASCII only
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
 class ProtocolError(Exception):
     """A reply that is not well-formed HTTP/1.x, or a URL that is not
     http(s): post_json retries it as it retries a connection error."""
+
+
+def _endpoint(url: str) -> tuple[tuple[str, str, int | None], str]:
+    """(scheme, host in ASCII, port) of an http(s) URL, and its request
+    target. ProtocolError for a URL the transport cannot reach: no host, a
+    host IDNA cannot encode, a bad port or IPv6 brackets, or a target that
+    is not printable ASCII. load_config checks each endpoint with it."""
+    try:
+        parts = urlsplit(url)
+        host = parts.hostname or ""
+        key = parts.scheme, host if host.isascii() else host.encode("idna").decode(), parts.port
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if key[0] not in ("http", "https") or not host or _BAD_TARGET.search(target):
+            raise ValueError
+    except ValueError:  # also IDNA's UnicodeError
+        raise ProtocolError(f"not an http(s) URL: {url!r}") from None
+    return key, target
 
 
 class ConnectionPool:
@@ -294,15 +310,10 @@ class ConnectionPool:
         replaced once at no cost; any other failure propagates: an OSError
         from the socket, or ProtocolError for a malformed reply or a URL
         that is not http(s)."""
-        parts = urlsplit(url)
-        scheme, host, port = key = (parts.scheme, parts.hostname, parts.port)
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        if scheme not in ("http", "https") or not host or _BAD_TARGET.search(target):
-            raise ProtocolError(f"not an http(s) URL: {url!r}")
-        # Host as http.client forms it: IDNA, IPv6 in brackets, and the port
-        # unless it is the scheme's default
-        if not host.isascii():
-            host = host.encode("idna").decode()
+        key, target = _endpoint(url)
+        scheme, host, port = key
+        # Host as http.client forms it: IPv6 in brackets, and the port unless
+        # it is the scheme's default
         if ":" in host:
             host = f"[{host}]"
         if port not in (None, 443 if scheme == "https" else 80):

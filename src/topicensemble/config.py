@@ -14,11 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlsplit
 
 import yaml
 
-from .annotator import _BAD_TARGET, Decoding, ModelBackend
+from .annotator import Decoding, ModelBackend, ProtocolError, _endpoint
 from .corpus import _refuse_unencodable
 from .errors import ConfigInvalid, MalformedRecord
 from .relevancy import EmbeddingBackend
@@ -74,19 +73,6 @@ def _number(section: dict, key: str, default, problems: list[str], *,
     return number
 
 
-def _http_url(value: str) -> bool:
-    """Whether `value` is an http(s) URL with a host, a valid port and a
-    path and query that the backend transport sends: the only kind of
-    endpoint it can reach."""
-    try:
-        parts = urlsplit(value)
-        parts.port  # raises ValueError for a port that is not a number in range
-    except ValueError:
-        return False
-    return (parts.scheme in ("http", "https") and bool(parts.hostname)
-            and not _BAD_TARGET.search(parts.path + parts.query))
-
-
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -110,31 +96,40 @@ def load_config(path: str | Path) -> RunConfig:
             return None
         return (base / p).resolve() if not Path(p).is_absolute() else Path(p)
 
-    def mapping(name: str, value) -> dict:
-        if isinstance(value, dict):
-            return value
-        problems.append(f"{name} must be a mapping, got {value!r}")
-        return {}
-
-    def strings(*values) -> bool:
-        return all(isinstance(v, str) and v for v in values)
-
-    def known(where: str, section: dict, *fields: str) -> None:
-        problems.extend(f"{where}{key} is not a known field"
-                        for key in section if key not in fields)
-
-    def auth_env(where: str, section: dict) -> str | None:
-        value = section.get("auth_env")
-        if value is not None and not isinstance(value, str):
-            problems.append(f"{where}auth_env must be a string, got {value!r}")
-            return None
+    def section(name: str, value, *fields: str) -> dict:
+        """`value` if it is a mapping, else {}; each unknown field is a problem."""
+        if not isinstance(value, dict):
+            problems.append(f"{name} must be a mapping, got {value!r}")
+            return {}
+        problems.extend(f"{name}.{key} is not a known field"
+                        for key in value if key not in fields)
         return value
 
-    known("", doc, "corpus", "topics", "backends", "embedding", "cache_dir", "output_dir",
-          "outlier_threshold", "bootstrap", "failure_budget", "retries", "timeout",
-          "backoff", "gold_labels", "subset_ensembles")
-    corpus = mapping("corpus", doc.get("corpus") or {})
-    known("corpus.", corpus, "path", "format")
+    def backend(where: str, entry: dict, names: set, default: str | None = None):
+        """(name, endpoint, auth_env) of a chat backend or the embedding, or
+        None where name or endpoint is not a string; `names` holds the names
+        read before this one."""
+        name, endpoint, auth_env = (entry.get("name", default), entry.get("endpoint"),
+                                    entry.get("auth_env"))
+        if auth_env is not None and not isinstance(auth_env, str):
+            problems.append(f"{where}.auth_env must be a string, got {auth_env!r}")
+        if not (isinstance(name, str) and name and isinstance(endpoint, str) and endpoint):
+            problems.append(f"{where} needs name and endpoint strings")
+            return None
+        if name in names:
+            problems.append(f"duplicate backend name {name!r}")
+        names.add(name)
+        try:
+            _endpoint(endpoint)
+        except ProtocolError:
+            problems.append(f"{where}.endpoint must be an http(s) URL, got {endpoint!r}")
+        return name, endpoint, auth_env
+
+    problems.extend(f"{key} is not a known field" for key in doc if key not in (
+        "corpus", "topics", "backends", "embedding", "cache_dir", "output_dir",
+        "outlier_threshold", "bootstrap", "failure_budget", "retries", "timeout",
+        "backoff", "gold_labels", "subset_ensembles"))
+    corpus = section("corpus", doc.get("corpus") or {}, "path", "format")
     corpus_format = corpus.get("format", "jsonl")
     if corpus_format not in ("jsonl", "csv"):
         problems.append(f"corpus.format must be jsonl or csv, got {corpus_format!r}")
@@ -146,48 +141,28 @@ def load_config(path: str | Path) -> RunConfig:
         problems.append("backends must be a list of mappings")
         entries = []
     for i, entry in enumerate(entries):
-        where = f"backends[{i}]."
-        entry = mapping(f"backends[{i}]", entry)
-        known(where, entry, "name", "endpoint", "auth_env", "temperature", "max_tokens",
-              "parallelism")
-        name, endpoint = entry.get("name"), entry.get("endpoint")
-        if not strings(name, endpoint):
-            problems.append(f"backends[{i}] needs name and endpoint strings")
+        where = f"backends[{i}]"
+        entry = section(where, entry, "name", "endpoint", "auth_env", "temperature",
+                        "max_tokens", "parallelism")
+        identity = backend(where, entry, names)
+        if identity is None:
             continue
-        if name in names:
-            problems.append(f"duplicate backend name {name!r}")
-        if not _http_url(endpoint):
-            problems.append(f"{where}endpoint must be an http(s) URL, got {endpoint!r}")
-        names.add(name)
         temperature = _number(entry, "temperature", Decoding.temperature, problems,
-                              where=where)
+                              where=f"{where}.")
         max_tokens = _number(entry, "max_tokens", Decoding.max_tokens, problems,
-                             where=where, integer=True, minimum=1)
+                             where=f"{where}.", integer=True, minimum=1)
         parallelism = _number(entry, "parallelism", ModelBackend.parallelism, problems,
-                              where=where, integer=True, minimum=1)
-        if None in (temperature, max_tokens, parallelism):
-            continue
-        backends.append(
-            ModelBackend(
-                name=name,
-                endpoint=endpoint,
-                auth_env=auth_env(where, entry),
-                decoding=Decoding(temperature=temperature, max_tokens=max_tokens),
-                parallelism=parallelism,
-            )
-        )
+                              where=f"{where}.", integer=True, minimum=1)
+        if None not in (temperature, max_tokens, parallelism):
+            backends.append(ModelBackend(*identity, Decoding(temperature, max_tokens),
+                                         parallelism))
     if len(backends) < 2:
         problems.append("at least 2 backends are required for ensembling")
 
-    emb = mapping("embedding", doc.get("embedding") or {})
-    known("embedding.", emb, "name", "endpoint", "auth_env", "batch_size", "parallelism")
-    emb_name, emb_endpoint = emb.get("name", "all-mpnet-base-v2"), emb.get("endpoint")
-    if not strings(emb_name, emb_endpoint):
-        problems.append("embedding needs name and endpoint strings")
-    elif not _http_url(emb_endpoint):
-        problems.append(f"embedding.endpoint must be an http(s) URL, got {emb_endpoint!r}")
-    bootstrap = mapping("bootstrap", doc.get("bootstrap") or {})
-    known("bootstrap.", bootstrap, "resamples", "seed")
+    emb = section("embedding", doc.get("embedding") or {}, "name", "endpoint", "auth_env",
+                  "batch_size", "parallelism")
+    emb_identity = backend("embedding", emb, set(), "all-mpnet-base-v2") or (None,) * 3
+    bootstrap = section("bootstrap", doc.get("bootstrap") or {}, "resamples", "seed")
     subset_ensembles = doc.get("subset_ensembles", RunConfig.subset_ensembles)
     if not isinstance(subset_ensembles, bool):
         problems.append(f"subset_ensembles must be true or false, got {subset_ensembles!r}")
@@ -198,9 +173,7 @@ def load_config(path: str | Path) -> RunConfig:
         topics_path=resolve("topics", doc.get("topics")),
         backends=backends,
         embedding=EmbeddingBackend(
-            name=emb_name,
-            endpoint=emb_endpoint,
-            auth_env=auth_env("embedding.", emb),
+            *emb_identity,
             batch_size=_number(emb, "batch_size", EmbeddingBackend.batch_size, problems,
                                where="embedding.", integer=True, minimum=1),
             parallelism=_number(emb, "parallelism", EmbeddingBackend.parallelism, problems,

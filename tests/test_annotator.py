@@ -486,10 +486,26 @@ def test_post_json_failure_on_a_fresh_connection_is_a_retry(sleeps):
     assert sleeps == [0.5, 1.0]
 
 
-def test_post_json_rejects_a_url_that_is_not_http(sleeps):
+# each URL that load_config refuses as an endpoint: a scheme other than http(s),
+# a port out of range or not a number, an unclosed IPv6 bracket
+@pytest.mark.parametrize("url", [
+    "ftp://127.0.0.1/v1/x",
+    "http://127.0.0.1:99999/v1/x",
+    "http://127.0.0.1:8a/v1",
+    "http://[::1/v1/x",
+    "http://ä..b/v1/x",  # a host with an empty label, which IDNA cannot encode
+])
+def test_post_json_rejects_a_url_that_is_not_http(sleeps, url):
     with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
         with pytest.raises(BackendUnavailable, match="not an http"):
-            post_json(pool, "ftp://127.0.0.1/v1/x", {"model": "m"})
+            post_json(pool, url, {"model": "m"})
+
+
+def test_endpoint_gives_the_connection_key_and_the_request_target():
+    # the host as the Host header and the socket take it: lower case, IDNA
+    assert annotator._endpoint("http://Bücher.example:8080/v1?x=1") == (
+        ("http", "xn--bcher-kva.example", 8080), "/v1?x=1")
+    assert annotator._endpoint("https://[::1]") == (("https", "::1", None), "/")
 
 
 _HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"

@@ -87,6 +87,29 @@ def test_run_all_produces_artifact_tree(e2e):
     assert manifest["config_digest"] == digest
 
 
+def test_two_backend_run_skips_the_outlier_scan_and_fuses_both(e2e):
+    # outlier detection needs a third model to leave out; with two, agree
+    # records why it did not run and ensemble fuses both
+    workdir, server = e2e
+    config_path = workdir / "config.yaml"
+    doc = yaml.safe_load(config_path.read_text())
+    doc["backends"] = [b for b in doc["backends"] if b["name"] != "m_gamma"]
+    config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    cfg = load_config(config_path)
+    run_dir = run(cfg, stage="all", run_id="two")
+    outliers = json.loads((run_dir / "agree" / "outliers.json").read_text())
+    assert outliers == {
+        "base_ac1": None, "deltas": {}, "excluded": [],
+        "threshold_fraction": cfg.outlier_threshold,
+        "note": "outlier detection needs >=3 models",
+        "config_digest": config_digest(cfg),
+    }
+    summary = json.loads((run_dir / "ensemble" / "ensemble.json").read_text())
+    assert sorted(summary["topics"]) == ["appetite", "sleep"]
+    for topic in summary["topics"].values():
+        assert topic["models"] == ["m_alpha", "m_beta"]
+
+
 # SHA-256 of each e2e artifact with the config digest replaced by "<digest>",
 # since the digest covers the endpoints and so the stub's port
 E2E_ARTIFACT_SHA256 = {
@@ -483,6 +506,15 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("backends.0.parallelsim: 4", "backends[0].parallelsim is not a known field"),
     ("embedding.batchsize: 16", "embedding.batchsize is not a known field"),
     ("backends.0.auth_env: 123", "backends[0].auth_env must be a string, got 123"),
+    ("backends.1.name: m_alpha", "duplicate backend name 'm_alpha'"),
+    ("backends: 7", "backends must be a list of mappings"),
+    ("backends.0.name: null", "backends[0] needs name and endpoint strings"),
+    ("embedding.endpoint: null", "embedding needs name and endpoint strings"),
+    ("corpus.format: tsv", "corpus.format must be jsonl or csv, got 'tsv'"),
+    ("subset_ensembles: 1", "subset_ensembles must be true or false, got 1"),
+    ("cache_dir: 5", "cache_dir must be a path, got 5"),
+    ("backends.0.endpoint: http://127.0.0.1:99999/v1",
+     "backends[0].endpoint must be an http(s) URL"),
 ], ids=lambda value: value.removeprefix("bootstrap: "))
 def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     workdir = tmp_path / "demo"
@@ -494,6 +526,49 @@ def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     err = capsys.readouterr().err
     assert problem in err
     assert "Traceback" not in err
+
+
+# configs with several problems: load_config reports each, in this order
+@pytest.mark.parametrize("setting, problems", [
+    ("{backends.1: 7, backends.2: 7}", [
+        "backends[1] must be a mapping, got 7",
+        "backends[1] needs name and endpoint strings",
+        "backends[2] must be a mapping, got 7",
+        "backends[2] needs name and endpoint strings",
+        "at least 2 backends are required for ensembling",
+    ]),
+    # an entry whose numbers are wrong still claims its name
+    ("{backends.0.parallelism: many, backends.1.name: m_alpha}", [
+        "backends[0].parallelism must be an integer, got 'many'",
+        "duplicate backend name 'm_alpha'",
+    ]),
+    ("corpus: 5", [
+        "corpus must be a mapping, got 5",
+        "corpus.path must be a path, got None",
+    ]),
+    ("[corpus, topics]", ["config {path} is not a mapping"]),
+], ids=["two-entries-not-mappings", "bad-number-then-duplicate", "corpus-not-mapping",
+        "document-not-mapping"])
+def test_load_config_reports_every_problem_in_order(tmp_path, setting, problems):
+    config_path = tmp_path / "config.yaml"
+    changes = yaml.safe_load(setting)
+    if isinstance(changes, dict):
+        _write_mutated(config_path, changes)
+    else:
+        config_path.write_text(setting, encoding="utf-8")
+    with pytest.raises(ConfigInvalid) as excinfo:
+        load_config(config_path)
+    assert excinfo.value.problems == [p.format(path=config_path) for p in problems]
+
+
+def test_load_config_refuses_an_endpoint_host_idna_cannot_encode(tmp_path):
+    # the transport cannot form its Host header, so the config refuses it too
+    config_path = tmp_path / "config.yaml"
+    _write_mutated(config_path, {"embedding.endpoint": "http://ä..b/v1/embeddings"})
+    with pytest.raises(ConfigInvalid) as excinfo:
+        load_config(config_path)
+    assert excinfo.value.problems == [
+        "embedding.endpoint must be an http(s) URL, got 'http://ä..b/v1/embeddings'"]
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -510,6 +585,8 @@ WRONG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
     st.sampled_from([10**400, 1e308, -1e308]), st.floats(), st.text(max_size=12),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    # paths, relative to the config: input files, one that is missing, the directory
+    st.sampled_from(["topics.yaml", "gold.csv", "missing", "."]),
 )
 
 
@@ -523,13 +600,19 @@ def e2e_inputs(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from(E2E_FIELDS), WRONG_VALUES, min_size=1, max_size=3))
 def test_validate_config_never_crashes(e2e_inputs, changes):
+    # and `run` agrees: with no upstream artifacts, evaluate exits 3 exactly
+    # when the config is valid, else 2 (config) or 1 (an input that does not load)
     config_path = e2e_inputs / "config.yaml"
     _write_mutated(config_path, changes)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["validate-config", "--config", str(config_path)])
-    assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
+    codes = []
+    for argv in (["validate-config"], ["run", "--stage", "evaluate", "--run-id", "gate"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv + ["--config", str(config_path)]))
+        assert "Traceback" not in err.getvalue()
+    validated, ran = codes
+    assert validated in (0, 2)
+    assert ran == 3 if validated == 0 else ran in (1, 2)
 
 
 def test_config_digest_ignores_output_paths(e2e, tmp_path):
