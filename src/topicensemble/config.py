@@ -105,6 +105,11 @@ def load_config(path: str | Path) -> RunConfig:
                         for key in value if key not in fields)
         return value
 
+    def given(key: str, absent):
+        """doc[key], or `absent` where the key is missing or null."""
+        value = doc.get(key)
+        return absent if value is None else value
+
     def backend(where: str, entry: dict, names: set, default: str | None = None):
         """(name, endpoint, auth_env) of a chat backend or the embedding, or
         None where name or endpoint is not a string; `names` holds the names
@@ -129,14 +134,14 @@ def load_config(path: str | Path) -> RunConfig:
         "corpus", "topics", "backends", "embedding", "cache_dir", "output_dir",
         "outlier_threshold", "bootstrap", "failure_budget", "retries", "timeout",
         "backoff", "gold_labels", "subset_ensembles"))
-    corpus = section("corpus", doc.get("corpus") or {}, "path", "format")
+    corpus = section("corpus", given("corpus", {}), "path", "format")
     corpus_format = corpus.get("format", "jsonl")
     if corpus_format not in ("jsonl", "csv"):
         problems.append(f"corpus.format must be jsonl or csv, got {corpus_format!r}")
 
     backends = []
     names = set()
-    entries = doc.get("backends") or []
+    entries = given("backends", [])
     if not isinstance(entries, list):
         problems.append("backends must be a list of mappings")
         entries = []
@@ -159,10 +164,10 @@ def load_config(path: str | Path) -> RunConfig:
     if len(backends) < 2:
         problems.append("at least 2 backends are required for ensembling")
 
-    emb = section("embedding", doc.get("embedding") or {}, "name", "endpoint", "auth_env",
+    emb = section("embedding", given("embedding", {}), "name", "endpoint", "auth_env",
                   "batch_size", "parallelism")
     emb_identity = backend("embedding", emb, set(), "all-mpnet-base-v2") or (None,) * 3
-    bootstrap = section("bootstrap", doc.get("bootstrap") or {}, "resamples", "seed")
+    bootstrap = section("bootstrap", given("bootstrap", {}), "resamples", "seed")
     subset_ensembles = doc.get("subset_ensembles", RunConfig.subset_ensembles)
     if not isinstance(subset_ensembles, bool):
         problems.append(f"subset_ensembles must be true or false, got {subset_ensembles!r}")

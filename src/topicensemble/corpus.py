@@ -252,14 +252,21 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
 
 
 def _csv_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """Each record with its first physical line: a quoted text may span
+    several lines, and a blank line is no record."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        fields = next(reader, None)
+        if fields is None:
             return
-        missing = {"id", "text"} - set(reader.fieldnames)
+        missing = {"id", "text"} - set(fields)
         if missing:
             raise MalformedRecord(1, f"corpus {path}: missing columns: {sorted(missing)}")
-        yield from enumerate(reader, 2)
+        first = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield first, dict(zip(fields, row))
+            first = reader.line_num + 1
 
 
 _READERS = {"jsonl": _jsonl_records, "csv": _csv_records}

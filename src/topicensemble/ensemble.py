@@ -11,9 +11,9 @@ the final label; negatives are never promoted.
 Interpretation choices that the formulas do not pin down (documented here
 because results depend on them): columns are mean-centered but not scaled to
 unit variance; the eigenvector sign is fixed by the row-mean correlation
-(ties flip toward sum(w) >= 0); thresholding is closed on the positive side
-(pc1 >= tau); equal-F1 ties resolve to the lowest candidate threshold,
-preserving sensitivity.
+(ties flip toward sum(w) >= 0); thresholding is closed on the positive side,
+as `tie_blocks` states; equal-F1 ties resolve to the lowest candidate
+threshold, preserving sensitivity.
 """
 from __future__ import annotations
 
@@ -132,16 +132,48 @@ def intersection_label(labels: Sequence[bool]) -> bool:
     return bool(arr.sum() > arr.size / 2.0)
 
 
+def tie_blocks(scores: np.ndarray, gold: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of the precision-recall curve of scores against gold.
+
+    Returns the distinct scores in ascending order and, for each, the gold
+    positives and the texts that score at least that much. A text counts as
+    predicted positive when its score is >= the threshold, so tied scores
+    always step together: each point is one block of tied scores.
+    """
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    positives = np.cumsum(gold[order][::-1])[::-1][starts]
+    return sorted_scores[starts], positives, scores.size - starts
+
+
+def rates(tp: np.ndarray | int, predicted: np.ndarray | int, positives: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(precision, sensitivity, F1) from the counts, elementwise over arrays.
+
+    Precision is NaN where nothing is predicted positive and sensitivity NaN
+    when gold has no positives, never silently 0 or 1; F1 is 0 whenever TP
+    is 0.
+    """
+    tp = np.asarray(tp, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(predicted > 0, tp / np.maximum(predicted, 1), np.nan)
+        sensitivity = np.full_like(tp, np.nan) if positives == 0 else tp / positives
+        f1 = np.where(tp > 0, 2.0 * precision * sensitivity / (precision + sensitivity), 0.0)
+    return precision, sensitivity, f1
+
+
 def optimal_threshold(
     pc1: Sequence[float], intersection: Sequence[bool]
 ) -> tuple[float, Sweep]:
     """Sweep thresholds on the ensemble-score scale against the majority label.
 
-    Candidates are the midpoints between consecutive distinct sorted pc1
-    values plus one sentinel below the minimum and one above the maximum;
-    a text is predicted positive when pc1 >= threshold. Returns the lowest
-    candidate reaching maximal F1 (F1 = 0 when TP = 0), or the above-maximum
-    sentinel when the intersection has no positives.
+    Candidates are the midpoints between consecutive distinct pc1 values
+    (the points of `tie_blocks`) plus one sentinel below the minimum and one
+    above the maximum, which predicts nothing. Returns the lowest candidate
+    reaching maximal F1 (by `rates`), or the above-maximum sentinel when the
+    intersection has no positives.
     """
     scores = np.asarray(pc1, dtype=np.float64)
     gold = np.asarray(intersection, dtype=bool)
@@ -150,48 +182,14 @@ def optimal_threshold(
     if scores.size < 2:
         raise ValueError("need >=2 texts")
 
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_gold = gold[order]
-    n = scores.size
-    total_pos = int(gold.sum())
-
-    # first index of each distinct value block, ascending
-    block_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
-    )
-    distinct = sorted_scores[block_starts]
+    distinct, tp, predicted = tie_blocks(scores, gold)
     candidates = np.concatenate(
-        (
-            [distinct[0] - 1.0],
-            (distinct[:-1] + distinct[1:]) / 2.0,
-            [distinct[-1] + 1.0],
-        )
-    )
-    # predicted positives for candidate c_j: all items from block j on;
-    # the final sentinel predicts nothing.
-    suffix_pos = np.concatenate(
-        (total_pos - np.cumsum(sorted_gold)[block_starts] + sorted_gold[block_starts], [0])
-    ).astype(np.float64)
-    predicted = np.concatenate((n - block_starts, [0])).astype(np.float64)
-
-    tp = suffix_pos
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(predicted > 0, tp / np.maximum(predicted, 1), np.nan)
-        sensitivity = (
-            np.full_like(tp, np.nan) if total_pos == 0 else tp / total_pos
-        )
-    f1 = np.zeros_like(tp)
-    nonzero = tp > 0
-    f1[nonzero] = (
-        2.0 * precision[nonzero] * sensitivity[nonzero]
-        / (precision[nonzero] + sensitivity[nonzero])
-    )
-
-    sweep = Sweep(candidates, precision, sensitivity, f1)
+        ([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]))
+    total_pos = int(gold.sum())
+    sweep = Sweep(candidates, *rates(np.append(tp, 0), np.append(predicted, 0), total_pos))
     if total_pos == 0:
         return float(candidates[-1]), sweep
-    best = int(np.argmax(f1))  # argmax takes the first (lowest) maximizer
+    best = int(np.argmax(sweep.f1))  # argmax takes the first (lowest) maximizer
     return float(candidates[best]), sweep
 
 

@@ -1,10 +1,9 @@
 """Metrics against gold annotations, plus per-group summaries.
 
-AUPRC is computed as step-wise average precision: items are sorted by score
-descending, tied scores collapse into one threshold step, and the area is
-the recall-weighted sum of precisions at each step (no interpolation).
-Undefined precision (nothing predicted positive) is reported as None, never
-silently 0 or 1; F1 is 0 whenever TP is 0.
+Precision, sensitivity and F1 follow `ensemble.rates`, with an undefined
+rate reported as None. AUPRC is step-wise average precision over the points
+of `ensemble.tie_blocks`, from the highest score down: the recall-weighted
+sum of precisions at each step, with no interpolation.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensemble import ensemble_topic
+from .ensemble import ensemble_topic, rates, tie_blocks
 from .errors import LengthMismatch, NoPositives
 
 
@@ -56,12 +55,8 @@ def confusion(pred: Sequence[bool], gold: Sequence[bool]) -> ConfusionMetrics:
     fp = int(np.sum(p & ~g))
     fn = int(np.sum(~p & g))
     tn = int(np.sum(~p & ~g))
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    sensitivity = tp / (tp + fn) if tp + fn > 0 else None
-    if tp == 0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * sensitivity / (precision + sensitivity)
+    precision, sensitivity, f1 = (None if np.isnan(r) else float(r)
+                                  for r in rates(tp, tp + fp, tp + fn))
     return ConfusionMetrics(
         tp=tp, fp=fp, fn=fn, tn=tn,
         precision=precision, sensitivity=sensitivity, f1=f1,
@@ -77,15 +72,8 @@ def auprc(scores: Sequence[float], gold: Sequence[bool]) -> float:
     total_pos = int(g.sum())
     if total_pos == 0:
         raise NoPositives("gold labels contain no positives")
-    order = np.argsort(-s, kind="stable")
-    ss = s[order]
-    gg = g[order]
-    # last index of each tie block
-    ends = np.flatnonzero(np.concatenate((ss[1:] != ss[:-1], [True])))
-    tp = np.cumsum(gg)[ends].astype(np.float64)
-    predicted = (ends + 1).astype(np.float64)
-    precision = tp / predicted
-    recall = tp / total_pos
+    _, tp, predicted = tie_blocks(s, g)
+    precision, recall, _ = rates(tp[::-1], predicted[::-1], total_pos)  # highest score first
     delta_recall = np.diff(np.concatenate(([0.0], recall)))
     return float(np.sum(precision * delta_recall))
 

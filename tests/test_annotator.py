@@ -553,6 +553,30 @@ def test_post_json_retries_a_malformed_reply(sleeps, reply, mode, error):
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("status", [b"503 Service Unavailable", b"429 Too Many Requests"])
+def test_post_json_retries_a_busy_or_failing_backend(sleeps, status):
+    reply = b"HTTP/1.1 " + status + b"\r\nContent-Length: 4\r\n\r\nbusy"
+    with raw_server("keep-alive", reply) as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.5)) as pool:
+            with pytest.raises(BackendUnavailable, match=f"HTTP {status[:3].decode()}: busy"):
+                post_json(pool, url, {"model": "m"})
+    assert counts["requests"] == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("body", [
+    {},
+    {"choices": []},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 5}}]},
+], ids=["no-choices", "empty-choices", "null-content", "number-content"])
+def test_chat_refuses_a_malformed_completion(monkeypatch, body):
+    monkeypatch.setattr(annotator, "post_json", lambda *args: body)
+    backend = ModelBackend("m", "http://127.0.0.1:9/v1/chat/completions")
+    with pytest.raises(BadStatus, match="malformed completion payload"):
+        annotator.chat(backend, "prompt", pool=None)
+
+
 def test_post_json_https_to_a_plain_http_server_is_a_retried_transport_error(sleeps):
     # the TLS handshake reads an HTTP reply where it expects a TLS record
     with raw_server("reply-first") as (url, counts):

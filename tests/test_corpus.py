@@ -143,6 +143,25 @@ def test_corpus_with_a_byte_order_mark_loads(tmp_path, format):
     assert f"is not UTF-8: byte {data.index(0xE9)} (0xe9)" in str(excinfo.value)
 
 
+# a record whose quoted text spans three lines
+_SPANNING = 'id,text\na,"line one\nline two\nline three"\n'
+
+
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["adjacent", "after-a-blank-line"])
+@pytest.mark.parametrize("rest, error, message", [
+    ("b,   \n", EmptyText, "line {line}: corpus {path}: empty text for id 'b'"),
+    ("b,x\na,dup\n", DuplicateId,
+     "line {line_after}: corpus {path}: duplicate id 'a' (first on line 2)"),
+], ids=["empty-text", "duplicate-id"])
+def test_csv_error_names_the_first_line_of_the_record(tmp_path, blank, rest, error, message):
+    path = tmp_path / "corpus.csv"
+    path.write_text(_SPANNING + blank + rest)
+    line = 5 + len(blank)  # of the record after the spanning one
+    with pytest.raises(error) as excinfo:
+        load_corpus(path, "csv")
+    assert str(excinfo.value) == message.format(line=line, line_after=line + 1, path=path)
+
+
 _BAD_CORPORA = {
     "jsonl": {
         "duplicate-id": '{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n'

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topicensemble.ensemble import Sweep, optimal_threshold
 from topicensemble.errors import LengthMismatch, NoPositives
 from topicensemble.evaluation import (
     auprc,
@@ -181,3 +186,102 @@ def test_subset_ensembles_zero_variance_fallback():
     final, pc1 = subsets["ensemble[a+b]"]
     assert final.tolist() == [False] * 3
     assert pc1.tolist() == [0.0] * 3
+
+
+# Reference implementations of the three metric functions, each sorting scores,
+# grouping ties and computing rates on its own: the shared tie-block kernel and
+# rate rule must match them exactly.
+
+def _optimal_threshold_oracle(pc1, intersection):
+    scores = np.asarray(pc1, dtype=np.float64)
+    gold = np.asarray(intersection, dtype=bool)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_gold = gold[order]
+    n = scores.size
+    total_pos = int(gold.sum())
+    block_starts = np.flatnonzero(
+        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
+    )
+    distinct = sorted_scores[block_starts]
+    candidates = np.concatenate(
+        ([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0])
+    )
+    suffix_pos = np.concatenate(
+        (total_pos - np.cumsum(sorted_gold)[block_starts] + sorted_gold[block_starts], [0])
+    ).astype(np.float64)
+    predicted = np.concatenate((n - block_starts, [0])).astype(np.float64)
+    tp = suffix_pos
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(predicted > 0, tp / np.maximum(predicted, 1), np.nan)
+        sensitivity = np.full_like(tp, np.nan) if total_pos == 0 else tp / total_pos
+    f1 = np.zeros_like(tp)
+    nonzero = tp > 0
+    f1[nonzero] = (
+        2.0 * precision[nonzero] * sensitivity[nonzero]
+        / (precision[nonzero] + sensitivity[nonzero])
+    )
+    sweep = Sweep(candidates, precision, sensitivity, f1)
+    if total_pos == 0:
+        return float(candidates[-1]), sweep
+    return float(candidates[int(np.argmax(f1))]), sweep
+
+
+def _confusion_oracle(pred, gold):
+    p = np.asarray(pred, dtype=bool)
+    g = np.asarray(gold, dtype=bool)
+    tp = int(np.sum(p & g))
+    fp = int(np.sum(p & ~g))
+    fn = int(np.sum(~p & g))
+    tn = int(np.sum(~p & ~g))
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    sensitivity = tp / (tp + fn) if tp + fn > 0 else None
+    f1 = 0.0 if tp == 0 else 2.0 * precision * sensitivity / (precision + sensitivity)
+    return (tp, fp, fn, tn, precision, sensitivity, f1)
+
+
+def _auprc_oracle(scores, gold):
+    s = np.asarray(scores, dtype=np.float64)
+    g = np.asarray(gold, dtype=bool)
+    total_pos = int(g.sum())
+    order = np.argsort(-s, kind="stable")
+    ss = s[order]
+    gg = g[order]
+    ends = np.flatnonzero(np.concatenate((ss[1:] != ss[:-1], [True])))
+    tp = np.cumsum(gg)[ends].astype(np.float64)
+    predicted = (ends + 1).astype(np.float64)
+    precision = tp / predicted
+    recall = tp / total_pos
+    delta_recall = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(precision * delta_recall))
+
+
+# a coarse grid of scores, so tied scores are common; 1/3 and 0.7 have no
+# exact binary form, so midpoints and rates round
+GRID = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.9, 1.0])
+
+
+@st.composite
+def _scored_labels(draw):
+    n = draw(st.integers(2, 60))
+    scores = draw(st.lists(GRID, min_size=n, max_size=n))
+    flags = st.one_of(st.just([False] * n), st.just([True] * n),
+                      st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.asarray(scores), np.asarray(draw(flags)), np.asarray(draw(flags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_labels())
+def test_metrics_match_the_reference_exactly(drawn):
+    scores, gold, pred = drawn
+    tau, sweep = optimal_threshold(scores, gold)
+    want_tau, want_sweep = _optimal_threshold_oracle(scores, gold)
+    assert tau == want_tau
+    for got, want in zip(sweep, want_sweep):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+    fields = dataclasses.astuple(confusion(pred, gold))
+    want_fields = _confusion_oracle(pred, gold)
+    assert [(type(v), v) for v in fields] == [(type(v), v) for v in want_fields]
+    if gold.any():
+        assert auprc(scores, gold) == _auprc_oracle(scores, gold)

@@ -486,6 +486,15 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("bootstrap: {resamples: 200, seed: 1.5}", "bootstrap.seed must be an integer"),
     ("bootstrap: {resamples: 200, seed: abc}", "bootstrap.seed must be an integer"),
     ("bootstrap: 5", "bootstrap must be a mapping"),
+    # only a missing or null section is absent: a falsy one is not a mapping
+    ("bootstrap: false", "bootstrap must be a mapping, got False"),
+    ("bootstrap: 0", "bootstrap must be a mapping, got 0"),
+    ("bootstrap: []", "bootstrap must be a mapping, got []"),
+    ("bootstrap: ''", "bootstrap must be a mapping, got ''"),
+    ("corpus: false", "corpus must be a mapping, got False"),
+    ("embedding: 0", "embedding must be a mapping, got 0"),
+    ("backends: ''", "backends must be a list of mappings"),
+    ("backends: {}", "backends must be a list of mappings"),
     ("retries: -1", "retries must be >= 0"),
     ("embedding.batch_size: 0", "embedding.batch_size must be >= 1"),
     ("backends.0.parallelism: many", "backends[0].parallelism must be an integer"),
@@ -525,6 +534,28 @@ def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     assert main(["run", "--config", str(config_path), "--run-id", "bad"]) == 2
     err = capsys.readouterr().err
     assert problem in err
+    assert "Traceback" not in err
+
+
+def test_a_null_section_is_absent(tmp_path):
+    config_path = tmp_path / "config.yaml"
+    _write_mutated(config_path, {"bootstrap": None})
+    cfg = load_config(config_path)
+    assert (cfg.bootstrap_resamples, cfg.bootstrap_seed) == (1000, 0)
+
+
+@pytest.mark.parametrize("name, content", [
+    ("missing.yaml", None),
+    ("config.yaml", "corpus: [unclosed\n"),
+], ids=["missing", "invalid-yaml"])
+def test_cli_unreadable_config(tmp_path, capsys, name, content):
+    config_path = tmp_path / name
+    if content is not None:
+        config_path.write_text(content, encoding="utf-8")
+    assert main(["validate-config", "--config", str(config_path)]) == 2
+    assert main(["run", "--config", str(config_path), "--run-id", "bad"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: cannot read config {config_path}") == 2
     assert "Traceback" not in err
 
 
@@ -717,6 +748,34 @@ def test_subset_ensembles_in_metrics(e2e):
     # two non-excluded members -> exactly one subset ensemble of size >= 2
     assert "ensemble[m_alpha+m_beta]" in names
     assert len([r for r in rows if r[1] == "sleep"]) == 5
+
+
+def test_a_topic_nobody_labels_reports_empty_cells(tmp_path, monkeypatch):
+    # every model answers no: Fleiss's chance agreement is 1, so agreement.csv
+    # has no Fleiss coefficient; nothing is predicted and gold has no
+    # positive, so metrics.csv has no precision, sensitivity or AUPRC
+    workdir = tmp_path / "ghost"
+    shutil.copytree(E2E, workdir)
+    _numbered_corpus(workdir, 6)
+    (workdir / "topics.yaml").write_text(
+        "topics:\n  - {short_name: ghost, description: Never present.}\n")
+    (workdir / "gold.csv").write_text(
+        "text_id,topic,label\n" + "".join(f"t{i},ghost,0\n" for i in range(6)))
+    _write_mutated(workdir / "config.yaml", {
+        "backends.0.name": "m1", "backends.1.name": "m2", "backends.2.name": "m3",
+        "subset_ensembles": True})
+    monkeypatch.setattr(annotator, "chat", lambda backend, prompt, pool: _answer_no(prompt))
+    assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "ghost"]) == 0
+    run_dir = workdir / "runs" / "ghost"
+    agreement = (run_dir / "agree" / "agreement.csv").read_text().splitlines()
+    assert "ghost,Fleiss,labels,,," in agreement
+    assert "ghost,Fleiss,scores,,," in agreement
+    metrics = (run_dir / "evaluate" / "metrics.csv").read_text().splitlines()[2:]
+    assert [row.split(",", 1)[0] for row in metrics] == [
+        "m1", "m2", "m3", "ensemble", "ensemble[m1+m2]", "ensemble[m1+m3]",
+        "ensemble[m2+m3]", "ensemble[m1+m2+m3]"]
+    for row in metrics:
+        assert row.split(",", 1)[1] == "ghost,,,0.0,"
 
 
 def test_cache_dir_holds_only_the_store_after_a_run(e2e):

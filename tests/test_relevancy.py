@@ -172,6 +172,22 @@ def test_embed_refuses_a_non_finite_vector(tmp_path, monkeypatch, pool, bad):
         assert cache.read_many([key]) == [None]
 
 
+@pytest.mark.parametrize("body, problem", [
+    ({}, "malformed embedding payload"),
+    ({"data": [{"embedding": ["x"]}, {"embedding": [1.0]}]}, "malformed embedding payload"),
+    ({"data": [{"embedding": [1.0, 0.0]}]}, "1 embeddings for 2 inputs"),
+], ids=["no-data", "not-numbers", "too-few-vectors"])
+def test_embed_refuses_a_malformed_payload(tmp_path, monkeypatch, pool, body, problem):
+    monkeypatch.setattr(relevancy, "post_json", lambda *args: body)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    texts = ["lying awake", "skipping meals"]
+    with closing(ResponseCache(tmp_path)) as cache:
+        with pytest.raises(BadStatus, match=problem):
+            Embedder(backend, cache, pool).embed_many(texts)
+        keys = ["emb/emb/" + hashlib.sha256(t.encode()).hexdigest() for t in texts]
+        assert cache.read_many(keys) == [None, None]
+
+
 def test_embed_many_stores_its_new_vectors_in_one_transaction(tmp_path, monkeypatch, pool):
     slow = SlowEmbeddings(0.0)
     monkeypatch.setattr(Embedder, "_request", slow)
