@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .annotator import Decoding, ModelBackend, ProtocolError, _endpoint
-from .corpus import _refuse_unencodable
+from .corpus import _refuse_unencodable, not_utf8
 from .errors import ConfigInvalid, MalformedRecord
 from .relevancy import EmbeddingBackend
 
@@ -78,6 +78,8 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid([str(not_utf8(f"config {path}", path, exc))]) from exc
     except (OSError, yaml.YAMLError, RecursionError) as exc:  # nested past the limit
         raise ConfigInvalid([f"cannot read config {path}: {exc}"])
     if not isinstance(doc, dict):

@@ -2,7 +2,8 @@
 
 Defines the canonical identifiers (text ids, topic short names) that every
 downstream stage keys on. Loading is pure and single-threaded; the returned
-values are immutable and safe to share across threads.
+values are immutable and safe to share across threads. One CSV record loop,
+`_csv_records`, reads both a CSV corpus and the gold labels file.
 """
 from __future__ import annotations
 
@@ -162,30 +163,27 @@ def _records(path: Path, format: str) -> Iterator[tuple[int, str, str, str | Non
     read = _READERS[format]
     where = f"corpus {path}"
     hashes = array("q")  # of each id, 8 B a record where a set of ids takes 27-107 B
-    try:
-        for lineno, record in read(path):
-            rid, text = record.get("id"), record.get("text")
-            group = record.get("group")
-            if not isinstance(rid, str) or not rid:
-                raise MalformedRecord(lineno, f"{where}: missing or empty 'id'")
-            if not isinstance(text, str):
-                raise MalformedRecord(lineno, f"{where}: missing 'text'")
-            if not text or text.isspace():
-                raise EmptyText(f"line {lineno}: {where}: empty text for id {rid!r}")
-            if group is not None and not isinstance(group, str):
-                raise MalformedRecord(lineno, f"{where}: 'group' must be a string")
-            if not (rid.isascii() and text.isascii() and (group is None or group.isascii())):
-                _refuse_unencodable(lineno, where, {"id": rid, "text": text, "group": group})
-            hashes.append(hash(rid))
-            yield lineno, rid, text, group or None
-    except UnicodeDecodeError as exc:
-        raise not_utf8(where, path, exc) from exc
+    for lineno, record in read(path, where):
+        rid, text = record.get("id"), record.get("text")
+        group = record.get("group")
+        if not isinstance(rid, str) or not rid:
+            raise MalformedRecord(lineno, f"{where}: missing or empty 'id'")
+        if not isinstance(text, str):
+            raise MalformedRecord(lineno, f"{where}: missing 'text'")
+        if not text or text.isspace():
+            raise EmptyText(f"line {lineno}: {where}: empty text for id {rid!r}")
+        if group is not None and not isinstance(group, str):
+            raise MalformedRecord(lineno, f"{where}: 'group' must be a string")
+        if not (rid.isascii() and text.isascii() and (group is None or group.isascii())):
+            _refuse_unencodable(lineno, where, {"id": rid, "text": text, "group": group})
+        hashes.append(hash(rid))
+        yield lineno, rid, text, group or None
     ordered = np.frombuffer(hashes, dtype=np.int64)
     ordered.sort()  # in place
     repeated = set(ordered[1:][ordered[1:] == ordered[:-1]].tolist())
     if repeated:  # an id repeats, or two ids share a hash: read the file again to tell
         first_line: dict[str, int] = {}
-        for lineno, record in read(path):
+        for lineno, record in read(path, where):
             rid = record["id"]
             if hash(rid) in repeated:
                 if rid in first_line:
@@ -237,39 +235,48 @@ def not_utf8(where: str, path: Path, exc: UnicodeDecodeError) -> MalformedRecord
 _decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
 
 
-def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8-sig") as fh:  # "-sig": skip a leading byte-order mark
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            try:
-                record = _decode(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # nested past the limit
-                raise MalformedRecord(lineno, f"corpus {path}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord(lineno, f"corpus {path}: record is not an object")
-            yield lineno, record
+def _jsonl_records(path: Path, where: str) -> Iterator[tuple[int, dict]]:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # "-sig": skip a leading byte-order mark
+            for lineno, line in enumerate(fh, 1):
+                if line.isspace():
+                    continue
+                try:
+                    record = _decode(line)
+                except (json.JSONDecodeError, RecursionError) as exc:  # nested past the limit
+                    raise MalformedRecord(lineno, f"{where}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise MalformedRecord(lineno, f"{where}: record is not an object")
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise not_utf8(where, path, exc) from exc
 
 
-def _csv_records(path: Path) -> Iterator[tuple[int, dict]]:
-    """Each record with its first physical line: a quoted text may span
-    several lines, and a blank line is no record."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        fields = next(reader, None)
-        if fields is None:
-            return
-        missing = {"id", "text"} - set(fields)
-        if missing:
-            raise MalformedRecord(1, f"corpus {path}: missing columns: {sorted(missing)}")
-        first = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield first, dict(zip(fields, row))
+def _csv_records(path: Path, where: str, columns: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """The CSV record loop of the corpus and the gold labels: each record as
+    {column: field} with its first physical line (a quoted field may span
+    lines; a blank line or a 0-byte file has none). A header without
+    `columns`, or a byte that is not UTF-8, is an error naming `where`."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            fields = next(reader, None)
+            if fields is None:
+                return
+            missing = set(columns) - set(fields)
+            if missing:
+                raise MalformedRecord(1, f"{where}: missing columns: {sorted(missing)}")
             first = reader.line_num + 1
+            for row in reader:
+                if row:
+                    yield first, dict(zip(fields, row))
+                first = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        raise not_utf8(where, path, exc) from exc
 
 
-_READERS = {"jsonl": _jsonl_records, "csv": _csv_records}
+_READERS = {"jsonl": _jsonl_records,
+            "csv": lambda path, where: _csv_records(path, where, ("id", "text"))}
 
 
 def load_topics(path: str | Path) -> TopicSet:

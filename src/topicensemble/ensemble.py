@@ -139,8 +139,11 @@ def tie_blocks(scores: np.ndarray, gold: np.ndarray
     Returns the distinct scores in ascending order and, for each, the gold
     positives and the texts that score at least that much. A text counts as
     predicted positive when its score is >= the threshold, so tied scores
-    always step together: each point is one block of tied scores.
+    always step together: each point is one block of tied scores. A NaN
+    score has no place on the curve and raises ValueError.
     """
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))

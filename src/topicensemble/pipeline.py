@@ -34,6 +34,7 @@ import logging
 import math
 import os
 import re
+import sys
 import time
 from array import array
 from collections.abc import Iterable, Set
@@ -47,7 +48,8 @@ import numpy as np
 from . import agreement as agr
 from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
-from .corpus import CorpusView, TopicSet, load_corpus, load_corpus_view, load_topics, not_utf8
+from .corpus import (CorpusView, TopicSet, _csv_records, load_corpus, load_corpus_view,
+                     load_topics, not_utf8)
 from .ensemble import EnsembleDecision, ScoreEnsemble
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import ensemble_topic, optimal_threshold  # noqa: F401
@@ -235,7 +237,9 @@ def _read(path: Path, digest: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise MissingUpstreamArtifact(f"{path}: not found") from None
-    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+    except UnicodeDecodeError as exc:  # named by line and file offset, not the chunk's
+        raise MissingUpstreamArtifact(str(not_utf8(str(path), path, exc))) from exc
+    except (OSError, ValueError, RecursionError) as exc:
         raise MissingUpstreamArtifact(f"{path}: unreadable: {exc}") from exc
     _check_header(path, doc, {"config_digest": digest})
     return doc
@@ -290,7 +294,9 @@ def _rows(path: Path, digest: str, schema: str, as_text: Set[str] = frozenset())
                 yield lineno, values
     except FileNotFoundError:
         raise MissingUpstreamArtifact(f"{path}: not found") from None
-    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+    except UnicodeDecodeError as exc:  # named by line and file offset, not the chunk's
+        raise MissingUpstreamArtifact(str(not_utf8(str(path), path, exc))) from exc
+    except (OSError, ValueError, RecursionError) as exc:
         raise MissingUpstreamArtifact(f"{path}: line {lineno} unreadable: {exc}") from exc
     if lineno == 0:
         raise MissingUpstreamArtifact(f"{path}: no header")
@@ -331,6 +337,8 @@ def load_inputs(cfg: RunConfig, gold: bool) -> Inputs:
     if gold and cfg.gold_labels is not None:
         names = None if topics is None else set(topics.top_level_names())
         rows = attempt("gold labels", cfg.gold_labels, lambda p: _load_gold(p, names))
+        if rows is not None and not rows:
+            problems.append(f"gold labels {cfg.gold_labels} holds no rows")
         if not problems:  # the corpus, the topics and the gold rows all loaded
             columns = {topic: np.fromiter((rows[topic].get(text_id, -1) for text_id in corpus.ids),
                                           dtype=np.int8, count=len(corpus))
@@ -344,36 +352,27 @@ def load_inputs(cfg: RunConfig, gold: bool) -> Inputs:
 
 
 def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str, bool]]:
-    """CSV text_id,topic,label, one row a (topic, text_id) -> {topic: {text_id: bool}}.
+    """CSV text_id,topic,label, one row a (topic, text_id) -> {topic: {text_id: bool}},
+    read by the corpus's CSV record loop, so an error names a row's first line.
     A row naming a topic outside `topics`, when given, is refused."""
     truthy = {"1", "true", "yes", "y"}
     falsy = {"0", "false", "no", "n"}
+    where, columns = str(path), ("text_id", "topic", "label")
     gold: dict[str, dict[str, bool]] = {}
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = {"text_id", "topic", "label"} - set(reader.fieldnames or ())
-            if missing:
-                raise MalformedRecord(1, f"{path}: missing columns {sorted(missing)}")
-            for row in reader:
-                value = (row["label"] or "").strip().lower()
-                if value not in truthy and value not in falsy:
-                    raise MalformedRecord(
-                        reader.line_num, f"{path}: gold label {row['label']!r} not boolean")
-                if topics is not None and row["topic"] not in topics:
-                    raise MalformedRecord(reader.line_num, f"{path}: topic "
-                                          f"{row['topic']!r} is not a top-level topic")
-                topic_gold = gold.setdefault(row["topic"], {})
-                if row["text_id"] in topic_gold:  # rare, so read again for the first line
-                    key = row["topic"], row["text_id"]
-                    fh.seek(0)
-                    rows = csv.DictReader(fh)
-                    first = next(rows.line_num for r in rows if (r["topic"], r["text_id"]) == key)
-                    raise MalformedRecord(reader.line_num, f"{path}: duplicate gold row for "
-                                          f"{key} (first on line {first})")
-                topic_gold[row["text_id"]] = value in truthy
-    except UnicodeDecodeError as exc:
-        raise not_utf8(str(path), path, exc) from exc
+    for lineno, row in _csv_records(path, where, columns):
+        text_id, topic, label = map(row.get, columns)  # a short row lacks its last fields
+        value = (label or "").strip().lower()
+        if value not in truthy and value not in falsy:
+            raise MalformedRecord(lineno, f"{path}: gold label {label!r} not boolean")
+        if topics is not None and topic not in topics:
+            raise MalformedRecord(lineno, f"{path}: topic {topic!r} is not a top-level topic")
+        topic_gold = gold.setdefault(topic, {})
+        if text_id in topic_gold:  # rare, so read again for the first line
+            first = next(n for n, r in _csv_records(path, where, columns)
+                         if (r.get("topic"), r.get("text_id")) == (topic, text_id))
+            raise MalformedRecord(lineno, f"{path}: duplicate gold row for "
+                                          f"{topic, text_id} (first on line {first})")
+        topic_gold[text_id] = value in truthy
     return gold
 
 
@@ -642,12 +641,19 @@ class _Decisions(NamedTuple):
 
 def _decisions(path: Path, digest: str, models: list[str]) -> _Decisions:
     """The columns of a {topic}.decisions.jsonl that evaluate and triage use.
-    A first row whose per_model_labels names a model outside `models` is
-    refused; only that row's per_model_labels is decoded."""
+    A pc1 outside [0, 1], a tau that is not finite, and a first row whose
+    per_model_labels names a model outside `models` are refused; only that
+    row's per_model_labels is decoded."""
     text_id, members = [], []
     final, pc1, tau = array("b"), array("d"), array("d")
     with closing(_rows(path, digest, "decisions", as_text={"per_model_labels"})) as rows:
         for lineno, (row_text_id, row_final, _, _, row_pc1, row_tau, labels) in rows:
+            if not 0.0 <= row_pc1 <= 1.0:  # NaN fails too
+                raise MissingUpstreamArtifact(f"{path}: line {lineno}: pc1 must be "
+                                              f"within [0, 1], got {row_pc1!r}")
+            if not abs(row_tau) <= sys.float_info.max:  # so do NaN and an int past a float
+                raise MissingUpstreamArtifact(f"{path}: line {lineno}: tau must be "
+                                              f"finite, got {row_tau!r}")
             if not text_id:
                 members = list(_scan(labels) if type(labels) is str else labels)
                 for model in members:

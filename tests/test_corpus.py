@@ -205,6 +205,66 @@ def test_view_refuses_what_load_corpus_refuses(tmp_path, format, content):
     assert str(loaded.value).startswith("line ") and str(path) in str(loaded.value)
 
 
+# each message of a corpus that does not load, by format and case of _BAD_CORPORA
+# (and three more), word for word
+_CORPUS_MESSAGES = {
+    "jsonl": {
+        "duplicate-id": "line 3: corpus {path}: duplicate id 'a' (first on line 1)",
+        "invalid-json": "line 2: corpus {path}: invalid JSON: "
+                        "Expecting value: line 1 column 1 (char 0)",
+        "not-an-object": "line 1: corpus {path}: record is not an object",
+        "missing-id": "line 1: corpus {path}: missing or empty 'id'",
+        "missing-text": "line 1: corpus {path}: missing 'text'",
+        "empty-text": "line 2: corpus {path}: empty text for id 'b'",
+        "group-not-a-string": "line 1: corpus {path}: 'group' must be a string",
+        "group-zero": "line 1: corpus {path}: 'group' must be a string",
+        "group-false": "line 1: corpus {path}: 'group' must be a string",
+        "group-empty-list": "line 1: corpus {path}: 'group' must be a string",
+        "group-empty-object": "line 1: corpus {path}: 'group' must be a string",
+        "not-utf8": "line 2: corpus {path} is not UTF-8: byte 49 (0xe9): "
+                    "invalid continuation byte",
+        "lone-surrogate": "line 1: corpus {path}: 'text' holds '\\ud83d', "
+                          "which has no UTF-8 encoding",
+    },
+    "csv": {
+        "duplicate-id": "line 4: corpus {path}: duplicate id 'a' (first on line 2)",
+        "missing-column": "line 1: corpus {path}: missing columns: ['text']",
+        "missing-id": "line 2: corpus {path}: missing or empty 'id'",
+        "missing-text": "line 2: corpus {path}: missing 'text'",
+        "empty-text": "line 3: corpus {path}: empty text for id 'b'",
+        "not-utf8": "line 3: corpus {path} is not UTF-8: byte 17 (0xe9): "
+                    "invalid continuation byte",
+        "blank-header": "line 1: corpus {path}: missing columns: ['id', 'text']",
+        "short-row": "line 2: corpus {path}: missing or empty 'id'",
+    },
+}
+_MORE_CORPORA = {("jsonl", "lone-surrogate"): '{"id": "a", "text": "x\\ud83d"}\n',
+                 ("csv", "blank-header"): "\nid,text\na,x\n",
+                 ("csv", "short-row"): "text,id\nx\n"}
+
+
+@pytest.mark.parametrize("format, case", [
+    pytest.param(format, case, id=f"{format}-{case}")
+    for format, cases in _CORPUS_MESSAGES.items() for case in cases])
+def test_every_corpus_message_is_pinned(tmp_path, format, case):
+    content = _MORE_CORPORA.get((format, case)) or _BAD_CORPORA[format][case]
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(TopicEnsembleError) as excinfo:
+        load_corpus_view(path, format)
+    assert str(excinfo.value) == _CORPUS_MESSAGES[format][case].format(path=path)
+
+
+@pytest.mark.parametrize("format, content", [
+    ("jsonl", "\n  \n"), ("csv", ""), ("csv", "id,text\n"), ("csv", "id,text,group\n\n\n")],
+    ids=["jsonl-blank-lines", "csv-0-bytes", "csv-header-only", "csv-blank-lines"])
+def test_a_corpus_without_records_loads_empty(tmp_path, format, content):
+    # `load_inputs` refuses it as holding no texts
+    path = tmp_path / f"corpus.{format}"
+    path.write_text(content)
+    assert len(load_corpus_view(path, format)) == 0 and load_corpus(path, format) == []
+
+
 def test_duplicate_id_names_both_lines(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(_BAD_CORPORA["jsonl"]["duplicate-id"])

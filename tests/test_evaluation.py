@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicensemble.ensemble import Sweep, optimal_threshold
+from topicensemble.ensemble import Sweep, optimal_threshold, tie_blocks
 from topicensemble.errors import LengthMismatch, NoPositives
 from topicensemble.evaluation import (
     auprc,
@@ -85,6 +85,15 @@ def test_auprc_fixture():
 def test_auprc_no_positives():
     with pytest.raises(NoPositives):
         auprc([0.5, 0.2], [False, False])
+
+
+@pytest.mark.parametrize("metric", [tie_blocks, auprc, optimal_threshold],
+                         ids=["tie_blocks", "auprc", "optimal_threshold"])
+def test_a_nan_score_is_refused(metric):
+    # a NaN has no place on the precision-recall curve, so no metric is read off it
+    scores, gold = np.array([np.nan, 0.5, 0.2]), np.array([False, True, False])
+    with pytest.raises(ValueError, match="NaN"):
+        metric(scores, gold)
 
 
 def test_auprc_bounds_and_monotone_invariance():

@@ -1224,6 +1224,36 @@ def test_aggregated_score_outside_unit_interval_exits_3(finished_run, tmp_path, 
     assert _analysis_outputs(run_dir) == before
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("pc1", float("nan"), "pc1 must be within [0, 1], got nan"),
+    ("pc1", float("inf"), "pc1 must be within [0, 1], got inf"),
+    ("pc1", -0.1, "pc1 must be within [0, 1], got -0.1"),
+    ("pc1", 1.5, "pc1 must be within [0, 1], got 1.5"),
+    ("tau", float("nan"), "tau must be finite, got nan"),
+    ("tau", float("-inf"), "tau must be finite, got -inf"),
+    ("tau", 10 ** 400, "tau must be finite, got 1" + "0" * 400),
+], ids=["pc1-NaN", "pc1-Infinity", "pc1--0.1", "pc1-1.5", "tau-NaN", "tau--Infinity",
+        "tau-int-past-a-float"])
+def test_decision_score_out_of_range_exits_3(finished_run, tmp_path, capsys, name, value,
+                                             message):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    run_dir = workdir / "runs" / "done"
+    path = run_dir / "ensemble" / "sleep.decisions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(dict(json.loads(lines[2]), **{name: value})) + "\n"  # NaN, Infinity
+    path.write_text("".join(lines))
+    before = _analysis_outputs(run_dir)
+    config = str(workdir / "config.yaml")
+    for argv in (["run", "--stage", "evaluate"], ["export-triage"]):
+        assert main(argv + ["--config", config, "--run-id", "done"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: {message}" in err
+        assert "Traceback" not in err
+    assert _analysis_outputs(run_dir) == before
+    assert not (run_dir / "triage.csv").exists()
+
+
 def test_aggregated_memory_is_arrays(tmp_path):
     # 2 topics x 4 models x 2,500 texts; rows of dicts cost about 800 B a row,
     # and the label and score arrays alone 9 B
@@ -1584,6 +1614,97 @@ def test_gold_with_a_byte_order_mark_names_both_lines_of_a_duplicate(tmp_path):
                               f"(first on line 2)")
 
 
+@pytest.mark.parametrize("content, message", [
+    ('text_id,topic,label\n"t\n1",sleep,maybe\n', "line 2: {path}: gold label 'maybe' not boolean"),
+    ('text_id,topic,label\n"t\n1",sleep,1\n"t\n1",sleep,0\n',
+     "line 4: {path}: duplicate gold row for ('sleep', 't\\n1') (first on line 2)"),
+], ids=["not-boolean", "duplicate-row"])
+def test_gold_error_names_the_first_line_of_a_spanning_row(tmp_path, content, message):
+    # as a corpus error does: a quoted text_id spans lines 2 and 3
+    gold = tmp_path / "gold.csv"
+    gold.write_text(content)
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold)
+    assert str(exc.value) == message.format(path=gold)
+
+
+@pytest.mark.parametrize("content, expected", [
+    ("text_id,topic,label\nt1,sleep\n", "line 2: {path}: gold label None not boolean"),
+    ("text_id,topic,label\nt1\n", "line 2: {path}: gold label None not boolean"),
+    ("text_id,topic,label\nt1,sleep,1,extra\nt2,sleep,n\n", {"sleep": {"t1": True, "t2": False}}),
+    ("text_id,topic,label\n\nt1,sleep,1\n\nt1,sleep,0\n",
+     "line 5: {path}: duplicate gold row for ('sleep', 't1') (first on line 3)"),
+    ("text_id,topic,label\r\nt1,sleep,1\r\nt1,sleep,0\r\n",
+     "line 3: {path}: duplicate gold row for ('sleep', 't1') (first on line 2)"),
+    ("text_id,topic,label\nt1,sleep,1\nt2,slep,1\n",
+     "line 3: {path}: topic 'slep' is not a top-level topic"),
+    ('label,topic,text_id\nYES,sleep,"a,b"\n', {"sleep": {"a,b": True}}),
+], ids=["short-row", "shorter-row", "long-row", "blank-lines", "crlf", "unknown-topic",
+        "columns-reordered"])
+def test_gold_messages_and_values_are_pinned(tmp_path, content, expected):
+    gold = tmp_path / "gold.csv"
+    gold.write_text(content, newline="")
+    if isinstance(expected, dict):
+        assert pipeline._load_gold(gold, {"sleep"}) == expected
+        return
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold, {"sleep"})
+    assert str(exc.value) == expected.format(path=gold)
+
+
+def test_gold_missing_columns_names_them(tmp_path):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("text_id,topic\nt1,sleep\n")
+    with pytest.raises(MalformedRecord) as exc:
+        pipeline._load_gold(gold)
+    assert str(exc.value).startswith(f"line 1: {gold}: missing columns")
+    assert str(exc.value).endswith("['label']")
+
+
+@pytest.mark.parametrize("command, code, prefix", [
+    ("validate-config", 2, "config error: "), ("run", 1, "error: ")])
+def test_empty_gold_file_is_a_config_error(tmp_path, capsys, command, code, prefix):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    gold = workdir / "gold.csv"
+    gold.write_bytes(b"")
+    assert main([command, "--config", str(workdir / "config.yaml")]) == code
+    out, err = capsys.readouterr()
+    problems = [line for line in err.splitlines() if line.startswith(prefix)]
+    assert len(problems) == 1 and f"{gold.resolve()}" in problems[0]
+    assert "config OK" not in out and "Traceback" not in err
+    assert not (workdir / "runs").exists()
+
+
+def test_empty_csv_corpus_holds_no_texts(tmp_path, capsys):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    config = workdir / "config.yaml"
+    config.write_text(config.read_text().replace(
+        "path: corpus.jsonl\n  format: jsonl", "path: corpus.csv\n  format: csv"))
+    (workdir / "corpus.csv").write_bytes(b"")
+    assert main(["validate-config", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: corpus {workdir.resolve() / 'corpus.csv'} holds no texts"]
+
+
+@pytest.mark.parametrize("content", ["text_id,topic,label\n", "\ufefftext_id,topic,label\n\n\n"],
+                         ids=["header-only", "bom-and-blank-lines"])
+@pytest.mark.parametrize("command, code, prefix", [
+    ("validate-config", 2, "config error: "), ("run", 1, "error: ")])
+def test_gold_file_with_no_rows_is_refused(tmp_path, capsys, content, command, code, prefix):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    gold = workdir / "gold.csv"
+    gold.write_text(content)
+    assert main([command, "--config", str(workdir / "config.yaml")]) == code
+    out, err = capsys.readouterr()
+    assert [line for line in err.splitlines() if line.startswith(prefix)] == [
+        f"{prefix}gold labels {gold.resolve()} holds no rows"]
+    assert "config OK" not in out and "Traceback" not in err
+    assert not (workdir / "runs").exists()
+
+
 def test_corpus_and_gold_with_a_byte_order_mark_run_like_without(e2e, tmp_path, capsys):
     workdir, server = e2e
     records = [json.loads(line) for line in (workdir / "corpus.jsonl").read_text().splitlines()]
@@ -1653,6 +1774,78 @@ def test_input_not_utf8_names_line_and_byte(tmp_path, capsys, name, where, data)
     assert capsys.readouterr().err.splitlines() == [
         f"config error: line {line}: {where}{workdir.resolve() / name} is not UTF-8: "
         f"byte {bad} (0xe9): invalid continuation byte"]
+
+
+def _with_a_bad_byte(path: Path, rel: str) -> tuple[int, int]:
+    """Put one 0xe9 byte into a copy of the e2e fixture's `rel` at `path`,
+    past the first 8 KiB that the text layer decodes; return its line and
+    file offset."""
+    data = path.read_bytes()
+    if rel == "corpus.csv":  # the corpus.jsonl records as CSV, the first text padded
+        records = [json.loads(line) for line in data.decode().splitlines()]
+        records[0]["text"] += " " + "x" * 9000
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(
+            [["id", "text", "group"]] + [[r["id"], r["text"], r.get("group", "")]
+                                         for r in records])
+        data = rows.getvalue().encode().replace(b"\nt2,", b"\nt2,caf\xe9 ", 1)
+    elif rel.endswith((".yaml", ".csv")):  # a comment, or gold rows naming no text
+        pad = (b"# " + b"x" * 9000 + b"\n" if rel.endswith(".yaml")
+               else b"".join(b"zz%d,sleep,1\n" % i for i in range(1000)))
+        data = data + pad + (b"# caf\xe9\n" if rel.endswith(".yaml") else b"zz,sle\xe9p,1\n")
+    elif rel.endswith(".jsonl"):  # the first row padded, the byte in the second
+        lines = data.splitlines(keepends=True)
+        first = 1 if lines[0].startswith(b'{"_meta"') else 0
+        row = json.loads(lines[first])
+        row["~padding"] = "x" * 9000
+        lines[first] = json.dumps(row).encode() + b"\n"
+        lines[first + 1] = lines[first + 1].replace(b'": "', b'": "\xe9', 1)
+        data = b"".join(lines)
+    else:  # outliers.json, which is read whole
+        data = b" " * 9000 + data.replace(b'"m_gamma"', b'"m_gamm\xe9a"', 1)
+    path.write_bytes(data)
+    bad = data.index(0xE9)
+    assert bad > 8192 and data[bad + 1] < 0x80
+    return data[:bad].count(b"\n") + 1, bad
+
+
+# every file the program reads, and the exit code of each command that reads it
+@pytest.mark.parametrize("rel, codes", [
+    ("config.yaml", {"validate-config": 2, "all": 2}),
+    ("topics.yaml", {"validate-config": 2, "all": 1}),
+    ("corpus.jsonl", {"validate-config": 2, "all": 1}),
+    ("corpus.csv", {"validate-config": 2, "all": 1}),
+    ("gold.csv", {"validate-config": 2, "all": 1}),
+    ("runs/done/annotate/annotations.jsonl", {"score": 3}),
+    ("runs/done/score/aggregated.jsonl", {"agree": 3, "ensemble": 3, "evaluate": 3}),
+    ("runs/done/agree/outliers.json", {"ensemble": 3}),
+    ("runs/done/ensemble/sleep.decisions.jsonl", {"evaluate": 3, "export-triage": 3}),
+])
+def test_every_file_read_names_a_bad_byte_by_line_and_offset(finished_run, tmp_path, capsys,
+                                                             rel, codes):
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    config = workdir / "config.yaml"
+    if rel == "corpus.csv":
+        shutil.copy(workdir / "corpus.jsonl", workdir / rel)
+        config.write_text(config.read_text().replace(
+            "path: corpus.jsonl\n  format: jsonl", "path: corpus.csv\n  format: csv"))
+    line, bad = _with_a_bad_byte(workdir / rel, rel)
+    name = {"config.yaml": f"config {config}", "topics.yaml": "topics file ",
+            "corpus.jsonl": "corpus ", "corpus.csv": "corpus "}.get(rel, "")
+    if rel != "config.yaml":
+        name += str(workdir.resolve() / rel)
+    for command, code in codes.items():
+        argv = {"validate-config": ["validate-config"],
+                "export-triage": ["export-triage", "--run-id", "done"]}.get(
+                    command, ["run", "--stage", command, "--run-id", "done"])
+        assert main(argv + ["--config", str(config)]) == code
+        err = capsys.readouterr().err
+        prefix = {2: "config error", 1: "error", 3: "missing or stale upstream artifact"}[code]
+        assert [text for text in err.splitlines() if "error" in text or "artifact" in text] == [
+            f"{prefix}: line {line}: {name} is not UTF-8: byte {bad} (0xe9): "
+            f"invalid continuation byte"]
+        assert "Traceback" not in err
 
 
 def test_short_name_with_a_trailing_newline_is_a_config_error(tmp_path, capsys):
