@@ -1,4 +1,5 @@
-"""Time a warm rerun of annotate and score: the pipeline's own cost of a rerun.
+"""Time a warm rerun of annotate, of score and of every stage: the pipeline's
+own cost of a rerun.
 
 Writes a labeling run's inputs (--texts texts, three leaf topics under two
 top-level topics, --models backends) and fills its `cache.sqlite` directly,
@@ -6,11 +7,13 @@ as a cold run would have: a chat answer for every (model, text) under
 `ResponseCache.key`, stored as `ResponseCache.entry` documents, and a vector
 for every text score embeds (the empty string, each leaf description and
 each evidence phrase) under the `Embedder` key. Every endpoint points at a
-closed port with no retries, so a store miss fails the run. Then times
-`run --stage annotate` and `run --stage score` in child processes, each a
-fresh interpreter, --repeats times. Prints, for each stage, the median of
-the child's wall time, of its time inside the pipeline (imports excluded)
-and of its peak RSS.
+closed port with no retries, so a store miss fails the run. Then compiles
+the package's bytecode once, so that no child compiles a stale module, and
+times `run --stage annotate`, `run --stage score` and `run --stage all` (the
+shape of pipebench's rerun_warm) in child processes, each a fresh
+interpreter, --repeats times. Prints, for each stage, the median of the
+child's wall time, of its time inside the pipeline (imports excluded) and of
+its peak RSS.
 
     PYTHONPATH=src python3 benchmarks/bench_rerun.py [--texts 2000] [--models 3]
         [--repeats 5] [--dir DIR]
@@ -18,6 +21,7 @@ and of its peak RSS.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import resource
 import statistics
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-STAGES = ("annotate", "score")
+STAGES = ("annotate", "score", "all")
 RUN_ID = "bench"
 TOPICS_YAML = """\
 - short_name: sleep
@@ -119,6 +123,9 @@ def main() -> int:
     if args.child:
         child(args.dir, args.child)
         return 0
+    import topicensemble
+
+    compileall.compile_dir(Path(topicensemble.__file__).parent, quiet=1)
     with tempfile.TemporaryDirectory(dir=args.dir) as tmp:
         start = time.perf_counter()
         write_run(Path(tmp), args.texts, args.models)
@@ -127,7 +134,7 @@ def main() -> int:
               f"(filled in {time.perf_counter() - start:.1f} s)")
         results: dict[str, list[dict]] = {name: [] for name in STAGES}
         for _ in range(args.repeats):
-            for name in STAGES:  # score reads what annotate wrote
+            for name in STAGES:  # score reads what annotate wrote; all writes both again
                 start = time.perf_counter()
                 proc = subprocess.run(
                     [sys.executable, __file__, "--child", name, "--dir", tmp],
@@ -140,7 +147,7 @@ def main() -> int:
                                       **json.loads(proc.stdout.splitlines()[-1])})
     for name, runs in results.items():
         m = {key: statistics.median(r[key] for r in runs) for key in runs[0]}
-        print(f"{name:<9} wall {m['wall_s']:6.3f} s  in pipeline {m['seconds']:6.3f} s  "
+        print(f"stage {name:<9} wall {m['wall_s']:6.3f} s  in pipeline {m['seconds']:6.3f} s  "
               f"peak_rss {m['peak_rss_mb']:6.1f} MB")
     return 0
 

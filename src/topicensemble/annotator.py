@@ -14,7 +14,7 @@ fall back to splitting the post-colon tail on commas/semicolons.
 """
 from __future__ import annotations
 
-import functools
+import bisect
 import hashlib
 import json
 import logging
@@ -25,11 +25,12 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 from urllib.parse import urlsplit
 
-from .corpus import TextItem, TopicSet
+from .corpus import TextItem, Topic, TopicSet, _decode
 from .errors import (
     BackendUnavailable,
     BadStatus,
@@ -98,14 +99,27 @@ class TopicAnnotation(NamedTuple):
     parse_warning: bool = False
 
 
-def build_prompt(topics: TopicSet, item: TextItem) -> str:
-    """Render the labeling prompt for one text.
+class _Layout(NamedTuple):
+    """What build_prompt and parse_response need of a topic set."""
 
-    Leaf topics are enumerated from 1 in topic-set order, first as
-    "(k) name: description." lines, then as the answer-format block, then
-    the paragraph quoted in backticks. Pure: identical inputs yield
-    byte-identical prompts.
-    """
+    head: str  # the prompt up to the paragraph's text
+    leaves: list[Topic]
+    numbered: re.Pattern  # leaf k's "(k) name:" lines, with group k set
+    anywhere: list[re.Pattern]  # each leaf's "name:"
+    # any leaf's "name:", found exactly where parse_response finds a topic line
+    # (a short name starts with a word character, so each numbered line holds one)
+    topic_line: re.Pattern
+
+
+def _kept(owner, name: str, build: Callable):
+    """build(owner), made once and kept on owner, a frozen dataclass, as `name`."""
+    kept = vars(owner)
+    if name not in kept:
+        object.__setattr__(owner, name, build(owner))
+    return kept[name]
+
+
+def _layout(topics: TopicSet) -> _Layout:
     leaves = topics.leaves()
     lines = ["Does the paragraph mention any of the following topics:"]
     for k, leaf in enumerate(leaves, 1):
@@ -116,14 +130,39 @@ def build_prompt(topics: TopicSet, item: TextItem) -> str:
     lines.append("Return answer in format:")
     for k, leaf in enumerate(leaves, 1):
         lines.append(f"({k}) {leaf.short_name}: [yes/no], related phrases if any:")
-    lines.append(f"Paragraph: `{item.text}`")
-    return "\n".join(lines)
+    lines.append("Paragraph: `")
+    names = [re.escape(leaf.short_name) for leaf in leaves]
+    # no leaf's "(k) name:" line can hold another's, so one scan finds them all
+    numbered = "|".join(rf"({k})\s*\)\s*{name}" for k, name in enumerate(names, 1))
+    return _Layout("\n".join(lines), leaves, re.compile(rf"\(\s*(?:{numbered})\s*:", re.I),
+                   [re.compile(rf"\b{name}\s*:", re.I) for name in names],
+                   re.compile(rf"\b(?:{'|'.join(names)})\s*:", re.I))
+
+
+def build_prompt(topics: TopicSet, item: TextItem) -> str:
+    """Render the labeling prompt for one text.
+
+    Leaf topics are enumerated from 1 in topic-set order, first as
+    "(k) name: description." lines, then as the answer-format block, then
+    the paragraph quoted in backticks; all but its text is formatted once
+    per TopicSet. Pure: identical inputs yield byte-identical prompts.
+    """
+    return _kept(topics, "_layout", _layout).head + item.text + "`"
 
 
 # json.dumps(..., ensure_ascii=False), with and without sort_keys, without
 # building an encoder for each call; the store's keys and documents are these bytes
 _encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 _encode_unsorted = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _key_parts(backend: ModelBackend) -> tuple[str, str]:
+    """A backend's key document before and after the prompt's JSON string
+    (the name's encoding escapes its quotes, so holds no "prompt": "")."""
+    head, _, tail = _encode_sorted({
+        "backend": backend.name, "prompt": "", "temperature": backend.decoding.temperature,
+        "max_tokens": backend.decoding.max_tokens}).partition('"prompt": ""')
+    return head + '"prompt": ', tail
 
 
 class ResponseCache:
@@ -219,13 +258,10 @@ class ResponseCache:
             self._db.close()
 
     def key(self, backend: ModelBackend, prompt: str) -> str:
-        payload = _encode_sorted({
-            "backend": backend.name,
-            "prompt": prompt,
-            "temperature": backend.decoding.temperature,
-            "max_tokens": backend.decoding.max_tokens,
-        })
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """SHA-256 of _encode_sorted({backend, prompt, temperature, max_tokens}):
+        the prompt's JSON string between its backend's parts, encoded once."""
+        head, tail = _kept(backend, "_key_parts", _key_parts)
+        return hashlib.sha256((head + encode_basestring(prompt) + tail).encode()).hexdigest()
 
     def get(self, backend: ModelBackend, prompt: str) -> dict | None:
         blob = self.read_many([self.key(backend, prompt)])[0]
@@ -580,9 +616,9 @@ def query_backend(
     )
 
 
-# Label token right after the topic's colon. A literal "[yes/no]" echo is an
-# unanswered format line, not a yes - hence the (?!\s*/) guard.
-_LABEL_RE = re.compile(r"^\s*,?\s*\[?\s*(yes|no)\b(?!\s*/)", re.IGNORECASE)
+# Label token right after the topic's colon (matched at a position: no "^"). A
+# literal "[yes/no]" echo is an unanswered format line - hence the (?!\s*/) guard.
+_LABEL_RE = re.compile(r"\s*,?\s*\[?\s*(yes|no)\b(?!\s*/)", re.IGNORECASE)
 _QUOTED_RE = re.compile(r"'([^']+)'|\"([^\"]+)\"")
 _PHRASE_MARKER_RE = re.compile(
     r"related\s+phrases(?:\s+if\s+any)?\s*:?", re.IGNORECASE
@@ -591,54 +627,22 @@ _PHRASE_SPLIT_RE = re.compile(r"[,;]")
 _PHRASE_PLACEHOLDERS = {"none", "n/a", "na", "-", "no", "nothing"}
 
 
-@functools.lru_cache(maxsize=1024)
-def _leaf_patterns(index: int, short_name: str) -> tuple[re.Pattern, re.Pattern]:
-    """A leaf's numbered topic line, "(k) name:", and its name anywhere."""
-    name = re.escape(short_name)
-    return (re.compile(rf"\(\s*{index}\s*\)\s*{name}\s*:", re.IGNORECASE),
-            re.compile(rf"\b{name}\s*:", re.IGNORECASE))
-
-
-def _topic_line(short_names: Iterable[str]) -> re.Pattern:
-    """Any leaf's name anywhere: it is found in a response exactly when
-    parse_response recognizes a topic line there, since a short name starts
-    with a word character and so every numbered line holds a match too."""
-    names = "|".join(re.escape(name) for name in short_names)
-    return re.compile(rf"\b(?:{names})\s*:", re.IGNORECASE)
-
-
-def _topic_matches(content: str, index: int, short_name: str) -> list[re.Match]:
-    numbered, anywhere = _leaf_patterns(index, short_name)
-    return list(numbered.finditer(content)) or list(anywhere.finditer(content))
-
-
-def _choose_match(content: str, matches: list[re.Match]) -> re.Match | None:
-    if not matches:
-        return None
-    # prompt echoes repeat topic lines; prefer the last one that actually
-    # starts with a parsable yes/no
-    for match in reversed(matches):
-        if _LABEL_RE.match(content[match.end() :]):
-            return match
-    return matches[-1]
-
-
-def _extract_phrases(segment: str) -> tuple[str, ...]:
-    quoted = [a or b for a, b in _QUOTED_RE.findall(segment)]
+def _extract_phrases(content: str, start: int, end: int,
+                     label: re.Match | None) -> tuple[str, ...]:
+    """The phrases of the segment content[start:end], whose label is `label`."""
+    if label and not content[label.end() : end].lstrip(" ,.;]").strip():
+        return ()
+    quoted = _QUOTED_RE.findall(content, start, end)
     if quoted:
-        return tuple(p.strip() for p in quoted if p.strip())
-    marker = _PHRASE_MARKER_RE.search(segment)
+        return tuple(p.strip() for p in (a or b for a, b in quoted) if p.strip())
+    marker = _PHRASE_MARKER_RE.search(content, start, end)
     if marker:
-        tail = segment[marker.end() :]
+        tail = content[marker.end() : end]
     else:
-        label = _LABEL_RE.match(segment)
-        tail = segment[label.end() :] if label else segment
-        tail = tail.lstrip(" ,.;]")
-    parts = _PHRASE_SPLIT_RE.split(tail)
+        tail = content[label.end() if label else start : end].lstrip(" ,.;]")
     phrases = []
-    for part in parts:
-        cleaned = part.strip().strip("'\"").strip()
-        cleaned = cleaned.rstrip(".").strip()
+    for part in _PHRASE_SPLIT_RE.split(tail):
+        cleaned = part.strip().strip("'\"").strip().rstrip(".").strip()
         if cleaned and cleaned.lower() not in _PHRASE_PLACEHOLDERS:
             phrases.append(cleaned)
     return tuple(phrases)
@@ -652,38 +656,44 @@ def parse_response(
 ) -> list[TopicAnnotation]:
     """Parse one model response into per-leaf-topic annotations.
 
-    Topics absent from the response come back with label false and
-    parse_warning set. Raises Unparseable when no topic line is recognized
-    at all.
+    A leaf takes the last of its "(k) name:" lines (if none, "name:" spans)
+    that a parsable yes/no follows, as a prompt echo repeats topic lines, else
+    the last one; its segment runs to the next taken line. The scan is in
+    place: one pass finds every numbered line, regexes run on the whole answer
+    with pos/endpos, and the label match serves its segment unless it runs
+    past it. Topics absent from the response come back with label false and
+    parse_warning set. Raises Unparseable when no topic line is recognized.
     """
-    leaves = topics.leaves()
-    chosen: list[re.Match | None] = []
-    for k, leaf in enumerate(leaves, 1):
-        chosen.append(_choose_match(content, _topic_matches(content, k, leaf.short_name)))
-    if all(match is None for match in chosen):
+    layout = _kept(topics, "_layout", _layout)
+    taken: list[tuple[re.Match, re.Match | None] | None] = []  # (topic line, label)
+    numbered: list[list[re.Match]] = [[] for _ in layout.leaves]
+    for match in layout.numbered.finditer(content):
+        numbered[match.lastindex - 1].append(match)
+    for matches, anywhere in zip(numbered, layout.anywhere):
+        matches = matches or list(anywhere.finditer(content))
+        pick = (matches[-1], None) if matches else None
+        for match in reversed(matches):
+            label = _LABEL_RE.match(content, match.end())
+            if label:
+                pick = match, label
+                break
+        taken.append(pick)
+    if not any(taken):
         raise Unparseable("no topic line recognized in response")
-    starts = sorted(match.start() for match in chosen if match is not None)
+    starts = sorted(pick[0].start() for pick in taken if pick)
     annotations = []
-    for leaf, match in zip(leaves, chosen):
-        if match is None:
-            annotations.append(
-                TopicAnnotation(
-                    model=model, text_id=text_id, topic=leaf.short_name,
-                    label=False, phrases=(), parse_warning=True,
-                )
-            )
+    for leaf, pick in zip(layout.leaves, taken):
+        if pick is None:
+            annotations.append(TopicAnnotation(model, text_id, leaf.short_name, False, (), True))
             continue
-        seg_end = min(
-            (s for s in starts if s > match.start()), default=len(content)
-        )
-        segment = content[match.end() : seg_end]
-        label_match = _LABEL_RE.match(segment)
-        if label_match is None:
-            label, warning = False, True
-        else:
-            label, warning = label_match.group(1).lower() == "yes", False
-        annotations.append(TopicAnnotation(model, text_id, leaf.short_name, label,
-                                           _extract_phrases(segment), warning))
+        match, label = pick
+        i = bisect.bisect(starts, match.start())
+        end = starts[i] if i < len(starts) else len(content)
+        if label and label.end() > end:  # the label runs into the next topic line
+            label = None
+        annotations.append(TopicAnnotation(
+            model, text_id, leaf.short_name, bool(label) and label[1].lower() == "yes",
+            _extract_phrases(content, match.end(), end, label), not label))
     return annotations
 
 
@@ -724,9 +734,9 @@ def annotate_corpus(
         raise ValueError("ensembling needs >=2 configured backends")
     if len({b.name for b in backends}) != len(backends):
         raise ValueError("backend names must be unique within a run")
-    leaves = topics.leaves()
+    layout = _kept(topics, "_layout", _layout)
+    leaves, topic_line = layout.leaves, layout.topic_line
     total_cells = len(backends) * len(corpus) * len(leaves)
-    topic_line = _topic_line(leaf.short_name for leaf in leaves)
     failures: list[BaseException] = []  # every fetch looks here before it POSTs
 
     def windows(backend: ModelBackend, failed_cells: list[int],
@@ -749,13 +759,17 @@ def annotate_corpus(
                     prompt = asked[part[0]]
                     return [] if failures else [cache.entry(prompt, chat(backend, prompt, pool))]
 
-                blobs = cache.fill([cache.key(backend, prompt) for prompt in asked], fetch, 1,
-                                   max(1, backend.parallelism), on_miss)
+                keys = [cache.key(backend, prompt) for prompt in asked]
+                blobs = cache.fill(keys, fetch, 1, max(1, backend.parallelism), on_miss)
                 if failures:
                     return
-                for i, blob in zip(todo, blobs):
-                    answer = json.loads(blob)["content"]
-                    answers[i] = answer if topic_line.search(answer) else None
+                for i, key, blob in zip(todo, keys, blobs):
+                    try:
+                        answer = _decode(str(blob, "utf-8"))["content"]
+                        answers[i] = answer if topic_line.search(answer) else None
+                    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+                        raise CacheError(f"cache {cache.path}: entry {key} is not a chat answer: "
+                                         f"{exc}") from None
                 todo = [i for i in todo if answers[i] is None]
             failed_cells[0] += len(todo) * len(leaves)
             if failed_cells[0] / total_cells > failure_budget:

@@ -256,10 +256,13 @@ def _csv_records(path: Path, where: str, columns: tuple[str, ...]) -> Iterator[t
     """The CSV record loop of the corpus and the gold labels: each record as
     {column: field} with its first physical line (a quoted field may span
     lines; a blank line or a 0-byte file has none). A header without
-    `columns`, or a byte that is not UTF-8, is an error naming `where`."""
+    `columns`, a byte that is not UTF-8, or a record the csv module's strict
+    mode refuses (an unclosed quote, text after a closing quote, a field over
+    csv.field_size_limit()) is an error naming `where` and the line."""
+    first = 1
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
             fields = next(reader, None)
             if fields is None:
                 return
@@ -273,6 +276,8 @@ def _csv_records(path: Path, where: str, columns: tuple[str, ...]) -> Iterator[t
                 first = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise not_utf8(where, path, exc) from exc
+    except csv.Error as exc:
+        raise MalformedRecord(first, f"{where}: {exc}") from None
 
 
 _READERS = {"jsonl": _jsonl_records,

@@ -34,7 +34,7 @@ from .annotator import (
     post_json,
 )
 from .corpus import Topic
-from .errors import BadStatus, ZeroNormVector
+from .errors import BadStatus, CacheError, ZeroNormVector
 
 TRUNCATE_WORDS = 384
 # Annotations the score stage works at a time. A window's positive phrases
@@ -119,11 +119,13 @@ class Embedder:
             return [vec.astype("<f4").tobytes()
                     for vec in self._request([truncated[i] for i in part])]
 
-        blobs = self.cache.fill([self._key(u) for u in truncated], fetch,
-                                self.backend.batch_size, self.parallelism)
-        return [self._vector(blob) for blob in blobs]
+        keys = [self._key(u) for u in truncated]
+        blobs = self.cache.fill(keys, fetch, self.backend.batch_size, self.parallelism)
+        return [self._vector(key, blob) for key, blob in zip(keys, blobs)]
 
-    def _vector(self, blob: bytes) -> np.ndarray:
+    def _vector(self, key: str, blob: bytes) -> np.ndarray:
+        if not isinstance(blob, bytes) or len(blob) % 4:
+            raise CacheError(f"cache {self.cache.path}: entry {key} is not a float32 vector")
         vec = np.frombuffer(blob, dtype="<f4").astype(np.float64)
         with self._dimension_lock:
             if self._dimension is None:
@@ -228,4 +230,5 @@ def aggregate_subtopics(children: Sequence[tuple[bool, float]]) -> tuple[bool, f
     present = [score for label, score in children if label]
     if not present:
         return False, 0.0
-    return True, float(np.mean(present))
+    # np.mean of one score sums it onto 0.0 (so -0.0 gives 0.0): a lone one skips it
+    return True, float(present[0] + 0.0 if len(present) == 1 else np.mean(present))

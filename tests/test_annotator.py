@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import re
 import socket
 import sys
 import threading
@@ -234,7 +236,133 @@ def test_topic_line_is_found_exactly_when_parse_response_recognizes_one(data):
         recognized = True
     except Unparseable:
         recognized = False
-    assert bool(annotator._topic_line(names).search(content)) is recognized
+    assert bool(annotator._layout(topics).topic_line.search(content)) is recognized
+
+
+# The parser as it was before the in-place scan, kept as the oracle of the one
+# in annotator: the same annotations and parse warnings, and Unparseable in the
+# same cases.
+_ORACLE_LABEL_RE = re.compile(r"^\s*,?\s*\[?\s*(yes|no)\b(?!\s*/)", re.IGNORECASE)
+_ORACLE_QUOTED_RE = re.compile(r"'([^']+)'|\"([^\"]+)\"")
+_ORACLE_MARKER_RE = re.compile(r"related\s+phrases(?:\s+if\s+any)?\s*:?", re.IGNORECASE)
+_ORACLE_PLACEHOLDERS = {"none", "n/a", "na", "-", "no", "nothing"}
+
+
+def _oracle_extract_phrases(segment):
+    quoted = [a or b for a, b in _ORACLE_QUOTED_RE.findall(segment)]
+    if quoted:
+        return tuple(p.strip() for p in quoted if p.strip())
+    marker = _ORACLE_MARKER_RE.search(segment)
+    if marker:
+        tail = segment[marker.end():]
+    else:
+        label = _ORACLE_LABEL_RE.match(segment)
+        tail = segment[label.end():] if label else segment
+        tail = tail.lstrip(" ,.;]")
+    phrases = []
+    for part in re.split(r"[,;]", tail):
+        cleaned = part.strip().strip("'\"").strip()
+        cleaned = cleaned.rstrip(".").strip()
+        if cleaned and cleaned.lower() not in _ORACLE_PLACEHOLDERS:
+            phrases.append(cleaned)
+    return tuple(phrases)
+
+
+def _oracle_parse(content, topics, model="", text_id=""):
+    leaves = topics.leaves()
+    chosen = []
+    for k, leaf in enumerate(leaves, 1):
+        name = re.escape(leaf.short_name)
+        matches = (list(re.finditer(rf"\(\s*{k}\s*\)\s*{name}\s*:", content, re.IGNORECASE))
+                   or list(re.finditer(rf"\b{name}\s*:", content, re.IGNORECASE)))
+        match = None
+        for candidate in reversed(matches):
+            if _ORACLE_LABEL_RE.match(content[candidate.end():]):
+                match = candidate
+                break
+        chosen.append(match if match or not matches else matches[-1])
+    if all(match is None for match in chosen):
+        raise Unparseable("no topic line recognized in response")
+    starts = sorted(match.start() for match in chosen if match is not None)
+    annotations = []
+    for leaf, match in zip(leaves, chosen):
+        if match is None:
+            annotations.append(annotator.TopicAnnotation(model, text_id, leaf.short_name,
+                                                         False, (), True))
+            continue
+        seg_end = min((s for s in starts if s > match.start()), default=len(content))
+        segment = content[match.end():seg_end]
+        label = _ORACLE_LABEL_RE.match(segment)
+        annotations.append(annotator.TopicAnnotation(
+            model, text_id, leaf.short_name, bool(label) and label.group(1).lower() == "yes",
+            _oracle_extract_phrases(segment), label is None))
+    return annotations
+
+
+def _outcome(parse, content, topics):
+    try:
+        return parse(content, topics, "m", "t")
+    except Unparseable:
+        return "Unparseable"
+
+
+_NAMES = st.one_of(st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True),
+                   st.sampled_from(["yes", "no", "related", "phrases", "none", "sleep", "Sleep"]))
+_LABELS = ["yes", "Yes.", "[yes]", "YES", "no", "No.", "[no]", "[yes/no]", "maybe", "",
+           " yes", ", [ no ]", "yes/", "yesno"]
+_PHRASES = st.one_of(
+    st.lists(st.sampled_from(["awake", "up at 3am", "n/a", " none ", "x.", "a;b", "it's"]),
+             max_size=3).map(lambda ps: ", ".join(f"'{p}'" for p in ps)),
+    st.lists(st.sampled_from(["tossing", "cannot rest", "ok"]),
+             max_size=3).map(lambda ps: ", ".join(f'"{p}"' for p in ps)),
+    st.tuples(st.sampled_from([", ", "; "]),
+              st.lists(st.sampled_from(["tossing all night", "none", "-", "nothing.", "'half"]),
+                       max_size=3)).map(lambda t: t[0].join(t[1])),
+    st.text(max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_response_equals_the_parser_it_replaced(data):
+    names = data.draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    topics = TopicSet(tuple(Topic(name, f"About {name}.") for name in names))
+    pieces = []
+    if data.draw(st.booleans()):  # a preamble, or an echo of the prompt
+        pieces.append(data.draw(st.sampled_from(
+            ["Here are my answers.\n", build_prompt(topics, TextItem("t", "A text.")) + "\n",
+             "Sure:\n"])))
+    for k, name in enumerate(names, 1):
+        if not data.draw(st.booleans()) and len(names) > 1:
+            continue  # a missing topic
+        number = data.draw(st.sampled_from([f"({k}) ", f"( {k} ) ", "", f"({k + 1}) "]))
+        shown = data.draw(st.sampled_from([name, name.upper(), name.lower()]))
+        line = f"{number}{shown}{data.draw(st.sampled_from([':', ' :', '']))} "
+        line += data.draw(st.sampled_from(_LABELS + [f"{other}:" for other in names]))
+        marker = data.draw(st.sampled_from(["", ", related phrases: ", " related phrases if any: ",
+                                            ", related  phrases ", ", "]))
+        line += marker + data.draw(_PHRASES) + "".join(
+            data.draw(st.lists(st.sampled_from(["\n", "]", ".", " ", ",", ";", "/"]), max_size=3)))
+        pieces.append(line)
+    sep = data.draw(st.sampled_from(["\n", " ", "\n\n", ""]))
+    content = sep.join(pieces)
+    if data.draw(st.booleans()):  # garbage anywhere
+        at = data.draw(st.integers(0, len(content)))
+        content = content[:at] + data.draw(st.text(max_size=6)) + content[at:]
+    assert _outcome(parse_response, content, topics) == _outcome(_oracle_parse, content, topics)
+
+
+@pytest.mark.parametrize("content", [
+    "a: yes: no",  # a's label runs into the next leaf's line
+    "(1) a: (2) yes: no",
+    "a: yes\n]",  # a bracket after the label's line
+    "a: no.\n, x",
+    "a: [yes] ; b: no",
+    "b: yes; a: no/",
+    "(1) a: [yes/no], related phrases if any:\n(1) a: yes, 'x'",
+])
+def test_parse_response_equals_the_parser_it_replaced_at_its_edges(content):
+    topics = TopicSet((Topic("a", "A."), Topic("yes", "Y."), Topic("b", "B.")))
+    assert _outcome(parse_response, content, topics) == _outcome(_oracle_parse, content, topics)
 
 
 # ----------------------------------------------------------- query + cache
@@ -285,6 +413,31 @@ def test_store_key_is_pinned():
     prompt = 'Paragraph: `Café au lait, "quoted"\n\ttab`'
     assert ResponseCache.key(None, backend, prompt) == (
         "aed719238ae1297c06db6ea3d2cfb5cfb38ec44d19981c2039c56f0807e9be2a")
+
+
+_BACKEND_NAMES = st.one_of(st.text(), st.sampled_from(
+    ['m"1', "back\\slash", "Café ☃", 'x"prompt": "', '"prompt": ""', "\\u00e9"]))
+_DECODINGS = st.builds(Decoding, temperature=st.sampled_from([0, 0.0, 0.7, 1e-7]),
+                       max_tokens=st.integers())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BACKEND_NAMES, _DECODINGS, _DECODINGS, st.text())
+def test_store_key_is_the_digest_of_the_sorted_document(name, decoding, other, prompt):
+    def expected(decoding):
+        return hashlib.sha256(json.dumps({
+            "backend": name, "prompt": prompt, "temperature": decoding.temperature,
+            "max_tokens": decoding.max_tokens}, sort_keys=True, ensure_ascii=False,
+        ).encode("utf-8")).hexdigest()
+
+    first = ModelBackend(name, "http://127.0.0.1:1/v1/chat/completions", decoding=decoding)
+    second = replace(first, decoding=other)  # the same name, maybe other decoding
+    for backend in (first, second, first):  # the second time from the kept parts
+        assert ResponseCache.key(None, backend, prompt) == expected(backend.decoding)
+    same = (repr(decoding.temperature), decoding.max_tokens) == (
+        repr(other.temperature), other.max_tokens)
+    assert (ResponseCache.key(None, first, prompt) ==
+            ResponseCache.key(None, second, prompt)) is same
 
 
 def test_store_entry_is_the_json_document():
@@ -979,6 +1132,30 @@ def test_annotate_corpus_warm_rerun_repeats_the_cold_rows_when_sampling(tmp_path
         warm = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
     assert warm == cold
     assert calls == cold_calls  # the warm rerun made no call
+
+
+def test_annotate_corpus_builds_and_parses_through_the_module_names(tmp_path, monkeypatch,
+                                                                  two_topics, pool):
+    # pipebench's tracer times prompts and parsing by wrapping these two names
+    # of the module: a warm rerun calls each once per answer through them
+    corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(5)]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions")
+                for name in ("m1", "m2", "m3")]
+    chat, calls, _ = canned_chat(lambda backend: 0.0)
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        cold = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    seen = Counter()
+    for name in ("build_prompt", "parse_response"):
+        def counted(*args, real=getattr(annotator, name), name=name):
+            seen[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(annotator, name, counted)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        assert list(annotate_corpus(corpus, two_topics, backends, cache, pool)) == cold
+    assert sum(calls.values()) == len(backends) * len(corpus)  # the cold run's only
+    assert seen == {"build_prompt": 15, "parse_response": 15}
 
 
 def test_a_later_backend_over_its_failure_budget_stops_the_run_early(tmp_path, monkeypatch,

@@ -26,7 +26,7 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
                            "--duplicate-share", "0.5"], "chat_calls_per_backend"),
     ("bench_corpus.py", ["--texts", "2000", "--words", "5"], "load_corpus_view"),
     ("bench_handoff.py", ["--texts", "500", "--repeats", "1"], "together"),
-    ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "in pipeline"),
+    ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "stage all"),
 ])
 def test_benchmark_script_runs(tmp_path, script, args, printed):
     src = Path(topicensemble.__file__).parents[1]

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -796,6 +797,28 @@ def test_cli_cache_not_a_database(e2e, capsys, kind):
     assert main(["run", "--config", str(workdir / "config.yaml"), "--run-id", "x"]) == 1
     err = capsys.readouterr().err
     assert f"error: cache {store.resolve()}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("chat", b"{not json"),
+    ("chat", b'{"prompt_digest": "x", "content": 7, "retrieved_at": "x"}'),
+    ("chat", b'["content"]'),
+    ("emb", b"\x00" * 5),
+], ids=["chat-not-json", "chat-content-not-text", "chat-not-an-object", "vector-length"])
+def test_cli_corrupt_store_entry(e2e, capsys, kind, value):
+    workdir, server = e2e
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--run-id", "cold"]) == 0
+    store = workdir / "cache" / "cache.sqlite"
+    with contextlib.closing(sqlite3.connect(store)) as db, db:
+        keys = [key for (key,) in db.execute("SELECT key FROM entries ORDER BY key")
+                if key.startswith("emb/") is (kind == "emb")]
+        db.execute("UPDATE entries SET value = ? WHERE key = ?", (value, keys[0]))
+    capsys.readouterr()
+    assert main(["run", "--config", config, "--run-id", "warm"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cache {store.resolve()}: entry {keys[0]} is not a" in err
     assert "Traceback" not in err
 
 
@@ -1686,6 +1709,39 @@ def test_empty_csv_corpus_holds_no_texts(tmp_path, capsys):
     assert main(["validate-config", "--config", str(config)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"config error: corpus {workdir.resolve() / 'corpus.csv'} holds no texts"]
+
+
+_LONG = "x" * 140_000  # over csv.field_size_limit()'s 131,072 characters
+
+
+@pytest.mark.parametrize("file, content, line, problem", [
+    ("corpus", 'id,text\na,fine\nb,"oops\nc,hello\nd,world\n', 3, "unexpected end of data"),
+    ("corpus", 'id,text\na,"x"y\n', 2, "',' expected after '\"'"),
+    ("corpus", f"id,text\na,{_LONG}\n", 2, "field larger than field limit (131072)"),
+    ("gold", 'text_id,topic,label\nt1,sleep,"yes\nt2,sleep,no\n', 2, "unexpected end of data"),
+    ("gold", 'text_id,topic,label\nt1,sleep,1\n"t2"x,sleep,1\n', 3, "',' expected after '\"'"),
+    ("gold", f"text_id,topic,label\n{_LONG},sleep,1\n", 2,
+     "field larger than field limit (131072)"),
+], ids=["corpus-unclosed-quote", "corpus-text-after-quote", "corpus-long-field",
+        "gold-unclosed-quote", "gold-text-after-quote", "gold-long-field"])
+@pytest.mark.parametrize("command, code, prefix", [
+    ("validate-config", 2, "config error: "), ("run", 1, "error: ")])
+def test_csv_that_strict_mode_refuses_is_an_input_error(tmp_path, capsys, file, content, line,
+                                                        problem, command, code, prefix):
+    workdir = tmp_path / "demo"
+    shutil.copytree(E2E, workdir)
+    config = workdir / "config.yaml"
+    if file == "corpus":
+        config.write_text(config.read_text().replace(
+            "path: corpus.jsonl\n  format: jsonl", "path: corpus.csv\n  format: csv"))
+    path = workdir / f"{file}.csv"
+    path.write_text(content, newline="")
+    assert main([command, "--config", str(config)]) == code
+    out, err = capsys.readouterr()
+    where = f"corpus {path.resolve()}" if file == "corpus" else f"{path.resolve()}"
+    assert [row for row in err.splitlines() if row.startswith(prefix)] == [
+        f"{prefix}line {line}: {where}: {problem}"]
+    assert "Traceback" not in err and not (workdir / "runs").exists()
 
 
 @pytest.mark.parametrize("content", ["text_id,topic,label\n", "\ufefftext_id,topic,label\n\n\n"],

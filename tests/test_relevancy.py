@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import sys
 import threading
 import time
@@ -7,6 +8,8 @@ from contextlib import closing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicensemble.annotator import (
     ConnectionPool,
@@ -530,6 +533,18 @@ def test_aggregate_subtopics_bounds():
             assert min(present) - 1e-12 <= score <= max(children, key=lambda c: c[1])[1] + 1e-12
         else:
             assert (label, score) == (False, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 5e-324]), st.floats(-1e300, 1e300))), min_size=1,
+    max_size=10))
+def test_aggregate_subtopics_is_the_mean_of_present_bit_for_bit(children):
+    present = [score for label, score in children if label]
+    label, score = aggregate_subtopics(children)
+    assert label is bool(present)
+    expected = float(np.mean(present)) if present else 0.0
+    assert struct.pack("<d", score) == struct.pack("<d", expected)
 
 
 def test_aggregate_subtopics_empty():
