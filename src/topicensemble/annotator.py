@@ -630,7 +630,7 @@ _PHRASE_PLACEHOLDERS = {"none", "n/a", "na", "-", "no", "nothing"}
 def _extract_phrases(content: str, start: int, end: int,
                      label: re.Match | None) -> tuple[str, ...]:
     """The phrases of the segment content[start:end], whose label is `label`."""
-    if label and not content[label.end() : end].lstrip(" ,.;]").strip():
+    if label and not content[label.end() : end].lstrip(" ,.;]").strip():  # the label alone
         return ()
     quoted = _QUOTED_RE.findall(content, start, end)
     if quoted:
