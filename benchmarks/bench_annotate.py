@@ -12,16 +12,20 @@ over the wall time), whose ceiling is the parallelism; and the chat calls
 each backend made in the last run. With --duplicate-share S, a share S of
 the texts repeat the text just before them, in the same window, as short
 replies ("N/A", "no") repeat in survey answers; a backend asked once per
-distinct prompt makes one call per distinct text.
+distinct prompt makes one call per distinct text. With --delay-sigma S > 0,
+each reply is held --delay-ms times a lognormal(0, S) factor, as a local
+model's reply time varies with the length of its answer, and the wall time
+is also printed against the bound at the mean hold, delay · e^(S²/2).
 
     PYTHONPATH=src python3 benchmarks/bench_annotate.py [--texts 300]
-        [--backends 3] [--parallelism 2] [--delay-ms 20] [--repeats 3]
-        [--duplicate-share 0]
+        [--backends 3] [--parallelism 2] [--delay-ms 20] [--delay-sigma 0]
+        [--repeats 3] [--duplicate-share 0]
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import tempfile
 import threading
@@ -46,12 +50,16 @@ def main() -> int:
     parser.add_argument("--parallelism", type=int, default=2)
     parser.add_argument("--delay-ms", type=float, default=20.0,
                         help="hold each chat reply back this long in the stub")
+    parser.add_argument("--delay-sigma", type=float, default=0.0,
+                        help="times a lognormal(0, S) factor per reply, from a fixed seed")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--duplicate-share", type=float, default=0.0,
                         help="share of texts, in [0, 1), that repeat the text before them")
     args = parser.parse_args()
     if not 0 <= args.duplicate_share < 1:
         parser.error("--duplicate-share must be in [0, 1)")
+    if args.delay_sigma < 0:
+        parser.error("--delay-sigma must be at least 0")
 
     # text i repeats text i - 1 wherever i * share passes a whole number, unless
     # i starts a window, so the repeats are spread evenly and share a window
@@ -86,7 +94,7 @@ def main() -> int:
         fixture.write_text(json.dumps({"dimension": 8, "embeddings": {}, "chat": [
             {"model": model, "prompt": build_prompt(TOPICS, item), "response": answer}
             for model in models for item in corpus]}))
-        proc, url = start_stub(fixture, args.delay_ms)
+        proc, url = start_stub(fixture, args.delay_ms, args.delay_sigma)
         backends = [ModelBackend(model, url, parallelism=args.parallelism) for model in models]
         walls, inflight = [], []
         try:
@@ -112,9 +120,13 @@ def main() -> int:
     wall = statistics.median(walls)
     print(f"texts={args.texts} distinct={distinct} backends={args.backends} "
           f"parallelism={args.parallelism} delay_ms={args.delay_ms:g} repeats={args.repeats} "
-          f"duplicate_share={share:g}")
+          f"duplicate_share={share:g}" + (f" delay_sigma={args.delay_sigma:g}"
+                                          if args.delay_sigma else ""))
     print(f"wall_s {wall:7.3f}  (runs: {', '.join(f'{w:.3f}' for w in walls)})")
     print(f"slowest_backend_bound_s {slowest:7.3f}  wall/bound {wall / slowest:5.2f}")
+    if args.delay_sigma:
+        mean = slowest * math.exp(args.delay_sigma ** 2 / 2)
+        print(f"mean_hold_bound_s {mean:7.3f}  wall/bound {wall / mean:5.2f}")
     print(f"sum_over_backends_s {slowest * args.backends:7.3f}")
     print("inflight_mean_per_backend " + "  ".join(
         f"{model} {statistics.median(run[b] for run in inflight):.2f}"

@@ -52,23 +52,26 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-# the stub's main, with each chat reply held back argv[1] ms when that is not 0
-STUB = """import sys, time
+# the stub's main, with each chat reply held back argv[1] ms when that is not 0,
+# times a lognormal(0, argv[2]) factor drawn from a fixed seed (1 when argv[2] is 0)
+STUB = """import random, sys, time
 from topicensemble import stubserver
-delay, chat = float(sys.argv[1]) / 1000.0, stubserver._Handler._chat
+delay, sigma, chat = float(sys.argv[1]) / 1000.0, float(sys.argv[2]), stubserver._Handler._chat
+factor = random.Random(0).lognormvariate
 def held_chat(self, server, payload):
-    time.sleep(delay)
+    time.sleep(delay * factor(0.0, sigma))
     chat(self, server, payload)
 if delay:
     stubserver._Handler._chat = held_chat
-sys.exit(stubserver.main(sys.argv[2:]))
+sys.exit(stubserver.main(sys.argv[3:]))
 """
 
 
-def start_stub(fixture: Path, delay_ms: float) -> tuple[subprocess.Popen, str]:
+def start_stub(fixture: Path, delay_ms: float,
+               delay_sigma: float = 0.0) -> tuple[subprocess.Popen, str]:
     """The stub server in its own process, and its chat URL once it listens."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", STUB, str(delay_ms), str(fixture),
+        [sys.executable, "-c", STUB, str(delay_ms), str(delay_sigma), str(fixture),
          "--port", str(free_port())], stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
     if not line.startswith("stub server listening on "):

@@ -22,7 +22,8 @@ import os
 import re
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -51,11 +52,9 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 FORMAT_REMINDER = "Answer strictly in the required format."
-# One backend's texts that annotate works on at once: their prompts, answers
-# and parsed rows. A window's requests end together, so the workers wait for
-# its last ones; at a backend parallelism of 4, a window of 256 texts takes
-# 64 request times and that wait is at most one of them. The window's store
-# read and its one write transaction of fresh answers are per window too.
+# One backend's texts that annotate reads from the store at once, with their
+# prompts and parsed rows; a lane stores a window's fresh answers in one
+# transaction once they have all arrived.
 WINDOW = 256
 
 
@@ -174,8 +173,8 @@ class ResponseCache:
     input's SHA-256 and hold little-endian float32 vectors. WAL mode and a
     busy timeout let processes share a cache dir on a local filesystem; one
     connection serves every thread, one statement at a time. close() folds
-    the WAL back into the file. Chat answers and embeddings are read,
-    fetched and stored through fill.
+    the WAL back into the file. Embeddings are read, fetched and stored
+    through fill; annotate reads and stores chat answers a window at a time.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -223,19 +222,17 @@ class ResponseCache:
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
 
     def fill(self, keys: Sequence[str], fetch: Callable[[list[int]], Sequence[bytes]],
-             size: int, workers: int, on_miss: Callable[[], None] | None = None) -> list:
-        """The bytes under each key: one read, then, if keys are missing,
-        on_miss() once and each distinct one's first position handed to fetch
-        `size` at a time on up to `workers` threads. fetch returns their bytes,
-        or [] for a call it did not make; what arrived fills every position of
-        its key and is stored once, in one transaction, also when a call fails."""
+             size: int, workers: int) -> list:
+        """The bytes under each key: one read, then each distinct missing
+        key's first position handed to fetch `size` at a time on up to
+        `workers` threads. fetch returns their bytes; what arrived fills every
+        position of its key and is stored once, in one transaction, also when
+        a call fails."""
         blobs = self.read_many(keys)
         misses: dict[str, list[int]] = {}  # each missing key's positions
         for i, blob in enumerate(blobs):
             if blob is None:
                 misses.setdefault(keys[i], []).append(i)
-        if misses and on_miss is not None:
-            on_miss()
         firsts = [positions[0] for positions in misses.values()]
         fresh: list[tuple[str, bytes]] = []  # appended by the workers
 
@@ -264,8 +261,21 @@ class ResponseCache:
         return hashlib.sha256((head + encode_basestring(prompt) + tail).encode()).hexdigest()
 
     def get(self, backend: ModelBackend, prompt: str) -> dict | None:
-        blob = self.read_many([self.key(backend, prompt)])[0]
-        return None if blob is None else json.loads(blob)
+        key = self.key(backend, prompt)
+        blob = self.read_many([key])[0]
+        return None if blob is None else self._document(key, blob)
+
+    def _document(self, key: str, blob: bytes) -> dict:
+        """The chat entry stored under key, or CacheError naming the store and
+        the key if it is not a JSON document with a string content."""
+        try:
+            entry = _decode(str(blob, "utf-8"))
+            if not isinstance(entry["content"], str):
+                raise TypeError("content is not a string")
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            raise CacheError(f"cache {self.path}: entry {key} is not a chat answer: "
+                             f"{exc}") from None
+        return entry
 
     @staticmethod
     def entry(prompt: str, content: str) -> bytes:
@@ -521,38 +531,43 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
     )
 
 
-def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
+def run_parallel(fn: Callable, items: Iterable, workers: int) -> list:
     """[fn(x) for x in items] in input order, on the calling thread and up to
     `workers` - 1 more threads.
 
-    Every thread takes the next index from one shared iterator, so one item
-    or one worker starts no thread. The first exception stops every thread
-    from starting another call and is re-raised once the running calls
-    return, so a dead backend costs the calls in flight rather than the
-    whole queue.
+    Every thread takes the next item from one shared iterator, under a lock,
+    so items may be a generator; sized items start no more threads than
+    they hold, so one item or one worker starts none. The
+    first exception, from fn or from the iterator, stops every thread from
+    starting another call and is re-raised once the running calls return,
+    so a dead backend costs the calls in flight rather than the whole queue.
     """
-    results = [None] * len(items)
-    indexes = iter(range(len(items)))  # next() on it is atomic under the GIL
+    results: dict[int, object] = {}
+    jobs = enumerate(items)
+    lock = threading.Lock()
     failures: list[BaseException] = []
 
     def work() -> None:
-        for i in indexes:
-            if failures:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                failures.append(exc)
-                return
+        try:
+            while not failures:
+                with lock:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                results[job[0]] = fn(job[1])
+        except BaseException as exc:
+            failures.append(exc)
 
+    if isinstance(items, Sized):
+        workers = min(workers, len(items))
     threads: list[threading.Thread] = []
     try:
-        for _ in range(min(workers, len(items)) - 1):
+        for _ in range(workers - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
         work()
-    except BaseException as exc:  # a thread that could not start, or an interrupt
+    except BaseException as exc:  # a thread that could not start
         failures.append(exc)
         raise
     finally:
@@ -560,7 +575,7 @@ def run_parallel(fn: Callable, items: Sequence, workers: int) -> list:
             thread.join()
     if failures:
         raise failures[0]
-    return results
+    return [results[i] for i in range(len(results))]
 
 
 def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
@@ -697,6 +712,15 @@ def parse_response(
     return annotations
 
 
+@dataclass
+class _Window:
+    """A window a lane has read and not yet stored."""
+
+    waiting: int = 0  # its texts whose answer has not arrived
+    failed: int = 0  # its texts whose answer has no topic line, reminded too
+    asked: list[str] = field(default_factory=list)  # the keys it asked first, and stores
+
+
 def annotate_corpus(
     corpus: Sequence[TextItem],
     topics: TopicSet,
@@ -708,27 +732,16 @@ def annotate_corpus(
     """Annotate every (backend, text) pair: a stream of one annotation per
     (backend, text, leaf topic) cell, in that order.
 
-    The ordered pass works each backend's texts WINDOW at a time, each
-    window's prompts through one ResponseCache.fill: one store read on the
-    calling thread, each distinct prompt the store lacks sent once to the
-    backend's `parallelism` workers over `pool`, their responses stored in
-    one transaction. One that _topic_line finds no topic line in is asked
-    again, the same way, with FORMAT_REMINDER; the calling thread parses the
-    others in order. Cells still without one fail conservatively (label
-    false, parse_warning), and once more than failure_budget of all cells
-    have failed, every backend's counted together a window at a time, the
-    stream raises FailureBudgetExceeded before it yields that window's rows.
-
-    At the first window with a store miss, every later backend gets a lane: a
-    thread that fills the store with that backend's answers, reminders asked
-    by the same test, WINDOW at a time on the backend's own `parallelism`
-    workers, so that all backends are busy at once. The ordered pass joins a
-    backend's lane before that backend's first window, which then makes no
-    call; the order and the memory of one window a thread stay as they are.
-    A lane whose own failed cells exceed failure_budget stops the run. The
-    first failure anywhere stops every call not yet made, in the ordered pass
-    and in every lane, and is what the stream raises; closing the stream
-    joins every lane.
+    The ordered pass only reads the store, each backend's texts WINDOW at a
+    time (see read), and parses the answers in order. Cells without a topic
+    line fail conservatively (label false, parse_warning); once more than
+    failure_budget of all cells have failed, every backend's counted
+    together, the stream raises FailureBudgetExceeded before it yields that
+    window's rows. At the first window with an answer missing, that backend
+    and every later one get a lane; from then on the ordered pass reads each
+    window once that backend's lane has stored it. A warm run starts no
+    thread. The first failure anywhere stops every call not yet made and is
+    what the stream raises; closing the stream joins every lane.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -737,88 +750,177 @@ def annotate_corpus(
     layout = _kept(topics, "_layout", _layout)
     leaves, topic_line = layout.leaves, layout.topic_line
     total_cells = len(backends) * len(corpus) * len(leaves)
-    failures: list[BaseException] = []  # every fetch looks here before it POSTs
+    reminder = "\n" + FORMAT_REMINDER
+    failures: list[BaseException] = []  # every lane looks here before it asks again
+    changed = threading.Condition()  # notified on each window stored and each failure
+    stored = [0] * len(backends)  # each backend's windows in the store, counted from 0
 
-    def windows(backend: ModelBackend, failed_cells: list[int],
-                on_miss: Callable[[], None] | None = None,
-                ) -> Iterator[tuple[Sequence[TextItem], list[str | None]]]:
-        """Each window of the corpus with each text's answer, asked again
-        with FORMAT_REMINDER where topic_line finds no topic line in it, and
-        None where the reminded answer has none either. The Nones are added
-        to failed_cells[0] and checked against the budget before the window
-        is yielded. Ends once a failure anywhere has stopped the calls."""
-        for start in range(0, len(corpus), WINDOW):
-            window = corpus[start : start + WINDOW]
-            prompts = [build_prompt(topics, item) for item in window]
-            answers: list[str | None] = [None] * len(window)
-            todo = list(range(len(window)))
-            for suffix in ("", "\n" + FORMAT_REMINDER):
-                asked = [prompts[i] + suffix for i in todo]
-
-                def fetch(part: list[int]) -> list[bytes]:  # one prompt a call
-                    prompt = asked[part[0]]
-                    return [] if failures else [cache.entry(prompt, chat(backend, prompt, pool))]
-
-                keys = [cache.key(backend, prompt) for prompt in asked]
-                blobs = cache.fill(keys, fetch, 1, max(1, backend.parallelism), on_miss)
-                if failures:
-                    return
-                for i, key, blob in zip(todo, keys, blobs):
-                    try:
-                        answer = _decode(str(blob, "utf-8"))["content"]
-                        answers[i] = answer if topic_line.search(answer) else None
-                    except (ValueError, LookupError, TypeError, RecursionError) as exc:
-                        raise CacheError(f"cache {cache.path}: entry {key} is not a chat answer: "
-                                         f"{exc}") from None
-                todo = [i for i in todo if answers[i] is None]
-            failed_cells[0] += len(todo) * len(leaves)
-            if failed_cells[0] / total_cells > failure_budget:
-                raise FailureBudgetExceeded(f"{failed_cells[0]}/{total_cells} cells unparseable "
-                                            f"(budget {failure_budget:.2%})")
-            yield window, answers
-
-    def lane(backend: ModelBackend) -> None:
-        try:
-            for _ in windows(backend, [0]):
-                pass
-        except BaseException as exc:
+    def fail(exc: BaseException) -> None:
+        with changed:
             failures.append(exc)
+            changed.notify_all()
+
+    def check(failed: int) -> None:  # failed texts, against the budget
+        if failed * len(leaves) / total_cells > failure_budget:
+            raise FailureBudgetExceeded(f"{failed * len(leaves)}/{total_cells} cells "
+                                        f"unparseable (budget {failure_budget:.2%})")
+
+    def read(backend: ModelBackend, prompts: list[str],
+             ) -> tuple[list[str | None], list[tuple[str, str]]]:
+        """Each prompt's stored answer, or its FORMAT_REMINDER answer where
+        topic_line finds no topic line in it (None where that has none
+        either, or one is missing), and the (key, prompt) of each missing
+        one: one query for the answers and one for the reminded."""
+        answers: list[str | None] = [None] * len(prompts)
+        missing: list[tuple[str, str]] = []
+        todo: Iterable[int] = range(len(prompts))
+        for suffix in ("", reminder):
+            asked = [prompts[i] + suffix for i in todo]
+            keys = [cache.key(backend, prompt) for prompt in asked]
+            unlabeled = []
+            for i, key, prompt, blob in zip(todo, keys, asked, cache.read_many(keys)):
+                if blob is None:
+                    missing.append((key, prompt))
+                elif topic_line.search(answer := cache._document(key, blob)["content"]):
+                    answers[i] = answer
+                else:
+                    unlabeled.append(i)
+            todo = unlabeled
+        return answers, missing
+
+    def lane(b: int) -> None:
+        """Ask backends[b] for each answer the store lacks, from window
+        stored[b] on, `parallelism` calls at a time from one queue: each
+        window's missing prompts, read once the queue is empty, each distinct
+        one asked once, also while in flight for an earlier window, and asked
+        again with FORMAT_REMINDER at once if its answer has no topic line.
+        Each window is stored once its answers have arrived and every earlier
+        one is stored, in one transaction, and then the lane's failed cells
+        are checked against the budget. What arrived is stored on failure."""
+        backend = backends[b]
+        lock = threading.Lock()  # the lane's state, and no store between a read and its asks
+        windows: deque[_Window] = deque()  # read, not yet stored
+        waiting: dict[str, list[_Window]] = {}  # the windows each key in flight waits for
+        fresh: dict[str, tuple[list[tuple[str, bytes]], bool]] = {}  # (entries, failed)
+        failed = 0
+
+        def jobs() -> Iterator[tuple[str, str]]:  # run by one worker at a time
+            try:
+                for start in range(stored[b] * WINDOW, len(corpus), WINDOW):
+                    prompts = [build_prompt(topics, item)
+                               for item in corpus[start : start + WINDOW]]
+                    with lock:
+                        answers, missing = read(backend, prompts)
+                        windows.append(window := _Window(failed=answers.count(None)
+                                                         - len(missing)))
+                        asks = []
+                        for key, prompt in missing:
+                            if key in fresh:
+                                window.failed += fresh[key][1]
+                                continue
+                            window.waiting += 1
+                            if key not in waiting:
+                                waiting[key] = []
+                                window.asked.append(key)
+                                asks.append((key, prompt))
+                            waiting[key].append(window)
+                        store()
+                    for ask in asks:
+                        if failures:
+                            return
+                        yield ask
+            except Exception as exc:
+                fail(exc)
+
+        def store() -> None:  # under lock: each oldest window whose answers arrived
+            nonlocal failed
+            try:
+                while windows and not windows[0].waiting:
+                    window = windows.popleft()
+                    if window.asked:
+                        cache.write([entry for key in window.asked
+                                     for entry in fresh.pop(key)[0]])
+                    failed += window.failed
+                    check(failed)
+                    with changed:
+                        stored[b] += 1
+                        changed.notify_all()
+            except Exception as exc:
+                fail(exc)
+
+        def call(job: tuple[str, str]) -> None:  # on a worker
+            key, prompt = job
+            entries: list[tuple[str, bytes]] = []
+            answer = ""
+            try:
+                answer = chat(backend, prompt, pool)
+                entries.append((key, cache.entry(prompt, answer)))
+                if not topic_line.search(answer) and not prompt.endswith(reminder):
+                    prompt += reminder
+                    answer = chat(backend, prompt, pool)
+                    entries.append((cache.key(backend, prompt), cache.entry(prompt, answer)))
+            except BaseException as exc:
+                fail(exc)
+                raise
+            finally:
+                with lock:
+                    fresh[key] = entries, not topic_line.search(answer)
+                    if not failures:
+                        for window in waiting.pop(key):
+                            window.waiting -= 1
+                            window.failed += fresh[key][1]
+                        store()
+
+        try:
+            try:
+                run_parallel(call, jobs(), max(1, backend.parallelism))
+            finally:  # what has arrived is stored, also when the lane fails
+                if fresh:
+                    cache.write([entry for entries, _ in fresh.values() for entry in entries])
+        except BaseException as exc:
+            fail(exc)
 
     def stream() -> Iterator[TopicAnnotation]:
-        lanes: dict[str, threading.Thread] = {}
-
-        def start_lanes(after: int) -> None:
-            if not lanes:
-                for backend in backends[after + 1 :]:
-                    lanes[backend.name] = threading.Thread(
-                        target=lane, args=(backend,), name=f"lane {backend.name}")
-                    lanes[backend.name].start()
-
-        failed_cells = [0]  # the ordered pass counts every backend's cells together
+        lanes: list[threading.Thread] = []
+        failed = 0  # the ordered pass counts every backend's cells together
         try:
             for b, backend in enumerate(backends):
-                if backend.name in lanes:
-                    lanes[backend.name].join()  # its windows are store hits now
-                for window, answers in windows(backend, failed_cells, lambda: start_lanes(b)):
+                for w, start in enumerate(range(0, len(corpus), WINDOW)):
+                    window = corpus[start : start + WINDOW]
+                    prompts = [build_prompt(topics, item) for item in window]
+                    if not lanes:  # until an answer is missing, none is asked for
+                        answers, missing = read(backend, prompts)
+                        if missing:
+                            stored[b] = w
+                            lanes = [threading.Thread(target=lane, args=(n,),
+                                                      name=f"lane {backends[n].name}")
+                                     for n in range(b, len(backends))]
+                            for thread in lanes:
+                                thread.start()
+                    if lanes:  # read once the backend's lane has stored the window
+                        with changed:
+                            changed.wait_for(lambda: failures or stored[b] > w)
+                        if failures:
+                            raise failures[0]
+                        answers, _ = read(backend, prompts)
+                    failed += answers.count(None)
+                    check(failed)
                     for item, answer in zip(window, answers):
-                        if answer is None:
-                            logger.warning("unparseable response from %s for text %s; "
-                                           "marking cells failed", backend.name, item.id)
-                            annotations = [TopicAnnotation(backend.name, item.id,
-                                                           leaf.short_name, False, (), True)
-                                           for leaf in leaves]
-                        else:  # topic_line found a topic line, so this does not raise
-                            annotations = parse_response(answer, topics, backend.name, item.id)
-                        yield from annotations
-                if failures:
-                    raise failures[0]
+                        if answer is not None:  # topic_line found a topic line: no raise
+                            yield from parse_response(answer, topics, backend.name, item.id)
+                            continue
+                        logger.warning("unparseable response from %s for text %s; "
+                                       "marking cells failed", backend.name, item.id)
+                        for leaf in leaves:
+                            yield TopicAnnotation(backend.name, item.id, leaf.short_name,
+                                                  False, (), True)
         except BaseException as exc:
-            failures.append(exc)  # no lane makes another call
+            fail(exc)  # no lane makes another call
             if isinstance(exc, Exception) and failures[0] is not exc:
                 raise failures[0]  # a lane failed first
             raise
         finally:
-            for thread in lanes.values():
+            for thread in lanes:
                 thread.join()
 
     return stream()

@@ -11,9 +11,9 @@ Embedding inputs are truncated to their first 384 whitespace-delimited words
 (whitespace collapsed, so truncation is idempotent). Vectors live in the
 run's one response store (annotator.ResponseCache) as little-endian float32
 bytes under "emb/{backend}/" plus the truncated text's SHA-256. They are
-read, fetched and stored by the same store routine as chat answers
-(ResponseCache.fill), one transaction of new vectors per call, and requests
-go through the same retrying POST (annotator.post_json). Cached and fresh
+read, fetched and stored by the store's fill routine (ResponseCache.fill),
+one transaction of new vectors per call, and requests go through the same
+retrying POST as chat answers (annotator.post_json). Cached and fresh
 vectors round-trip through float32 so warm reruns are bit-stable.
 """
 from __future__ import annotations
@@ -124,7 +124,7 @@ class Embedder:
         return [self._vector(key, blob) for key, blob in zip(keys, blobs)]
 
     def _vector(self, key: str, blob: bytes) -> np.ndarray:
-        if not isinstance(blob, bytes) or len(blob) % 4:
+        if not isinstance(blob, bytes) or not blob or len(blob) % 4:
             raise CacheError(f"cache {self.cache.path}: entry {key} is not a float32 vector")
         vec = np.frombuffer(blob, dtype="<f4").astype(np.float64)
         with self._dimension_lock:
@@ -149,6 +149,8 @@ class Embedder:
         if len(vectors) != len(batch):
             raise BadStatus(200, f"{len(vectors)} embeddings for {len(batch)} inputs")
         for text, vec in zip(batch, vectors):  # null decodes to NaN; json takes NaN, Infinity
+            if not vec.size:
+                raise BadStatus(200, f"empty embedding for input {text[:40]!r}")
             if not np.isfinite(vec).all():
                 raise BadStatus(200, f"non-finite embedding for input {text[:40]!r}")
         return vectors

@@ -32,6 +32,7 @@ from topicensemble.corpus import TextItem, Topic, TopicSet
 from topicensemble.errors import (
     BackendUnavailable,
     BadStatus,
+    CacheError,
     FailureBudgetExceeded,
     Unparseable,
 )
@@ -391,6 +392,21 @@ def test_query_backend_cache_round_trip(tmp_path, stub_server, pool):
     assert second.content == first.content
     assert second.retrieved_at == first.retrieved_at
     assert server.call_count == 1
+
+
+@pytest.mark.parametrize("value", [b"{not json", b'{"content": 7}', b'["content"]', b"\xff"],
+                         ids=["not-json", "content-not-text", "not-an-object", "not-utf-8"])
+def test_a_corrupt_chat_entry_is_a_store_error_through_get(tmp_path, pool, value):
+    # get and query_backend decode an entry as annotate does, naming the store and key
+    backend = ModelBackend("m1", "http://127.0.0.1:9/v1/chat/completions")
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        key = cache.key(backend, "hello")
+        cache.write([(key, value)])
+        message = f"cache {cache.path}: entry {key} is not a chat answer"
+        with pytest.raises(CacheError, match=re.escape(message)):
+            cache.get(backend, "hello")
+        with pytest.raises(CacheError, match=re.escape(message)):
+            query_backend(backend, "hello", cache, pool)
 
 
 def test_query_backend_distinct_decoding_distinct_keys(tmp_path, stub_server, pool):
@@ -1179,6 +1195,113 @@ def test_a_later_backend_over_its_failure_budget_stops_the_run_early(tmp_path, m
     assert calls["m1"] < len(corpus)
 
 
+def drained(stream, timeout: float = 30.0) -> list:
+    """The stream's rows, taken on a thread joined with a timeout, so that a
+    deadlock fails the test instead of hanging it; re-raises its error."""
+    out: dict = {}
+
+    def take():
+        try:
+            out["rows"] = list(stream)
+        except BaseException as exc:  # re-raised on the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=take, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the stream did not end within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["rows"]
+
+
+def paragraph_number(prompt: str) -> int:
+    """i of a prompt for the text "Text number {i}." (reminded or not)."""
+    return int(prompt.rsplit("`", 2)[1].split()[2].rstrip("."))
+
+
+def test_a_slow_answer_holds_back_no_later_window(tmp_path, monkeypatch, two_topics, pool):
+    # the first text of each window of 4 takes 0.2 s and the rest answer at
+    # once: a lane goes on with the next windows while it is in flight, so 5
+    # windows at 4 calls in flight take about 2 holds, not 5
+    monkeypatch.setattr(annotator, "WINDOW", 4)
+    corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(20)]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=4)
+                for name in ("m1", "m2")]
+    chat, calls, most = canned_chat(lambda backend: 0.0)
+
+    def held_chat(backend, prompt, pool):
+        if paragraph_number(prompt) % 4 == 0:
+            time.sleep(0.2)
+        return chat(backend, prompt, pool)
+
+    monkeypatch.setattr(annotator, "chat", held_chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        start = time.perf_counter()
+        rows = drained(annotate_corpus(corpus, two_topics, backends, cache, pool))
+        wall = time.perf_counter() - start
+    assert [(a.model, a.text_id) for a in rows[::2]] == [
+        (b.name, item.id) for b in backends for item in corpus]
+    assert calls == {"m1": 20, "m2": 20} and max(most.values()) <= 4
+    assert wall < 0.6, f"{wall:.2f} s"
+
+
+def test_a_lane_failing_while_the_ordered_pass_waits_stops_the_stream(tmp_path, monkeypatch,
+                                                                     two_topics, pool):
+    # m1's text 5 fails after 0.2 s while the ordered pass waits for m1's
+    # second window: the stream raises that error, no lane is left running,
+    # and every answer that arrived is in the store
+    monkeypatch.setattr(annotator, "WINDOW", 4)
+    corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(12)]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=2)
+                for name in ("m1", "m2")]
+    answered = []
+
+    def chat(backend, prompt, pool):
+        if backend.name == "m1" and paragraph_number(prompt) == 5:
+            time.sleep(0.2)
+            raise BadStatus(503, "backend gone")
+        answered.append((backend, prompt))
+        return format_response([("sleep", False, []), ("appetite", False, [])])
+
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        rows = []
+        start = time.perf_counter()
+        with pytest.raises(BadStatus, match="backend gone"):
+            rows.extend(drained(annotate_corpus(corpus, two_topics, backends, cache, pool),
+                                timeout=10.0))
+        assert time.perf_counter() - start < 5.0
+        assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+        assert answered and None not in cache.read_many(
+            [cache.key(backend, prompt) for backend, prompt in answered])
+
+
+def test_a_prompt_in_flight_for_an_earlier_window_is_asked_once(tmp_path, monkeypatch,
+                                                                 two_topics, pool):
+    # t0 and t2 share a prompt, in windows 0 and 1 of 2 texts: window 1 is
+    # read while t0's call is still in flight, and waits for that answer
+    monkeypatch.setattr(annotator, "WINDOW", 2)
+    corpus = [TextItem("t0", "Same text."), TextItem("t1", "Other."),
+              TextItem("t2", "Same text."), TextItem("t3", "Third.")]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=2)
+                for name in ("m1", "m2")]
+    chat, calls, _ = canned_chat(lambda backend: 0.0)
+
+    def held_chat(backend, prompt, pool):
+        if "Same text." in prompt:
+            time.sleep(0.1)
+        return chat(backend, prompt, pool)
+
+    monkeypatch.setattr(annotator, "chat", held_chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        matrix = {(a.model, a.text_id, a.topic): a
+                  for a in drained(annotate_corpus(corpus, two_topics, backends, cache, pool))}
+    assert calls == {"m1": 3, "m2": 3}
+    assert all(matrix[m, "t0", leaf]._replace(text_id="t2") == matrix[m, "t2", leaf]
+               for m in ("m1", "m2") for leaf in ("sleep", "appetite"))
+
+
 def test_run_parallel_keeps_order_on_the_calling_thread_and_its_workers():
     threads = set()
 
@@ -1207,3 +1330,15 @@ def test_run_parallel_starts_no_call_after_the_first_failure():
     with pytest.raises(ValueError, match="boom"):
         run_parallel(call, list(range(100)), 2)
     assert 3 in started and len(started) <= 5  # items 0-3 and at most one more in flight
+
+
+def test_run_parallel_takes_items_from_a_generator_in_order():
+    # a generator is shared by the threads under a lock; its exception stops them
+    def items():
+        yield from range(10)
+        raise ValueError("no more")
+
+    assert run_parallel(lambda x: x * x, (i for i in range(10)), 3) == [
+        x * x for x in range(10)]
+    with pytest.raises(ValueError, match="no more"):
+        run_parallel(lambda x: x, items(), 3)

@@ -196,8 +196,8 @@ def test_warm_annotate_starts_no_thread(e2e, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", spying_start)
     run(cfg, stage="annotate", run_id="cold")
-    assert [name for name in started if name.startswith("lane ")] == ["lane m_beta",
-                                                                     "lane m_gamma"]
+    assert [name for name in started if name.startswith("lane ")] == [
+        "lane m_alpha", "lane m_beta", "lane m_gamma"]
     started.clear()
     run(cfg, stage="annotate", run_id="warm")
     assert started == []

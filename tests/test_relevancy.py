@@ -19,7 +19,7 @@ from topicensemble.annotator import (
     query_backend,
 )
 from topicensemble.corpus import Topic
-from topicensemble.errors import BackendUnavailable, BadStatus, ZeroNormVector
+from topicensemble.errors import BackendUnavailable, BadStatus, CacheError, ZeroNormVector
 from topicensemble import relevancy
 from topicensemble.relevancy import (
     Embedder,
@@ -189,6 +189,30 @@ def test_embed_refuses_a_malformed_payload(tmp_path, monkeypatch, pool, body, pr
             Embedder(backend, cache, pool).embed_many(texts)
         keys = ["emb/emb/" + hashlib.sha256(t.encode()).hexdigest() for t in texts]
         assert cache.read_many(keys) == [None, None]
+
+
+def test_embed_refuses_an_empty_vector(tmp_path, monkeypatch, pool):
+    # an empty list is no 0-dimensional vector: refused before it is stored
+    monkeypatch.setattr(relevancy, "post_json", lambda *args: {"data": [{"embedding": []}]})
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    with closing(ResponseCache(tmp_path)) as cache:
+        with pytest.raises(BadStatus, match="empty embedding for input 'lying awake'"):
+            Embedder(backend, cache, pool).embed_many(["lying awake"])
+        key = "emb/emb/" + hashlib.sha256(b"lying awake").hexdigest()
+        assert cache.read_many([key]) == [None]
+
+
+def test_an_empty_stored_vector_is_a_store_error(tmp_path, pool):
+    # blamed on the entry, not on the backend as a change of dimension
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    with closing(ResponseCache(tmp_path)) as cache:
+        embedder = Embedder(backend, cache, pool)
+        empty, full = embedder._key("empty"), embedder._key("full")
+        cache.write([(empty, b""), (full, struct.pack("<2f", 1.0, 0.0))])
+        with pytest.raises(CacheError, match=f"entry {empty} is not a float32 vector"):
+            embedder.embed_many(["empty", "full"])
+        with pytest.raises(CacheError, match=f"entry {empty} is not a float32 vector"):
+            embedder.embed_many(["full", "empty"])
 
 
 def test_embed_many_stores_its_new_vectors_in_one_transaction(tmp_path, monkeypatch, pool):
