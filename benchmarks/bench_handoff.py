@@ -62,12 +62,10 @@ def write_run(root: Path, texts: int, models: int, topics: int) -> None:
     labels = truth[:, None, :] ^ (rng.random((topics, len(models), texts)) < flips)
     scores = np.where(labels, np.clip(rng.normal(0.5, 0.2, labels.shape), 0.0, 1.0), 0.0)
 
-    def lines():  # the score stage's order: model, then text, then topic
+    def lines():  # the score stage's formatter and order: model, then text, then topic
         for j, model in enumerate(models):
-            per_text = zip(ids, zip(*labels[:, j].tolist()), zip(*scores[:, j].tolist()))
-            for text_id, text_labels, text_scores in per_text:
-                for name, label, score in zip(names, text_labels, text_scores):
-                    yield pipeline._aggregated_line(model, text_id, name, label, score)
+            yield from pipeline._aggregated_lines(model, ids, names,
+                                                  list(zip(labels[:, j], scores[:, j])))
 
     digest = config_digest(load_config(root / "config.yaml"))
     pipeline._write_jsonl(root / "runs" / RUN_ID / "score" / "aggregated.jsonl",

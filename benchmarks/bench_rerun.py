@@ -11,9 +11,12 @@ closed port with no retries, so a store miss fails the run. Then compiles
 the package's bytecode once, so that no child compiles a stale module, and
 times `run --stage annotate`, `run --stage score` and `run --stage all` (the
 shape of pipebench's rerun_warm) in child processes, each a fresh
-interpreter, --repeats times. Prints, for each stage, the median of the
-child's wall time, of its time inside the pipeline (imports excluded) and of
-its peak RSS.
+interpreter, --repeats times. Repeat r runs annotate and score under run id
+`r{r}` and all under `all{r}`, so each stage writes into a run directory of
+its own: renaming an artifact over an existing file makes ext4 flush the
+file's data first, which would be timed as the pipeline's. Prints, for each
+stage, the median of the child's wall time, of its time inside the pipeline
+(imports excluded) and of its peak RSS.
 
     PYTHONPATH=src python3 benchmarks/bench_rerun.py [--texts 2000] [--models 3]
         [--repeats 5] [--dir DIR]
@@ -35,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 STAGES = ("annotate", "score", "all")
-RUN_ID = "bench"
 TOPICS_YAML = """\
 - short_name: sleep
   description: Sleep problems, trouble falling asleep or staying asleep.
@@ -93,9 +95,9 @@ def write_run(root: Path, texts: int, models: int) -> None:
                     for text in texts_embedded)
 
 
-def child(root: Path, stage: str) -> None:
-    """Run one stage and print a JSON line with the seconds inside the
-    pipeline and the peak RSS."""
+def child(root: Path, stage: str, run_id: str) -> None:
+    """Run one stage under run_id and print a JSON line with the seconds
+    inside the pipeline and the peak RSS."""
     import os
 
     from topicensemble import pipeline
@@ -104,7 +106,7 @@ def child(root: Path, stage: str) -> None:
     os.chdir(root)
     cfg = load_config(root / "config.yaml")
     start = time.perf_counter()
-    pipeline.run(cfg, stage=stage, run_id=RUN_ID)
+    pipeline.run(cfg, stage=stage, run_id=run_id)
     seconds = time.perf_counter() - start
     print(json.dumps({"seconds": seconds, "peak_rss_mb":
                       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
@@ -118,10 +120,11 @@ def main() -> int:
     parser.add_argument("--dir", type=Path, default=None,
                         help="where to write the run (default: a temporary directory)")
     parser.add_argument("--child", choices=STAGES, help=argparse.SUPPRESS)
+    parser.add_argument("--run-id", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
-        child(args.dir, args.child)
+        child(args.dir, args.child, args.run_id)
         return 0
     import topicensemble
 
@@ -133,12 +136,13 @@ def main() -> int:
         print(f"texts={args.texts} models={args.models} cache.sqlite={size / 2**20:.1f} MB "
               f"(filled in {time.perf_counter() - start:.1f} s)")
         results: dict[str, list[dict]] = {name: [] for name in STAGES}
-        for _ in range(args.repeats):
+        for repeat in range(args.repeats):
             for name in STAGES:  # score reads what annotate wrote; all writes both again
+                run_id = f"all{repeat}" if name == "all" else f"r{repeat}"
                 start = time.perf_counter()
                 proc = subprocess.run(
-                    [sys.executable, __file__, "--child", name, "--dir", tmp],
-                    capture_output=True, text=True)
+                    [sys.executable, __file__, "--child", name, "--dir", tmp,
+                     "--run-id", run_id], capture_output=True, text=True)
                 wall = time.perf_counter() - start
                 if proc.returncode:
                     print(f"{name}: exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)

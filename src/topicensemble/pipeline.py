@@ -20,8 +20,11 @@ other line goes through `json` and the per-field check, which give the same
 values and messages. Every JSONL artifact is formatted by the stage that
 writes it, from the row's values and with no per-row dict, in the bytes
 json.dumps(row, sort_keys=True, ensure_ascii=False) gives (`_encode`):
-annotation, relevancy and aggregated rows one at a time, decision rows from
-column windows; `_write_jsonl` puts them on disk after the `_meta` line.
+annotation rows and the relevancy rows of scored annotations one at a time,
+each relevancy row without a label or phrases as a constant head and tail
+of its (model, leaf, label) around its text id, aggregated and decision
+rows from column windows; `_write_jsonl` puts them on disk after the
+`_meta` line.
 Undefined numeric cells (degenerate coefficients, undefined precision) are
 written as empty strings.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import json
 import logging
 import math
@@ -46,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import agreement as agr
+from . import relevancy
 from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
 from .config import RunConfig, config_digest
 from .corpus import (CorpusView, TopicSet, _csv_records, load_corpus, load_corpus_view,
@@ -130,10 +135,13 @@ def _relevancy_line(record: RelevancyRecord) -> str:
             f'"topic": {encode_basestring(topic)}}}\n')
 
 
-def _aggregated_line(model: str, text_id: str, topic: str, label: bool, score: float) -> str:
-    return (f'{{"label": {_JSON_BOOL[label]}, "model": {encode_basestring(model)}, '
-            f'"score": {_json_float(score)}, "text_id": {encode_basestring(text_id)}, '
-            f'"topic": {encode_basestring(topic)}}}\n')
+def _around_text_id(record: RelevancyRecord) -> tuple[str, str]:
+    """The relevancy line of `record`, whose text id is "", split around that
+    id: head + encode_basestring(text_id) + tail is the line of the same
+    record for any other text. No encoded string holds '"text_id": ""', as
+    each of its quotes is escaped, so the split falls on the key."""
+    head, _, tail = _relevancy_line(record).partition('"text_id": ""')
+    return head + '"text_id": ', tail
 
 
 def _fmt(value) -> str:
@@ -432,44 +440,101 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
     leaves = topics.leaves()
     models = [backend.name for backend in cfg.backends]
     text_ids, leaf_names = corpus.ids, [leaf.short_name for leaf in leaves]
-    # each (model, leaf) pair's labels and scores in corpus order, as they stream in
-    pairs = [(model, leaf) for model in models for leaf in leaf_names]
-    labels = {pair: array("b") for pair in pairs}
-    scores = {pair: array("d") for pair in pairs}
-
-    def annotations():  # each cell checked and its label kept as rows stream to scoring
-        with closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells:
-            for _, j, i, k, (_, _, _, label, phrases, parse_warning) in cells:
-                model, leaf = models[j], leaf_names[k]  # config strings: waiting rows share them
-                labels[model, leaf].append(label)
-                yield TopicAnnotation(model, text_ids[i], leaf, label, tuple(phrases),
-                                      parse_warning)
+    # labels and scores by (leaf, model, text), and flat views of both: cell (k, j, i)
+    # is at (k * len(models) + j) * len(text_ids) + i; a cell not set is false and 0.0
+    n, shape = len(text_ids), (len(leaves), len(models), len(text_ids))
+    labels, scores = np.zeros(shape, bool), np.zeros(shape)
+    label_at, score_at = memoryview(labels.reshape(-1)), memoryview(scores.reshape(-1))
 
     stage_dir = run_dir / "score"
     with (closing(ResponseCache(cfg.cache_dir)) as cache,
-          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool):
+          closing(ConnectionPool(cfg.retries, cfg.timeout, cfg.backoff)) as pool,
+          closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells):
         embedder = Embedder(cfg.embedding, cache, pool)
+        # the line of a row without a label or without phrases, split around its
+        # text id, at (k * len(models) + j) * 2 + label: the scorer's record for
+        # such a row depends on its model, leaf and label alone
+        unscored = [_around_text_id(record) for record in score_annotations(
+            (TopicAnnotation(model, "", leaf, label)
+             for leaf in leaf_names for model in models for label in (False, True)),
+            leaves, embedder)]
 
         def relevancy_lines():
-            # one record per annotation, in order, so each pair's records follow the corpus
-            for record in score_annotations(annotations(), leaves, embedder):
-                scores[record.model, record.topic].append(record.score)
-                yield _relevancy_line(record)
+            # READ_AHEAD rows at a time, each kept as one code: ~(its cell's flat index)
+            # for a row that is scored, (pair * 2 + label) * len(text_ids) + i for one
+            # that is not, with pair = k * len(models) + j
+            while True:
+                codes, scored = array("q"), []
+                for _, j, i, k, values in itertools.islice(cells, relevancy.READ_AHEAD):
+                    label, pair = values[3], k * len(models) + j
+                    if label:
+                        label_at[pair * n + i] = True
+                        if values[4]:
+                            codes.append(~(pair * n + i))
+                            scored.append(TopicAnnotation(models[j], text_ids[i], leaf_names[k],
+                                                          label, tuple(values[4])))
+                            continue
+                    codes.append((pair * 2 + label) * n + i)
+                if not codes:
+                    return
+                records = score_annotations(scored, leaves, embedder)  # one record each
+                for code in codes:
+                    if code < 0:
+                        record = next(records)
+                        score_at[~code] = record.score
+                        yield _relevancy_line(record)
+                    else:
+                        c, i = divmod(code, n)
+                        head, tail = unscored[c]
+                        yield head + encode_basestring(text_ids[i]) + tail
 
         _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_lines())
 
+    # each top-level topic's leaf indexes: its subtopics, or itself
+    names = topics.top_level_names()
+    kids = [[leaf_names.index(c.short_name) for c in (topic.subtopics or [topic])]
+            for topic in topics]
+
     def aggregated_lines():
-        for model in models:
-            children = [[(labels[model, c.short_name], scores[model, c.short_name])
-                         for c in (topic.subtopics or [topic])] for topic in topics]
-            for i, text_id in enumerate(text_ids):
-                for topic, kids in zip(topics, children):
-                    label, score = aggregate_subtopics([(ls[i], ss[i]) for ls, ss in kids])
-                    yield _aggregated_line(model, text_id, topic.short_name, label, score)
+        for j, model in enumerate(models):
+            yield from _aggregated_lines(model, text_ids, names, [
+                _aggregate_columns(labels[kid, j], scores[kid, j]) for kid in kids])
 
     _write_jsonl(stage_dir / "aggregated.jsonl", "aggregated", digest, aggregated_lines())
-    logger.info("score: %d leaf records, %d aggregated", len(pairs) * len(corpus),
+    logger.info("score: %d leaf records, %d aggregated", labels.size,
                 len(models) * len(corpus) * len(topics))
+
+
+def _aggregate_columns(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`aggregate_subtopics` of each column of (children, texts) label and
+    score arrays, as (label, score) columns: a label is any present child,
+    and a score 0.0 with no child present, the present child's score + 0.0
+    with one, and aggregate_subtopics's for the cells with more."""
+    present = labels.sum(axis=0)
+    # the present scores' sum, 0.0 added last: a lone -0.0 gives 0.0 whatever the sum starts at
+    score = np.where(labels, scores, 0.0).sum(axis=0) + 0.0
+    for i in np.flatnonzero(present > 1).tolist():
+        score[i] = aggregate_subtopics(list(zip(labels[:, i].tolist(), scores[:, i].tolist())))[1]
+    return present > 0, score
+
+
+def _aggregated_lines(model: str, text_ids: list[str], names: list[str],
+                      columns: list[tuple[np.ndarray, np.ndarray]]) -> Iterable[str]:
+    """One model's rows of aggregated.jsonl as `_encode` would write them,
+    by text and then by top-level topic, from each topic's (label, score)
+    columns in `names` order, formatted _FORMAT_WINDOW texts at a time: one
+    string a window."""
+    heads = [f'{{"label": {label}, "model": {encode_basestring(model)}, "score": '
+             for label in _JSON_BOOL]
+    tails = [f', "topic": {encode_basestring(name)}}}\n' for name in names]
+    for lo in range(0, len(text_ids), _FORMAT_WINDOW):
+        at = slice(lo, lo + _FORMAT_WINDOW)
+        ids = [f', "text_id": {encode_basestring(text_id)}' for text_id in text_ids[at]]
+        per_topic = zip(*([heads[label] + text for label, text in
+                           zip(label[at].tolist(), _json_floats(score[at]))]
+                          for label, score in columns))
+        yield "".join(lead + text_id + tail for text_id, leads in zip(ids, per_topic)
+                      for lead, tail in zip(leads, tails))
 
 
 def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
@@ -596,8 +661,9 @@ def stage_ensemble(cfg: RunConfig, inputs: Inputs, run_dir: Path, digest: str) -
     logger.info("ensemble: %d topics, excluded=%s", len(summary), sorted(excluded))
 
 
-# decision rows formatted at a time: about 350 KB of text, never the whole file's
-_DECISION_WINDOW = 1024
+# texts whose decision or aggregated rows are formatted at a time: about 350 KB
+# of decision text, never the whole file's
+_FORMAT_WINDOW = 1024
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
@@ -614,8 +680,8 @@ def _decision_lines(text_ids: list[str], labels: dict, scores: dict,
     members = sorted(ens.models)
     keys = [encode_basestring(m) + ": " for m in members]
     tau = _encode(float(decision.tau))
-    for lo in range(0, len(text_ids), _DECISION_WINDOW):
-        at = slice(lo, lo + _DECISION_WINDOW)
+    for lo in range(0, len(text_ids), _FORMAT_WINDOW):
+        at = slice(lo, lo + _FORMAT_WINDOW)
         per_label = zip(*([key + _JSON_BOOL[v] for v in labels[m][at].tolist()]
                           for key, m in zip(keys, members)))
         per_score = zip(*([key + text for text in _json_floats(scores[m][at])]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -127,6 +128,11 @@ class Embedder:
         if not isinstance(blob, bytes) or not blob or len(blob) % 4:
             raise CacheError(f"cache {self.cache.path}: entry {key} is not a float32 vector")
         vec = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+        # no float32 value's square underflows or overflows a float64, so the squared
+        # norm is 0 only for zeros and finite unless a value is not; neither has a cosine
+        if not 0.0 < vec @ vec < math.inf:
+            raise CacheError(f"cache {self.cache.path}: entry {key} is a zero or "
+                             f"non-finite vector")
         with self._dimension_lock:
             if self._dimension is None:
                 self._dimension = vec.size
@@ -151,8 +157,12 @@ class Embedder:
         for text, vec in zip(batch, vectors):  # null decodes to NaN; json takes NaN, Infinity
             if not vec.size:
                 raise BadStatus(200, f"empty embedding for input {text[:40]!r}")
-            if not np.isfinite(vec).all():
+            with np.errstate(over="ignore"):  # past float32's range is infinite as stored
+                stored = vec.astype("<f4")
+            if not np.isfinite(stored).all():
                 raise BadStatus(200, f"non-finite embedding for input {text[:40]!r}")
+            if not stored.any():  # no cosine is defined for it
+                raise BadStatus(200, f"zero-norm embedding for input {text[:40]!r}")
         return vectors
 
 

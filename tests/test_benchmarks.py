@@ -26,6 +26,8 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
                            "--duplicate-share", "0.5"], "chat_calls_per_backend"),
     ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "1",
                            "--delay-sigma", "1.0"], "mean_hold_bound_s"),
+    ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "0"],
+     "realized_bound_s"),
     ("bench_corpus.py", ["--texts", "2000", "--words", "5"], "load_corpus_view"),
     ("bench_handoff.py", ["--texts", "500", "--repeats", "1"], "together"),
     ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "stage all"),

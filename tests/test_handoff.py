@@ -3,17 +3,20 @@
 `pipeline._rows` decodes a row that its schema's pattern fits from the match
 groups, and any other line through json with the per-field check; the two
 paths must agree on every line, in values or in the refusal's message.
-`pipeline._decision_lines` formats decision rows from columns, and the row
-formatters (`_annotation_line`, `_relevancy_line`, `_aggregated_line`) format
-one row each from its values; each must give the bytes `_encode` gives for
-the same rows.
+`pipeline._decision_lines` and `pipeline._aggregated_lines` format rows from
+columns, the row formatters (`_annotation_line`, `_relevancy_line`) format one
+row each from its values, and `_around_text_id` splits the constant relevancy
+line of a row the scorer does not score around its text id; each must give
+the bytes `_encode` gives for the same rows.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tempfile
 from contextlib import closing, contextmanager
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from topicensemble import pipeline
 from topicensemble.annotator import TopicAnnotation
 from topicensemble.errors import MissingUpstreamArtifact
-from topicensemble.relevancy import PhraseSimilarity, RelevancyRecord
+from topicensemble.relevancy import PhraseSimilarity, RelevancyRecord, score_annotations
 
 SCHEMAS = list(pipeline._ROW_FIELDS)
 
@@ -244,7 +247,7 @@ def _decision_rows(text_ids, labels, scores, ens, decision):
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 @pytest.mark.parametrize("odd", ["none", "non-finite", "escapes"])
 def test_decision_lines_are_the_encoded_rows(monkeypatch, n, odd):
-    monkeypatch.setattr(pipeline, "_DECISION_WINDOW", 3)  # windows end mid-file
+    monkeypatch.setattr(pipeline, "_FORMAT_WINDOW", 3)  # windows end mid-file
     rng = np.random.default_rng(n)
     models = ("m_b", 'm"a', "m_c") if odd == "escapes" else ("m_b", "m_a", "m_c")
     text_ids = [f"t{i}" + ("é\\\n" if odd == "escapes" else "") for i in range(n)]
@@ -289,10 +292,12 @@ def _relevancy(model, text_id, topic, score, baseline, sims, false_positive):
 
 
 def _aggregated(model, text_id, topic, label, score):
-    """The aggregated formatter's line, and the row as a dict."""
-    return (pipeline._aggregated_line(model, text_id, topic, label, score),
-            {"model": model, "text_id": text_id, "topic": topic, "label": label,
-             "score": score})
+    """The aggregated formatter's line for a one-text, one-topic column, and
+    the row as a dict."""
+    lines = pipeline._aggregated_lines(model, [text_id], [topic],
+                                       [(np.array([label]), np.array([score]))])
+    return ("".join(lines), {"model": model, "text_id": text_id, "topic": topic,
+                             "label": label, "score": score})
 
 
 # by schema: the formatter, a typical record's values, and which of them are
@@ -372,3 +377,17 @@ def test_random_records_format_as_json_does(schema, data):
     if schema in pipeline._ROW_FIELDS:  # and the reader takes the line back
         assert _both_paths(schema, [line]) == repr(
             [(2, [json.loads(line)[name] for name in pipeline._ROW_FIELDS[schema]])])
+
+
+@pytest.mark.parametrize("label", [False, True])
+def test_unscored_relevancy_lines_are_the_encoded_rows(label):
+    # a row without a label or phrases: the scorer's record, written as a
+    # constant head and tail around the text id
+    for model, topic, text_id in itertools.product(ODD_STRINGS, repeat=3):
+        leaf = SimpleNamespace(short_name=topic, description="d")  # never embedded
+        record = next(score_annotations([TopicAnnotation(model, "", topic, label)], [leaf],
+                                        embedder=None))
+        head, tail = pipeline._around_text_id(record)
+        row = {"model": model, "text_id": text_id, "topic": topic, "score": 0.0,
+               "baseline": 0.0, "per_phrase_sims": [], "potential_false_positive": label}
+        assert head + encode_basestring(text_id) + tail == pipeline._encode(row) + "\n"

@@ -16,13 +16,14 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicensemble import annotator, relevancy
-from topicensemble.annotator import ModelBackend, ResponseCache
+from topicensemble.annotator import ModelBackend, ResponseCache, TopicAnnotation
 from topicensemble.cli import main
 from topicensemble.config import _file_digest, config_digest, load_config
 from topicensemble.corpus import CorpusView, TextItem, Topic, TopicSet
@@ -296,9 +297,14 @@ def test_score_computes_each_cosine_once(e2e, monkeypatch):
     assert len(calls) == len(pairs) + len({row["topic"] for row in positive})
 
 
-@pytest.mark.parametrize("bad", [None, float("nan"), float("inf")],
-                         ids=["null", "nan", "infinity"])
-def test_non_finite_embedding_is_a_backend_failure(e2e, monkeypatch, capsys, bad):
+@pytest.mark.parametrize("bad,message", [
+    (lambda vec: [None, *vec[1:]], "non-finite embedding"),
+    (lambda vec: [float("nan"), *vec[1:]], "non-finite embedding"),
+    (lambda vec: [float("inf"), *vec[1:]], "non-finite embedding"),
+    (lambda vec: [1e39, *vec[1:]], "non-finite embedding"),  # infinite as float32
+    (lambda vec: [0.0] * len(vec), "zero-norm embedding for input "),
+], ids=["null", "nan", "infinity", "past float32", "zero"])
+def test_non_finite_embedding_is_a_backend_failure(e2e, monkeypatch, capsys, bad, message):
     # refused before it is stored, so a rerun asks again and scores finite
     workdir, server = e2e
     config = str(workdir / "config.yaml")
@@ -306,13 +312,13 @@ def test_non_finite_embedding_is_a_backend_failure(e2e, monkeypatch, capsys, bad
 
     def post(*args):
         body = real_post(*args)
-        body["data"][-1]["embedding"][0] = bad
+        body["data"][-1]["embedding"] = bad(body["data"][-1]["embedding"])
         return body
 
     monkeypatch.setattr(relevancy, "post_json", post)
     assert main(["run", "--config", config, "--run-id", "bad"]) == 4
     err = capsys.readouterr().err
-    assert "backend failure: " in err and "non-finite embedding" in err
+    assert "backend failure: " in err and message in err
     assert "Traceback" not in err
     monkeypatch.undo()
     assert main(["run", "--config", config, "--run-id", "bad", "--stage", "score"]) == 0
@@ -1339,6 +1345,85 @@ def test_score_memory_is_arrays(tmp_path, stub_server):
     aggregated = (tmp_path / "score" / "aggregated.jsonl").read_text().splitlines()
     assert len(aggregated) == 1 + len(models) * len(corpus) * 2
     assert json.loads(aggregated[1])["label"] is True
+
+
+def test_score_writes_what_scoring_each_row_gives(tmp_path, stub_server, monkeypatch):
+    # windows of 5 rows split every (model, leaf) pair, whose rows interleave
+    monkeypatch.setattr(relevancy, "READ_AHEAD", 5)
+    topics = TopicSet((
+        Topic("sleep", "Sleep."),
+        Topic("work", "Work.", subtopics=(Topic("blame", "Blamed."), Topic("dismiss", "Dismissed."))),
+        Topic("mood", "Mood.", subtopics=(Topic("low", "Low."), Topic("flat", "Flat."),
+                                          Topic("tense", "Tense.")))))
+    leaves = topics.leaves()
+    models = ["m1", "m2", "m3"]
+    text_ids = [f"t{i}" for i in range(9)]
+    phrases = ["lying awake", "blamed", "no energy", "on edge"]
+    texts = ["", *(leaf.description for leaf in leaves), *phrases]
+    server = stub_server({"dimension": 3, "embeddings": {
+        text: [1.0 + j % 3, (-1.0) ** j * j, 0.5 * (j % 4)] for j, text in enumerate(texts)}})
+    cfg = SimpleNamespace(
+        backends=[ModelBackend(m, server.chat_url) for m in models],
+        embedding=EmbeddingBackend("emb", server.embeddings_url),
+        cache_dir=tmp_path / "cache", retries=0, timeout=10.0, backoff=0.01)
+    rng = np.random.default_rng(7)
+    queues = {}  # each pair's annotations in corpus order: labels with and without phrases
+    for model in models:
+        for leaf in leaves:
+            queues[model, leaf.short_name] = [TopicAnnotation(
+                model, text_id, leaf.short_name, bool(rng.random() < 0.6),
+                tuple(rng.choice(phrases, rng.integers(0, 3)).tolist())) for text_id in text_ids]
+    annotations = []
+    while queues:
+        pair = list(queues)[rng.integers(len(queues))]
+        annotations.append(queues[pair].pop(0))
+        if not queues[pair]:
+            del queues[pair]
+    assert any(not a.label and a.phrases for a in annotations)
+    assert any(a.label and not a.phrases for a in annotations)
+    pipeline._write_jsonl(tmp_path / "annotate" / "annotations.jsonl", "annotations", "d",
+                          map(pipeline._annotation_line, annotations))
+    pipeline.stage_score(cfg, (CorpusView(text_ids, [None] * len(text_ids)), topics, None),
+                         tmp_path, "d")
+
+    cells = {}  # (model, leaf, text id) -> (label, score)
+    relevancy_lines = [pipeline._meta_line("relevancy", "d")]
+    with (contextlib.closing(ResponseCache(cfg.cache_dir)) as cache,
+          contextlib.closing(annotator.ConnectionPool(0, 10.0, 0.01)) as pool):
+        embedder = relevancy.Embedder(cfg.embedding, cache, pool)
+        for ann in annotations:
+            record = next(relevancy.score_annotations([ann], leaves, embedder))
+            cells[ann.model, ann.topic, ann.text_id] = ann.label, record.score
+            relevancy_lines.append(pipeline._relevancy_line(record))
+    aggregated_lines = [pipeline._meta_line("aggregated", "d")]
+    for model in models:
+        for text_id in text_ids:
+            for topic in topics:
+                label, score = relevancy.aggregate_subtopics(
+                    [cells[model, c.short_name, text_id] for c in topic.subtopics or [topic]])
+                aggregated_lines.append(pipeline._encode(
+                    {"model": model, "text_id": text_id, "topic": topic.short_name,
+                     "label": label, "score": score}) + "\n")
+    assert sum(score > 0 for _, score in cells.values()) > 10
+    assert (tmp_path / "score" / "relevancy.jsonl").read_text() == "".join(relevancy_lines)
+    assert (tmp_path / "score" / "aggregated.jsonl").read_text() == "".join(aggregated_lines)
+
+
+_CHILDREN = st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.tuples(st.booleans(), st.floats(-2.0, 2.0)), min_size=m, max_size=m),
+    min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHILDREN)
+def test_aggregate_columns_is_aggregate_subtopics_per_cell(cells):
+    # cells[i] holds text i's (label, score) for each child
+    labels = np.array([[child[0] for child in cell] for cell in cells], dtype=bool).T
+    scores = np.array([[child[1] for child in cell] for cell in cells], dtype=float).T
+    label, score = pipeline._aggregate_columns(labels, scores)
+    want = [relevancy.aggregate_subtopics(cell) for cell in cells]
+    assert label.tolist() == [w[0] for w in want]
+    assert list(map(float.hex, score.tolist())) == [float.hex(w[1]) for w in want]
 
 
 def _rows_then_fail():

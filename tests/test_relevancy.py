@@ -215,6 +215,20 @@ def test_an_empty_stored_vector_is_a_store_error(tmp_path, pool):
             embedder.embed_many(["full", "empty"])
 
 
+@pytest.mark.parametrize("values", [(0.0, -0.0), (math.inf, 1.0), (math.nan, 1.0)],
+                         ids=["zero", "infinity", "nan"])
+def test_a_zero_or_non_finite_stored_vector_is_a_store_error(tmp_path, pool, values):
+    # no cosine is defined for it, so it is blamed on the entry, not scored
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    with closing(ResponseCache(tmp_path)) as cache:
+        embedder = Embedder(backend, cache, pool)
+        bad, full = embedder._key("bad"), embedder._key("full")
+        cache.write([(bad, struct.pack("<2f", *values)), (full, struct.pack("<2f", 1.0, 1e-45))])
+        with pytest.raises(CacheError, match=f"entry {bad} is a zero or non-finite vector"):
+            embedder.embed_many(["full", "bad"])
+        assert embedder.embed_many(["full"])[0][1] > 0  # a subnormal float32 is no zero
+
+
 def test_embed_many_stores_its_new_vectors_in_one_transaction(tmp_path, monkeypatch, pool):
     slow = SlowEmbeddings(0.0)
     monkeypatch.setattr(Embedder, "_request", slow)
