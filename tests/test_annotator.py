@@ -1221,29 +1221,41 @@ def paragraph_number(prompt: str) -> int:
 
 
 def test_a_slow_answer_holds_back_no_later_window(tmp_path, monkeypatch, two_topics, pool):
-    # the first text of each window of 4 takes 0.2 s and the rest answer at
-    # once: a lane goes on with the next windows while it is in flight, so 5
-    # windows at 4 calls in flight take about 2 holds, not 5
+    # the first text of each window of 4 is held until its backend has 4 such
+    # calls in flight, and the rest answer at once: a lane at parallelism 4
+    # reaches 4 held calls only if it goes on with the next windows while the
+    # earlier ones wait for their held answer
     monkeypatch.setattr(annotator, "WINDOW", 4)
     corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(20)]
     backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=4)
                 for name in ("m1", "m2")]
     chat, calls, most = canned_chat(lambda backend: 0.0)
+    lock = threading.Lock()
+    held, most_held = Counter(), Counter()
+    released = {b.name: threading.Event() for b in backends}
 
     def held_chat(backend, prompt, pool):
         if paragraph_number(prompt) % 4 == 0:
-            time.sleep(0.2)
+            with lock:
+                held[backend.name] += 1
+                most_held[backend.name] = max(most_held[backend.name], held[backend.name])
+                if held[backend.name] == 4:
+                    released[backend.name].set()
+            released[backend.name].wait(10.0)
+            # after the first wait, none: a lane that holds back later windows
+            # fails on the count below, not on the drain's timeout
+            released[backend.name].set()
+            with lock:
+                held[backend.name] -= 1
         return chat(backend, prompt, pool)
 
     monkeypatch.setattr(annotator, "chat", held_chat)
     with contextlib.closing(ResponseCache(tmp_path)) as cache:
-        start = time.perf_counter()
         rows = drained(annotate_corpus(corpus, two_topics, backends, cache, pool))
-        wall = time.perf_counter() - start
     assert [(a.model, a.text_id) for a in rows[::2]] == [
         (b.name, item.id) for b in backends for item in corpus]
     assert calls == {"m1": 20, "m2": 20} and max(most.values()) <= 4
-    assert wall < 0.6, f"{wall:.2f} s"
+    assert most_held == {"m1": 4, "m2": 4}
 
 
 def test_a_lane_failing_while_the_ordered_pass_waits_stops_the_stream(tmp_path, monkeypatch,
