@@ -22,7 +22,6 @@ import os
 import re
 import threading
 import time
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -732,16 +731,18 @@ def annotate_corpus(
     """Annotate every (backend, text) pair: a stream of one annotation per
     (backend, text, leaf topic) cell, in that order.
 
-    The ordered pass only reads the store, each backend's texts WINDOW at a
-    time (see read), and parses the answers in order. Cells without a topic
-    line fail conservatively (label false, parse_warning); once more than
+    The ordered pass reads the store, each backend's texts WINDOW at a time
+    (see read), and parses the answers in order. Cells without a topic line
+    fail conservatively (label false, parse_warning); once more than
     failure_budget of all cells have failed, every backend's counted
     together, the stream raises FailureBudgetExceeded before it yields that
-    window's rows. At the first window with an answer missing, that backend
-    and every later one get a lane; from then on the ordered pass reads each
-    window once that backend's lane has stored it. A warm run starts no
-    thread. The first failure anywhere stops every call not yet made and is
-    what the stream raises; closing the stream joins every lane.
+    window's rows. At the first window with an answer missing, the lanes
+    fill the store: that backend's from that window, every later backend's
+    from the first, all at once on threads. The ordered pass joins them,
+    raises the first failure, and then reads on with no more waiting. Each
+    lane stops on its own breach of the budget; a breach by the backends
+    together is seen only after the join. A warm run starts no thread. The
+    first failure in a lane stops every call not yet made in any lane.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -752,13 +753,6 @@ def annotate_corpus(
     total_cells = len(backends) * len(corpus) * len(leaves)
     reminder = "\n" + FORMAT_REMINDER
     failures: list[BaseException] = []  # every lane looks here before it asks again
-    changed = threading.Condition()  # notified on each window stored and each failure
-    stored = [0] * len(backends)  # each backend's windows in the store, counted from 0
-
-    def fail(exc: BaseException) -> None:
-        with changed:
-            failures.append(exc)
-            changed.notify_all()
 
     def check(failed: int) -> None:  # failed texts, against the budget
         if failed * len(leaves) / total_cells > failure_budget:
@@ -788,65 +782,54 @@ def annotate_corpus(
             todo = unlabeled
         return answers, missing
 
-    def lane(b: int) -> None:
-        """Ask backends[b] for each answer the store lacks, from window
-        stored[b] on, `parallelism` calls at a time from one queue: each
-        window's missing prompts, read once the queue is empty, each distinct
-        one asked once, also while in flight for an earlier window, and asked
+    def lane(b: int, begin: int) -> None:
+        """Ask backends[b] for each answer the store lacks, from text begin
+        on, `parallelism` calls at a time from one queue: each window's
+        missing prompts, read once the queue is empty, each distinct one
+        asked once, also while in flight for an earlier window, and asked
         again with FORMAT_REMINDER at once if its answer has no topic line.
-        Each window is stored once its answers have arrived and every earlier
-        one is stored, in one transaction, and then the lane's failed cells
-        are checked against the budget. What arrived is stored on failure."""
+        Each window is stored in one transaction once its answers have
+        arrived, in any order, and then the lane's failed texts are checked
+        against the budget. What arrived is stored on failure."""
         backend = backends[b]
         lock = threading.Lock()  # the lane's state, and no store between a read and its asks
-        windows: deque[_Window] = deque()  # read, not yet stored
         waiting: dict[str, list[_Window]] = {}  # the windows each key in flight waits for
         fresh: dict[str, tuple[list[tuple[str, bytes]], bool]] = {}  # (entries, failed)
         failed = 0
 
-        def jobs() -> Iterator[tuple[str, str]]:  # run by one worker at a time
-            try:
-                for start in range(stored[b] * WINDOW, len(corpus), WINDOW):
-                    prompts = [build_prompt(topics, item)
-                               for item in corpus[start : start + WINDOW]]
-                    with lock:
-                        answers, missing = read(backend, prompts)
-                        windows.append(window := _Window(failed=answers.count(None)
-                                                         - len(missing)))
-                        asks = []
-                        for key, prompt in missing:
-                            if key in fresh:
-                                window.failed += fresh[key][1]
-                                continue
-                            window.waiting += 1
-                            if key not in waiting:
-                                waiting[key] = []
-                                window.asked.append(key)
-                                asks.append((key, prompt))
-                            waiting[key].append(window)
-                        store()
-                    for ask in asks:
-                        if failures:
-                            return
-                        yield ask
-            except Exception as exc:
-                fail(exc)
-
-        def store() -> None:  # under lock: each oldest window whose answers arrived
+        def store(window: _Window) -> None:  # under lock, once its answers have arrived
             nonlocal failed
             try:
-                while windows and not windows[0].waiting:
-                    window = windows.popleft()
-                    if window.asked:
-                        cache.write([entry for key in window.asked
-                                     for entry in fresh.pop(key)[0]])
-                    failed += window.failed
-                    check(failed)
-                    with changed:
-                        stored[b] += 1
-                        changed.notify_all()
+                if window.asked:
+                    cache.write([entry for key in window.asked for entry in fresh.pop(key)[0]])
+                failed += window.failed
+                check(failed)
             except Exception as exc:
-                fail(exc)
+                failures.append(exc)
+
+        def jobs() -> Iterator[tuple[str, str]]:  # run by one worker at a time
+            for start in range(begin, len(corpus), WINDOW):
+                prompts = [build_prompt(topics, item) for item in corpus[start : start + WINDOW]]
+                with lock:
+                    answers, missing = read(backend, prompts)
+                    window = _Window(failed=answers.count(None) - len(missing))
+                    asks = []
+                    for key, prompt in missing:
+                        if key in fresh:
+                            window.failed += fresh[key][1]
+                            continue
+                        window.waiting += 1
+                        if key not in waiting:
+                            waiting[key] = []
+                            window.asked.append(key)
+                            asks.append((key, prompt))
+                        waiting[key].append(window)
+                    if not window.waiting:
+                        store(window)
+                for ask in asks:
+                    if failures:
+                        return
+                    yield ask
 
         def call(job: tuple[str, str]) -> None:  # on a worker
             key, prompt = job
@@ -860,16 +843,18 @@ def annotate_corpus(
                     answer = chat(backend, prompt, pool)
                     entries.append((cache.key(backend, prompt), cache.entry(prompt, answer)))
             except BaseException as exc:
-                fail(exc)
+                failures.append(exc)  # no lane asks again
                 raise
             finally:
+                hopeless = not topic_line.search(answer)  # storing a window pops fresh[key]
                 with lock:
-                    fresh[key] = entries, not topic_line.search(answer)
+                    fresh[key] = entries, hopeless
                     if not failures:
                         for window in waiting.pop(key):
                             window.waiting -= 1
-                            window.failed += fresh[key][1]
-                        store()
+                            window.failed += hopeless
+                            if not window.waiting:
+                                store(window)
 
         try:
             try:
@@ -878,49 +863,48 @@ def annotate_corpus(
                 if fresh:
                     cache.write([entry for entries, _ in fresh.values() for entry in entries])
         except BaseException as exc:
-            fail(exc)
+            failures.append(exc)
 
-    def stream() -> Iterator[TopicAnnotation]:
-        lanes: list[threading.Thread] = []
-        failed = 0  # the ordered pass counts every backend's cells together
+    def fill(b: int, begin: int) -> None:
+        """Run backends[b]'s lane from text begin and every later backend's
+        from text 0, each on a thread, join them, and raise the first failure."""
+        lanes = [threading.Thread(target=lane, args=(n, begin if n == b else 0),
+                                  name=f"lane {backends[n].name}")
+                 for n in range(b, len(backends))]
         try:
-            for b, backend in enumerate(backends):
-                for w, start in enumerate(range(0, len(corpus), WINDOW)):
-                    window = corpus[start : start + WINDOW]
-                    prompts = [build_prompt(topics, item) for item in window]
-                    if not lanes:  # until an answer is missing, none is asked for
-                        answers, missing = read(backend, prompts)
-                        if missing:
-                            stored[b] = w
-                            lanes = [threading.Thread(target=lane, args=(n,),
-                                                      name=f"lane {backends[n].name}")
-                                     for n in range(b, len(backends))]
-                            for thread in lanes:
-                                thread.start()
-                    if lanes:  # read once the backend's lane has stored the window
-                        with changed:
-                            changed.wait_for(lambda: failures or stored[b] > w)
-                        if failures:
-                            raise failures[0]
-                        answers, _ = read(backend, prompts)
-                    failed += answers.count(None)
-                    check(failed)
-                    for item, answer in zip(window, answers):
-                        if answer is not None:  # topic_line found a topic line: no raise
-                            yield from parse_response(answer, topics, backend.name, item.id)
-                            continue
-                        logger.warning("unparseable response from %s for text %s; "
-                                       "marking cells failed", backend.name, item.id)
-                        for leaf in leaves:
-                            yield TopicAnnotation(backend.name, item.id, leaf.short_name,
-                                                  False, (), True)
-        except BaseException as exc:
-            fail(exc)  # no lane makes another call
-            if isinstance(exc, Exception) and failures[0] is not exc:
-                raise failures[0]  # a lane failed first
-            raise
-        finally:
+            for thread in lanes:
+                thread.start()
             for thread in lanes:
                 thread.join()
+        except BaseException as exc:  # a thread that could not start, or an interrupt
+            failures.append(exc)  # no lane makes another call
+            for thread in lanes:
+                if thread.is_alive():
+                    thread.join()
+            raise
+        if failures:
+            raise failures[0]
+
+    def stream() -> Iterator[TopicAnnotation]:
+        failed = 0  # the ordered pass counts every backend's cells together
+        for b, backend in enumerate(backends):
+            for start in range(0, len(corpus), WINDOW):
+                window = corpus[start : start + WINDOW]
+                prompts = [build_prompt(topics, item) for item in window]
+                answers, missing = read(backend, prompts)
+                if missing:  # only at the first such window: the lanes fill the rest
+                    fill(b, start)
+                    answers, _ = read(backend, prompts)
+                failed += answers.count(None)
+                check(failed)
+                for item, answer in zip(window, answers):
+                    if answer is not None:  # topic_line found a topic line: no raise
+                        yield from parse_response(answer, topics, backend.name, item.id)
+                        continue
+                    logger.warning("unparseable response from %s for text %s; "
+                                   "marking cells failed", backend.name, item.id)
+                    for leaf in leaves:
+                        yield TopicAnnotation(backend.name, item.id, leaf.short_name,
+                                              False, (), True)
 
     return stream()

@@ -5,6 +5,7 @@ import json
 import re
 import socket
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -1312,6 +1313,80 @@ def test_a_prompt_in_flight_for_an_earlier_window_is_asked_once(tmp_path, monkey
     assert calls == {"m1": 3, "m2": 3}
     assert all(matrix[m, "t0", leaf]._replace(text_id="t2") == matrix[m, "t2", leaf]
                for m in ("m1", "m2") for leaf in ("sleep", "appetite"))
+
+
+_FUZZ_TOPICS = TopicSet((Topic("sleep", "Sleep problems."), Topic("appetite", "Appetite changes.")))
+_FUZZ_ANSWER = format_response([("sleep", True, ["awake"]), ("appetite", False, [])])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
+    # random windows, corpora with repeated texts, backends and answers:
+    # paragraph v of backend n answers at once, after a format reminder, or
+    # never with a topic line, and at most one call fails; some examples
+    # switch threads every microsecond
+    window = data.draw(st.integers(1, 8), "WINDOW")
+    values = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=40), "texts")
+    corpus = [TextItem(f"t{i}", f"Text number {v}.") for i, v in enumerate(values)]
+    backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
+                             parallelism=data.draw(st.integers(1, 4), f"parallelism m{n}"))
+                for n in range(data.draw(st.integers(2, 3), "backends"))]
+    kinds = data.draw(st.lists(st.lists(st.sampled_from(["ok", "reminded", "hopeless"]),
+                                        min_size=12, max_size=12),
+                               min_size=3, max_size=3), "answers")
+    delays = data.draw(st.lists(st.sampled_from([0.0, 0.0005, 0.002]), min_size=12,
+                                max_size=12), "delays")
+    failing = data.draw(st.none() | st.tuples(st.sampled_from([b.name for b in backends]),
+                                              st.integers(0, 11), st.booleans()), "failing")
+    budget = data.draw(st.sampled_from([0.0, 0.2, 1.0]), "failure_budget")
+    lock = threading.Lock()
+    asked, arrived = Counter(), []
+
+    def chat(backend, prompt, pool):
+        v, reminded = paragraph_number(prompt), prompt.endswith(annotator.FORMAT_REMINDER)
+        with lock:
+            asked[backend.name, prompt] += 1
+        time.sleep(delays[v])
+        if failing == (backend.name, v, reminded):
+            raise BadStatus(503, "backend gone")
+        kind = kinds[int(backend.name[1:])][v]
+        answer = _FUZZ_ANSWER if kind == ("reminded" if reminded else "ok") else "Sure."
+        with lock:
+            arrived.append((backend, prompt))
+        return answer
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(annotator, "WINDOW", window)
+        patch.setattr(annotator, "chat", chat)
+        if data.draw(st.booleans(), "switch every microsecond"):
+            sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.closing(ResponseCache(tmp)) as cache:
+                try:
+                    rows = drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache,
+                                                   None, failure_budget=budget))
+                except BadStatus:
+                    assert failing is not None
+                    rows = None
+                except FailureBudgetExceeded:
+                    assert budget < 1.0
+                    rows = None
+                assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+                assert max(asked.values()) == 1
+                assert None not in cache.read_many([cache.key(backend, prompt)
+                                                    for backend, prompt in arrived])
+                if rows is not None:
+                    calls = sum(asked.values())
+                    warm = drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache,
+                                                   None, failure_budget=budget))
+                    assert warm == rows and sum(asked.values()) == calls
+                    assert [(a.model, a.text_id, a.topic) for a in rows] == [
+                        (b.name, item.id, leaf) for b in backends for item in corpus
+                        for leaf in ("sleep", "appetite")]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_run_parallel_keeps_order_on_the_calling_thread_and_its_workers():
