@@ -577,6 +577,11 @@ def run_parallel(fn: Callable, items: Iterable, workers: int) -> list:
     return [results[i] for i in range(len(results))]
 
 
+# what json.loads makes of each JSON type but a string
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "an array", dict: "an object"}
+
+
 def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
     """POST one chat completion over `pool` and return its content. Retries
     and errors are those of post_json; a reply with no string content, or
@@ -593,8 +598,9 @@ def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BadStatus(200, f"malformed completion payload: {exc}")
-    if not isinstance(content, str):
-        raise BadStatus(200, f"malformed completion payload: content {content!r}")
+    if not isinstance(content, str):  # named by its JSON type: it may quote the prompt
+        raise BadStatus(200, "malformed completion payload: content is "
+                             f"{_JSON_TYPES[type(content)]}, not a string")
     if not content.isascii():
         try:
             content.encode("utf-8")

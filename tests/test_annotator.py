@@ -739,12 +739,14 @@ def test_post_json_retries_a_busy_or_failing_backend(sleeps, status):
     {"choices": []},
     {"choices": [{"message": {"content": None}}]},
     {"choices": [{"message": {"content": 5}}]},
-], ids=["no-choices", "empty-choices", "null-content", "number-content"])
+    {"choices": [{"message": {"content": ["CANARY patient words"]}}]},
+], ids=["no-choices", "empty-choices", "null-content", "number-content", "list-content"])
 def test_chat_refuses_a_malformed_completion(monkeypatch, body):
     monkeypatch.setattr(annotator, "post_json", lambda *args: body)
     backend = ModelBackend("m", "http://127.0.0.1:9/v1/chat/completions")
-    with pytest.raises(BadStatus, match="malformed completion payload"):
+    with pytest.raises(BadStatus, match="malformed completion payload") as raised:
         annotator.chat(backend, "prompt", pool=None)
+    assert "CANARY" not in str(raised.value)  # a reply may echo the text it was asked about
 
 
 def test_post_json_https_to_a_plain_http_server_is_a_retried_transport_error(sleeps):
