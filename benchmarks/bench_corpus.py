@@ -2,12 +2,13 @@
 view, and the config digest.
 
 Writes a synthetic JSONL (or CSV) corpus, 10^6 texts of 40 words each by
-default (about 265 MB), then runs each reader in its own child process, so
-that each peak RSS is that reader's alone: `load_corpus` (what annotate
+default (about 265 MB), then runs each reader in its own child process,
+started through pipebench/launch.py, so that each peak RSS is that reader's
+alone: `load_corpus` (what annotate
 reads), `load_corpus_view` (what every other stage reads) and
 `config_digest` (which hashes the corpus file). Each child first imports
 topicensemble.pipeline, as a stage does, and prints its RSS after the
-imports next to the peak.
+imports next to the peak. A missing --dir is created.
 
     python3 benchmarks/bench_corpus.py [--texts 1000000] [--words 40]
         [--format jsonl] [--dir DIR]
@@ -19,11 +20,12 @@ import csv
 import json
 import random
 import resource
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from launched import run_child
 
 READERS = ("load_corpus", "load_corpus_view", "config_digest")
 VOCABULARY = ("sleep awake night tired work boss meeting deadline appetite meal "
@@ -87,6 +89,8 @@ def main() -> int:
     if args.child:
         child(args.child, args.dir / f"corpus.{args.format}", args.format)
         return 0
+    if args.dir:
+        args.dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.dir) as tmp:
         path = Path(tmp) / f"corpus.{args.format}"
         write_corpus(path, args.texts, args.words, args.format)
@@ -95,9 +99,8 @@ def main() -> int:
         print(f"texts={args.texts} words={args.words} format={args.format} "
               f"file={path.stat().st_size / 2**20:.1f} MB")
         for reader in READERS:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--child", reader, "--format", args.format,
-                 "--dir", tmp], capture_output=True, text=True)
+            proc, _ = run_child([__file__, "--child", reader, "--format", args.format,
+                                 "--dir", tmp])
             if proc.returncode:
                 sys.stderr.write(proc.stderr)
                 return proc.returncode

@@ -4,10 +4,11 @@ Writes an analysis run: a corpus of --texts texts in 20 groups, --topics
 top-level topics, gold labels for every text, and score/aggregated.jsonl for
 --models models as the score stage writes it (10^5 texts x 4 models x 2
 topics by default, about 75 MB). Then times the stages in child processes,
-each a fresh interpreter: every stage alone, as `run --stage X` runs it, and
+each a fresh interpreter started through pipebench/launch.py so that its
+peak RSS is its own: every stage alone, as `run --stage X` runs it, and
 the three together in one `run`, as `run --stage all` runs them after score.
 Prints, for each, the median over --repeats of the child's time inside the
-pipeline (imports excluded) and its peak RSS.
+pipeline (imports excluded) and its peak RSS. A missing --dir is created.
 
     PYTHONPATH=src python3 benchmarks/bench_handoff.py [--texts 100000]
         [--models 4] [--topics 2] [--repeats 3] [--dir DIR]
@@ -18,13 +19,14 @@ import argparse
 import json
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+from launched import run_child
 
 STAGES = ("agree", "ensemble", "evaluate")
 RUN_ID = "bench"
@@ -110,6 +112,8 @@ def main() -> int:
     if args.child:
         child(args.dir, args.child)
         return 0
+    if args.dir:
+        args.dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.dir) as tmp:
         start = time.perf_counter()
         write_run(Path(tmp), args.texts, args.models, args.topics)
@@ -120,9 +124,7 @@ def main() -> int:
         results: dict[str, list[dict]] = {name: [] for name in (*STAGES, "together")}
         for _ in range(args.repeats):
             for name in results:
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--child", name, "--dir", tmp],
-                    capture_output=True, text=True)
+                proc, _ = run_child([__file__, "--child", name, "--dir", tmp])
                 if proc.returncode:
                     print(f"{name}: exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
                     return 1

@@ -11,12 +11,13 @@ closed port with no retries, so a store miss fails the run. Then compiles
 the package's bytecode once, so that no child compiles a stale module, and
 times `run --stage annotate`, `run --stage score` and `run --stage all` (the
 shape of pipebench's rerun_warm) in child processes, each a fresh
-interpreter, --repeats times. Repeat r runs annotate and score under run id
+interpreter started through pipebench/launch.py so that its peak RSS is its
+own, --repeats times. Repeat r runs annotate and score under run id
 `r{r}` and all under `all{r}`, so each stage writes into a run directory of
 its own: renaming an artifact over an existing file makes ext4 flush the
 file's data first, which would be timed as the pipeline's. Prints, for each
 stage, the median of the child's wall time, of its time inside the pipeline
-(imports excluded) and of its peak RSS.
+(imports excluded) and of its peak RSS. A missing --dir is created.
 
     PYTHONPATH=src python3 benchmarks/bench_rerun.py [--texts 2000] [--models 3]
         [--repeats 5] [--dir DIR]
@@ -28,7 +29,6 @@ import compileall
 import json
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -36,6 +36,8 @@ from contextlib import closing
 from pathlib import Path
 
 import numpy as np
+
+from launched import run_child
 
 STAGES = ("annotate", "score", "all")
 TOPICS_YAML = """\
@@ -129,6 +131,8 @@ def main() -> int:
     import topicensemble
 
     compileall.compile_dir(Path(topicensemble.__file__).parent, quiet=1)
+    if args.dir:
+        args.dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.dir) as tmp:
         start = time.perf_counter()
         write_run(Path(tmp), args.texts, args.models)
@@ -139,11 +143,8 @@ def main() -> int:
         for repeat in range(args.repeats):
             for name in STAGES:  # score reads what annotate wrote; all writes both again
                 run_id = f"all{repeat}" if name == "all" else f"r{repeat}"
-                start = time.perf_counter()
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--child", name, "--dir", tmp,
-                     "--run-id", run_id], capture_output=True, text=True)
-                wall = time.perf_counter() - start
+                proc, wall = run_child([__file__, "--child", name, "--dir", tmp,
+                                        "--run-id", run_id])
                 if proc.returncode:
                     print(f"{name}: exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
                     return 1

@@ -29,6 +29,8 @@ BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
     ("bench_annotate.py", ["--texts", "20", "--repeats", "1", "--delay-ms", "0"],
      "realized_bound_s"),
     ("bench_corpus.py", ["--texts", "2000", "--words", "5"], "load_corpus_view"),
+    ("bench_corpus.py", ["--texts", "200", "--words", "5", "--dir", "missing/dir"],
+     "config_digest"),
     ("bench_handoff.py", ["--texts", "500", "--repeats", "1"], "together"),
     ("bench_rerun.py", ["--texts", "50", "--repeats", "1"], "stage all"),
 ])
