@@ -1376,7 +1376,7 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
                     assert budget < 1.0
                     rows = None
                 assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
-                assert max(asked.values()) == 1
+                assert set(asked.values()) == {1}  # no prompt asked twice
                 assert None not in cache.read_many([cache.key(backend, prompt)
                                                     for backend, prompt in arrived])
                 if rows is not None:
