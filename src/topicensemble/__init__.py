@@ -58,7 +58,6 @@ from .relevancy import (
     cosine_similarity,
     relevancy_score,
     score_annotations,
-    topic_baseline,
     truncate_words,
 )
 

@@ -52,8 +52,7 @@ logger = logging.getLogger(__name__)
 
 FORMAT_REMINDER = "Answer strictly in the required format."
 # One backend's texts that annotate reads from the store at once, with their
-# prompts and parsed rows; a lane stores a window's fresh answers in one
-# transaction once they have all arrived.
+# prompts and parsed rows, and the arrived answers a lane stores in one transaction.
 WINDOW = 256
 
 
@@ -173,7 +172,8 @@ class ResponseCache:
     busy timeout let processes share a cache dir on a local filesystem; one
     connection serves every thread, one statement at a time. close() folds
     the WAL back into the file. Embeddings are read, fetched and stored
-    through fill; annotate reads and stores chat answers a window at a time.
+    through fill; annotate reads chat answers a window at a time, and a lane
+    stores the ones that arrive WINDOW to a transaction.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -577,9 +577,9 @@ def run_parallel(fn: Callable, items: Iterable, workers: int) -> list:
     return [results[i] for i in range(len(results))]
 
 
-# what json.loads makes of each JSON type but a string
+# each JSON type, by the type json.loads makes of it
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
-               list: "an array", dict: "an object"}
+               str: "a string", list: "an array", dict: "an object"}
 
 
 def chat(backend: ModelBackend, prompt: str, pool: ConnectionPool) -> str:
@@ -717,15 +717,6 @@ def parse_response(
     return annotations
 
 
-@dataclass
-class _Window:
-    """A window a lane has read and not yet stored."""
-
-    waiting: int = 0  # its texts whose answer has not arrived
-    failed: int = 0  # its texts whose answer has no topic line, reminded too
-    asked: list[str] = field(default_factory=list)  # the keys it asked first, and stores
-
-
 def annotate_corpus(
     corpus: Sequence[TextItem],
     topics: TopicSet,
@@ -794,22 +785,24 @@ def annotate_corpus(
         missing prompts, read once the queue is empty, each distinct one
         asked once, also while in flight for an earlier window, and asked
         again with FORMAT_REMINDER at once if its answer has no topic line.
-        Each window is stored in one transaction once its answers have
-        arrived, in any order, and then the lane's failed texts are checked
-        against the budget. What arrived is stored on failure."""
+        Answers are stored as they arrive, in any order, WINDOW keys to a
+        transaction, and what is left when the lane ends, also on failure.
+        A text counts against the budget once its answer is known to have
+        no topic line."""
         backend = backends[b]
-        lock = threading.Lock()  # the lane's state, and no store between a read and its asks
-        waiting: dict[str, list[_Window]] = {}  # the windows each key in flight waits for
+        lock = threading.Lock()  # the lane's state, and no commit between a read and its asks
+        waiting: dict[str, int] = {}  # the lane's texts that wait on each key in flight
         fresh: dict[str, tuple[list[tuple[str, bytes]], bool]] = {}  # (entries, failed)
         failed = 0
 
-        def store(window: _Window) -> None:  # under lock, once its answers have arrived
+        def settle(hopeless: int) -> None:  # under lock: count failed texts, commit WINDOW keys
             nonlocal failed
             try:
-                if window.asked:
-                    cache.write([entry for key in window.asked for entry in fresh.pop(key)[0]])
-                failed += window.failed
+                failed += hopeless
                 check(failed)
+                if len(fresh) >= WINDOW:
+                    cache.write([entry for entries, _ in fresh.values() for entry in entries])
+                    fresh.clear()
             except Exception as exc:
                 failures.append(exc)
 
@@ -818,20 +811,17 @@ def annotate_corpus(
                 prompts = [build_prompt(topics, item) for item in corpus[start : start + WINDOW]]
                 with lock:
                     answers, missing = read(backend, prompts)
-                    window = _Window(failed=answers.count(None) - len(missing))
+                    hopeless = answers.count(None) - len(missing)
                     asks = []
                     for key, prompt in missing:
                         if key in fresh:
-                            window.failed += fresh[key][1]
-                            continue
-                        window.waiting += 1
-                        if key not in waiting:
-                            waiting[key] = []
-                            window.asked.append(key)
+                            hopeless += fresh[key][1]
+                        elif key in waiting:
+                            waiting[key] += 1
+                        else:
+                            waiting[key] = 1
                             asks.append((key, prompt))
-                        waiting[key].append(window)
-                    if not window.waiting:
-                        store(window)
+                    settle(hopeless)
                 for ask in asks:
                     if failures:
                         return
@@ -852,15 +842,11 @@ def annotate_corpus(
                 failures.append(exc)  # no lane asks again
                 raise
             finally:
-                hopeless = not topic_line.search(answer)  # storing a window pops fresh[key]
+                hopeless = not topic_line.search(answer)
                 with lock:
                     fresh[key] = entries, hopeless
                     if not failures:
-                        for window in waiting.pop(key):
-                            window.waiting -= 1
-                            window.failed += hopeless
-                            if not window.waiting:
-                                store(window)
+                        settle(hopeless * waiting.pop(key))
 
         try:
             try:

@@ -51,7 +51,8 @@ import numpy as np
 
 from . import agreement as agr
 from . import relevancy
-from .annotator import ConnectionPool, TopicAnnotation, ResponseCache, annotate_corpus
+from .annotator import (_JSON_TYPES, ConnectionPool, TopicAnnotation, ResponseCache,
+                        annotate_corpus)
 from .config import RunConfig, config_digest
 from .corpus import (CorpusView, TopicSet, _csv_records, load_corpus, load_corpus_view,
                      load_topics, not_utf8)
@@ -295,7 +296,14 @@ def _rows(path: Path, digest: str, schema: str, as_text: Set[str] = frozenset())
                     value = row.get(name)
                     if type(value) not in types or (
                             type(value) is list and not all(type(v) is str for v in value)):
-                        got = repr(value) if name in row else "no value"
+                        # named by its JSON type: a row may hold corpus text
+                        if name not in row:
+                            got = "no value"
+                        elif type(value) in types:  # a list with an item not a string
+                            got = "an array holding " + _JSON_TYPES[
+                                type(next(v for v in value if type(v) is not str))]
+                        else:
+                            got = _JSON_TYPES[type(value)]
                         raise MissingUpstreamArtifact(
                             f"{path}: line {lineno}: {name} must be {kind}, got {got}")
                     values.append(value)

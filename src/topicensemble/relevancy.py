@@ -154,22 +154,16 @@ class Embedder:
             raise BadStatus(200, f"malformed embedding payload: {exc}")
         if len(vectors) != len(batch):
             raise BadStatus(200, f"{len(vectors)} embeddings for {len(batch)} inputs")
-        for text, vec in zip(batch, vectors):  # null decodes to NaN; json takes NaN, Infinity
-            if not vec.size:
-                raise BadStatus(200, f"empty embedding for input {text[:40]!r}")
+        for i, (text, vec) in enumerate(zip(batch, vectors)):
             with np.errstate(over="ignore"):  # past float32's range is infinite as stored
                 stored = vec.astype("<f4")
-            if not np.isfinite(stored).all():
-                raise BadStatus(200, f"non-finite embedding for input {text[:40]!r}")
-            if not stored.any():  # no cosine is defined for it
-                raise BadStatus(200, f"zero-norm embedding for input {text[:40]!r}")
+            # null decodes to NaN, json takes NaN and Infinity, and a zero vector has no cosine
+            problem = ("empty" if not vec.size else "non-finite" if not np.isfinite(stored).all()
+                       else "zero-norm" if not stored.any() else None)
+            if problem:  # named by position and key: the input is corpus text
+                raise BadStatus(200, f"{problem} embedding for input {i} of {len(batch)}, "
+                                     f"store key {self._key(text)}")
         return vectors
-
-
-def topic_baseline(topic: Topic, embedder: Embedder) -> float:
-    """Similarity between the topic description and the empty string."""
-    desc_vec, empty_vec = embedder.embed_many([topic.description, ""])
-    return cosine_similarity(desc_vec, empty_vec)
 
 
 def score_annotations(annotations: Iterable[TopicAnnotation], topics: Iterable[Topic],

@@ -971,7 +971,7 @@ def test_annotate_corpus_stores_a_window_in_one_transaction(tmp_path, stub_serve
     monkeypatch.setattr(ResponseCache, "write", counting_write)
     cache = ResponseCache(tmp_path)
     annotated(corpus, two_topics, backends, cache, pool)
-    assert writes == [2, 2, 2]  # each backend's window of two responses, one transaction
+    assert writes == [2, 2, 2]  # each backend's two responses, fewer than WINDOW: one transaction
     annotated(corpus, two_topics, backends, cache, pool)
     assert writes == [2, 2, 2] and server.call_count == 6  # a warm run writes nothing
 
@@ -1061,7 +1061,8 @@ def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, mon
         for topic in ("sleep", "appetite")]
     assert all(a.phrases == (f"{a.model} {item.text}",)
                for a, item in zip(stream[::2], corpus * 3))
-    # one transaction per backend's window, holding that backend's answers only
+    # a transaction once a backend's lane holds WINDOW arrived answers, then one
+    # for the rest, each holding that backend's answers only
     assert writes == {(b.name, size): 1 for b in backends for size in (12, 8)}
 
 
@@ -1261,6 +1262,47 @@ def test_a_slow_answer_holds_back_no_later_window(tmp_path, monkeypatch, two_top
     assert most_held == {"m1": 4, "m2": 4}
 
 
+def test_a_held_answer_holds_back_no_other_answer_from_the_store(tmp_path, monkeypatch,
+                                                                 two_topics, pool):
+    # each backend's call for text 0 waits until the answers for texts 1-3,
+    # the rest of its window, are in the store: a lane that stored a window
+    # only once all of its answers had arrived would keep them out
+    monkeypatch.setattr(annotator, "WINDOW", 4)
+    corpus = [TextItem(f"t{i}", f"Text number {i}.") for i in range(8)]
+    backends = [ModelBackend(name, "http://127.0.0.1:9/v1/chat/completions", parallelism=2)
+                for name in ("m1", "m2")]
+    chat, calls, _ = canned_chat(lambda backend: 0.0)
+    lock = threading.Lock()
+    written: set[str] = set()
+    rest: dict[str, set[str]] = {}  # each backend's keys of texts 1-3
+    stored = {b.name: threading.Event() for b in backends}
+    waited = {}  # whether the rest was stored when text 0's call went on
+    real_write = ResponseCache.write
+
+    def noting_write(self, items):
+        items = list(items)
+        real_write(self, items)
+        with lock:
+            written.update(key for key, _ in items)
+            for name, keys in rest.items():
+                if keys <= written:
+                    stored[name].set()
+
+    def held_chat(backend, prompt, pool):
+        if paragraph_number(prompt) == 0:
+            waited[backend.name] = stored[backend.name].wait(10.0)
+        return chat(backend, prompt, pool)
+
+    monkeypatch.setattr(ResponseCache, "write", noting_write)
+    monkeypatch.setattr(annotator, "chat", held_chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        rest.update({b.name: {cache.key(b, build_prompt(two_topics, item))
+                              for item in corpus[1:4]} for b in backends})
+        rows = drained(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    assert waited == {"m1": True, "m2": True}
+    assert calls == {"m1": 8, "m2": 8} and len(rows) == 2 * 8 * 2
+
+
 def test_a_lane_failing_while_the_ordered_pass_waits_stops_the_stream(tmp_path, monkeypatch,
                                                                      two_topics, pool):
     # m1's text 5 fails after 0.2 s while the ordered pass waits for m1's
@@ -1366,6 +1408,7 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
             sys.setswitchinterval(1e-6)
         try:
             with contextlib.closing(ResponseCache(tmp)) as cache:
+                breached = False
                 try:
                     rows = drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache,
                                                    None, failure_budget=budget))
@@ -1374,7 +1417,7 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
                     rows = None
                 except FailureBudgetExceeded:
                     assert budget < 1.0
-                    rows = None
+                    rows, breached = None, True
                 assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
                 assert set(asked.values()) == {1}  # no prompt asked twice
                 assert None not in cache.read_many([cache.key(backend, prompt)
@@ -1387,6 +1430,16 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
                     assert [(a.model, a.text_id, a.topic) for a in rows] == [
                         (b.name, item.id, leaf) for b in backends for item in corpus
                         for leaf in ("sleep", "appetite")]
+                if breached and failing is None:
+                    # a lane stops no run that the ordered pass would let finish:
+                    # with every answer stored, a warm run at that budget stops too
+                    drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache, None,
+                                            failure_budget=1.0))
+                    calls = sum(asked.values())
+                    with pytest.raises(FailureBudgetExceeded):
+                        drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache, None,
+                                                failure_budget=budget))
+                    assert set(asked.values()) == {1} and sum(asked.values()) == calls
         finally:
             sys.setswitchinterval(interval)
 

@@ -1027,6 +1027,26 @@ def test_damaged_or_stale_upstream_exits_3(finished_run, tmp_path, capsys,
         assert f"{path}: line 3: " in err
 
 
+@pytest.mark.parametrize("name, value, want", [
+    ("phrases", ["CANARY patient words", 5], "phrases must be a list of strings, "
+                                             "got an array holding a number"),
+    ("label", "CANARY patient words", "label must be a boolean, got a string"),
+    ("model", ["CANARY patient words"], "model must be a string, got an array"),
+], ids=["an array holding a number", "a string", "an array"])
+def test_a_bad_row_field_is_named_by_its_json_type(finished_run, tmp_path, capsys,
+                                                   name, value, want):
+    # a row may hold corpus text, so the message names the value's kind, not the value
+    workdir = tmp_path / "demo"
+    shutil.copytree(finished_run, workdir)
+    path = workdir / "runs" / "done" / "annotate" / "annotations.jsonl"
+    _tamper_jsonl(path, f"bad {name}", {name: value})
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--stage", "score", "--config", config, "--run-id", "done"]) == 3
+    err = capsys.readouterr().err
+    assert f"upstream artifact: {path}: line 3: {want}\n" in err
+    assert "CANARY" not in err
+
+
 @pytest.mark.parametrize("case", ["missing", "unknown leaf", "unknown model", "twice",
                                   "swapped", "last missing", "last twice"])
 def test_score_checks_annotation_cells(finished_run, tmp_path, capsys, case):

@@ -28,7 +28,6 @@ from topicensemble.relevancy import (
     cosine_similarity,
     relevancy_score,
     score_annotations,
-    topic_baseline,
     truncate_words,
 )
 
@@ -192,14 +191,19 @@ def test_embed_refuses_a_malformed_payload(tmp_path, monkeypatch, pool, body, pr
 
 
 def test_embed_refuses_an_empty_vector(tmp_path, monkeypatch, pool):
-    # an empty list is no 0-dimensional vector: refused before it is stored
-    monkeypatch.setattr(relevancy, "post_json", lambda *args: {"data": [{"embedding": []}]})
+    # an empty list is no 0-dimensional vector: refused before it is stored, and
+    # named by its position and store key, not by the corpus text it embeds
+    monkeypatch.setattr(relevancy, "post_json",
+                        lambda *args: {"data": [{"embedding": [1.0]}, {"embedding": []}]})
     backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings")
+    texts = ["lying awake", "CANARY patient words"]
+    keys = ["emb/emb/" + hashlib.sha256(t.encode()).hexdigest() for t in texts]
     with closing(ResponseCache(tmp_path)) as cache:
-        with pytest.raises(BadStatus, match="empty embedding for input 'lying awake'"):
-            Embedder(backend, cache, pool).embed_many(["lying awake"])
-        key = "emb/emb/" + hashlib.sha256(b"lying awake").hexdigest()
-        assert cache.read_many([key]) == [None]
+        with pytest.raises(BadStatus) as raised:
+            Embedder(backend, cache, pool).embed_many(texts)
+        assert f"empty embedding for input 1 of 2, store key {keys[1]}" in str(raised.value)
+        assert "CANARY" not in str(raised.value)
+        assert cache.read_many(keys) == [None, None]
 
 
 def test_an_empty_stored_vector_is_a_store_error(tmp_path, pool):
@@ -280,16 +284,22 @@ def test_cosine_dimension_mismatch():
 
 # ---------------------------------------------------------------- baseline
 
+def scored_baseline(topic, embedder) -> float:
+    """The baseline of topic's record for a positive annotation with a phrase."""
+    ann = TopicAnnotation("m1", "t1", topic.short_name, True, ("lying awake",))
+    return next(score_annotations([ann], [topic], embedder)).baseline
+
+
 def test_topic_baseline_stable_and_recomputable(stub_server, tmp_path, pool):
     server = stub_server(BASE_DOC)
     embedder = embedder_for(server, tmp_path, pool)
-    first = topic_baseline(SLEEP, embedder)
-    assert first == topic_baseline(SLEEP, embedder)
+    first = scored_baseline(SLEEP, embedder)
+    assert first == scored_baseline(SLEEP, embedder)
     # recompute from scratch against the live backend after a cache clear
     embedder.cache.close()
     (tmp_path / "cache.sqlite").unlink()
     calls = server.call_count
-    again = topic_baseline(SLEEP, embedder_for(server, tmp_path, pool))
+    again = scored_baseline(SLEEP, embedder_for(server, tmp_path, pool))
     assert server.call_count > calls
     assert again == pytest.approx(first, abs=1e-6)
 
@@ -297,7 +307,7 @@ def test_topic_baseline_stable_and_recomputable(stub_server, tmp_path, pool):
 def test_identical_descriptions_identical_baseline(stub_server, tmp_path, pool):
     embedder = embedder_for(stub_server(BASE_DOC), tmp_path, pool)
     other = Topic("sleep2", SLEEP.description)
-    assert topic_baseline(SLEEP, embedder) == topic_baseline(other, embedder)
+    assert scored_baseline(SLEEP, embedder) == scored_baseline(other, embedder)
 
 
 # ------------------------------------------------------------------- score
