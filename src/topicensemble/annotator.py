@@ -171,9 +171,11 @@ class ResponseCache:
     input's SHA-256 and hold little-endian float32 vectors. WAL mode and a
     busy timeout let processes share a cache dir on a local filesystem; one
     connection serves every thread, one statement at a time. close() folds
-    the WAL back into the file. Embeddings are read, fetched and stored
-    through fill; annotate reads chat answers a window at a time, and a lane
-    stores the ones that arrive WINDOW to a transaction.
+    the WAL back into the file. The store only reads and writes; its callers
+    fetch what it lacks. Annotate reads chat answers a window at a time, and a
+    lane stores the ones that arrive WINDOW to a transaction;
+    Embedder.embed_many reads a call's vectors at once and stores the new
+    ones in one transaction.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -219,35 +221,6 @@ class ResponseCache:
     def write(self, items: Iterable[tuple[str, bytes]]) -> None:
         """Store (key, bytes) pairs in one transaction."""
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", items, many=True)
-
-    def fill(self, keys: Sequence[str], fetch: Callable[[list[int]], Sequence[bytes]],
-             size: int, workers: int) -> list:
-        """The bytes under each key: one read, then each distinct missing
-        key's first position handed to fetch `size` at a time on up to
-        `workers` threads. fetch returns their bytes; what arrived fills every
-        position of its key and is stored once, in one transaction, also when
-        a call fails."""
-        blobs = self.read_many(keys)
-        misses: dict[str, list[int]] = {}  # each missing key's positions
-        for i, blob in enumerate(blobs):
-            if blob is None:
-                misses.setdefault(keys[i], []).append(i)
-        firsts = [positions[0] for positions in misses.values()]
-        fresh: list[tuple[str, bytes]] = []  # appended by the workers
-
-        def batch(start: int) -> None:
-            part = firsts[start : start + size]
-            for i, blob in zip(part, fetch(part)):
-                for j in misses[keys[i]]:
-                    blobs[j] = blob
-                fresh.append((keys[i], blob))
-
-        try:
-            run_parallel(batch, range(0, len(firsts), size), workers)
-        finally:
-            if fresh:
-                self.write(fresh)
-        return blobs
 
     def close(self) -> None:
         with self._lock:
@@ -434,7 +407,7 @@ def _read_reply(rfile: BinaryIO) -> tuple[int, bytes, bool]:
         parts = line.split(None, 2)
         if (len(line) > _MAX_LINE or len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
                 or not (parts[1].isdigit() and 100 <= int(parts[1]) <= 999)):
-            raise ProtocolError(f"malformed status line {line[:200]!r}")
+            raise ProtocolError(f"malformed status line of {len(line)} bytes")
         status = int(parts[1])
         headers = _read_headers(rfile)
         if status >= 200:
@@ -482,7 +455,7 @@ def _read_chunked(rfile: BinaryIO) -> bytes:
         except ValueError:
             size = -1
         if not 0 <= size <= _MAX_BODY or len(line) > _MAX_LINE:
-            raise ProtocolError(f"malformed chunk size line {line[:200]!r}")
+            raise ProtocolError(f"malformed chunk size line of {len(line)} bytes")
         if size == 0:
             break
         chunk = rfile.read(size + 2)  # the data and its CRLF
@@ -499,8 +472,10 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
     Connection errors, timeouts, malformed replies (ProtocolError), 429 and
     5xx are retried up to the pool's `retries` times, after `backoff`,
     2·`backoff`, ... seconds, then raise BackendUnavailable; any other status
-    raises BadStatus at once, and so does a malformed JSON body. `auth_env`
-    names the environment variable holding a bearer token.
+    raises BadStatus at once, and so does a malformed JSON body. A refused
+    reply is named by its status and its body's length only: a server may
+    echo the request, and with it the corpus text, in its error body.
+    `auth_env` names the environment variable holding a bearer token.
     """
     headers = {"Content-Type": "application/json"}
     if auth_env:
@@ -515,11 +490,11 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
         except (OSError, ProtocolError) as exc:
             last_error = exc
             continue
-        if status == 429 or status >= 500:
-            last_error = BadStatus(status, data.decode("utf-8", "replace"))
-            continue
         if status != 200:
-            raise BadStatus(status, data.decode("utf-8", "replace"))
+            last_error = BadStatus(status, f"error body of {len(data)} bytes")
+            if status == 429 or status >= 500:
+                continue
+            raise last_error
         try:
             return json.loads(data)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -850,7 +825,8 @@ def annotate_corpus(
 
         try:
             try:
-                run_parallel(call, jobs(), max(1, backend.parallelism))
+                # jobs() is a generator: the lane caps its workers at its texts
+                run_parallel(call, jobs(), min(backend.parallelism, len(corpus) - begin))
             finally:  # what has arrived is stored, also when the lane fails
                 if fresh:
                     cache.write([entry for entries, _ in fresh.values() for entry in entries])

@@ -25,6 +25,9 @@ from .relevancy import EmbeddingBackend
 # The bound on `timeout` and `backoff`: one day. Far larger values overflow
 # the platform's time_t in a socket timeout or a sleep.
 _MAX_SECONDS = 86400
+# The bound on a backend's or the embedding's `parallelism`: each worker is a
+# thread, and a far larger count would ask the OS for more threads than it gives.
+_MAX_WORKERS = 256
 
 
 @dataclass
@@ -159,7 +162,7 @@ def load_config(path: str | Path) -> RunConfig:
         max_tokens = _number(entry, "max_tokens", Decoding.max_tokens, problems,
                              where=f"{where}.", integer=True, minimum=1)
         parallelism = _number(entry, "parallelism", ModelBackend.parallelism, problems,
-                              where=f"{where}.", integer=True, minimum=1)
+                              where=f"{where}.", integer=True, minimum=1, maximum=_MAX_WORKERS)
         if None not in (temperature, max_tokens, parallelism):
             backends.append(ModelBackend(*identity, Decoding(temperature, max_tokens),
                                          parallelism))
@@ -184,7 +187,7 @@ def load_config(path: str | Path) -> RunConfig:
             batch_size=_number(emb, "batch_size", EmbeddingBackend.batch_size, problems,
                                where="embedding.", integer=True, minimum=1),
             parallelism=_number(emb, "parallelism", EmbeddingBackend.parallelism, problems,
-                                where="embedding.", integer=True, minimum=1),
+                                where="embedding.", integer=True, minimum=1, maximum=_MAX_WORKERS),
         ),
         cache_dir=resolve("cache_dir", doc.get("cache_dir", ".topicensemble-cache")),
         output_dir=resolve("output_dir", doc.get("output_dir", "runs")),

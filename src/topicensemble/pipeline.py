@@ -394,17 +394,18 @@ def _load_gold(path: Path, topics: Set[str] | None = None) -> dict[str, dict[str
 
 def _cells(path: Path, digest: str, schema: str,
            models: list[str], text_ids: list[str], topics: list[str]):
-    """Stream an upstream JSONL artifact's rows as (line number, j, i, k, values),
-    with j, i and k the row's indexes in `models`, `text_ids` and `topics`, and
+    """Stream an upstream JSONL artifact's rows as (line number, at, values),
+    with `at` the row's index in a flat (topics, models, text_ids) array,
+    (k * len(models) + j) * len(text_ids) + i for its indexes k, j and i, and
     the values as `_rows` gives them (model, text_id and topic first).
     Each (model, topic) pair's rows follow the corpus order, so i counts the
     pair's rows before it; pairs may interleave. A row outside the config or
     out of its pair's order, or a pair that ends early, raises
     MissingUpstreamArtifact naming the file and the cell. Consumers close the
     generator, as for `_rows`."""
-    streams = {(model, topic): [j, k, 0]  # the pair's indexes and its rows so far
-               for j, model in enumerate(models) for k, topic in enumerate(topics)}
     n = len(text_ids)
+    streams = {(model, topic): [(k * len(models) + j) * n, 0]  # first cell, rows so far
+               for j, model in enumerate(models) for k, topic in enumerate(topics)}
     with closing(_rows(path, digest, schema)) as rows:
         for lineno, values in rows:
             model, text_id, topic = values[0], values[1], values[2]
@@ -413,15 +414,15 @@ def _cells(path: Path, digest: str, schema: str,
                 raise MissingUpstreamArtifact(
                     f"{path}: line {lineno}: cell {model, text_id, topic} "
                     f"is not a cell of this config")
-            j, k, i = stream
+            first, i = stream
             if i == n or text_id != text_ids[i]:
                 due = (model, text_ids[i], topic) if i < n else "no row"
                 raise MissingUpstreamArtifact(f"{path}: line {lineno}: cell "
                                               f"{model, text_id, topic} is out of order; "
                                               f"{due} belongs there")
-            stream[2] = i + 1
-            yield lineno, j, i, k, values
-    for (model, topic), (_, _, i) in streams.items():
+            stream[1] = i + 1
+            yield lineno, first + i, values
+    for (model, topic), (_, i) in streams.items():
         if i < n:
             raise MissingUpstreamArtifact(f"{path}: no row for {model, text_ids[i], topic}")
 
@@ -448,8 +449,8 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
     leaves = topics.leaves()
     models = [backend.name for backend in cfg.backends]
     text_ids, leaf_names = corpus.ids, [leaf.short_name for leaf in leaves]
-    # labels and scores by (leaf, model, text), and flat views of both: cell (k, j, i)
-    # is at (k * len(models) + j) * len(text_ids) + i; a cell not set is false and 0.0
+    # labels and scores by (leaf, model, text), and flat views of both indexed as
+    # `_cells` places a row; a cell not set is false and 0.0
     n, shape = len(text_ids), (len(leaves), len(models), len(text_ids))
     labels, scores = np.zeros(shape, bool), np.zeros(shape)
     label_at, score_at = memoryview(labels.reshape(-1)), memoryview(scores.reshape(-1))
@@ -460,29 +461,28 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
           closing(_cells(path, digest, "annotations", models, text_ids, leaf_names)) as cells):
         embedder = Embedder(cfg.embedding, cache, pool)
         # the line of a row without a label or without phrases, split around its
-        # text id, at (k * len(models) + j) * 2 + label: the scorer's record for
-        # such a row depends on its model, leaf and label alone
+        # text id, at pair * 2 + label, pair being its cell's index // len(text_ids):
+        # the scorer's record for such a row depends on its model, leaf and label alone
         unscored = [_around_text_id(record) for record in score_annotations(
             (TopicAnnotation(model, "", leaf, label)
              for leaf in leaf_names for model in models for label in (False, True)),
             leaves, embedder)]
 
         def relevancy_lines():
-            # READ_AHEAD rows at a time, each kept as one code: ~(its cell's flat index)
-            # for a row that is scored, (pair * 2 + label) * len(text_ids) + i for one
-            # that is not, with pair = k * len(models) + j
+            # READ_AHEAD rows at a time, each kept as one code from its cell's
+            # index: ~at for a row that is scored, at * 2 + label for one that is not
             while True:
                 codes, scored = array("q"), []
-                for _, j, i, k, values in itertools.islice(cells, relevancy.READ_AHEAD):
-                    label, pair = values[3], k * len(models) + j
+                for _, at, values in itertools.islice(cells, relevancy.READ_AHEAD):
+                    label = values[3]
                     if label:
-                        label_at[pair * n + i] = True
+                        label_at[at] = True
                         if values[4]:
-                            codes.append(~(pair * n + i))
-                            scored.append(TopicAnnotation(models[j], text_ids[i], leaf_names[k],
+                            codes.append(~at)
+                            scored.append(TopicAnnotation(values[0], values[1], values[2],
                                                           label, tuple(values[4])))
                             continue
-                    codes.append((pair * 2 + label) * n + i)
+                    codes.append(at * 2 + label)
                 if not codes:
                     return
                 records = score_annotations(scored, leaves, embedder)  # one record each
@@ -492,9 +492,9 @@ def stage_score(cfg: RunConfig, inputs: tuple, run_dir: Path, digest: str) -> No
                         score_at[~code] = record.score
                         yield _relevancy_line(record)
                     else:
-                        c, i = divmod(code, n)
-                        head, tail = unscored[c]
-                        yield head + encode_basestring(text_ids[i]) + tail
+                        at, label = divmod(code, 2)
+                        head, tail = unscored[at // n * 2 + label]
+                        yield head + encode_basestring(text_ids[at % n]) + tail
 
         _write_jsonl(stage_dir / "relevancy.jsonl", "relevancy", digest, relevancy_lines())
 
@@ -555,15 +555,14 @@ def _aggregated(cfg: RunConfig, run_dir: Path, digest: str,
     models = [backend.name for backend in cfg.backends]
     shape = len(names), len(models), len(text_ids)
     labels, scores = np.zeros(shape, bool), np.zeros(shape)
-    # flat views of both arrays: cell (k, j, i) is at (k * len(models) + j) * len(text_ids) + i,
-    # and a memoryview item is set in less time than a numpy one
+    # flat views of both arrays, indexed as `_cells` places a row: a memoryview
+    # item is set in less time than a numpy one
     label_at, score_at = memoryview(labels.reshape(-1)), memoryview(scores.reshape(-1))
     with closing(_cells(path, digest, "aggregated", models, text_ids, names)) as cells:
-        for lineno, j, i, k, (_, _, _, label, score) in cells:
+        for lineno, at, (_, _, _, label, score) in cells:
             if not 0.0 <= score <= 1.0:  # NaN fails too
                 raise MissingUpstreamArtifact(f"{path}: line {lineno}: score must be "
                                               f"within [0, 1], got {score!r}")
-            at = (k * shape[1] + j) * shape[2] + i
             label_at[at], score_at[at] = label, score
     return ({topic: dict(zip(models, labels[k])) for k, topic in enumerate(names)},
             {topic: dict(zip(models, scores[k])) for k, topic in enumerate(names)})

@@ -10,11 +10,11 @@ phrases score 0; the latter are flagged as potential false positives.
 Embedding inputs are truncated to their first 384 whitespace-delimited words
 (whitespace collapsed, so truncation is idempotent). Vectors live in the
 run's one response store (annotator.ResponseCache) as little-endian float32
-bytes under "emb/{backend}/" plus the truncated text's SHA-256. They are
-read, fetched and stored by the store's fill routine (ResponseCache.fill),
-one transaction of new vectors per call, and requests go through the same
-retrying POST as chat answers (annotator.post_json). Cached and fresh
-vectors round-trip through float32 so warm reruns are bit-stable.
+bytes under "emb/{backend}/" plus the truncated text's SHA-256.
+Embedder.embed_many reads them, fetches the missing ones and stores those in
+one transaction per call; requests go through the same retrying POST as chat
+answers (annotator.post_json). Cached and fresh vectors round-trip through
+float32 so warm reruns are bit-stable.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .annotator import (
     ResponseCache,
     TopicAnnotation,
     post_json,
+    run_parallel,
 )
 from .corpus import Topic
 from .errors import BadStatus, CacheError, ZeroNormVector
@@ -93,8 +94,8 @@ class Embedder:
     """Caching client for the embedding wire protocol.
 
     POSTs {model, input: [texts]} and expects {data: [{embedding: [...]}]}
-    in input order. Vectors are read from and written to `cache` by its fill
-    routine; requests go out over `pool`, with its retry policy.
+    in input order. Vectors are read from and written to `cache` by
+    embed_many; requests go out over `pool`, with its retry policy.
     """
 
     def __init__(self, backend: EmbeddingBackend, cache: ResponseCache, pool: ConnectionPool):
@@ -110,19 +111,29 @@ class Embedder:
         return f"emb/{self.backend.name}/{digest}"
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """The vector of each text, through one ResponseCache.fill: the
-        distinct truncated texts the store lacks are POSTed once each, in
-        batches of batch_size on up to `parallelism` workers, and stored in
-        one transaction."""
+        """The vector of each text: one store read, then each distinct
+        truncated text the store lacks POSTed once, in batches of batch_size
+        on up to `parallelism` workers, and what arrived stored in one
+        transaction, also when a batch fails."""
         truncated = [truncate_words(t) for t in texts]
-
-        def fetch(part: list[int]) -> list[bytes]:
-            return [vec.astype("<f4").tobytes()
-                    for vec in self._request([truncated[i] for i in part])]
-
         keys = [self._key(u) for u in truncated]
-        blobs = self.cache.fill(keys, fetch, self.backend.batch_size, self.parallelism)
-        return [self._vector(key, blob) for key, blob in zip(keys, blobs)]
+        blobs = dict(zip(keys, self.cache.read_many(keys)))  # equal keys, equal vectors
+        missing = list({key: u for key, u in zip(keys, truncated) if blobs[key] is None}.items())
+        size = self.backend.batch_size
+        fresh: list[tuple[str, bytes]] = []  # appended by the workers
+
+        def batch(start: int) -> None:
+            part = missing[start : start + size]
+            for (key, _), vec in zip(part, self._request([u for _, u in part])):
+                blobs[key] = vec.astype("<f4").tobytes()
+                fresh.append((key, blobs[key]))
+
+        try:
+            run_parallel(batch, range(0, len(missing), size), self.parallelism)
+        finally:
+            if fresh:
+                self.cache.write(fresh)
+        return [self._vector(key, blobs[key]) for key in keys]
 
     def _vector(self, key: str, blob: bytes) -> np.ndarray:
         if not isinstance(blob, bytes) or not blob or len(blob) % 4:

@@ -507,26 +507,6 @@ def test_store_shared_by_threads(tmp_path):
     fresh.close()
 
 
-def test_fill_fetches_a_key_missing_at_two_positions_once(tmp_path):
-    with contextlib.closing(ResponseCache(tmp_path)) as store:
-        store.write([("hit", b"stored")])
-        asked, written = [], []
-
-        def fetch(part):
-            asked.append(part)
-            return [b"fresh"] * len(part)
-
-        def write(items):
-            written.append(list(items))
-            ResponseCache.write(store, written[-1])
-
-        store.write = write
-        assert store.fill(["new", "hit", "new"], fetch, 4, 2) == [b"fresh", b"stored", b"fresh"]
-        assert asked == [[0]]
-        assert written == [[("new", b"fresh")]]
-        assert store.read_many(["new"]) == [b"fresh"]
-
-
 def test_query_backend_unreachable(tmp_path):
     backend = ModelBackend(name="m1", endpoint="http://127.0.0.1:9/v1/chat/completions")
     with pytest.raises(BackendUnavailable):
@@ -728,10 +708,42 @@ def test_post_json_retries_a_busy_or_failing_backend(sleeps, status):
     reply = b"HTTP/1.1 " + status + b"\r\nContent-Length: 4\r\n\r\nbusy"
     with raw_server("keep-alive", reply) as (url, counts):
         with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.5)) as pool:
-            with pytest.raises(BackendUnavailable, match=f"HTTP {status[:3].decode()}: busy"):
+            with pytest.raises(BackendUnavailable,
+                               match=f"HTTP {status[:3].decode()}: error body of 4 bytes"):
                 post_json(pool, url, {"model": "m"})
     assert counts["requests"] == 3
     assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("status, raised", [(b"400 Bad Request", BadStatus),
+                                            (b"503 Service Unavailable", BackendUnavailable)])
+def test_a_refused_reply_is_named_by_status_and_body_length(sleeps, status, raised):
+    # a server may echo the refused request, corpus text and all, in its error body
+    body = b'{"error": "cannot parse: I have not slept CANARY"}'
+    reply = b"HTTP/1.1 %s\r\nContent-Length: %d\r\n\r\n%s" % (status, len(body), body)
+    with raw_server("keep-alive", reply) as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=2, timeout=30.0, backoff=0.5)) as pool:
+            with pytest.raises(raised) as excinfo:
+                annotator.chat(ModelBackend("m", url), "I have not slept CANARY", pool)
+    message = str(excinfo.value)
+    assert f"HTTP {status[:3].decode()}: error body of {len(body)} bytes" in message
+    assert "CANARY" not in message and "slept" not in message
+    assert counts["requests"] == (1 if raised is BadStatus else 3)
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"CANARY slept 200 OK\r\n\r\n", "malformed status line of 21 bytes"),
+    (_HEAD + b"Transfer-Encoding: chunked\r\n\r\nCANARY slept\r\n",
+     "malformed chunk size line of 14 bytes"),
+], ids=["status-line", "chunk-size-line"])
+def test_a_malformed_reply_is_named_by_its_line_length(sleeps, reply, error):
+    # a line that is not HTTP may be the reply's text, so it is not quoted
+    with raw_server("close-after-reply", reply) as (url, counts):
+        with contextlib.closing(ConnectionPool(retries=0, timeout=30.0, backoff=0.5)) as pool:
+            with pytest.raises(BackendUnavailable) as excinfo:
+                post_json(pool, url, {"model": "m"})
+    assert error in str(excinfo.value)
+    assert "CANARY" not in str(excinfo.value)
 
 
 @pytest.mark.parametrize("body", [
@@ -1064,6 +1076,27 @@ def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, mon
     # a transaction once a backend's lane holds WINDOW arrived answers, then one
     # for the rest, each holding that backend's answers only
     assert writes == {(b.name, size): 1 for b in backends for size in (12, 8)}
+
+
+def test_a_lane_starts_only_the_workers_its_texts_can_use(tmp_path, monkeypatch,
+                                                          two_topics, pool):
+    # 2 texts x 2 backends at parallelism 16: a lane asks on its own thread
+    # and at most one worker more, not 15 more
+    corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(2)]
+    backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
+                             parallelism=16) for n in range(2)]
+    monkeypatch.setattr(annotator, "chat", lambda backend, prompt, pool: format_response(
+        [("sleep", False, []), ("appetite", False, [])]))
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        rows = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
+    assert len(rows) == 2 * 2 * 2
+    lanes = [name for name in started if name.startswith("lane ")]
+    assert sorted(lanes) == ["lane m0", "lane m1"]
+    assert len(started) - len(lanes) <= len(lanes)  # at most 1 worker thread per lane
 
 
 def canned_chat(delay, answer=None):

@@ -505,6 +505,8 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("retries: -1", "retries must be >= 0"),
     ("embedding.batch_size: 0", "embedding.batch_size must be >= 1"),
     ("backends.0.parallelism: many", "backends[0].parallelism must be an integer"),
+    ("backends.0.parallelism: 257", "backends[0].parallelism must be >= 1 and <= 256"),
+    ("embedding.parallelism: 257", "embedding.parallelism must be >= 1 and <= 256"),
     ("failure_budget: 7", "failure_budget must be >= 0 and <= 1"),
     ("timeout: 0", "timeout must be > 0"),
     ("backoff: -0.5", "backoff must be >= 0"),
@@ -542,6 +544,14 @@ def test_cli_bad_bootstrap_config(tmp_path, capsys, setting, problem):
     err = capsys.readouterr().err
     assert problem in err
     assert "Traceback" not in err
+
+
+def test_a_parallelism_of_256_is_accepted(tmp_path):
+    # the bound itself loads; the config starts no thread
+    config_path = tmp_path / "config.yaml"
+    _write_mutated(config_path, {"backends.1.parallelism": 256, "embedding.parallelism": 256})
+    cfg = load_config(config_path)
+    assert (cfg.backends[1].parallelism, cfg.embedding.parallelism) == (256, 256)
 
 
 def test_a_null_section_is_absent(tmp_path):

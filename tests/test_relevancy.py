@@ -263,6 +263,29 @@ def test_embed_many_keeps_what_arrived_before_a_failed_batch(tmp_path, monkeypat
     assert working.batches == [["phrase 3"], ["phrase 4"]]
 
 
+def test_embed_many_fetches_a_key_missing_at_two_positions_once(tmp_path, monkeypatch, pool):
+    # "new  phrase" and "new phrase" truncate to one input, so to one store key
+    posted = []
+    monkeypatch.setattr(relevancy, "post_json", lambda pool, url, payload, auth: posted.append(
+        payload["input"]) or {"data": [{"embedding": [0.6, 0.8]}] * len(payload["input"])})
+    written = []
+    write = ResponseCache.write
+    monkeypatch.setattr(ResponseCache, "write", lambda cache, items: written.append(
+        list(items)) or write(cache, written[-1]))
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=4, parallelism=2)
+    with closing(ResponseCache(tmp_path)) as cache:
+        embedder = Embedder(backend, cache, pool)
+        write(cache, [(embedder._key("hit"), struct.pack("<2f", 1.0, 0.0))])
+        first, hit, second = embedder.embed_many(["new  phrase", "hit", "new phrase"])
+        new = (embedder._key("new phrase"), struct.pack("<2f", 0.6, 0.8))
+        assert posted == [["new phrase"]]
+        assert written == [[new]]
+        assert cache.read_many([new[0]]) == [new[1]]
+    assert first.tolist() == second.tolist() == np.float32([0.6, 0.8]).tolist()
+    assert hit.tolist() == [1.0, 0.0]
+
+
 # ------------------------------------------------------------------ cosine
 
 def test_cosine_identities():
