@@ -505,51 +505,61 @@ def post_json(pool: ConnectionPool, url: str, payload: dict, auth_env: str | Non
     )
 
 
-def run_parallel(fn: Callable, items: Iterable, workers: int) -> list:
-    """[fn(x) for x in items] in input order, on the calling thread and up to
-    `workers` - 1 more threads.
+def run_parallel(fn: Callable, items: Iterable, workers: int,
+                 failures: list[BaseException] | None = None) -> None:
+    """fn(x) for each x in items, on the calling thread and up to `workers` - 1
+    more threads: the only code that starts or waits for a thread.
 
-    Every thread takes the next item from one shared iterator, under a lock,
-    so items may be a generator; sized items start no more threads than
-    they hold, so one item or one worker starts none. The
-    first exception, from fn or from the iterator, stops every thread from
-    starting another call and is re-raised once the running calls return,
-    so a dead backend costs the calls in flight rather than the whole queue.
+    The threads take items from one shared iterator, under a lock, so items
+    may be a generator; sized items start no more threads than they hold.
+    The first exception, from fn, the iterator or an interrupt, goes into
+    `failures` (the caller's, which nested calls may share), where each
+    thread looks before it takes an item, and is re-raised once every
+    started thread has returned. The wait is on a semaphore that each
+    thread releases as it returns, not Thread.join, which an interrupt cuts
+    short with the thread still running.
     """
-    results: dict[int, object] = {}
-    jobs = enumerate(items)
+    jobs = iter(items)
     lock = threading.Lock()
-    failures: list[BaseException] = []
+    failures = [] if failures is None else failures
+    done = threading.Semaphore(0)
+    ended: list[None] = []  # one entry per returned thread, appended before it releases
 
     def work() -> None:
         try:
             while not failures:
                 with lock:
-                    job = next(jobs, None)
-                if job is None:
+                    item = next(jobs, jobs)  # the iterator itself marks the end
+                if item is jobs:
                     return
-                results[job[0]] = fn(job[1])
+                fn(item)
         except BaseException as exc:
             failures.append(exc)
 
+    def worker() -> None:
+        try:
+            work()
+        finally:
+            ended.append(None)
+            done.release()
+
     if isinstance(items, Sized):
         workers = min(workers, len(items))
-    threads: list[threading.Thread] = []
+    started = 0
     try:
         for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
+            threading.Thread(target=worker).start()
+            started += 1
         work()
-    except BaseException as exc:  # a thread that could not start
+    except BaseException as exc:  # a thread that could not start, or an interrupt
         failures.append(exc)
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
+    while len(ended) < started:  # counted by `ended`: an interrupt may eat a release
+        try:
+            done.acquire()
+        except BaseException as exc:  # an interrupt: no thread takes another item
+            failures.append(exc)
     if failures:
         raise failures[0]
-    return [results[i] for i in range(len(results))]
 
 
 # each JSON type, by the type json.loads makes of it
@@ -709,12 +719,11 @@ def annotate_corpus(
     failure_budget of all cells have failed, every backend's counted
     together, the stream raises FailureBudgetExceeded before it yields that
     window's rows. At the first window with an answer missing, the lanes
-    fill the store: that backend's from that window, every later backend's
-    from the first, all at once on threads. The ordered pass joins them,
+    fill the store (see fill): that backend's from that window, every later
+    backend's from the first, all at once. The ordered pass waits for them,
     raises the first failure, and then reads on with no more waiting. Each
     lane stops on its own breach of the budget; a breach by the backends
-    together is seen only after the join. A warm run starts no thread. The
-    first failure in a lane stops every call not yet made in any lane.
+    together is seen only after that wait. A warm run starts no thread.
     """
     if len(backends) < 2:
         raise ValueError("ensembling needs >=2 configured backends")
@@ -724,7 +733,7 @@ def annotate_corpus(
     leaves, topic_line = layout.leaves, layout.topic_line
     total_cells = len(backends) * len(corpus) * len(leaves)
     reminder = "\n" + FORMAT_REMINDER
-    failures: list[BaseException] = []  # every lane looks here before it asks again
+    failures: list[BaseException] = []  # one stop list for the lanes and their workers
 
     def check(failed: int) -> None:  # failed texts, against the budget
         if failed * len(leaves) / total_cells > failure_budget:
@@ -797,10 +806,7 @@ def annotate_corpus(
                             waiting[key] = 1
                             asks.append((key, prompt))
                     settle(hopeless)
-                for ask in asks:
-                    if failures:
-                        return
-                    yield ask
+                yield from asks
 
         def call(job: tuple[str, str]) -> None:  # on a worker
             key, prompt = job
@@ -824,34 +830,20 @@ def annotate_corpus(
                         settle(hopeless * waiting.pop(key))
 
         try:
-            try:
-                # jobs() is a generator: the lane caps its workers at its texts
-                run_parallel(call, jobs(), min(backend.parallelism, len(corpus) - begin))
-            finally:  # what has arrived is stored, also when the lane fails
-                if fresh:
-                    cache.write([entry for entries, _ in fresh.values() for entry in entries])
-        except BaseException as exc:
-            failures.append(exc)
+            # jobs() is a generator: the lane caps its workers at its texts
+            run_parallel(call, jobs(), min(backend.parallelism, len(corpus) - begin), failures)
+        finally:  # what has arrived is stored, also when the lane fails
+            if fresh:
+                cache.write([entry for entries, _ in fresh.values() for entry in entries])
 
     def fill(b: int, begin: int) -> None:
         """Run backends[b]'s lane from text begin and every later backend's
-        from text 0, each on a thread, join them, and raise the first failure."""
-        lanes = [threading.Thread(target=lane, args=(n, begin if n == b else 0),
-                                  name=f"lane {backends[n].name}")
-                 for n in range(b, len(backends))]
-        try:
-            for thread in lanes:
-                thread.start()
-            for thread in lanes:
-                thread.join()
-        except BaseException as exc:  # a thread that could not start, or an interrupt
-            failures.append(exc)  # no lane makes another call
-            for thread in lanes:
-                if thread.is_alive():
-                    thread.join()
-            raise
-        if failures:
-            raise failures[0]
+        from text 0, all at once, one of them on the calling thread, and
+        raise the first failure once all have returned. The first failure or
+        an interrupt stops every call not yet made, in every lane; the calls
+        in flight on other threads end, and each lane stores what arrived."""
+        run_parallel(lambda n: lane(n, begin if n == b else 0), range(b, len(backends)),
+                     len(backends) - b, failures)
 
     def stream() -> Iterator[TopicAnnotation]:
         failed = 0  # the ordered pass counts every backend's cells together

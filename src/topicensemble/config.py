@@ -28,6 +28,9 @@ _MAX_SECONDS = 86400
 # The bound on a backend's or the embedding's `parallelism`: each worker is a
 # thread, and a far larger count would ask the OS for more threads than it gives.
 _MAX_WORKERS = 256
+# The bound on `retries`: the sleep before retry n is backoff * 2 ** (n - 1),
+# which a far larger count overflows as a float.
+_MAX_RETRIES = 100
 
 
 @dataclass
@@ -199,7 +202,8 @@ def load_config(path: str | Path) -> RunConfig:
                                where="bootstrap.", integer=True),
         failure_budget=_number(doc, "failure_budget", RunConfig.failure_budget, problems,
                                maximum=1),
-        retries=_number(doc, "retries", RunConfig.retries, problems, integer=True),
+        retries=_number(doc, "retries", RunConfig.retries, problems, integer=True,
+                        maximum=_MAX_RETRIES),
         timeout=_number(doc, "timeout", RunConfig.timeout, problems, exclusive=True,
                         maximum=_MAX_SECONDS),
         backoff=_number(doc, "backoff", RunConfig.backoff, problems, maximum=_MAX_SECONDS),

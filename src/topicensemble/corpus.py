@@ -232,7 +232,8 @@ def not_utf8(where: str, path: Path, exc: UnicodeDecodeError) -> MalformedRecord
     return MalformedRecord(0, f"{where} is not UTF-8: {exc}")
 
 
-_decode = json.JSONDecoder().decode  # json.loads without its per-call dispatch
+_decoder = json.JSONDecoder()
+_decode = _decoder.decode  # json.loads without its per-call dispatch
 
 
 def _jsonl_records(path: Path, where: str) -> Iterator[tuple[int, dict]]:

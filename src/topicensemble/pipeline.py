@@ -53,9 +53,11 @@ from . import agreement as agr
 from . import relevancy
 from .annotator import (_JSON_TYPES, ConnectionPool, TopicAnnotation, ResponseCache,
                         annotate_corpus)
+# json.dumps(row, sort_keys=True, ensure_ascii=False) without building an encoder for each row
+from .annotator import _encode_sorted as _encode
 from .config import RunConfig, config_digest
-from .corpus import (CorpusView, TopicSet, _csv_records, load_corpus, load_corpus_view,
-                     load_topics, not_utf8)
+from .corpus import (CorpusView, TopicSet, _csv_records, _decode, _decoder, load_corpus,
+                     load_corpus_view, load_topics, not_utf8)
 from .ensemble import EnsembleDecision, ScoreEnsemble
 # optimal_threshold is imported for pipebench/tracer.py, which wraps the name here
 from .ensemble import ensemble_topic, optimal_threshold  # noqa: F401
@@ -87,11 +89,6 @@ def _replacing(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-# json.dumps(row, sort_keys=True, ensure_ascii=False) without building an
-# encoder for each row
-_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def _meta_line(schema: str, digest: str) -> str:
@@ -182,8 +179,6 @@ _ROW_FIELDS = {
 }
 _KINDS = {"a string": (str,), "a boolean": (bool,), "a number": (int, float),
           "an object": (dict,), "a list of strings": (list,)}  # items checked too
-_decoder = json.JSONDecoder()
-_decode = _decoder.decode  # json.loads without its per-call dispatch
 
 
 def _scan(text: str):

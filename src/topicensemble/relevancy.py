@@ -102,7 +102,6 @@ class Embedder:
         self.backend = backend
         self.cache = cache
         self.pool = pool
-        self.parallelism = max(1, backend.parallelism)
         self._dimension: int | None = None
         self._dimension_lock = threading.Lock()  # callers may share an Embedder across threads
 
@@ -129,7 +128,7 @@ class Embedder:
                 fresh.append((key, blobs[key]))
 
         try:
-            run_parallel(batch, range(0, len(missing), size), self.parallelism)
+            run_parallel(batch, range(0, len(missing), size), self.backend.parallelism)
         finally:
             if fresh:
                 self.cache.write(fresh)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
 from contextlib import closing
 
 import pytest
@@ -57,3 +61,55 @@ def pool():
     teardown so that no keep-alive socket outlives the test."""
     with closing(ConnectionPool(retries=3, timeout=30.0, backoff=0.01)) as pool:
         yield pool
+
+
+def _left_running(before: set[threading.Thread]) -> list[threading.Thread]:
+    """The threads started since `before` (a set of threading.enumerate())
+    that are still running a second later: a run_parallel worker lets the
+    waiting thread go as its last step, and ends right after."""
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(1.0)
+    return [thread for thread in started if thread.is_alive()]
+
+
+@pytest.fixture(scope="session")
+def left_running():
+    """_left_running; session-scoped, so hypothesis tests may take it too."""
+    return _left_running
+
+
+def _interrupted(call, delay: float) -> tuple[KeyboardInterrupt | None, float]:
+    """Run call() on the main thread while a helper thread sends SIGINT to
+    this process `delay` seconds in: the KeyboardInterrupt that call() raised
+    (None if it raised none) and the perf_counter time at which it returned
+    or raised. The interrupt is caught here, so the session goes on; a
+    signal that lands once call() is done raises nothing."""
+    assert threading.current_thread() is threading.main_thread()  # where signals land
+    inside = True
+
+    def handler(signum, frame):
+        if inside:
+            raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, handler)
+    sender = threading.Timer(delay, os.kill, (os.getpid(), signal.SIGINT))
+    error, ended = None, 0.0
+    try:
+        sender.start()
+        try:
+            call()
+        finally:
+            ended = time.perf_counter()
+            inside = False
+    except KeyboardInterrupt as exc:
+        error = exc
+    finally:
+        sender.join()
+        signal.signal(signal.SIGINT, previous)  # runs a pending handler first
+    return error, ended
+
+
+@pytest.fixture(scope="session")
+def interrupted():
+    return _interrupted

@@ -1080,7 +1080,8 @@ def test_annotate_corpus_keeps_each_backend_within_its_parallelism(tmp_path, mon
 
 def test_a_lane_starts_only_the_workers_its_texts_can_use(tmp_path, monkeypatch,
                                                           two_topics, pool):
-    # 2 texts x 2 backends at parallelism 16: a lane asks on its own thread
+    # 2 texts x 2 backends at parallelism 16: the calling thread runs one lane
+    # and starts a thread for the other, and each lane asks on its own thread
     # and at most one worker more, not 15 more
     corpus = [TextItem(f"t{i}", f"Text number {i}") for i in range(2)]
     backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
@@ -1090,13 +1091,11 @@ def test_a_lane_starts_only_the_workers_its_texts_can_use(tmp_path, monkeypatch,
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: started.append(thread.name) or start(thread))
+                        lambda thread: started.append(thread) or start(thread))
     with contextlib.closing(ResponseCache(tmp_path)) as cache:
         rows = list(annotate_corpus(corpus, two_topics, backends, cache, pool))
     assert len(rows) == 2 * 2 * 2
-    lanes = [name for name in started if name.startswith("lane ")]
-    assert sorted(lanes) == ["lane m0", "lane m1"]
-    assert len(started) - len(lanes) <= len(lanes)  # at most 1 worker thread per lane
+    assert 0 < len(started) <= (2 - 1) + 2 * 1  # lanes, then 1 worker thread per lane
 
 
 def canned_chat(delay, answer=None):
@@ -1337,7 +1336,8 @@ def test_a_held_answer_holds_back_no_other_answer_from_the_store(tmp_path, monke
 
 
 def test_a_lane_failing_while_the_ordered_pass_waits_stops_the_stream(tmp_path, monkeypatch,
-                                                                     two_topics, pool):
+                                                                     two_topics, pool,
+                                                                     left_running):
     # m1's text 5 fails after 0.2 s while the ordered pass waits for m1's
     # second window: the stream raises that error, no lane is left running,
     # and every answer that arrived is in the store
@@ -1358,11 +1358,12 @@ def test_a_lane_failing_while_the_ordered_pass_waits_stops_the_stream(tmp_path, 
     with contextlib.closing(ResponseCache(tmp_path)) as cache:
         rows = []
         start = time.perf_counter()
+        before = set(threading.enumerate())
         with pytest.raises(BadStatus, match="backend gone"):
             rows.extend(drained(annotate_corpus(corpus, two_topics, backends, cache, pool),
                                 timeout=10.0))
         assert time.perf_counter() - start < 5.0
-        assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+        assert left_running(before) == []
         assert answered and None not in cache.read_many(
             [cache.key(backend, prompt) for backend, prompt in answered])
 
@@ -1398,7 +1399,7 @@ _FUZZ_ANSWER = format_response([("sleep", True, ["awake"]), ("appetite", False, 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
-def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
+def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(left_running, data):
     # random windows, corpora with repeated texts, backends and answers:
     # paragraph v of backend n answers at once, after a format reminder, or
     # never with a topic line, and at most one call fails; some examples
@@ -1442,6 +1443,7 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
         try:
             with contextlib.closing(ResponseCache(tmp)) as cache:
                 breached = False
+                before = set(threading.enumerate())
                 try:
                     rows = drained(annotate_corpus(corpus, _FUZZ_TOPICS, backends, cache,
                                                    None, failure_budget=budget))
@@ -1451,7 +1453,7 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
                 except FailureBudgetExceeded:
                     assert budget < 1.0
                     rows, breached = None, True
-                assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+                assert left_running(before) == []
                 assert set(asked.values()) == {1}  # no prompt asked twice
                 assert None not in cache.read_many([cache.key(backend, prompt)
                                                     for backend, prompt in arrived])
@@ -1478,19 +1480,26 @@ def test_annotate_corpus_lanes_under_random_windows_corpora_and_failures(data):
 
 
 def test_run_parallel_keeps_order_on_the_calling_thread_and_its_workers():
-    threads = set()
+    # every item is taken once, in order, and one worker takes them on the
+    # calling thread; run_parallel returns nothing
+    received, threads = [], set()
 
-    def square(x):
+    def record(x):
         threads.add(threading.get_ident())
         time.sleep(0.001)
-        return x * x
+        received.append(x)
 
-    assert run_parallel(square, list(range(20)), 4) == [x * x for x in range(20)]
+    assert run_parallel(record, list(range(20)), 4) is None
+    assert sorted(received) == list(range(20))
     assert threading.get_ident() in threads and len(threads) <= 4
+    received.clear()
     threads.clear()
-    assert run_parallel(square, [1, 2, 3], 1) == [1, 4, 9]
+    run_parallel(record, [1, 2, 3], 1)
+    assert received == [1, 2, 3]
     assert threads == {threading.get_ident()}  # one worker starts no thread
-    assert run_parallel(square, [], 4) == []
+    received.clear()
+    run_parallel(record, [], 4)
+    assert received == []
 
 
 def test_run_parallel_starts_no_call_after_the_first_failure():
@@ -1508,12 +1517,74 @@ def test_run_parallel_starts_no_call_after_the_first_failure():
 
 
 def test_run_parallel_takes_items_from_a_generator_in_order():
-    # a generator is shared by the threads under a lock; its exception stops them
+    # a generator is shared by the threads under a lock, so its items are
+    # taken in order and each is called once; its exception stops them
+    taken, received = [], []
+
     def items():
-        yield from range(10)
+        for i in range(10):
+            taken.append(i)
+            yield i
         raise ValueError("no more")
 
-    assert run_parallel(lambda x: x * x, (i for i in range(10)), 3) == [
-        x * x for x in range(10)]
+    run_parallel(received.append, (taken.append(i) or i for i in range(10)), 3)
+    assert taken == list(range(10)) and sorted(received) == taken
+    taken.clear()
+    received.clear()
     with pytest.raises(ValueError, match="no more"):
-        run_parallel(lambda x: x, items(), 3)
+        run_parallel(received.append, items(), 3)
+    assert taken == list(range(10)) and sorted(received) == taken
+
+
+def test_run_parallel_waits_for_a_call_in_flight_when_interrupted(interrupted, left_running):
+    # SIGINT lands while the calling thread waits for a worker's held call:
+    # KeyboardInterrupt is raised only once that call has returned, and no
+    # thread that run_parallel started is left running
+    taken, returned = threading.Event(), []
+
+    def call(x):
+        if threading.current_thread() is threading.main_thread():
+            taken.wait(5.0)  # until the worker holds the other item
+            return
+        taken.set()
+        time.sleep(0.6)
+        returned.append(time.perf_counter())
+
+    before = set(threading.enumerate())
+    error, ended = interrupted(lambda: run_parallel(call, [0, 1], 2), 0.2)
+    assert isinstance(error, KeyboardInterrupt)
+    assert len(returned) == 1 and returned[0] <= ended
+    assert left_running(before) == []
+
+
+def test_an_interrupt_waits_for_the_lanes_calls_in_flight_and_stores_their_answers(
+        tmp_path, monkeypatch, two_topics, pool, interrupted, left_running):
+    # 1 text x 2 backends at parallelism 1: the first call made on a thread
+    # that annotate started is held 1.5 s, the other answers in 0.1 s (the
+    # calling thread runs one lane, and its own call is the one an interrupt
+    # cuts), and SIGINT lands at 0.4 s: annotate raises only once the held
+    # answer has arrived, and both answers are in the store
+    corpus = [TextItem("t0", "Text number 0.")]
+    backends = [ModelBackend(f"m{n}", "http://127.0.0.1:9/v1/chat/completions",
+                             parallelism=1) for n in range(2)]
+    lock, held, arrived = threading.Lock(), [], {}
+
+    def chat(backend, prompt, pool):
+        with lock:
+            hold = not held and threading.current_thread() is not threading.main_thread()
+            held.extend([backend.name] * hold)
+        time.sleep(1.5 if hold else 0.1)
+        arrived[backend.name] = time.perf_counter()
+        return format_response([("sleep", False, []), ("appetite", False, [])])
+
+    monkeypatch.setattr(annotator, "chat", chat)
+    with contextlib.closing(ResponseCache(tmp_path)) as cache:
+        before = set(threading.enumerate())
+        error, ended = interrupted(
+            lambda: list(annotate_corpus(corpus, two_topics, backends, cache, pool)), 0.4)
+        assert isinstance(error, KeyboardInterrupt)
+        assert len(held) == 1 and sorted(arrived) == ["m0", "m1"]
+        assert max(arrived.values()) <= ended
+        assert left_running(before) == []
+        prompt = build_prompt(two_topics, corpus[0])
+        assert None not in cache.read_many([cache.key(b, prompt) for b in backends])

@@ -186,19 +186,22 @@ def test_warm_annotate_posts_nothing_and_uses_no_worker(e2e, monkeypatch):
 
 
 def test_warm_annotate_starts_no_thread(e2e, monkeypatch):
+    # a cold run of 6 texts x 3 backends at parallelism 2 starts a thread for
+    # each lane but the calling thread's, and one worker thread in each lane;
+    # the stub server's threads are not the run's, and a warm run starts none
     workdir, server = e2e
     cfg = load_config(workdir / "config.yaml")
-    started = []
+    caller, started = threading.current_thread(), []
     real_start = threading.Thread.start
 
     def spying_start(self):
-        started.append(self.name)
+        if threading.current_thread() is caller or threading.current_thread() in started:
+            started.append(self)
         return real_start(self)
 
     monkeypatch.setattr(threading.Thread, "start", spying_start)
     run(cfg, stage="annotate", run_id="cold")
-    assert [name for name in started if name.startswith("lane ")] == [
-        "lane m_alpha", "lane m_beta", "lane m_gamma"]
+    assert len(started) == (3 - 1) + 3 * (2 - 1)
     started.clear()
     run(cfg, stage="annotate", run_id="warm")
     assert started == []
@@ -242,7 +245,8 @@ def test_a_dead_later_backend_stops_the_run_during_the_first_backends_pass(tmp_p
     assert 0 < calls["m_alpha"] < texts
 
 
-def test_a_writer_failing_mid_stream_leaves_no_lane_running(tmp_path, monkeypatch):
+def test_a_writer_failing_mid_stream_leaves_no_lane_running(tmp_path, monkeypatch,
+                                                            left_running):
     workdir = tmp_path / "demo"
     shutil.copytree(E2E, workdir)
     _numbered_corpus(workdir, 60)
@@ -269,9 +273,10 @@ def test_a_writer_failing_mid_stream_leaves_no_lane_running(tmp_path, monkeypatc
     monkeypatch.setattr(annotator, "chat", chat)
     monkeypatch.setattr(pipeline, "_write_jsonl", failing_write)
     monkeypatch.setattr(ResponseCache, "_execute", recording_execute)
+    before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="disk full"):
         run(cfg, stage="annotate", run_id="cut")
-    assert [t.name for t in threading.enumerate() if t.name.startswith("lane ")] == []
+    assert left_running(before) == []
     assert store_errors == []
 
 
@@ -503,6 +508,7 @@ def _write_mutated(config_path: Path, changes: dict) -> None:
     ("backends: ''", "backends must be a list of mappings"),
     ("backends: {}", "backends must be a list of mappings"),
     ("retries: -1", "retries must be >= 0"),
+    ("retries: 101", "retries must be >= 0 and <= 100"),
     ("embedding.batch_size: 0", "embedding.batch_size must be >= 1"),
     ("backends.0.parallelism: many", "backends[0].parallelism must be an integer"),
     ("backends.0.parallelism: 257", "backends[0].parallelism must be >= 1 and <= 256"),
@@ -552,6 +558,12 @@ def test_a_parallelism_of_256_is_accepted(tmp_path):
     _write_mutated(config_path, {"backends.1.parallelism": 256, "embedding.parallelism": 256})
     cfg = load_config(config_path)
     assert (cfg.backends[1].parallelism, cfg.embedding.parallelism) == (256, 256)
+
+
+def test_a_retries_of_100_is_accepted(tmp_path):
+    config_path = tmp_path / "config.yaml"
+    _write_mutated(config_path, {"retries": 100})
+    assert load_config(config_path).retries == 100
 
 
 def test_a_null_section_is_absent(tmp_path):

@@ -263,6 +263,35 @@ def test_embed_many_keeps_what_arrived_before_a_failed_batch(tmp_path, monkeypat
     assert working.batches == [["phrase 3"], ["phrase 4"]]
 
 
+def test_an_interrupt_stores_every_vector_fetched(tmp_path, monkeypatch, pool, interrupted,
+                                                  left_running):
+    # batch_size 1, 3 texts, parallelism 2: the batch on the worker thread is
+    # held 0.6 s, and SIGINT lands at 0.2 s while the calling thread waits for
+    # it after its own two batches: embed_many raises, and every vector
+    # fetched, the held one too, is in the store
+    taken = threading.Event()
+
+    def request(self, batch):
+        if threading.current_thread() is threading.main_thread():
+            taken.wait(5.0)  # until the worker holds a batch
+        else:
+            taken.set()
+            time.sleep(0.6)
+        return [np.array([0.6, 0.8])]
+
+    monkeypatch.setattr(Embedder, "_request", request)
+    backend = EmbeddingBackend("emb", "http://127.0.0.1:9/v1/embeddings",
+                               batch_size=1, parallelism=2)
+    texts = [f"phrase {i}" for i in range(3)]
+    with closing(ResponseCache(tmp_path)) as cache:
+        embedder = Embedder(backend, cache, pool)
+        before = set(threading.enumerate())
+        error, _ = interrupted(lambda: embedder.embed_many(texts), 0.2)
+        assert isinstance(error, KeyboardInterrupt)
+        assert left_running(before) == []
+        assert None not in cache.read_many([embedder._key(text) for text in texts])
+
+
 def test_embed_many_fetches_a_key_missing_at_two_positions_once(tmp_path, monkeypatch, pool):
     # "new  phrase" and "new phrase" truncate to one input, so to one store key
     posted = []
